@@ -8,7 +8,8 @@ config ``out_dir`` > ``./out``, and are byte-identical across runs with the
 same inputs and seed.
 
 Exit codes: 0 on success, 1 when a verified property fails (a counterexample
-dump is written next to the other outputs), 2 on usage or validation errors.
+dump is written next to the other outputs), 2 on usage or validation errors,
+including a durability first-order condition with no root below ``d_max``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import statics as statics_mod
 from . import two_period as tp
 from .primitives import (
     DEFAULT_D_MAX,
+    BracketError,
     ModelKind,
     ModelParams,
     Regime,
@@ -45,8 +47,9 @@ OUT_ENV_VAR = "RECOMMERCE_OUT"
 SHUTDOWN_NOTE = "market shutdown, lower types excluded"
 
 _TOP_KEYS = {"schema", "params", "solver", "sweep", "verification", "out_dir"}
-_SOLVER_KEYS = {"d_max", "xtol"}
+_SOLVER_KEYS = {"d_max"}
 _SWEEP_KEYS = {"parameter", "start", "stop", "steps"}
+_SWEEP_PARAMETERS = ("alpha", "beta", "delta")
 _VERIFY_KEYS = {
     "seed",
     "draws",
@@ -120,12 +123,14 @@ def _resolve_params(args, cfg: dict) -> ModelParams:
     return params
 
 
-def _validate_for(params: ModelParams, models: list[ModelKind], d_max: float) -> None:
+def _validate_for(
+    params: ModelParams, models: list[ModelKind], d_max: float, what: str = "parameters fail"
+) -> None:
     for model in models:
         report = validate_params(params, model, d_max=d_max)
         if not report.ok:
             raise UsageError(
-                f"parameters fail {model.value} admissibility: "
+                f"{what} {model.value} admissibility: "
                 + ", ".join(c.name for c in report.failures())
             )
 
@@ -229,6 +234,11 @@ def _cmd_sweep(args) -> int:
             "sweep needs --parameter, --start, --stop, and --steps "
             "(flags or the config sweep block)"
         )
+    if parameter not in _SWEEP_PARAMETERS:
+        raise UsageError(
+            f"sweep parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, "
+            f"found {parameter!r}"
+        )
     steps = int(steps)
     if steps < 1:
         raise UsageError("sweep steps must be at least 1")
@@ -236,9 +246,12 @@ def _cmd_sweep(args) -> int:
     regimes = _regimes(args.regime)
     d_max = _d_max(cfg)
     _validate_for(params, [model], d_max)
+    values = np.linspace(float(start), float(stop), steps)
+    for value in values:
+        point = dataclasses.replace(params, **{parameter: float(value)})
+        _validate_for(point, [model], d_max, f"sweep point {parameter}={value:.6g} fails")
     out = _out_dir(args, cfg)
 
-    values = np.linspace(float(start), float(stop), steps)
     reports = [
         statics_mod.monotonicity_sweep(params, regime, parameter, values, model, d_max=d_max)
         for regime in regimes
@@ -551,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="sweep one parameter and classify monotonicity")
     _add_common(sub)
-    sub.add_argument("--parameter", choices=["alpha", "beta", "delta"])
+    sub.add_argument("--parameter", choices=_SWEEP_PARAMETERS)
     sub.add_argument("--start", type=float)
     sub.add_argument("--stop", type=float)
     sub.add_argument("--steps", type=int)
@@ -621,6 +634,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BracketError as exc:
+        print(
+            f"error: durability first-order condition has no root in (0, d_max]: {exc}",
+            file=sys.stderr,
+        )
         return 2
 
 

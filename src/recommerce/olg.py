@@ -355,6 +355,7 @@ def check_steady_state(
     state: OlgState,
     profile: ActionProfile,
     slack_tol: float = 1e-9,
+    slacks: dict[str, float] | None = None,
 ) -> FeasibilityReport:
     """Structural feasibility of a candidate steady state.
 
@@ -365,6 +366,10 @@ def check_steady_state(
     dominance arguments that knock out whole profile classes. Dominance is
     only applied where a named argument exists: replacement-cycle states,
     keep-used patterns, discard-replace patterns, and empty-stock states.
+
+    ``slacks`` may carry ``constraint_slacks_olg(params, D)`` computed once
+    by a caller auditing many profiles at one durability; the report then
+    shares that dict.
     """
 
     p = params
@@ -387,26 +392,27 @@ def check_steady_state(
     else:
         market_clearing = demand >= supply - 1e-12
 
-    slacks = constraint_slacks_olg(params, D)
+    if slacks is None:
+        slacks = constraint_slacks_olg(params, D)
     constraints_ok = all(v >= -slack_tol for v in slacks.values())
 
     dominated = False
     note = ""
     cand: float | None = None
     alt: float | None = None
-    c = p.cost.value(D)
-    s = p.quality.value(D)
+    # cost and quality are evaluated inside the branches: most rows of a
+    # scan take none of them
     if state is OlgState.ALL and state_consistent:
         # whole population on a buy-new/resell cycle: per-period revenue is
         # capped by the low valuation, beaten by flat v_L pricing at D=0
         dominated = True
         note = "all-hold replacement cycle vs zero-durability mass pricing"
-        cand = p.v_L * (1.0 + p.delta * s) - c
+        cand = p.v_L * (1.0 + p.delta * p.quality.value(D)) - p.cost.value(D)
         alt = 2.0 * p.v_L
     elif state is OlgState.HIGH_ONLY and profile.h2 is Action.KEEP_USED:
         dominated = True
         note = "high keep-used pattern vs selling new to both high cohorts"
-        cand = p.n_H * (p.v_H * (1.0 + p.delta * s) - c)
+        cand = p.n_H * (p.v_H * (1.0 + p.delta * p.quality.value(D)) - p.cost.value(D))
         alt = 2.0 * p.n_H * p.v_H
     elif (
         state is OlgState.HIGH_ONLY
@@ -416,7 +422,7 @@ def check_steady_state(
         # discard-and-replace wastes the production cost of durability
         dominated = True
         note = "discard-replace pattern vs the same sales at zero durability"
-        cand = 2.0 * p.n_H * (p.v_H - c)
+        cand = 2.0 * p.n_H * (p.v_H - p.cost.value(D))
         alt = 2.0 * p.n_H * p.v_H
     elif state is OlgState.NONE and state_consistent:
         dominated = True

@@ -32,6 +32,7 @@ from .olg import (
     OlgState,
     STEADY_TRADE_PROFILE,
     check_steady_state,
+    constraint_slacks_olg,
     enumerate_profiles,
     menu,
     owns_used,
@@ -45,6 +46,7 @@ __all__ = [
     "truncated_stream",
     "truncated_stream_error_bound",
     "action_value",
+    "action_table",
     "CellAudit",
     "AuditReport",
     "best_response_audit",
@@ -205,6 +207,27 @@ def action_value(
     return 0.0
 
 
+_CELLS = ("h1", "h2", "l1", "l2")
+
+
+def action_table(
+    params: ModelParams, D: float, p_n: float, p_u: float, state: OlgState
+) -> dict[str, dict[Action, float]]:
+    """Every cell's menu valued in one state: cell -> action -> value.
+
+    The table depends on the state but not on the profile, so an audit of
+    many profiles in one state needs it once.
+    """
+
+    return {
+        cell: {
+            a: action_value(params, D, p_n, p_u, state, cell, a)
+            for a in menu(state, cell)
+        }
+        for cell in _CELLS
+    }
+
+
 @dataclass(frozen=True)
 class CellAudit:
     cell: str
@@ -234,6 +257,7 @@ def best_response_audit(
     p_n: float | None = None,
     p_u: float | None = None,
     tol: float = 1e-12,
+    table: dict[str, dict[Action, float]] | None = None,
 ) -> AuditReport:
     """Check each cell's prescribed action against its full menu.
 
@@ -241,17 +265,20 @@ def best_response_audit(
     additionally applies the deterministic tie-break (trade-creating actions
     first: sell-and-replace over keeping, buying used over doing nothing),
     which is how binding indifference conditions are resolved.
+
+    ``table`` may carry this state's :func:`action_table` at these prices,
+    computed once by a caller auditing many profiles; each cell's
+    ``values`` is then that table's dict for the cell.
     """
 
-    if p_n is None or p_u is None:
-        p_n, p_u = steady_state_prices(params, D)
+    if table is None:
+        if p_n is None or p_u is None:
+            p_n, p_u = steady_state_prices(params, D)
+        table = action_table(params, D, p_n, p_u, state)
 
     cells = []
-    for cell in ("h1", "h2", "l1", "l2"):
-        choices = menu(state, cell)
-        values = {
-            a: action_value(params, D, p_n, p_u, state, cell, a) for a in choices
-        }
+    for cell in _CELLS:
+        values = table[cell]
         best = max(values.values())
         attaining = {a for a, val in values.items() if val >= best - tol}
         selected = next(a for a in _SELECTION_PRIORITY if a in attaining)
@@ -320,14 +347,20 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     (81 per state), applying the structural feasibility checks and the
     best-response audit. In the active region exactly one pair should
     survive: the high-only stock with the buy/sell-and-replace/used-used
-    trade pattern.
+    trade pattern. Prices, constraint slacks and each state's action table
+    depend only on (params, D, state), so they are computed once per scan
+    and shared by the rows.
     """
 
     p_n, p_u = steady_state_prices(params, D)
+    slacks = constraint_slacks_olg(params, D)
     rows = []
     for state in OlgState:
+        table = action_table(params, D, p_n, p_u, state)
         for profile in enumerate_profiles(state):
-            feas = check_steady_state(params, D, state, profile)
-            audit = best_response_audit(params, D, state, profile, p_n=p_n, p_u=p_u)
+            feas = check_steady_state(params, D, state, profile, slacks=slacks)
+            audit = best_response_audit(
+                params, D, state, profile, p_n=p_n, p_u=p_u, table=table
+            )
             rows.append(ScanRow(state=state, profile=profile, feasibility=feas, audit=audit))
     return ScanResult(D=D, p_n=p_n, p_u=p_u, rows=tuple(rows))

@@ -37,6 +37,7 @@ from .primitives import (
     PowerCost,
     Regime,
     SaturatingExpQuality,
+    _SCALAR_FIELDS,
     bisect_increasing_vec,
     validate_params,
 )
@@ -479,24 +480,57 @@ LADDER_POINTS = 5
 _LADDER_SPAN = LADDER_STEP * (LADDER_POINTS - 1)
 
 
-def sample_params(rng: np.random.Generator, box: ParamBox = DEFAULT_BOX) -> ModelParams:
-    """One raw draw from the box (no admissibility or activity filtering)."""
+# Number of raw draws generated and screened at once by sample_filtered.
+_DRAW_BLOCK = 4096
 
-    n_h = rng.uniform(*box.n_H)
+
+def _draw_block(rng: np.random.Generator, size: int, box: ParamBox) -> ModelParams:
+    """``size`` raw draws as one ModelParams whose scalar fields are arrays.
+
+    Row i uses the i-th five uniforms of ``rng`` in the order n_H, v_L,
+    delta, alpha, beta, each scaled as ``lo + (hi - lo) * u``. That is the
+    arithmetic of ``rng.uniform(lo, hi)``, so the rows reproduce a sequence
+    of one-at-a-time draws bit for bit.
+    """
+
+    u = rng.random((size, 5))
+
+    def col(j: int, bounds: tuple[float, float]) -> np.ndarray:
+        lo, hi = bounds
+        return lo + (hi - lo) * u[:, j]
+
+    n_h = col(0, box.n_H)
     return ModelParams(
-        v_H=1.0,
-        v_L=rng.uniform(*box.v_L),
+        v_H=np.ones(size),
+        v_L=col(1, box.v_L),
         n_H=n_h,
         n_L=1.0 - n_h,
-        delta=rng.uniform(*box.delta),
-        alpha=rng.uniform(*box.alpha),
-        beta=rng.uniform(*box.beta),
+        delta=col(2, box.delta),
+        alpha=col(3, box.alpha),
+        beta=col(4, box.beta),
         cost=_DRAW_COST,
         quality=_DRAW_QUALITY,
     )
 
 
+def _draw_row(block: ModelParams, i: int) -> ModelParams:
+    """Row ``i`` of a block, with plain float fields."""
+
+    return dataclasses.replace(
+        block, **{f: float(getattr(block, f)[i]) for f in _SCALAR_FIELDS}
+    )
+
+
+def sample_params(rng: np.random.Generator, box: ParamBox = DEFAULT_BOX) -> ModelParams:
+    """One raw draw from the box (no admissibility or activity filtering)."""
+
+    return _draw_row(_draw_block(rng, 1, box), 0)
+
+
 def margin_active(params: ModelParams, model: ModelKind, regime: Regime) -> bool:
+    """Whether the (model, regime) margin is positive; elementwise when the
+    parameter fields are arrays."""
+
     if model is ModelKind.TWO_PERIOD:
         return tp.activity_margin(params, regime) > 0.0
     return olg_mod.olg_margin(params, regime) > 0.0
@@ -528,48 +562,59 @@ def ladder_active(params: ModelParams, model: ModelKind = ModelKind.TWO_PERIOD) 
     The deflator ladder climbs (which only raises margins) and the commission
     ladder climbs (which lowers them), so it suffices to check the top of the
     commission ladder and that the deflator ladder stays inside [0, 1].
+    Elementwise when the parameter fields are arrays.
     """
 
-    if params.alpha + _LADDER_SPAN > 1.0:
-        return False
     worst = dataclasses.replace(params, beta=params.beta + _LADDER_SPAN)
-    return all(
-        margin_active(worst, model, regime)
-        for regime in (Regime.THIRD_PARTY, Regime.BRANDED)
+    return (
+        (params.alpha + _LADDER_SPAN <= 1.0)
+        & margin_active(worst, model, Regime.THIRD_PARTY)
+        & margin_active(worst, model, Regime.BRANDED)
     )
+
+
+Predicate = Callable[[ModelParams], bool]
+Screen = Callable[[ModelParams], np.ndarray]
 
 
 def sample_filtered(
     n: int,
     seed_key: Sequence[int],
-    predicate: Callable[[ModelParams], bool],
+    predicate: Predicate,
     box: ParamBox = DEFAULT_BOX,
     max_attempts: int | None = None,
+    screen: Screen | None = None,
 ) -> list[ModelParams]:
-    """Rejection-sample ``n`` draws satisfying ``predicate``, deterministically."""
+    """Rejection-sample ``n`` draws satisfying ``predicate``, deterministically.
+
+    Draws are generated in blocks (see :func:`_draw_block`). ``screen``, if
+    given, maps a block to a boolean mask and must be a necessary condition:
+    true wherever ``predicate`` is. ``predicate`` then runs, in draw order,
+    only on the draws the screen passes, so the pool is the same with or
+    without the screen. ``max_attempts`` caps the raw draws.
+    """
 
     rng = np.random.default_rng(list(seed_key))
     cap = max_attempts if max_attempts is not None else max(200_000, 2000 * n)
     out: list[ModelParams] = []
-    for _ in range(cap):
-        cand = sample_params(rng, box)
-        if predicate(cand):
-            out.append(cand)
-            if len(out) == n:
-                return out
+    drawn = 0
+    while drawn < cap:
+        size = min(_DRAW_BLOCK, cap - drawn)
+        block = _draw_block(rng, size, box)
+        drawn += size
+        rows = range(size) if screen is None else np.flatnonzero(screen(block))
+        for i in rows:
+            cand = _draw_row(block, i)
+            if predicate(cand):
+                out.append(cand)
+                if len(out) == n:
+                    return out
     raise RuntimeError(
         f"rejection sampling exhausted {cap} attempts with {len(out)}/{n} accepted"
     )
 
 
-def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
-    """Both-active two-period draws with ladder headroom.
-
-    Accepts a draw when the two-period admissibility checks pass, margins of
-    both regimes remain positive across the local parameter ladders, and all
-    five price-taking constraints hold at both regimes' optima.
-    """
-
+def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
         if not validate_params(cand, ModelKind.TWO_PERIOD).ok:
             return False
@@ -580,14 +625,10 @@ def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[Mod
             for regime in (Regime.THIRD_PARTY, Regime.BRANDED)
         )
 
-    return sample_filtered(n, (seed, 1), ok)
+    return ok, lambda block: ladder_active(block, ModelKind.TWO_PERIOD)
 
 
-def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
-    """Both-active steady-state draws: margins positive in both regimes and
-    the full constraint set (including the valuation-ratio cap) satisfied at
-    both regimes' optimal durabilities."""
-
+def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
         if not validate_params(cand, ModelKind.OLG).ok:
             return False
@@ -596,7 +637,40 @@ def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParam
             for regime in (Regime.THIRD_PARTY, Regime.BRANDED)
         )
 
-    return sample_filtered(n, (seed, 2), ok)
+    def screen(block: ModelParams) -> np.ndarray:
+        return margin_active(block, ModelKind.OLG, Regime.THIRD_PARTY) & margin_active(
+            block, ModelKind.OLG, Regime.BRANDED
+        )
+
+    return ok, screen
+
+
+def _foc_filters(model: ModelKind, regime: Regime) -> tuple[Predicate, Screen]:
+    def ok(cand: ModelParams) -> bool:
+        return validate_params(cand, model).ok and margin_active(cand, model, regime)
+
+    return ok, lambda block: margin_active(block, model, regime)
+
+
+def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+    """Both-active two-period draws with ladder headroom.
+
+    Accepts a draw when the two-period admissibility checks pass, margins of
+    both regimes remain positive across the local parameter ladders, and all
+    five price-taking constraints hold at both regimes' optima.
+    """
+
+    ok, screen = _two_period_filters(d_max)
+    return sample_filtered(n, (seed, 1), ok, screen=screen)
+
+
+def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+    """Both-active steady-state draws: margins positive in both regimes and
+    the full constraint set (including the valuation-ratio cap) satisfied at
+    both regimes' optimal durabilities."""
+
+    ok, screen = _olg_filters(d_max)
+    return sample_filtered(n, (seed, 2), ok, screen=screen)
 
 
 def foc_pool(
@@ -605,11 +679,8 @@ def foc_pool(
     """Admissible margin-active draws for one (model, regime) cell."""
 
     tag = 10 * (1 + list(ModelKind).index(model)) + list(Regime).index(regime)
-
-    def ok(cand: ModelParams) -> bool:
-        return validate_params(cand, model).ok and margin_active(cand, model, regime)
-
-    return sample_filtered(n, (seed, 3, tag), ok)
+    ok, screen = _foc_filters(model, regime)
+    return sample_filtered(n, (seed, 3, tag), ok, screen=screen)
 
 
 def admissible_olg_pool(n: int, seed: int) -> list[ModelParams]:
@@ -738,40 +809,103 @@ def _prop_canonical(grid_points: int, d_max: float) -> PropertyResult:
     )
 
 
+_REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
+_LADDER_PARAMS = ("alpha", "beta")
+
+
+def _ladder_group(
+    pool: list[ModelParams], d_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ladder D* and profits for draws that share one cost/quality family.
+
+    Every rung of every ladder is one lane of a single vectorized bisection.
+    A lane repeats the arithmetic of the scalar ``tp.optimal_durability``
+    (same margin, same residual, same midpoint sequence) and profits come
+    from ``tp.profit_total``, so each entry equals the scalar solve exactly.
+    Lanes the scalar solver would reject (no positive margin, or no sign
+    change on the bracket) are handed to it, to fail the same way.
+    """
+
+    rungs = np.arange(LADDER_POINTS) * LADDER_STEP
+    fields = {}
+    for name in _SCALAR_FIELDS:
+        base = np.array([getattr(p, name) for p in pool], dtype=float)
+        climb = np.array([[name == wrt] for wrt in _LADDER_PARAMS]) * rungs
+        fields[name] = base[:, None, None] + climb  # [draw, wrt, rung]
+    lad = ModelParams(cost=pool[0].cost, quality=pool[0].quality, **fields)
+
+    # lanes are [regime, draw, wrt, rung]
+    margins = np.stack([tp.activity_margin(lad, regime) for regime in _REGIMES])
+    slope = (lad.delta / (1.0 + lad.delta)) * margins
+    n = slope.size
+
+    def residual(D: np.ndarray) -> np.ndarray:
+        return lad.cost.deriv(D) - slope.ravel() * lad.quality.deriv(D)
+
+    roots = bisect_increasing_vec(residual, 1e-12, d_max, n)
+    rejected = (
+        (margins.ravel() <= 0.0)
+        | (residual(np.full(n, 1e-12)) >= 0.0)
+        | (residual(np.full(n, d_max)) <= 0.0)
+    )
+    for lane in np.flatnonzero(rejected):
+        r, i, w, rung = np.unravel_index(lane, slope.shape)
+        wrt = _LADDER_PARAMS[w]
+        pt = dataclasses.replace(
+            pool[i], **{wrt: getattr(pool[i], wrt) + int(rung) * LADDER_STEP}
+        )
+        roots[lane] = tp.optimal_durability(pt, _REGIMES[r], d_max=d_max)
+    d_stars = roots.reshape(slope.shape)
+    profits = np.stack(
+        [tp.profit_total(lad, regime, d_stars[r]) for r, regime in enumerate(_REGIMES)]
+    )
+    return d_stars, profits
+
+
 def _ladder_values(
-    params: ModelParams, regime: Regime, wrt: str, d_max: float
-) -> tuple[list[float], list[float]]:
-    d_vals, pi_vals = [], []
-    for i in range(LADDER_POINTS):
-        pt = dataclasses.replace(params, **{wrt: getattr(params, wrt) + i * LADDER_STEP})
-        d_star = tp.optimal_durability(pt, regime, d_max=d_max)
-        d_vals.append(d_star)
-        pi_vals.append(tp.profit(pt, regime, d_star).total)
-    return d_vals, pi_vals
+    pool: list[ModelParams], d_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """D* and maximized two-period profit on every ladder rung of every draw,
+    as arrays indexed [regime, draw, wrt (alpha, beta), rung]."""
+
+    shape = (len(_REGIMES), len(pool), len(_LADDER_PARAMS), LADDER_POINTS)
+    d_stars, profits = np.empty(shape), np.empty(shape)
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(pool):
+        groups.setdefault((params.cost, params.quality), []).append(i)
+    for idx in groups.values():
+        d_stars[:, idx], profits[:, idx] = _ladder_group([pool[i] for i in idx], d_max)
+    return d_stars, profits
 
 
 def _prop_ladders(pool: list[ModelParams], d_max: float) -> PropertyResult:
     """Local monotonicity: D* and maximized profit strictly rise along a
     deflator ladder and strictly fall along a commission ladder."""
 
+    d_stars, profits = _ladder_values(pool, d_max)
+
+    def rising(x: np.ndarray) -> np.ndarray:
+        return np.all(x[..., :-1] < x[..., 1:], axis=-1)
+
+    ok_all = (
+        rising(d_stars[:, :, 0])
+        & rising(profits[:, :, 0])
+        & rising(-d_stars[:, :, 1])
+        & rising(-profits[:, :, 1])
+    )
     checks = violations = 0
     example = None
-    for params in pool:
-        for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
-            d_a, pi_a = _ladder_values(params, regime, "alpha", d_max)
-            d_b, pi_b = _ladder_values(params, regime, "beta", d_max)
+    for i, params in enumerate(pool):
+        for r, regime in enumerate(_REGIMES):
             checks += 1
-            ok = (
-                all(x < y for x, y in zip(d_a, d_a[1:]))
-                and all(x < y for x, y in zip(pi_a, pi_a[1:]))
-                and all(x > y for x, y in zip(d_b, d_b[1:]))
-                and all(x > y for x, y in zip(pi_b, pi_b[1:]))
-            )
-            if not ok:
+            if not ok_all[r, i]:
                 violations += 1
                 if example is None:
                     example = _params_payload(
-                        params, regime=regime.value, alpha_D=d_a, beta_D=d_b
+                        params,
+                        regime=regime.value,
+                        alpha_D=d_stars[r, i, 0].tolist(),
+                        beta_D=d_stars[r, i, 1].tolist(),
                     )
     return PropertyResult(
         name="alpha-beta-ladders",

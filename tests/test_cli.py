@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -139,6 +140,42 @@ def test_config_rejection(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_solver_xtol_is_not_a_config_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver={"d_max": 10.0, "xtol": 1e-10})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: unknown solver keys: xtol\n"
+
+
+# cost so flat that c'(D) < k*M*s'(D) on all of (0, d_max], at a point where
+# both models are active in both regimes
+UNBRACKETED_PARAMS = {
+    **params_to_dict(
+        dataclasses.replace(canonical_params(), v_L=0.75, alpha=0.95, beta=0.05, delta=0.5)
+    ),
+    "cost": {"family": "power", "c0": 1e-6, "p": 2.0},
+    "quality": {"family": "rational", "k": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--model", "olg"],
+        ["compare"],
+        ["oracle-check"],
+        ["olg-verify"],
+        ["sweep", "--parameter", "beta", "--start", "0.1", "--stop", "0.2", "--steps", "2"],
+    ],
+)
+def test_unbracketed_root_exits_2_with_one_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, params=UNBRACKETED_PARAMS)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: durability first-order condition has no root")
+    assert err.count("\n") == 1
+
+
 def test_missing_config_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["solve", "--config", missing, "--out", str(tmp_path / "x")]) == 2
@@ -210,6 +247,29 @@ def test_sweep_via_config_block(tmp_path):
 def test_sweep_requires_grid_arguments(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path / "x")]) == 2
     assert "--parameter" in capsys.readouterr().err
+
+
+def test_sweep_rejects_inadmissible_grid_point(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main([
+        "sweep", "--parameter", "alpha", "--start", "0.9", "--stop", "1.3",
+        "--steps", "5", "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: sweep point alpha=1.1 fails two-period admissibility: "
+        "deflator_in_range\n"
+    )
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_rejects_unknown_parameter_from_config(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, sweep={"parameter": "gamma", "start": 0.1, "stop": 0.2, "steps": 2}
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "sweep parameter must be one of" in capsys.readouterr().err
 
 
 def test_sweep_empty_active_region(tmp_path, capsys):
@@ -309,6 +369,31 @@ def test_verify_parallel_matches_serial_output(tmp_path):
     assert main(["verify", *SMALL_VERIFY, "--out", str(out1)]) == 0
     assert main(["verify", *SMALL_VERIFY, "--jobs", "2", "--out", str(out2)]) == 0
     assert (out1 / "verify.csv").read_bytes() == (out2 / "verify.csv").read_bytes()
+
+
+# verify --seed 42 at a small scale: SHA-256 of the outputs written by the
+# one-draw-at-a-time sampler, per-row audit and per-rung ladder solves. The
+# screened block sampler, once-per-scan audit tables and batched ladder
+# roots must reproduce them byte for byte.
+FROZEN_VERIFY = [
+    "--seed", "42",
+    "--draws", "10",
+    "--foc-draws", "4",
+    "--grid-points", "5000",
+    "--audit-draws", "3",
+    "--commission-points", "51",
+]
+FROZEN_SHA256 = {
+    "verify.csv": "5379eb36e85a9e905bd1c6a9e3048ad4b524b8b3fc2f2e7d5c08b5ec8cbadf1b",
+    "verify.json": "6c6939aeec56a86f6765088ab189621fdea6d78d55d63df7babb3501786d5028",
+}
+
+
+def test_verify_matches_frozen_digests(tmp_path):
+    out = tmp_path / "run"
+    assert main(["verify", *FROZEN_VERIFY, "--out", str(out)]) == 0
+    for name, digest in FROZEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_verify_inject_failure(tmp_path, capsys):

@@ -23,7 +23,8 @@ from recommerce import (
     truncated_stream,
     truncated_stream_error_bound,
 )
-from recommerce.oracle import action_value
+from recommerce.olg import check_steady_state, enumerate_profiles
+from recommerce.oracle import ScanRow, action_value
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
@@ -266,3 +267,26 @@ def test_scan_has_no_survivor_when_cap_fails(cap_failure):
     res = exhaustive_steady_state_scan(cap_failure, d)
     assert len(res.survivors) == 0
     assert not res.unique_survivor_is_trade_pattern
+
+
+@pytest.mark.parametrize("case", ["active", "shutdown", "cap-binding"])
+def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failure, case):
+    params = {"active": olg_feasible, "shutdown": canonical, "cap-binding": cap_failure}[case]
+    sol = solve_olg(params, T)
+    assert sol.market_mode.value == ("shutdown" if case == "shutdown" else "active-pre-owned")
+    assert sol.no_active_steady_state == (case == "cap-binding")
+    d = sol.D_star
+    p_n, p_u = steady_state_prices(params, d)
+    naive = tuple(
+        ScanRow(
+            state=state,
+            profile=profile,
+            feasibility=check_steady_state(params, d, state, profile),
+            audit=best_response_audit(params, d, state, profile, p_n=p_n, p_u=p_u),
+        )
+        for state in OlgState
+        for profile in enumerate_profiles(state)
+    )
+    scan = exhaustive_steady_state_scan(params, d)
+    assert len(scan.rows) == 243
+    assert scan.rows == naive

@@ -17,9 +17,20 @@ from recommerce import (
     shutdown_profit,
     value_function,
 )
+from recommerce import two_period as tp
+from recommerce.primitives import BracketError, PowerCost, RationalQuality
 from recommerce.statics import (
     DEFAULT_BOX,
+    DEFAULT_D_MAX,
+    LADDER_POINTS,
+    LADDER_STEP,
     PROPERTY_NAMES,
+    _draw_block,
+    _draw_row,
+    _foc_filters,
+    _ladder_values,
+    _olg_filters,
+    _two_period_filters,
     equilibrium_feasible,
     ladder_active,
     margin_active,
@@ -273,6 +284,84 @@ def test_ladder_filter(canonical):
 def test_sample_filtered_exhaustion():
     with pytest.raises(RuntimeError):
         sample_filtered(1, [9, 9], lambda p: False, max_attempts=300)
+
+
+def test_block_draws_reproduce_one_at_a_time_uniforms():
+    box = DEFAULT_BOX
+    block = _draw_block(np.random.default_rng([3, 1]), 2000, box)
+    rng = np.random.default_rng([3, 1])
+    for i in range(2000):
+        n_h = rng.uniform(*box.n_H)
+        expected = (
+            rng.uniform(*box.v_L), n_h, 1.0 - n_h,
+            rng.uniform(*box.delta), rng.uniform(*box.alpha), rng.uniform(*box.beta),
+        )
+        row = _draw_row(block, i)
+        assert (row.v_L, row.n_H, row.n_L, row.delta, row.alpha, row.beta) == expected
+        assert row.v_H == 1.0
+        assert all(type(getattr(row, f)) is float for f in ("v_H", "v_L", "beta"))
+
+
+_POOL_FILTERS = {
+    "two-period": _two_period_filters(DEFAULT_D_MAX),
+    "olg": _olg_filters(DEFAULT_D_MAX),
+    **{
+        f"foc-{model.value}-{regime.value}": _foc_filters(model, regime)
+        for model in ModelKind
+        for regime in Regime
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POOL_FILTERS))
+def test_pool_screen_is_a_necessary_condition(name):
+    predicate, screen = _POOL_FILTERS[name]
+    block = _draw_block(np.random.default_rng([17, len(name)]), 3000, DEFAULT_BOX)
+    passed = screen(block)
+    accepted = [i for i in range(3000) if predicate(_draw_row(block, i))]
+    assert accepted, "no draw satisfies the predicate; the check says nothing"
+    assert not passed.all(), "the screen rejects nothing; the check says nothing"
+    assert all(passed[i] for i in accepted)
+
+
+@pytest.mark.parametrize("name", ["two-period", "olg", "foc-olg-branded"])
+def test_screen_leaves_pool_unchanged(name):
+    predicate, screen = _POOL_FILTERS[name]
+    plain = sample_filtered(3, (5, 9), predicate)
+    assert sample_filtered(3, (5, 9), predicate, screen=screen) == plain
+
+
+def test_batched_ladders_equal_scalar_solves():
+    base = two_period_pool(100, 42)
+    # a second cost/quality family exercises the per-family grouping
+    other = [
+        dataclasses.replace(p, cost=PowerCost(c0=0.8, p=2.5), quality=RationalQuality(k=1.0))
+        for p in base[:4]
+    ]
+    pool = base[:48] + other + base[48:]
+    d_stars, profits = _ladder_values(pool, DEFAULT_D_MAX)
+    lanes = 0
+    for r, regime in enumerate((T, B)):
+        for i, params in enumerate(pool):
+            for w, wrt in enumerate(("alpha", "beta")):
+                for rung in range(LADDER_POINTS):
+                    pt = dataclasses.replace(
+                        params, **{wrt: getattr(params, wrt) + rung * LADDER_STEP}
+                    )
+                    d = tp.optimal_durability(pt, regime)
+                    assert d_stars[r, i, w, rung] == d
+                    assert profits[r, i, w, rung] == tp.profit(pt, regime, d).total
+                    lanes += 1
+    assert lanes == 2 * len(pool) * 2 * LADDER_POINTS
+
+
+def test_batched_ladders_reject_like_the_scalar_solver(canonical):
+    # the first-order root lies beyond d_max: the scalar solver raises
+    unbracketed = dataclasses.replace(
+        canonical, cost=PowerCost(c0=1e-6, p=2.0), quality=RationalQuality(k=1.0)
+    )
+    with pytest.raises(BracketError):
+        _ladder_values([canonical, unbracketed], DEFAULT_D_MAX)
 
 
 # ----------------------------------------------------------------------
