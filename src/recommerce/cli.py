@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,6 +61,25 @@ _VERIFY_KEYS = {
 }
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return _integer(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# (section, key) -> (check, what the value must be)
+_VALUE_TYPES = {
+    ("solver", "d_max"): (lambda v: _number(v) and v > 0.0, "a finite positive number"),
+    ("sweep", "parameter"): (lambda v: isinstance(v, str), "a string"),
+    ("sweep", "start"): (_number, "a finite number"),
+    ("sweep", "stop"): (_number, "a finite number"),
+    ("sweep", "steps"): (_integer, "an integer"),
+    **{("verification", key): (_integer, "an integer") for key in _VERIFY_KEYS},
+}
+
+
 class UsageError(Exception):
     """Bad invocation or config; maps to exit code 2."""
 
@@ -97,6 +117,12 @@ def _load_config(path_str: str | None) -> dict:
             if not isinstance(cfg[key], dict):
                 raise UsageError(f"config {key!r} must be an object")
             _check_keys(cfg[key], allowed, key)
+            for name, value in cfg[key].items():
+                check, kind = _VALUE_TYPES[key, name]
+                if not check(value):
+                    raise UsageError(
+                        f"config {key}.{name} must be {kind}, found {json.dumps(value)}"
+                    )
     return cfg
 
 
@@ -239,7 +265,6 @@ def _cmd_sweep(args) -> int:
             f"sweep parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, "
             f"found {parameter!r}"
         )
-    steps = int(steps)
     if steps < 1:
         raise UsageError("sweep steps must be at least 1")
     model = ModelKind(args.model)
@@ -334,9 +359,9 @@ def _cmd_olg_verify(args) -> int:
     out = _out_dir(args, cfg)
 
     if args.durability is not None:
-        d_audit = float(args.durability)
-        if d_audit <= 0.0:
-            raise UsageError("--durability must be positive")
+        d_audit = args.durability
+        if not (math.isfinite(d_audit) and d_audit > 0.0):
+            raise UsageError("--durability must be finite and positive")
     else:
         sol = olg_mod.solve_olg(params, regime, d_max=d_max)
         if sol.market_mode is tp.MarketMode.SHUTDOWN:
@@ -385,20 +410,20 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     ver_cfg = cfg.get("verification", {})
 
-    def scale(flag_name: str, cfg_key: str, default: int) -> int:
-        flag = getattr(args, flag_name)
-        if flag is not None:
-            return int(flag)
-        return int(ver_cfg.get(cfg_key, default))
+    def scale(key: str, default: int) -> int:
+        flag = getattr(args, key)
+        return flag if flag is not None else ver_cfg.get(key, default)
 
-    seed = scale("seed", "seed", 42)
-    pool_draws = scale("draws", "draws", 200)
-    foc_draws = scale("foc_draws", "foc_draws", 200)
-    grid_points = scale("grid_points", "grid_points", 100_000)
-    audit_draws = scale("audit_draws", "audit_draws", 50)
-    commission_points = scale("commission_points", "commission_points", 1001)
-    if min(pool_draws, foc_draws, audit_draws) <= 0:
-        raise UsageError("verification draw counts must be positive")
+    seed = scale("seed", 42)
+    pool_draws = scale("draws", 200)
+    foc_draws = scale("foc_draws", 200)
+    grid_points = scale("grid_points", 100_000)
+    audit_draws = scale("audit_draws", 50)
+    commission_points = scale("commission_points", 1001)
+    if min(pool_draws, foc_draws, audit_draws, commission_points) <= 0:
+        raise UsageError(
+            "verification draw and commission point counts must be positive"
+        )
     if grid_points < 1000:
         raise UsageError("grid_points must be at least 1000")
     out = _out_dir(args, cfg)

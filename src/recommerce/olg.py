@@ -7,11 +7,12 @@ at the start of a period comes from high types only: young high types buy
 new, old high types sell their used unit and buy new again, and low types of
 both ages buy used. Old low types exit after one more period of use.
 
-Stationary prices coincide with the two-period second-period prices: the used
-price extracts the deflated low-type value of a used unit and the new price
-leaves old high types indifferent between replacing and keeping. The entry
-premium charged to each young high cohort adds the discounted resale proceeds
-on top of ``v_H``.
+Stationary prices are the two-period second-period prices
+(``two_period.prices``): the used price extracts the deflated low-type value
+of a used unit and the new price leaves old high types indifferent between
+replacing and keeping. The entry premium charged to each young high cohort is
+the two-period first-period price: the discounted resale proceeds on top of
+``v_H``.
 
 The seller's objective splits into a first-period entry term plus a
 stationary per-period stream::
@@ -20,7 +21,7 @@ stationary per-period stream::
 
 where ``g1(D) = v_H + delta*alpha*(1-beta)*v_L*s(D)`` and ``R(D)`` is the
 per-cohort stationary margin. The first-order condition again factors into
-``c'(D) = M * s'(D)`` with
+``c'(D) = M * s'(D)`` (``two_period.foc_residual`` with slope ``M``) with
 
 * third-party: ``M = (2-delta)*alpha*(1-beta)*v_L - v_H``
 * branded:     ``M = alpha*(2-beta-delta*(1-beta))*v_L - v_H``
@@ -50,7 +51,7 @@ from .primitives import (
     Regime,
     bisect_increasing,
 )
-from .two_period import MarketMode
+from .two_period import MarketMode, foc_residual, prices, replacement_margin
 
 __all__ = [
     "OlgState",
@@ -62,8 +63,6 @@ __all__ = [
     "menu",
     "owns_used",
     "enumerate_profiles",
-    "steady_state_prices",
-    "entry_price",
     "per_period_profit",
     "per_period_commission",
     "discounted_stream",
@@ -73,7 +72,6 @@ __all__ = [
     "zero_durability_alternatives",
     "constraint_slacks_olg",
     "OLG_CONSTRAINT_NAMES",
-    "OLG_BINDING_CONSTRAINTS",
     "FeasibilityReport",
     "check_steady_state",
     "SteadyStateSolution",
@@ -165,38 +163,12 @@ def enumerate_profiles(state: OlgState) -> list[ActionProfile]:
     ]
 
 
-def steady_state_prices(params: ModelParams, D) -> tuple:
-    """Stationary (new, used) prices; same expressions as the two-period
-    second-period prices, and exactly equal to them at equal inputs."""
-
-    p = params
-    s = p.quality.value(D)
-    p_u = p.alpha * p.v_L * s
-    p_n = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
-    return p_n, p_u
-
-
-def entry_price(params: ModelParams, D):
-    """Price charged to each entering high cohort: v_H plus resale proceeds."""
-
-    p = params
-    return p.v_H + p.delta * p.alpha * (1.0 - p.beta) * p.v_L * p.quality.value(D)
-
-
 def per_period_profit(params: ModelParams, regime: Regime, D):
-    """Stationary per-cohort margin R(D) (vectorized).
-
-    Third-party: the seller nets the new price less cost on the replacement
-    sale. Branded: the commission on the used trade is added back, which is
-    the same as netting the undiscounted used price.
-    """
+    """Stationary per-cohort margin R(D) (vectorized): one replacement sale
+    per high type, see ``two_period.replacement_margin``."""
 
     p = params
-    s = p.quality.value(D)
-    c = p.cost.value(D)
-    if regime is Regime.THIRD_PARTY:
-        return p.n_H * (p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s) - c)
-    return p.n_H * (p.alpha * p.v_L * s + p.v_H * (1.0 - s) - c)
+    return p.n_H * replacement_margin(p, regime, p.quality.value(D), p.cost.value(D))
 
 
 def per_period_commission(params: ModelParams, regime: Regime, D) -> float:
@@ -265,7 +237,7 @@ def objective_value(
     stream = discounted_stream(params, regime, D)
     if not include_entry_premium:
         return stream
-    return p.n_H * entry_price(params, D) + stream
+    return p.n_H * prices(params, D).p1n + stream
 
 
 def zero_durability_alternatives(params: ModelParams) -> dict[str, float]:
@@ -281,7 +253,6 @@ def zero_durability_alternatives(params: ModelParams) -> dict[str, float]:
 
 # Slack >= 0 means the condition holds; ic_h2 and ir_l2 bind by construction.
 OLG_CONSTRAINT_NAMES = ("ic_h2", "ic_h1", "ir_l2", "ic_l1", "ic_l2", "ratio_cap")
-OLG_BINDING_CONSTRAINTS = ("ic_h2", "ir_l2")
 
 
 def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
@@ -302,7 +273,8 @@ def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
 
     p = params
     s = p.quality.value(D)
-    p_n, p_u = steady_state_prices(params, D)
+    pr = prices(params, D)
+    p_n, p_u = pr.p2n, pr.p2u
     resale_net_h = p.v_H - p_n + (1.0 - p.beta) * p_u
     cont_h = max(resale_net_h, p.v_H * s)
     cont_l = max(p.v_L - p_n + (1.0 - p.beta) * p_u, p.v_L * s)
@@ -475,13 +447,6 @@ class SteadyStateSolution:
     boundary_tie: bool
 
 
-def _olg_foc_root(params: ModelParams, margin: float, d_max: float, xtol: float) -> float:
-    def g(D: float) -> float:
-        return params.cost.deriv(D) - margin * params.quality.deriv(D)
-
-    return bisect_increasing(g, 1e-12, d_max, xtol=xtol)
-
-
 def _cap_boundary(params: ModelParams, hi: float) -> float:
     """Largest durability (up to hi) at which the ratio cap still holds."""
 
@@ -516,42 +481,10 @@ def solve_olg(
     margin = olg_margin(params, regime)
     d0_alt = zero_durability_alternatives(params)
 
-    if not include_entry_premium:
-        # stream-only scoring: G is strictly decreasing, maximizer is D = 0
-        d_star = 0.0
-        p_n, p_u = steady_state_prices(params, d_star)
-        pp = per_period_profit(params, regime, d_star)
-        return SteadyStateSolution(
-            regime=regime,
-            market_mode=MarketMode.SHUTDOWN,
-            state=OlgState.HIGH_ONLY,
-            profile=None,
-            D_star=0.0,
-            p_n=p_n,
-            p_u=None,
-            entry_price=entry_price(params, 0.0),
-            per_period_profit=pp,
-            per_period_commission=0.0,
-            discounted_stream=discounted_stream(params, regime, 0.0),
-            objective_value=objective_value(
-                params, regime, 0.0, include_entry_premium=False
-            ),
-            margin=margin,
-            used_supply=0.0,
-            used_demand=0.0,
-            rationed_fraction=0.0,
-            include_entry_premium=False,
-            slacks=None,
-            constraints_ok=True,
-            no_active_steady_state=False,
-            best_feasible_D=0.0,
-            d0_alternatives=d0_alt,
-            boundary_tie=False,
-        )
-
-    if margin > 0.0:
-        d_star = _olg_foc_root(params, margin, d_max, xtol)
-        p_n, p_u = steady_state_prices(params, d_star)
+    if include_entry_premium and margin > 0.0:
+        residual = foc_residual(params, margin)
+        d_star = bisect_increasing(residual, 1e-12, d_max, xtol=xtol)
+        pr = prices(params, d_star)
         slacks = constraint_slacks_olg(params, d_star)
         constraints_ok = all(v >= -slack_tol for v in slacks.values())
         cap_ok = slacks["ratio_cap"] >= -slack_tol
@@ -564,9 +497,9 @@ def solve_olg(
             state=OlgState.HIGH_ONLY,
             profile=STEADY_TRADE_PROFILE,
             D_star=d_star,
-            p_n=p_n,
-            p_u=p_u,
-            entry_price=entry_price(params, d_star),
+            p_n=pr.p2n,
+            p_u=pr.p2u,
+            entry_price=pr.p1n,
             per_period_profit=per_period_profit(params, regime, d_star),
             per_period_commission=per_period_commission(params, regime, d_star),
             discounted_stream=discounted_stream(params, regime, d_star),
@@ -584,30 +517,33 @@ def solve_olg(
             boundary_tie=False,
         )
 
-    p = params
-    p_n, _ = steady_state_prices(params, 0.0)
+    # shutdown, or stream-only scoring (G is strictly decreasing, so its
+    # maximizer is D = 0 whatever the margin)
+    pr = prices(params, 0.0)
     return SteadyStateSolution(
         regime=regime,
         market_mode=MarketMode.SHUTDOWN,
         state=OlgState.HIGH_ONLY,
         profile=None,
         D_star=0.0,
-        p_n=p_n,
+        p_n=pr.p2n,
         p_u=None,
-        entry_price=entry_price(params, 0.0),
+        entry_price=pr.p1n,
         per_period_profit=per_period_profit(params, regime, 0.0),
         per_period_commission=0.0,
         discounted_stream=discounted_stream(params, regime, 0.0),
-        objective_value=objective_value(params, regime, 0.0),
+        objective_value=objective_value(
+            params, regime, 0.0, include_entry_premium=include_entry_premium
+        ),
         margin=margin,
         used_supply=0.0,
         used_demand=0.0,
         rationed_fraction=0.0,
-        include_entry_premium=True,
+        include_entry_premium=include_entry_premium,
         slacks=None,
         constraints_ok=True,
         no_active_steady_state=False,
         best_feasible_D=0.0,
         d0_alternatives=d0_alt,
-        boundary_tie=margin == 0.0,
+        boundary_tie=include_entry_premium and margin == 0.0,
     )

@@ -1,10 +1,12 @@
 """Brute-force cross-checks for the closed-form solvers.
 
-Everything here recomputes objectives from the revenue story directly, using
-only the parameter fields and the cost/quality family evaluations. None of
-the solver-side formulas (first-order conditions, margins, price identities)
-are called, so agreement between this module and the analytic modules is
-evidence, not tautology.
+The grid objective and the truncated stream are recomputed from the revenue
+story directly, using only the parameter fields and the cost/quality family
+evaluations; no solver-side formula (first-order condition, margin, profit)
+is called there, so their agreement with the analytic modules is evidence,
+not tautology. The best-response audit takes the posted prices from
+``two_period.prices`` and the feasibility checks from ``olg``: it tests the
+action profiles at those prices, not the prices themselves.
 
 Three instruments:
 
@@ -36,8 +38,8 @@ from .olg import (
     enumerate_profiles,
     menu,
     owns_used,
-    steady_state_prices,
 )
+from .two_period import prices
 
 __all__ = [
     "GridSpec",
@@ -273,7 +275,8 @@ def best_response_audit(
 
     if table is None:
         if p_n is None or p_u is None:
-            p_n, p_u = steady_state_prices(params, D)
+            pr = prices(params, D)
+            p_n, p_u = pr.p2n, pr.p2u
         table = action_table(params, D, p_n, p_u, state)
 
     cells = []
@@ -352,15 +355,13 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     and shared by the rows.
     """
 
-    p_n, p_u = steady_state_prices(params, D)
+    pr = prices(params, D)
     slacks = constraint_slacks_olg(params, D)
     rows = []
     for state in OlgState:
-        table = action_table(params, D, p_n, p_u, state)
+        table = action_table(params, D, pr.p2n, pr.p2u, state)
         for profile in enumerate_profiles(state):
             feas = check_steady_state(params, D, state, profile, slacks=slacks)
-            audit = best_response_audit(
-                params, D, state, profile, p_n=p_n, p_u=p_u, table=table
-            )
+            audit = best_response_audit(params, D, state, profile, table=table)
             rows.append(ScanRow(state=state, profile=profile, feasibility=feas, audit=audit))
-    return ScanResult(D=D, p_n=p_n, p_u=p_u, rows=tuple(rows))
+    return ScanResult(D=D, p_n=pr.p2n, p_u=pr.p2u, rows=tuple(rows))

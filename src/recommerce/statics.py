@@ -47,8 +47,6 @@ from . import two_period as tp
 
 __all__ = [
     "envelope_profit_derivative",
-    "envelope_dpi_dalpha",
-    "envelope_dpi_dbeta",
     "value_function",
     "fd_profit_derivative",
     "SweepPoint",
@@ -117,14 +115,8 @@ def envelope_profit_derivative(
         if wrt == "beta":
             factor = 2.0 if regime is Regime.THIRD_PARTY else 1.0
             return -factor * p.n_H * p.delta * p.alpha * p.v_L * s
-        resale = (
-            p.alpha * (1.0 - p.beta) * p.v_L * s
-            if regime is Regime.THIRD_PARTY
-            else p.alpha * p.v_L * s
-        )
-        return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + p.n_H * (
-            resale + p.v_H * (1.0 - s) - c
-        )
+        take = tp.replacement_margin(p, regime, s, c)
+        return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + p.n_H * take
 
     if D_star is None:
         if olg_mod.olg_margin(params, regime) <= 0.0:
@@ -147,22 +139,6 @@ def envelope_profit_derivative(
         return -p.n_H * p.delta * p.alpha * p.v_L * s
     r = olg_mod.per_period_profit(params, regime, D_star)
     return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + r / (1.0 - p.delta) ** 2
-
-
-def envelope_dpi_dalpha(params: ModelParams, regime: Regime, D_star: float) -> float:
-    """Deflator sensitivity of maximized two-period profit at a given D*."""
-
-    return envelope_profit_derivative(
-        params, regime, "alpha", ModelKind.TWO_PERIOD, D_star=D_star
-    )
-
-
-def envelope_dpi_dbeta(params: ModelParams, regime: Regime, D_star: float) -> float:
-    """Commission sensitivity of maximized two-period profit at a given D*."""
-
-    return envelope_profit_derivative(
-        params, regime, "beta", ModelKind.TWO_PERIOD, D_star=D_star
-    )
 
 
 def value_function(
@@ -343,46 +319,36 @@ def optimal_commission(
     """Brute-force the branded profit over a commission grid on [0, 1).
 
     Lanes with a positive activity margin are solved by vectorized bisection
-    of the shared first-order condition; the rest carry the commission-free
+    of the shared first-order condition and valued by the single-point
+    objective, both evaluated with the grid as ``beta``, so a lane equals
+    the scalar solve at its commission; the rest carry the commission-free
     shutdown value. Ties in the argmax resolve to the lowest index.
     """
 
-    p = params
     betas = np.linspace(0.0, 1.0, n_points, endpoint=False)
+    grid = dataclasses.replace(params, beta=betas)
     if model is ModelKind.TWO_PERIOD:
-        margins = p.alpha * (2.0 - betas) * p.v_L - p.v_H
-        k = p.delta / (1.0 + p.delta)
-        shutdown = (1.0 + p.delta) * p.n_H * p.v_H
+        margins = tp.activity_margin(grid, Regime.BRANDED)
+        slopes = tp.foc_slope(grid, margins)
+        shutdown = tp.shutdown_profit(params)
     else:
-        margins = p.alpha * (2.0 - betas - p.delta * (1.0 - betas)) * p.v_L - p.v_H
-        k = 1.0
-        shutdown = p.n_H * p.v_H / (1.0 - p.delta)
+        margins = slopes = olg_mod.olg_margin(grid, Regime.BRANDED)
+        shutdown = params.n_H * params.v_H / (1.0 - params.delta)
 
     active = margins > 0.0
     d_stars = np.zeros_like(betas)
     if np.any(active):
-        m_act = margins[active]
-
-        def residual(mids: np.ndarray) -> np.ndarray:
-            return p.cost.deriv(mids) - k * m_act * p.quality.deriv(mids)
-
-        roots = bisect_increasing_vec(residual, 1e-12, d_max, int(m_act.size))
+        residual = tp.foc_residual(params, slopes[active])
+        n = int(np.count_nonzero(active))
+        roots = bisect_increasing_vec(residual, 1e-12, d_max, n)
         # a margin so large that the root escapes the bracket pins to d_max
-        overflow = residual(np.full(m_act.size, d_max)) < 0.0
+        overflow = residual(np.full(n, d_max)) < 0.0
         d_stars[active] = np.where(overflow, d_max, roots)
 
-    s = p.quality.value(d_stars)
-    c = p.cost.value(d_stars)
     if model is ModelKind.TWO_PERIOD:
-        value = p.n_H * (
-            p.v_H + p.delta * p.alpha * (1.0 - betas) * p.v_L * s - c
-        ) + p.delta * p.n_H * (p.alpha * p.v_L * s + p.v_H * (1.0 - s) - c)
+        value = tp.profit(grid, Regime.BRANDED, d_stars).total
     else:
-        value = p.n_H * (
-            p.v_H + p.delta * p.alpha * (1.0 - betas) * p.v_L * s
-        ) + p.delta / (1.0 - p.delta) * p.n_H * (
-            p.alpha * p.v_L * s + p.v_H * (1.0 - s) - c
-        )
+        value = olg_mod.objective_value(grid, Regime.BRANDED, d_stars)
     profits = np.where(active, value, shutdown)
 
     idx = int(np.argmax(profits))
@@ -821,7 +787,7 @@ def _ladder_group(
     Every rung of every ladder is one lane of a single vectorized bisection.
     A lane repeats the arithmetic of the scalar ``tp.optimal_durability``
     (same margin, same residual, same midpoint sequence) and profits come
-    from ``tp.profit_total``, so each entry equals the scalar solve exactly.
+    from ``tp.profit``, so each entry equals the scalar solve exactly.
     Lanes the scalar solver would reject (no positive margin, or no sign
     change on the bracket) are handed to it, to fail the same way.
     """
@@ -836,12 +802,9 @@ def _ladder_group(
 
     # lanes are [regime, draw, wrt, rung]
     margins = np.stack([tp.activity_margin(lad, regime) for regime in _REGIMES])
-    slope = (lad.delta / (1.0 + lad.delta)) * margins
+    slope = tp.foc_slope(lad, margins)
     n = slope.size
-
-    def residual(D: np.ndarray) -> np.ndarray:
-        return lad.cost.deriv(D) - slope.ravel() * lad.quality.deriv(D)
-
+    residual = tp.foc_residual(lad, slope.ravel())
     roots = bisect_increasing_vec(residual, 1e-12, d_max, n)
     rejected = (
         (margins.ravel() <= 0.0)
@@ -857,7 +820,7 @@ def _ladder_group(
         roots[lane] = tp.optimal_durability(pt, _REGIMES[r], d_max=d_max)
     d_stars = roots.reshape(slope.shape)
     profits = np.stack(
-        [tp.profit_total(lad, regime, d_stars[r]) for r, regime in enumerate(_REGIMES)]
+        [tp.profit(lad, regime, d_stars[r]).total for r, regime in enumerate(_REGIMES)]
     )
     return d_stars, profits
 

@@ -18,7 +18,6 @@ does not stationarize the profit objective and is deliberately not
 implemented. The social benchmark replaces ``M`` with ``v_L``.
 
 When the relevant margin is not strictly positive the seller shuts the
-
 low types out: zero durability, both prices at ``v_H``, and profit
 ``(1+delta)*n_H*v_H``. A margin of exactly zero is classified as shutdown
 and flagged as a tie.
@@ -44,16 +43,16 @@ __all__ = [
     "activity_margin",
     "activity_threshold",
     "market_mode",
+    "foc_slope",
+    "foc_residual",
     "social_optimal_durability",
     "optimal_durability",
     "prices",
-    "profit_total",
+    "replacement_margin",
     "profit",
     "welfare",
     "shutdown_profit",
     "constraint_slacks",
-    "CONSTRAINT_NAMES",
-    "BINDING_CONSTRAINTS",
     "solve",
 ]
 
@@ -91,13 +90,32 @@ def market_mode(params: ModelParams, regime: Regime) -> MarketMode:
     )
 
 
+def foc_slope(params: ModelParams, margin):
+    """Two-period slope ``delta/(1+delta) * M`` of the durability condition."""
+
+    return params.delta / (1.0 + params.delta) * margin
+
+
+def foc_residual(params: ModelParams, slope):
+    """The durability condition ``c'(D) = slope * s'(D)`` as an increasing
+    residual ``D -> c'(D) - slope * s'(D)``.
+
+    Shared by both models: ``slope`` is :func:`foc_slope` of the margin here
+    and the margin itself in the steady state. With an array ``slope`` the
+    residual maps an array of lanes elementwise.
+    """
+
+    cost, quality = params.cost, params.quality
+
+    def residual(D):
+        return cost.deriv(D) - slope * quality.deriv(D)
+
+    return residual
+
+
 def _foc_root(params: ModelParams, margin: float, d_max: float, xtol: float) -> float:
-    k = params.delta / (1.0 + params.delta)
-
-    def g(D: float) -> float:
-        return params.cost.deriv(D) - k * margin * params.quality.deriv(D)
-
-    return bisect_increasing(g, 1e-12, d_max, xtol=xtol)
+    residual = foc_residual(params, foc_slope(params, margin))
+    return bisect_increasing(residual, 1e-12, d_max, xtol=xtol)
 
 
 def social_optimal_durability(
@@ -145,27 +163,32 @@ def prices(params: ModelParams, D) -> Prices:
     the first-period price adds the anticipated resale proceeds.
     """
 
+    return _prices(params, params.quality.value(D))
+
+
+def _prices(params: ModelParams, s) -> Prices:
+    """:func:`prices` at resale quality ``s = s(D)``."""
+
     p = params
-    s = p.quality.value(D)
     p2u = p.alpha * p.v_L * s
     p2n = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
     p1n = p.v_H + p.delta * p.alpha * (1.0 - p.beta) * p.v_L * s
     return Prices(p1n=p1n, p2n=p2n, p2u=p2u)
 
 
-def profit_total(params: ModelParams, regime: Regime, D):
-    """Discounted profit of the active strategy at durability D (vectorized)."""
+def replacement_margin(params: ModelParams, regime: Regime, s, c):
+    """Seller's take per replacement sale in the late period, net of cost.
+
+    Third-party: the second-period new price less cost. Branded: the
+    commission on the used trade is added back, which is the same as netting
+    the undiscounted used price. Takes ``s(D)`` and ``c(D)`` so that callers
+    evaluate them once.
+    """
 
     p = params
-    s = p.quality.value(D)
-    c = p.cost.value(D)
-    period1 = p.n_H * (p.v_H + p.delta * p.alpha * (1.0 - p.beta) * p.v_L * s - c)
     if regime is Regime.THIRD_PARTY:
-        resale_component = p.alpha * (1.0 - p.beta) * p.v_L * s
-    else:
-        resale_component = p.alpha * p.v_L * s
-    period2 = p.delta * p.n_H * (resale_component + p.v_H * (1.0 - s) - c)
-    return period1 + period2
+        return p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s) - c
+    return p.alpha * p.v_L * s + p.v_H * (1.0 - s) - c
 
 
 @dataclass(frozen=True)
@@ -178,20 +201,20 @@ class ProfitBreakdown:
     commission: float
 
 
-def profit(params: ModelParams, regime: Regime, D: float) -> ProfitBreakdown:
+def profit(params: ModelParams, regime: Regime, D) -> ProfitBreakdown:
+    """Discounted profit of the active strategy at durability D (vectorized)."""
+
     p = params
     s = p.quality.value(D)
     c = p.cost.value(D)
-    period1 = p.n_H * (p.v_H + p.delta * p.alpha * (1.0 - p.beta) * p.v_L * s - c)
-    if regime is Regime.THIRD_PARTY:
-        period2 = p.delta * p.n_H * (
-            p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s) - c
-        )
-        commission = 0.0
-    else:
-        period2 = p.delta * p.n_H * (p.alpha * p.v_L * s + p.v_H * (1.0 - s) - c)
-        # the seller's cut of used sales, already inside period2
-        commission = p.delta * p.n_H * p.beta * p.alpha * p.v_L * s
+    period1 = p.n_H * (_prices(p, s).p1n - c)
+    period2 = p.delta * p.n_H * replacement_margin(p, regime, s, c)
+    # the seller's cut of used sales, already inside period2
+    commission = (
+        0.0
+        if regime is Regime.THIRD_PARTY
+        else p.delta * p.n_H * p.beta * p.alpha * p.v_L * s
+    )
     return ProfitBreakdown(
         total=period1 + period2, period1=period1, period2=period2, commission=commission
     )
@@ -216,13 +239,9 @@ def shutdown_profit(params: ModelParams) -> float:
     return (1.0 + params.delta) * params.n_H * params.v_H
 
 
-# Slack >= 0 means the condition holds. ic_h and ir_l bind by construction.
-CONSTRAINT_NAMES = ("ic_h", "ic_l", "ir_h", "ir_l", "ir_h_first")
-BINDING_CONSTRAINTS = ("ic_h", "ir_l")
-
-
 def constraint_slacks(params: ModelParams, D: float) -> dict[str, float]:
-    """Slacks of the five participation/self-selection conditions.
+    """Slacks of the five participation/self-selection conditions; a slack
+    >= 0 means the condition holds.
 
     Evaluated at the candidate prices for durability ``D``:
 
@@ -237,7 +256,7 @@ def constraint_slacks(params: ModelParams, D: float) -> dict[str, float]:
 
     p = params
     s = p.quality.value(D)
-    pr = prices(params, D)
+    pr = _prices(params, s)
     resale_net = p.v_H - pr.p2n + (1.0 - p.beta) * pr.p2u
     return {
         "ic_h": resale_net - p.v_H * s,

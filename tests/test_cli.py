@@ -131,13 +131,23 @@ def test_shipped_config_loads(tmp_path):
         '{"schema": "recommerce-config/2"}',
         '{"params": {}}',
         '{"schema": "recommerce-config/1", "solver": {"granularity": 9}}',
+        '{"schema": "recommerce-config/1", "solver": {"d_max": "ten"}}',
+        '{"schema": "recommerce-config/1", "solver": {"d_max": null}}',
+        '{"schema": "recommerce-config/1", "solver": {"d_max": -1}}',
+        '{"schema": "recommerce-config/1", "solver": {"d_max": 1e999}}',
+        '{"schema": "recommerce-config/1", "sweep": {"start": "low"}}',
+        '{"schema": "recommerce-config/1", "sweep": {"steps": 2.5}}',
+        '{"schema": "recommerce-config/1", "verification": {"seed": "x"}}',
+        '{"schema": "recommerce-config/1", "verification": {"draws": true}}',
     ],
 )
 def test_config_rejection(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_solver_xtol_is_not_a_config_key(tmp_path, capsys):
@@ -319,9 +329,11 @@ def test_olg_verify_at_chosen_durability(tmp_path, capsys):
 
 
 def test_olg_verify_rejects_nonpositive_durability(tmp_path, capsys):
-    assert main(["olg-verify", "--durability", "-1",
-                 "--out", str(tmp_path / "x")]) == 2
-    assert "positive" in capsys.readouterr().err
+    for value in ("-1", "0", "nan", "inf"):
+        assert main(["olg-verify", f"--durability={value}",
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "positive" in err and err.count("\n") == 1
 
 
 def test_olg_verify_reports_uniqueness_failure(tmp_path, capsys):
@@ -408,7 +420,9 @@ def test_verify_inject_failure(tmp_path, capsys):
 def test_verify_rejects_bad_scales(tmp_path, capsys):
     assert main(["verify", "--draws", "0", "--out", str(tmp_path / "x")]) == 2
     assert main(["verify", "--grid-points", "500", "--out", str(tmp_path / "y")]) == 2
-    assert capsys.readouterr().err.count("error:") == 2
+    assert main(["verify", "--commission-points", "0",
+                 "--out", str(tmp_path / "z")]) == 2
+    assert capsys.readouterr().err.count("error:") == 3
 
 
 def test_verify_scales_from_config(tmp_path):

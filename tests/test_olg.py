@@ -17,14 +17,11 @@ from recommerce import (
     objective_value,
     olg_margin,
     per_period_profit,
-    prices,
     solve_olg,
-    steady_state_prices,
 )
 from recommerce.olg import (
     NONOWNER_MENU,
     OWNER_MENU,
-    entry_price,
     menu,
     owns_used,
     per_period_commission,
@@ -137,20 +134,6 @@ def test_boundary_margin_flagged(canonical):
 # ----------------------------------------------------------------------
 # prices and per-period accounting
 # ----------------------------------------------------------------------
-
-
-def test_steady_prices_equal_late_period_formulas(canonical):
-    # same closed forms, evaluated bitwise-identically
-    for d in np.linspace(0.01, 2.0, 17):
-        p_n, p_u = steady_state_prices(canonical, d)
-        pr = prices(canonical, d)
-        assert p_n == pr.p2n
-        assert p_u == pr.p2u
-
-
-def test_entry_price_equals_first_period_price(canonical):
-    for d in (0.05, 0.1238, 0.7):
-        assert entry_price(canonical, d) == prices(canonical, d).p1n
 
 
 def test_per_period_profits_frozen(canonical):

@@ -16,10 +16,10 @@ from recommerce import (
     grid_argmax_profit,
     objective_value,
     per_period_profit,
-    profit_total,
+    prices,
+    profit,
     solve,
     solve_olg,
-    steady_state_prices,
     truncated_stream,
     truncated_stream_error_bound,
 )
@@ -28,6 +28,15 @@ from recommerce.oracle import ScanRow, action_value
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
+
+
+def profit_total(params, regime, D):
+    return profit(params, regime, D).total
+
+
+def posted_prices(params, D):
+    pr = prices(params, D)
+    return pr.p2n, pr.p2u
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +156,7 @@ def test_action_values_match_closed_forms(canonical):
     p = canonical
     d = 0.12
     s = p.quality.value(d)
-    p_n, p_u = steady_state_prices(p, d)
+    p_n, p_u = posted_prices(p, d)
     st = OlgState.HIGH_ONLY
 
     def val(cell, action):
@@ -174,7 +183,7 @@ def test_action_values_match_closed_forms(canonical):
 def test_old_low_used_purchase_breaks_even(canonical):
     # the posted used price extracts the old low cohort's full surplus
     d = 0.12
-    p_n, p_u = steady_state_prices(canonical, d)
+    p_n, p_u = posted_prices(canonical, d)
     got = action_value(
         canonical, d, p_n, p_u, OlgState.HIGH_ONLY, "l2", Action.BUY_USED
     )
@@ -184,7 +193,7 @@ def test_old_low_used_purchase_breaks_even(canonical):
 def test_owner_actions_degrade_for_young_cells(canonical):
     # in the saturated state young cells face owner menus with nothing to sell
     d = 0.12
-    p_n, p_u = steady_state_prices(canonical, d)
+    p_n, p_u = posted_prices(canonical, d)
     sell = action_value(
         canonical, d, p_n, p_u, OlgState.ALL, "l1", Action.SELL_AND_BUY_NEW
     )
@@ -232,7 +241,7 @@ def test_bad_action_fails_attainment(canonical):
 def test_audit_honors_price_overrides(canonical):
     # a discounted used price hands the old low cohort strict surplus
     d = 0.12
-    p_n, p_u = steady_state_prices(canonical, d)
+    p_n, p_u = posted_prices(canonical, d)
     rep = best_response_audit(
         canonical, d, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE,
         p_n=p_n, p_u=p_u - 0.01,
@@ -250,7 +259,7 @@ def test_audit_honors_price_overrides(canonical):
 def test_scan_is_exhaustive(canonical):
     res = exhaustive_steady_state_scan(canonical, 0.12)
     assert len(res.rows) == 3 * 81
-    p_n, p_u = steady_state_prices(canonical, 0.12)
+    p_n, p_u = posted_prices(canonical, 0.12)
     assert res.p_n == p_n and res.p_u == p_u
 
 
@@ -276,7 +285,7 @@ def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failur
     assert sol.market_mode.value == ("shutdown" if case == "shutdown" else "active-pre-owned")
     assert sol.no_active_steady_state == (case == "cap-binding")
     d = sol.D_star
-    p_n, p_u = steady_state_prices(params, d)
+    p_n, p_u = posted_prices(params, d)
     naive = tuple(
         ScanRow(
             state=state,

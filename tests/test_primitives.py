@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import recommerce
 from recommerce import (
     BracketError,
     ModelKind,
@@ -230,3 +233,19 @@ def test_vectorized_bisection_matches_scalar():
     for i, t in enumerate(targets):
         scalar = bisect_increasing(lambda x, t=t: x**2 - t, 0.0, 4.0)
         assert roots[i] == scalar
+
+
+# ----------------------------------------------------------------------
+# package exports
+# ----------------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    modules = [recommerce] + [
+        importlib.import_module(f"recommerce.{info.name}")
+        for info in pkgutil.iter_modules(recommerce.__path__)
+    ]
+    assert len(modules) > 5
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

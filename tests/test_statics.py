@@ -15,6 +15,7 @@ from recommerce import (
     run_verification,
     sample_params,
     shutdown_profit,
+    solve_olg,
     value_function,
 )
 from recommerce import two_period as tp
@@ -194,6 +195,27 @@ def test_commission_curve_olg(olg_feasible):
     expected = olg_feasible.n_H * olg_feasible.v_H / (1.0 - olg_feasible.delta)
     assert np.all(tail == expected)
     assert np.all(np.diff(curve.profits[curve.active]) < 0.0)
+
+
+def test_commission_curve_lanes_equal_scalar_solves():
+    # each active lane prices its commission with the same margin, root and
+    # objective formulas as a single-point solve, so the values agree exactly
+    checked = 0
+    for model, pool in ((TP, two_period_pool(40, 42)), (OLG, olg_pool(40, 42))):
+        for params in pool:
+            curve = optimal_commission(params, model, n_points=201)
+            for i in np.flatnonzero(curve.active):
+                pt = dataclasses.replace(params, beta=float(curve.betas[i]))
+                if model is TP:
+                    d = tp.optimal_durability(pt, B)
+                    value = tp.profit(pt, B, d).total
+                else:
+                    sol = solve_olg(pt, B)
+                    d, value = sol.D_star, sol.objective_value
+                assert curve.d_stars[i] == d
+                assert curve.profits[i] == value
+                checked += 1
+    assert checked > 4000
 
 
 def test_commission_grid_excludes_unit(canonical):

@@ -13,7 +13,6 @@ from recommerce import (
     optimal_durability,
     prices,
     profit,
-    profit_total,
     shutdown_profit,
     social_optimal_durability,
     solve,
@@ -162,7 +161,7 @@ def test_profit_gap_identity_pointwise(canonical):
     # pi_B(D) - pi_T(D) = delta * n_H * alpha * beta * v_L * s(D) at every D
     p = canonical
     for d in np.linspace(0.0, 2.0, 41):
-        gap = profit_total(p, B, d) - profit_total(p, T, d)
+        gap = profit(p, B, d).total - profit(p, T, d).total
         expected = p.delta * p.n_H * p.alpha * p.beta * p.v_L * p.quality.value(d)
         assert abs(gap - expected) <= 1e-12
 
@@ -184,8 +183,8 @@ def test_canonical_commission_revenue(canonical):
 
 def test_profit_at_zero_equals_shutdown(canonical):
     expected = (1 + canonical.delta) * canonical.n_H * canonical.v_H
-    assert profit_total(canonical, T, 0.0) == pytest.approx(expected, abs=1e-15)
-    assert profit_total(canonical, B, 0.0) == pytest.approx(expected, abs=1e-15)
+    assert profit(canonical, T, 0.0).total == pytest.approx(expected, abs=1e-15)
+    assert profit(canonical, B, 0.0).total == pytest.approx(expected, abs=1e-15)
     assert shutdown_profit(canonical) == pytest.approx(0.57)
 
 
@@ -201,7 +200,7 @@ def test_shutdown_dominates_serving_high_types_alone(canonical):
 
 def test_profit_total_vectorized(canonical):
     d = np.linspace(0.0, 1.0, 11)
-    vals = profit_total(canonical, B, d)
+    vals = profit(canonical, B, d).total
     assert isinstance(vals, np.ndarray)
     assert vals[0] == pytest.approx(0.57)
 
