@@ -19,6 +19,7 @@ mistyped derivative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,7 +74,8 @@ class ModelKind(str, Enum):
 
 def _as_array(D) -> tuple[np.ndarray, bool]:
     arr = np.asarray(D, dtype=float)
-    if np.any(arr < 0.0):
+    # ndarray.any skips the dispatch of np.any, which dominated 0-d calls
+    if (arr < 0.0).any():
         raise ValueError("durability must be nonnegative")
     return arr, arr.ndim == 0
 
@@ -287,26 +289,7 @@ def validate_params(
     add("deflator_in_range", 0.0 < p.alpha <= 1.0, f"alpha={p.alpha}")
     add("commission_in_range", 0.0 <= p.beta < 1.0, f"beta={p.beta}")
 
-    grid = np.linspace(0.0, d_max, 100)
-    pos = grid[1:]
-
-    cv, cd, cdd = p.cost.eval_triple(grid)
-    add("cost_zero_at_origin", cv[0] == 0.0 and cd[0] == 0.0)
-    add("cost_strictly_increasing", bool(np.all(cd[1:] > 0.0)))
-    add("cost_strictly_convex", bool(np.all(p.cost.deriv2(pos) > 0.0)))
-
-    sv, sd, sdd = p.quality.eval_triple(grid)
-    add("quality_zero_at_origin", sv[0] == 0.0)
-    add("quality_below_one", bool(np.all(sv < 1.0)))
-    add("quality_strictly_increasing", bool(np.all(sd > 0.0)))
-    add("quality_strictly_concave", bool(np.all(sdd < 0.0)))
-
-    ratio = cd / sd
-    add(
-        "foc_single_crossing",
-        bool(np.all(np.diff(ratio) > 0.0)),
-        "c'/s' must increase strictly",
-    )
+    checks.extend(_family_checks(p.cost, p.quality, d_max))
 
     if model is ModelKind.TWO_PERIOD:
         add("low_share_exceeds_high", p.n_L > p.n_H, f"n_L={p.n_L}, n_H={p.n_H}")
@@ -319,6 +302,33 @@ def validate_params(
         add("used_demand_covers_supply", 2.0 * p.n_L > p.n_H)
 
     return ValidationReport(model=model, checks=tuple(checks))
+
+
+@functools.lru_cache(maxsize=64)
+def _family_checks(cost: CostFn, quality: QualityFn, d_max: float) -> tuple[Check, ...]:
+    """Shape checks of one cost/quality pair on a 100-point grid of [0, d_max].
+
+    They depend on nothing else, and the families are frozen, so they run
+    once per (cost, quality, d_max). A huge ``d_max`` overflows the grid;
+    the checks it breaks fail, without NumPy warnings on stderr.
+    """
+
+    grid = np.linspace(0.0, d_max, 100)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cv, cd, cdd = cost.eval_triple(grid)
+        sv, sd, sdd = quality.eval_triple(grid)
+        convex = np.all(cost.deriv2(grid[1:]) > 0.0)
+        crossing = np.all(np.diff(cd / sd) > 0.0)
+    return (
+        Check("cost_zero_at_origin", bool(cv[0] == 0.0 and cd[0] == 0.0)),
+        Check("cost_strictly_increasing", bool(np.all(cd[1:] > 0.0))),
+        Check("cost_strictly_convex", bool(convex)),
+        Check("quality_zero_at_origin", bool(sv[0] == 0.0)),
+        Check("quality_below_one", bool(np.all(sv < 1.0))),
+        Check("quality_strictly_increasing", bool(np.all(sd > 0.0))),
+        Check("quality_strictly_concave", bool(np.all(sdd < 0.0))),
+        Check("foc_single_crossing", bool(crossing), "c'/s' must increase strictly"),
+    )
 
 
 # ======================================================================

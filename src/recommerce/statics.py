@@ -94,20 +94,33 @@ def envelope_profit_derivative(
     maximized objective equals the partial derivative of the objective at
     D*. In the shutdown region the maximized value is the high-type-only
     profit, which does not involve the deflator or the commission.
+    Elementwise when the parameter fields are arrays (one family); D* then
+    comes from one batched root per call.
     """
 
     if wrt not in _SWEEPABLE:
         raise ValueError(f"unsupported parameter {wrt!r}; expected one of {_SWEEPABLE}")
     p = params
 
+    if D_star is None:
+        if _is_batch(p):
+            active = envelope_profit_derivative(
+                p, regime, wrt, model, _durabilities(p, model, regime, d_max), d_max
+            )
+            return np.where(
+                margin_active(p, model, regime), active, _shutdown_derivative(p, wrt, model)
+            )
+        if model is ModelKind.TWO_PERIOD:
+            if tp.activity_margin(p, regime) <= 0.0:
+                return _shutdown_derivative(p, wrt, model)
+            D_star = tp.optimal_durability(p, regime, d_max=d_max)
+        else:
+            if olg_mod.olg_margin(p, regime) <= 0.0:
+                return _shutdown_derivative(p, wrt, model)
+            D_star = olg_mod.solve_olg(p, regime, d_max=d_max).D_star
+
+    s = p.quality.value(D_star)
     if model is ModelKind.TWO_PERIOD:
-        if D_star is None:
-            if tp.activity_margin(params, regime) <= 0.0:
-                if wrt == "delta":
-                    return p.n_H * p.v_H
-                return 0.0
-            D_star = tp.optimal_durability(params, regime, d_max=d_max)
-        s = p.quality.value(D_star)
         c = p.cost.value(D_star)
         if wrt == "alpha":
             factor = 2.0 - 2.0 * p.beta if regime is Regime.THIRD_PARTY else 2.0 - p.beta
@@ -118,13 +131,6 @@ def envelope_profit_derivative(
         take = tp.replacement_margin(p, regime, s, c)
         return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + p.n_H * take
 
-    if D_star is None:
-        if olg_mod.olg_margin(params, regime) <= 0.0:
-            if wrt == "delta":
-                return p.n_H * p.v_H / (1.0 - p.delta) ** 2
-            return 0.0
-        D_star = olg_mod.solve_olg(params, regime, d_max=d_max).D_star
-    s = p.quality.value(D_star)
     if wrt == "alpha":
         if regime is Regime.THIRD_PARTY:
             return p.n_H * p.delta * (1.0 - p.beta) * p.v_L * s * (2.0 - p.delta) / (
@@ -137,8 +143,19 @@ def envelope_profit_derivative(
                 -p.n_H * p.delta * p.alpha * p.v_L * s * (2.0 - p.delta) / (1.0 - p.delta)
             )
         return -p.n_H * p.delta * p.alpha * p.v_L * s
-    r = olg_mod.per_period_profit(params, regime, D_star)
+    r = olg_mod.per_period_profit(p, regime, D_star)
     return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + r / (1.0 - p.delta) ** 2
+
+
+def _shutdown_derivative(params: ModelParams, wrt: str, model: ModelKind):
+    """Derivative of the shutdown profit (high types only, at ``v_H``)."""
+
+    if wrt != "delta":
+        return 0.0
+    p = params
+    if model is ModelKind.TWO_PERIOD:
+        return p.n_H * p.v_H
+    return p.n_H * p.v_H / (1.0 - p.delta) ** 2
 
 
 def value_function(
@@ -147,8 +164,21 @@ def value_function(
     model: ModelKind = ModelKind.TWO_PERIOD,
     d_max: float = DEFAULT_D_MAX,
 ) -> float:
-    """Maximized objective as a function of the primitives (re-solves D*)."""
+    """Maximized objective as a function of the primitives (re-solves D*).
 
+    Elementwise when the parameter fields are arrays (one family), with one
+    batched root per call; each lane equals the single-point value.
+    """
+
+    if _is_batch(params):
+        d_star = _durabilities(params, model, regime, d_max)
+        if model is ModelKind.TWO_PERIOD:
+            return np.where(
+                margin_active(params, model, regime),
+                tp.profit(params, regime, d_star).total,
+                tp.shutdown_profit(params),
+            )
+        return olg_mod.objective_value(params, regime, d_star)
     if model is ModelKind.TWO_PERIOD:
         if tp.activity_margin(params, regime) <= 0.0:
             return tp.shutdown_profit(params)
@@ -169,7 +199,8 @@ def fd_profit_derivative(
     """Centered finite difference of the value function, re-solving D* at
     each perturbed parameter value (the total derivative the envelope
     theorem predicts). Evaluation may step just outside the admissible box;
-    all formulas extend continuously there."""
+    all formulas extend continuously there. Elementwise when the parameter
+    fields are arrays."""
 
     if wrt not in _SWEEPABLE:
         raise ValueError(f"unsupported parameter {wrt!r}; expected one of {_SWEEPABLE}")
@@ -179,6 +210,34 @@ def fd_profit_derivative(
     return (
         value_function(hi, regime, model, d_max) - value_function(lo, regime, model, d_max)
     ) / (2.0 * h)
+
+
+def _is_batch(params: ModelParams) -> bool:
+    """Whether any scalar field of ``params`` is an array."""
+
+    return any(np.ndim(getattr(params, f)) for f in _SCALAR_FIELDS)
+
+
+def _durabilities(
+    params: ModelParams, model: ModelKind, regime: Regime, d_max: float
+) -> np.ndarray:
+    """D* on every lane of a ModelParams with array fields and one
+    cost/quality family, from one :func:`two_period.solve_foc` call.
+
+    A lane equals the ``D_star`` of the single-point ``tp.solve`` or
+    ``solve_olg`` bit for bit; lanes whose margin is not positive hold the
+    shutdown durability 0.0.
+    """
+
+    if model is ModelKind.TWO_PERIOD:
+        margin = tp.activity_margin(params, regime)
+        slope = tp.foc_slope(params, margin)
+    else:
+        margin = slope = olg_mod.olg_margin(params, regime)
+    live = np.broadcast_to(margin > 0.0, np.shape(slope))
+    d_star = np.zeros(np.shape(slope))
+    d_star[live] = tp.solve_foc(params, slope[live], d_max)
+    return d_star
 
 
 # ======================================================================
@@ -479,8 +538,9 @@ def _draw_block(rng: np.random.Generator, size: int, box: ParamBox) -> ModelPara
     )
 
 
-def _draw_row(block: ModelParams, i: int) -> ModelParams:
-    """Row ``i`` of a block, with plain float fields."""
+def _draw_row(block: ModelParams, i) -> ModelParams:
+    """Row ``i`` (an index, or a tuple of them) of a ModelParams with array
+    fields, as a single point with plain float fields."""
 
     return dataclasses.replace(
         block, **{f: float(getattr(block, f)[i]) for f in _SCALAR_FIELDS}
@@ -779,50 +839,77 @@ _REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
 _LADDER_PARAMS = ("alpha", "beta")
 
 
-def _ladder_group(
-    pool: list[ModelParams], d_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ladder D* and profits for draws that share one cost/quality family.
+def _stack(pool: list[ModelParams]) -> ModelParams:
+    """Draws as one ModelParams with (len(pool),) array fields and the
+    cost/quality family of the first draw."""
 
-    Every rung of every ladder is one lane of a single vectorized bisection.
-    A lane repeats the arithmetic of the scalar ``tp.optimal_durability``
-    (same margin, same residual, same midpoint sequence) and profits come
-    from ``tp.profit``, so each entry equals the scalar solve exactly.
-    Lanes the scalar solver would reject (no positive margin, or no sign
-    change on the bracket) are handed to it, to fail the same way.
+    return dataclasses.replace(
+        pool[0],
+        **{f: np.array([getattr(p, f) for p in pool], dtype=float) for f in _SCALAR_FIELDS}
+    )
+
+
+def _take(params: ModelParams, idx: np.ndarray) -> ModelParams:
+    """The lanes ``idx`` of a ModelParams with (n,) array fields."""
+
+    return dataclasses.replace(
+        params, **{f: getattr(params, f)[idx] for f in _SCALAR_FIELDS}
+    )
+
+
+def _by_family(
+    pool: list[ModelParams], values: Callable[[ModelParams], tuple[np.ndarray, ...]]
+) -> tuple[np.ndarray, ...]:
+    """Apply ``values`` to the draws of each cost/quality family, stacked by
+    :func:`_stack`, and return its arrays (draw axis first) in pool order."""
+
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(pool):
+        groups.setdefault((params.cost, params.quality), []).append(i)
+    out: list[np.ndarray] = []
+    for idx in groups.values():
+        parts = values(_stack([pool[i] for i in idx]))
+        if not out:
+            out = [np.empty((len(pool),) + a.shape[1:], dtype=a.dtype) for a in parts]
+        for whole, part in zip(out, parts):
+            whole[idx] = part
+    return tuple(out)
+
+
+def _optimal_durabilities(params: ModelParams, regime: Regime, d_max: float) -> np.ndarray:
+    """``tp.optimal_durability`` on every lane of a ModelParams with array
+    fields and one family (see :func:`_durabilities`).
+
+    Like the scalar solver it refuses a shut-down market: the first lane
+    with no positive margin is handed to it, to raise the same error.
+    """
+
+    shut = np.argwhere(tp.activity_margin(params, regime) <= 0.0)
+    if shut.size:
+        tp.optimal_durability(_draw_row(params, tuple(shut[0])), regime, d_max=d_max)
+    return _durabilities(params, ModelKind.TWO_PERIOD, regime, d_max)
+
+
+def _ladder_group(
+    stacked: ModelParams, d_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ladder D* and profits, indexed [draw, regime, wrt, rung], for stacked
+    draws that share one family.
+
+    Each regime solves every rung of every ladder in one batched call, so
+    each D* equals the scalar ``tp.optimal_durability`` exactly, and profits
+    come from ``tp.profit``.
     """
 
     rungs = np.arange(LADDER_POINTS) * LADDER_STEP
     fields = {}
     for name in _SCALAR_FIELDS:
-        base = np.array([getattr(p, name) for p in pool], dtype=float)
         climb = np.array([[name == wrt] for wrt in _LADDER_PARAMS]) * rungs
-        fields[name] = base[:, None, None] + climb  # [draw, wrt, rung]
-    lad = ModelParams(cost=pool[0].cost, quality=pool[0].quality, **fields)
-
-    # lanes are [regime, draw, wrt, rung]
-    margins = np.stack([tp.activity_margin(lad, regime) for regime in _REGIMES])
-    slope = tp.foc_slope(lad, margins)
-    n = slope.size
-    residual = tp.foc_residual(lad, slope.ravel())
-    roots = bisect_increasing_vec(residual, 1e-12, d_max, n)
-    rejected = (
-        (margins.ravel() <= 0.0)
-        | (residual(np.full(n, 1e-12)) >= 0.0)
-        | (residual(np.full(n, d_max)) <= 0.0)
-    )
-    for lane in np.flatnonzero(rejected):
-        r, i, w, rung = np.unravel_index(lane, slope.shape)
-        wrt = _LADDER_PARAMS[w]
-        pt = dataclasses.replace(
-            pool[i], **{wrt: getattr(pool[i], wrt) + int(rung) * LADDER_STEP}
-        )
-        roots[lane] = tp.optimal_durability(pt, _REGIMES[r], d_max=d_max)
-    d_stars = roots.reshape(slope.shape)
-    profits = np.stack(
-        [tp.profit(lad, regime, d_stars[r]).total for r, regime in enumerate(_REGIMES)]
-    )
-    return d_stars, profits
+        fields[name] = getattr(stacked, name)[:, None, None] + climb  # [draw, wrt, rung]
+    lad = dataclasses.replace(stacked, **fields)
+    d_stars = [_optimal_durabilities(lad, regime, d_max) for regime in _REGIMES]
+    profits = [tp.profit(lad, regime, d).total for regime, d in zip(_REGIMES, d_stars)]
+    return np.stack(d_stars, axis=1), np.stack(profits, axis=1)
 
 
 def _ladder_values(
@@ -831,14 +918,8 @@ def _ladder_values(
     """D* and maximized two-period profit on every ladder rung of every draw,
     as arrays indexed [regime, draw, wrt (alpha, beta), rung]."""
 
-    shape = (len(_REGIMES), len(pool), len(_LADDER_PARAMS), LADDER_POINTS)
-    d_stars, profits = np.empty(shape), np.empty(shape)
-    groups: dict[tuple, list[int]] = {}
-    for i, params in enumerate(pool):
-        groups.setdefault((params.cost, params.quality), []).append(i)
-    for idx in groups.values():
-        d_stars[:, idx], profits[:, idx] = _ladder_group([pool[i] for i in idx], d_max)
-    return d_stars, profits
+    d_stars, profits = _by_family(pool, lambda stacked: _ladder_group(stacked, d_max))
+    return np.moveaxis(d_stars, 0, 1), np.moveaxis(profits, 0, 1)
 
 
 def _prop_ladders(pool: list[ModelParams], d_max: float) -> PropertyResult:
@@ -887,24 +968,29 @@ def _prop_durability_premium(
 ) -> PropertyResult:
     """Branded durability strictly exceeds third-party durability."""
 
+    def two_period(stacked: ModelParams) -> tuple[np.ndarray, ...]:
+        return tuple(_optimal_durabilities(stacked, r, d_max) for r in _REGIMES)
+
+    def olg(stacked: ModelParams) -> tuple[np.ndarray, ...]:
+        return tuple(_durabilities(stacked, ModelKind.OLG, r, d_max) for r in _REGIMES)
+
     checks = violations = 0
     example = None
-    for params in pool_tp:
-        d_t = tp.optimal_durability(params, Regime.THIRD_PARTY, d_max=d_max)
-        d_b = tp.optimal_durability(params, Regime.BRANDED, d_max=d_max)
-        checks += 1
-        if not d_b > d_t:
-            violations += 1
-            if example is None:
-                example = _params_payload(params, model="two-period", D_T=d_t, D_B=d_b)
-    for params in pool_olg:
-        d_t = olg_mod.solve_olg(params, Regime.THIRD_PARTY, d_max=d_max).D_star
-        d_b = olg_mod.solve_olg(params, Regime.BRANDED, d_max=d_max).D_star
-        checks += 1
-        if not d_b > d_t:
-            violations += 1
-            if example is None:
-                example = _params_payload(params, model="olg", D_T=d_t, D_B=d_b)
+    for model, pool, solve in (
+        (ModelKind.TWO_PERIOD, pool_tp, two_period),
+        (ModelKind.OLG, pool_olg, olg),
+    ):
+        if not pool:
+            continue
+        d_t, d_b = _by_family(pool, solve)
+        bad = np.flatnonzero(~(d_b > d_t))
+        checks += len(pool)
+        violations += bad.size
+        if example is None and bad.size:
+            i = bad[0]
+            example = _params_payload(
+                pool[i], model=model.value, D_T=float(d_t[i]), D_B=float(d_b[i])
+            )
     return PropertyResult(
         name="branded-durability-premium",
         checks=checks,
@@ -954,60 +1040,99 @@ def _prop_alpha_envelope(
     """Two claims per draw: the branded commission-free deflator sensitivity
     weakly dominates the third-party sensitivity at every tested commission
     (strictly for positive commissions), and envelope derivatives agree with
-    centered finite differences of the re-solved value function."""
+    centered finite differences of the re-solved value function.
 
+    Each claim is evaluated as arrays over every draw of a family; the
+    counts and the first counterexample follow the loop order draw, then
+    commission (first claim) or model, draw, regime, parameter (second).
+    """
+
+    fracs = (0.0, 0.5, 1.0)
+    h = 1e-5
+    wrts = ("alpha", "beta")
     checks = violations = 0
     example = None
-    for params in pool_tp:
-        base_b0 = dataclasses.replace(params, beta=0.0)
-        lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha")
-        for frac in (0.0, 0.5, 1.0):
-            beta_t = params.beta * frac
-            pt = dataclasses.replace(params, beta=beta_t)
-            rhs = envelope_profit_derivative(pt, Regime.THIRD_PARTY, "alpha")
-            checks += 1
-            ok = lhs > rhs if beta_t > 0.0 else lhs >= rhs - 1e-12
-            if not ok:
-                violations += 1
-                if example is None:
-                    example = _params_payload(params, beta_tested=beta_t, lhs=lhs, rhs=rhs)
 
-    h = 1e-5
-    for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
-        for params in pool:
-            for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
-                for wrt in ("alpha", "beta"):
-                    # the centered difference is a one-branch derivative
-                    # estimate only when both perturbed points stay on the
-                    # active side of the shutdown boundary
-                    interior = all(
+    def dominance(stacked: ModelParams) -> tuple[np.ndarray, ...]:
+        base_b0 = dataclasses.replace(stacked, beta=np.zeros_like(stacked.beta))
+        lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha")
+        beta_t = stacked.beta[:, None] * fracs  # [draw, frac]
+        rhs = np.stack(
+            [
+                envelope_profit_derivative(
+                    dataclasses.replace(stacked, beta=b), Regime.THIRD_PARTY, "alpha"
+                )
+                for b in beta_t.T
+            ],
+            axis=1,
+        )
+        return lhs, beta_t, rhs
+
+    if pool_tp:
+        lhs, beta_t, rhs = _by_family(pool_tp, dominance)
+        lhs = lhs[:, None]
+        bad = ~np.where(beta_t > 0.0, lhs > rhs, lhs >= rhs - 1e-12)
+        checks += bad.size
+        violations += int(np.count_nonzero(bad))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            example = _params_payload(
+                pool_tp[i],
+                beta_tested=float(beta_t[i, j]),
+                lhs=float(lhs[i, 0]),
+                rhs=float(rhs[i, j]),
+            )
+
+    def agreement(stacked: ModelParams, model: ModelKind) -> tuple[np.ndarray, ...]:
+        shape = (len(stacked.alpha), len(_REGIMES), len(wrts))
+        checked = np.zeros(shape, dtype=bool)
+        env, fd = np.zeros(shape), np.zeros(shape)
+        for r, regime in enumerate(_REGIMES):
+            for w, wrt in enumerate(wrts):
+                # the centered difference is a one-branch derivative
+                # estimate only when both perturbed points stay on the
+                # active side of the shutdown boundary
+                base = getattr(stacked, wrt)
+                interior = np.flatnonzero(
+                    np.logical_and.reduce([
                         margin_active(
-                            dataclasses.replace(
-                                params, **{wrt: getattr(params, wrt) + d}
-                            ),
+                            dataclasses.replace(stacked, **{wrt: base + d}),
                             model,
                             regime,
                         )
                         for d in (-h, h)
-                    )
-                    if not interior:
-                        continue
-                    env = envelope_profit_derivative(params, regime, wrt, model, d_max=d_max)
-                    if abs(env) <= 1e-8:
-                        continue
-                    fd = fd_profit_derivative(params, regime, wrt, model, h=h, d_max=d_max)
-                    checks += 1
-                    if abs(env - fd) / abs(env) > 1e-4:
-                        violations += 1
-                        if example is None:
-                            example = _params_payload(
-                                params,
-                                model=model.value,
-                                regime=regime.value,
-                                wrt=wrt,
-                                envelope=env,
-                                fd=fd,
-                            )
+                    ])
+                )
+                e = envelope_profit_derivative(
+                    _take(stacked, interior), regime, wrt, model, d_max=d_max
+                )
+                big = np.abs(e) > 1e-8
+                lanes = interior[big]
+                checked[lanes, r, w] = True
+                env[lanes, r, w] = e[big]
+                fd[lanes, r, w] = fd_profit_derivative(
+                    _take(stacked, lanes), regime, wrt, model, h=h, d_max=d_max
+                )
+        return checked, env, fd
+
+    for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
+        if not pool:
+            continue
+        checked, env, fd = _by_family(pool, lambda stacked: agreement(stacked, model))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bad = checked & (np.abs(env - fd) / np.abs(env) > 1e-4)
+        checks += int(np.count_nonzero(checked))
+        violations += int(np.count_nonzero(bad))
+        if example is None and bad.any():
+            i, r, w = np.argwhere(bad)[0]
+            example = _params_payload(
+                pool[i],
+                model=model.value,
+                regime=_REGIMES[r].value,
+                wrt=wrts[w],
+                envelope=float(env[i, r, w]),
+                fd=float(fd[i, r, w]),
+            )
     return PropertyResult(
         name="alpha-sensitivity-envelope",
         checks=checks,
@@ -1139,22 +1264,26 @@ def _prop_efficiency(pool: list[ModelParams], d_max: float) -> PropertyResult:
     """Durability and welfare orderings: third-party below branded below the
     social benchmark, pointwise in every both-active draw."""
 
+    def values(stacked: ModelParams) -> tuple[np.ndarray, ...]:
+        d_stars = [_optimal_durabilities(stacked, r, d_max) for r in _REGIMES]
+        d_stars.append(tp.solve_foc(stacked, tp.foc_slope(stacked, stacked.v_L), d_max))
+        d = np.stack(d_stars, axis=1)  # [draw, (third-party, branded, social)]
+        w = np.stack([tp.welfare(stacked, x) for x in d_stars], axis=1)
+        return d, w
+
     checks = violations = 0
     example = None
-    for params in pool:
-        d_t = tp.optimal_durability(params, Regime.THIRD_PARTY, d_max=d_max)
-        d_b = tp.optimal_durability(params, Regime.BRANDED, d_max=d_max)
-        d_s = tp.social_optimal_durability(params, d_max=d_max)
-        w_t = tp.welfare(params, d_t)
-        w_b = tp.welfare(params, d_b)
-        w_s = tp.welfare(params, d_s)
-        checks += 1
-        if not (d_t < d_b < d_s and w_t < w_b < w_s):
-            violations += 1
-            if example is None:
-                example = _params_payload(
-                    params, D=(d_t, d_b, d_s), welfare=(w_t, w_b, w_s)
-                )
+    if pool:
+        d, w = _by_family(pool, values)
+        ordered = (d[:, 0] < d[:, 1]) & (d[:, 1] < d[:, 2])
+        ordered &= (w[:, 0] < w[:, 1]) & (w[:, 1] < w[:, 2])
+        bad = np.flatnonzero(~ordered)
+        checks, violations = len(pool), bad.size
+        if bad.size:
+            i = bad[0]
+            example = _params_payload(
+                pool[i], D=tuple(map(float, d[i])), welfare=tuple(map(float, w[i]))
+            )
     return PropertyResult(
         name="efficiency-ordering",
         checks=checks,

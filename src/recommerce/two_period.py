@@ -28,11 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .primitives import (
     DEFAULT_D_MAX,
     ModelParams,
     Regime,
     bisect_increasing,
+    bisect_increasing_vec,
 )
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "market_mode",
     "foc_slope",
     "foc_residual",
+    "solve_foc",
     "social_optimal_durability",
     "optimal_durability",
     "prices",
@@ -111,6 +115,32 @@ def foc_residual(params: ModelParams, slope):
         return cost.deriv(D) - slope * quality.deriv(D)
 
     return residual
+
+
+def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX) -> np.ndarray:
+    """Batched durability roots, one lane per entry of the array ``slope``.
+
+    Lane i solves ``foc_residual(params, slope[i])`` on [1e-12, d_max] with
+    the shared cost/quality family of ``params``, by the midpoint sequence
+    of the scalar :func:`bisect_increasing`, so it equals the single-point
+    root (default tolerance) bit for bit. A lane without a strict sign
+    change on the bracket is handed to that scalar bisection: it returns
+    the same endpoint or raises the same :class:`BracketError`. Callers
+    decide which lanes are active.
+    """
+
+    slope = np.asarray(slope, dtype=float)
+    lanes = slope.ravel()
+    n = lanes.size
+    residual = foc_residual(params, lanes)
+    roots = bisect_increasing_vec(residual, 1e-12, d_max, n)
+    unbracketed = (residual(np.full(n, 1e-12)) >= 0.0) | (
+        residual(np.full(n, d_max)) <= 0.0
+    )
+    for lane in np.flatnonzero(unbracketed):
+        one = foc_residual(params, float(lanes[lane]))
+        roots[lane] = bisect_increasing(one, 1e-12, d_max)
+    return roots.reshape(slope.shape)
 
 
 def _foc_root(params: ModelParams, margin: float, d_max: float, xtol: float) -> float:

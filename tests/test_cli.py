@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -184,6 +185,20 @@ def test_unbracketed_root_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: durability first-order condition has no root")
     assert err.count("\n") == 1
+
+
+def test_overflowing_d_max_exits_2_with_one_line(tmp_path, capsys):
+    # d_max = 1e300 overflows the family-shape grid: the checks it breaks
+    # fail, and no NumPy warning reaches stderr before the error line
+    cfg = write_config(tmp_path, solver={"d_max": 1e300})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = ["solve", "--model", "both", "--config", cfg, "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters fail two-period admissibility")
+    assert err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
 
 
 def test_missing_config_file(tmp_path, capsys):

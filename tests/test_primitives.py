@@ -19,7 +19,7 @@ from recommerce import (
     params_to_dict,
     validate_params,
 )
-from recommerce.primitives import bisect_increasing_vec
+from recommerce.primitives import _family_checks, bisect_increasing_vec
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +87,18 @@ def test_negative_durability_rejected():
             fn.value(-0.1)
 
 
+def test_negative_entries_rejected_in_scalars_and_arrays():
+    arr = np.array([0.0, 0.3, -1e-300, 2.0])
+    for fn in (PowerCost(0.5, 1.5), SaturatingExpQuality(1.0, 1.0), RationalQuality(1.0)):
+        for method in (fn.value, fn.deriv, fn.deriv2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                method(-1e-300)
+            with pytest.raises(ValueError, match="nonnegative"):
+                method(arr)
+        # NaN is not negative: it passes the guard, as before
+        assert math.isnan(fn.deriv(math.nan))
+
+
 def test_family_constructor_guards():
     # exponent must exceed 1 so marginal cost vanishes at the origin
     with pytest.raises(ValueError):
@@ -144,6 +156,52 @@ def test_failure_report_names_each_check(canonical):
     failures = [c.name for c in validate_params(bad).failures()]
     assert "valuations_ordered" in failures
     assert "discount_in_unit_interval" in failures
+
+
+def _reference_shape_checks(cost, quality, d_max):
+    # the grid checks as validate_params ran them on every call
+    grid = np.linspace(0.0, d_max, 100)
+    with np.errstate(all="ignore"):
+        cv, cd, cdd = cost.eval_triple(grid)
+        sv, sd, sdd = quality.eval_triple(grid)
+        return [
+            ("cost_zero_at_origin", bool(cv[0] == 0.0 and cd[0] == 0.0)),
+            ("cost_strictly_increasing", bool(np.all(cd[1:] > 0.0))),
+            ("cost_strictly_convex", bool(np.all(cost.deriv2(grid[1:]) > 0.0))),
+            ("quality_zero_at_origin", bool(sv[0] == 0.0)),
+            ("quality_below_one", bool(np.all(sv < 1.0))),
+            ("quality_strictly_increasing", bool(np.all(sd > 0.0))),
+            ("quality_strictly_concave", bool(np.all(sdd < 0.0))),
+            ("foc_single_crossing", bool(np.all(np.diff(cd / sd) > 0.0))),
+        ]
+
+
+@pytest.mark.parametrize("d_max", [10.0, 1e3, 1e300])
+@pytest.mark.parametrize(
+    "family",
+    [
+        (PowerCost(0.5, 2.0), SaturatingExpQuality(1.0, 1.0)),
+        (PowerCost(0.5, 1.5), RationalQuality(1.0)),
+        (PowerCost(2.0, 3.0), SaturatingExpQuality(0.9, 0.2)),
+    ],
+)
+def test_shape_checks_are_unchanged_and_run_once(canonical, family, d_max):
+    cost, quality = family
+    params = dataclasses.replace(canonical, cost=cost, quality=quality)
+    _family_checks.cache_clear()
+    for model in ModelKind:
+        checks = validate_params(params, model, d_max).checks
+        names = [c.name for c in checks]
+        assert names[:5] == [
+            "valuations_ordered", "shares_positive", "discount_in_unit_interval",
+            "deflator_in_range", "commission_in_range",
+        ]
+        shape = [(c.name, c.passed) for c in checks[5:13]]
+        assert shape == _reference_shape_checks(cost, quality, d_max)
+        assert checks[12].detail == "c'/s' must increase strictly"
+        assert len(checks) == (14 if model is ModelKind.TWO_PERIOD else 15)
+    info = _family_checks.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ----------------------------------------------------------------------

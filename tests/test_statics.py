@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -19,19 +20,33 @@ from recommerce import (
     value_function,
 )
 from recommerce import two_period as tp
-from recommerce.primitives import BracketError, PowerCost, RationalQuality
+from recommerce.primitives import (
+    BracketError,
+    PowerCost,
+    RationalQuality,
+    SaturatingExpQuality,
+    bisect_increasing,
+)
 from recommerce.statics import (
     DEFAULT_BOX,
     DEFAULT_D_MAX,
     LADDER_POINTS,
     LADDER_STEP,
     PROPERTY_NAMES,
+    PropertyResult,
     _draw_block,
     _draw_row,
+    _durabilities,
     _foc_filters,
     _ladder_values,
     _olg_filters,
+    _params_payload,
+    _prop_alpha_envelope,
+    _prop_durability_premium,
+    _prop_efficiency,
+    _stack,
     _two_period_filters,
+    admissible_olg_pool,
     equilibrium_feasible,
     ladder_active,
     margin_active,
@@ -384,6 +399,252 @@ def test_batched_ladders_reject_like_the_scalar_solver(canonical):
     )
     with pytest.raises(BracketError):
         _ladder_values([canonical, unbracketed], DEFAULT_D_MAX)
+
+
+# ----------------------------------------------------------------------
+# batched durability kernel
+# ----------------------------------------------------------------------
+
+
+# families beyond the one the draws use: exponents 1.5 (c'' diverges at 0)
+# and 3, and the rational quality curve
+_FAMILIES = [
+    (PowerCost(c0=0.5, p=2.0), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+    (PowerCost(c0=0.5, p=1.5), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+    (PowerCost(c0=0.5, p=3.0), RationalQuality(k=1.0)),
+    (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "family", _FAMILIES, ids=lambda f: f"{f[0].p}-{type(f[1]).__name__}"
+)
+def test_kernel_lanes_equal_scalar_solves(family):
+    cost, quality = family
+    # the admissible pool is unfiltered, so it has shut-down lanes too
+    base = two_period_pool(30, 42) + olg_pool(30, 42) + admissible_olg_pool(30, 42)
+    pool = [dataclasses.replace(p, cost=cost, quality=quality) for p in base]
+    stacked = _stack(pool)
+    social = tp.solve_foc(stacked, tp.foc_slope(stacked, stacked.v_L))
+    shutdowns = 0
+    for regime in (T, B):
+        margin = tp.activity_margin(stacked, regime)
+        live = margin > 0.0
+        roots = tp.solve_foc(stacked, tp.foc_slope(stacked, margin)[live])
+        d_tp = _durabilities(stacked, TP, regime, DEFAULT_D_MAX)
+        d_olg = _durabilities(stacked, OLG, regime, DEFAULT_D_MAX)
+        for i, params in enumerate(pool):
+            assert d_tp[i] == tp.solve(params, regime).D_star
+            assert d_olg[i] == solve_olg(params, regime).D_star
+            assert social[i] == tp.social_optimal_durability(params)
+        for k, i in enumerate(np.flatnonzero(live)):
+            assert roots[k] == tp.optimal_durability(pool[i], regime)
+        shutdowns += int(np.count_nonzero(~live))
+    assert shutdowns > 0
+
+
+def test_kernel_rejects_like_the_scalar_solver(canonical):
+    flat = dataclasses.replace(
+        canonical, cost=PowerCost(c0=1e-6, p=2.0), quality=RationalQuality(k=1.0)
+    )
+    # c'(10) = 2e-5 and s'(10) = 1/121: a slope of 0.1 has no root below d_max
+    with pytest.raises(BracketError) as batched:
+        tp.solve_foc(flat, np.array([1e-3, 0.1]))
+    with pytest.raises(BracketError) as single:
+        bisect_increasing(tp.foc_residual(flat, 0.1), 1e-12, DEFAULT_D_MAX)
+    assert str(batched.value) == str(single.value)
+    # a nonpositive slope is rejected at the lower end, as a single point is
+    with pytest.raises(BracketError) as batched:
+        tp.solve_foc(canonical, np.array([0.2, -0.1]))
+    with pytest.raises(BracketError) as single:
+        bisect_increasing(tp.foc_residual(canonical, -0.1), 1e-12, DEFAULT_D_MAX)
+    assert str(batched.value) == str(single.value)
+
+
+def test_properties_refuse_shut_down_draws_like_the_scalar_solver(canonical):
+    shut = dataclasses.replace(canonical, v_L=0.5)
+    with pytest.raises(ValueError) as single:
+        tp.optimal_durability(shut, T)
+    for run in (
+        lambda: _prop_efficiency([canonical, shut], DEFAULT_D_MAX),
+        lambda: _prop_durability_premium([canonical, shut], [], DEFAULT_D_MAX),
+        lambda: _ladder_values([canonical, shut], DEFAULT_D_MAX),
+    ):
+        with pytest.raises(ValueError) as batched:
+            run()
+        assert str(batched.value) == str(single.value)
+
+
+def test_batched_value_function_and_derivatives_equal_scalar():
+    pool = admissible_olg_pool(40, 7)
+    stacked = _stack(pool)
+    for model in (TP, OLG):
+        for regime in (T, B):
+            for wrt in ("alpha", "beta", "delta"):
+                env = envelope_profit_derivative(stacked, regime, wrt, model)
+                fd = fd_profit_derivative(stacked, regime, wrt, model)
+                for i, params in enumerate(pool):
+                    assert env[i] == envelope_profit_derivative(params, regime, wrt, model)
+                    assert fd[i] == fd_profit_derivative(params, regime, wrt, model)
+            value = value_function(stacked, regime, model)
+            assert [value[i] for i in range(len(pool))] == [
+                value_function(params, regime, model) for params in pool
+            ]
+
+
+# The pre-batching loop bodies of three properties, kept as the reference
+# the array versions must reproduce exactly.
+
+
+def _scalar_premium(pool_tp, pool_olg, d_max):
+    checks = violations = 0
+    example = None
+    for params in pool_tp:
+        d_t = tp.optimal_durability(params, T, d_max=d_max)
+        d_b = tp.optimal_durability(params, B, d_max=d_max)
+        checks += 1
+        if not d_b > d_t:
+            violations += 1
+            if example is None:
+                example = _params_payload(params, model="two-period", D_T=d_t, D_B=d_b)
+    for params in pool_olg:
+        d_t = solve_olg(params, T, d_max=d_max).D_star
+        d_b = solve_olg(params, B, d_max=d_max).D_star
+        checks += 1
+        if not d_b > d_t:
+            violations += 1
+            if example is None:
+                example = _params_payload(params, model="olg", D_T=d_t, D_B=d_b)
+    return PropertyResult(
+        name="branded-durability-premium",
+        checks=checks,
+        violations=violations,
+        detail="D*_branded > D*_third-party on every both-active draw, both models",
+        counterexample=example,
+    )
+
+
+def _scalar_envelope(pool_tp, pool_olg, d_max):
+    checks = violations = 0
+    example = None
+    for params in pool_tp:
+        base_b0 = dataclasses.replace(params, beta=0.0)
+        lhs = envelope_profit_derivative(base_b0, B, "alpha")
+        for frac in (0.0, 0.5, 1.0):
+            beta_t = params.beta * frac
+            pt = dataclasses.replace(params, beta=beta_t)
+            rhs = envelope_profit_derivative(pt, T, "alpha")
+            checks += 1
+            ok = lhs > rhs if beta_t > 0.0 else lhs >= rhs - 1e-12
+            if not ok:
+                violations += 1
+                if example is None:
+                    example = _params_payload(params, beta_tested=beta_t, lhs=lhs, rhs=rhs)
+    h = 1e-5
+    for model, pool in ((TP, pool_tp), (OLG, pool_olg)):
+        for params in pool:
+            for regime in (T, B):
+                for wrt in ("alpha", "beta"):
+                    interior = all(
+                        margin_active(
+                            dataclasses.replace(params, **{wrt: getattr(params, wrt) + d}),
+                            model,
+                            regime,
+                        )
+                        for d in (-h, h)
+                    )
+                    if not interior:
+                        continue
+                    env = envelope_profit_derivative(params, regime, wrt, model, d_max=d_max)
+                    if abs(env) <= 1e-8:
+                        continue
+                    fd = fd_profit_derivative(params, regime, wrt, model, h=h, d_max=d_max)
+                    checks += 1
+                    if abs(env - fd) / abs(env) > 1e-4:
+                        violations += 1
+                        if example is None:
+                            example = _params_payload(
+                                params, model=model.value, regime=regime.value,
+                                wrt=wrt, envelope=env, fd=fd,
+                            )
+    return PropertyResult(
+        name="alpha-sensitivity-envelope",
+        checks=checks,
+        violations=violations,
+        detail=(
+            "commission-free branded deflator slope dominates third-party at "
+            "tested commissions; envelope vs finite difference rel err <= 1e-4"
+        ),
+        counterexample=example,
+    )
+
+
+def _scalar_efficiency(pool, d_max):
+    checks = violations = 0
+    example = None
+    for params in pool:
+        d_t = tp.optimal_durability(params, T, d_max=d_max)
+        d_b = tp.optimal_durability(params, B, d_max=d_max)
+        d_s = tp.social_optimal_durability(params, d_max=d_max)
+        w_t = tp.welfare(params, d_t)
+        w_b = tp.welfare(params, d_b)
+        w_s = tp.welfare(params, d_s)
+        checks += 1
+        if not (d_t < d_b < d_s and w_t < w_b < w_s):
+            violations += 1
+            if example is None:
+                example = _params_payload(
+                    params, D=(d_t, d_b, d_s), welfare=(w_t, w_b, w_s)
+                )
+    return PropertyResult(
+        name="efficiency-ordering",
+        checks=checks,
+        violations=violations,
+        detail="D*_T < D*_B < D_social and matching welfare ordering per draw",
+        counterexample=example,
+    )
+
+
+def _mixed(pool):
+    # every third draw gets a cost so steep that D* is tiny: its commission
+    # slope falls near 1e-8, where the centered difference loses the 1e-4
+    # agreement; every fourth has no commission, so the regimes tie
+    out = []
+    for i, params in enumerate(pool):
+        if i % 3 == 1:
+            params = dataclasses.replace(params, cost=PowerCost(c0=1e6, p=2.0))
+        if i % 4 == 2:
+            params = dataclasses.replace(params, beta=0.0)
+        out.append(params)
+    return out
+
+
+@pytest.mark.parametrize("pools", ["seed-1", "seed-2", "seed-3", "mixed"])
+def test_batched_properties_equal_scalar_reference(pools):
+    seed = 1 if pools == "mixed" else int(pools[-1])
+    pool_tp, pool_olg = two_period_pool(30, seed), olg_pool(30, seed)
+    if pools == "mixed":
+        pool_tp, pool_olg = _mixed(pool_tp), _mixed(pool_olg)
+    results = [
+        (_prop_durability_premium(pool_tp, pool_olg, DEFAULT_D_MAX),
+         _scalar_premium(pool_tp, pool_olg, DEFAULT_D_MAX)),
+        (_prop_alpha_envelope(pool_tp, pool_olg, DEFAULT_D_MAX),
+         _scalar_envelope(pool_tp, pool_olg, DEFAULT_D_MAX)),
+        (_prop_efficiency(pool_tp, DEFAULT_D_MAX),
+         _scalar_efficiency(pool_tp, DEFAULT_D_MAX)),
+    ]
+    for batched, scalar in results:
+        assert batched == scalar
+        assert json.dumps(batched.counterexample) == json.dumps(scalar.counterexample)
+    if pools == "mixed":
+        assert all(batched.violations > 0 for batched, _ in results)
+        assert all(batched.counterexample is not None for batched, _ in results)
+
+
+def test_batched_properties_accept_empty_pools():
+    assert _prop_durability_premium([], [], DEFAULT_D_MAX).checks == 0
+    assert _prop_alpha_envelope([], [], DEFAULT_D_MAX).checks == 0
+    assert _prop_efficiency([], DEFAULT_D_MAX).checks == 0
 
 
 # ----------------------------------------------------------------------
