@@ -51,7 +51,7 @@ from .primitives import (
     Regime,
     bisect_increasing,
 )
-from .two_period import MarketMode, foc_residual, prices, replacement_margin
+from .two_period import MarketMode, prices, replacement_margin, solve_foc
 
 __all__ = [
     "OlgState",
@@ -465,7 +465,6 @@ def solve_olg(
     params: ModelParams,
     regime: Regime,
     d_max: float = DEFAULT_D_MAX,
-    xtol: float = 1e-10,
     include_entry_premium: bool = True,
     slack_tol: float = 1e-9,
 ) -> SteadyStateSolution:
@@ -482,8 +481,7 @@ def solve_olg(
     d0_alt = zero_durability_alternatives(params)
 
     if include_entry_premium and margin > 0.0:
-        residual = foc_residual(params, margin)
-        d_star = bisect_increasing(residual, 1e-12, d_max, xtol=xtol)
+        d_star = solve_foc(params, margin, d_max)
         pr = prices(params, d_star)
         slacks = constraint_slacks_olg(params, d_star)
         constraints_ok = all(v >= -slack_tol for v in slacks.values())

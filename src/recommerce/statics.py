@@ -38,7 +38,6 @@ from .primitives import (
     Regime,
     SaturatingExpQuality,
     _SCALAR_FIELDS,
-    bisect_increasing_vec,
     validate_params,
 )
 from . import olg as olg_mod
@@ -95,7 +94,7 @@ def envelope_profit_derivative(
     D*. In the shutdown region the maximized value is the high-type-only
     profit, which does not involve the deflator or the commission.
     Elementwise when the parameter fields are arrays (one family); D* then
-    comes from one batched root per call.
+    comes from one batched root per call. Scalar parameters give a float.
     """
 
     if wrt not in _SWEEPABLE:
@@ -103,21 +102,14 @@ def envelope_profit_derivative(
     p = params
 
     if D_star is None:
-        if _is_batch(p):
-            active = envelope_profit_derivative(
-                p, regime, wrt, model, _durabilities(p, model, regime, d_max), d_max
-            )
-            return np.where(
+        active = envelope_profit_derivative(
+            p, regime, wrt, model, _durabilities(p, model, regime, d_max), d_max
+        )
+        return _plain(
+            np.where(
                 margin_active(p, model, regime), active, _shutdown_derivative(p, wrt, model)
             )
-        if model is ModelKind.TWO_PERIOD:
-            if tp.activity_margin(p, regime) <= 0.0:
-                return _shutdown_derivative(p, wrt, model)
-            D_star = tp.optimal_durability(p, regime, d_max=d_max)
-        else:
-            if olg_mod.olg_margin(p, regime) <= 0.0:
-                return _shutdown_derivative(p, wrt, model)
-            D_star = olg_mod.solve_olg(p, regime, d_max=d_max).D_star
+        )
 
     s = p.quality.value(D_star)
     if model is ModelKind.TWO_PERIOD:
@@ -167,25 +159,20 @@ def value_function(
     """Maximized objective as a function of the primitives (re-solves D*).
 
     Elementwise when the parameter fields are arrays (one family), with one
-    batched root per call; each lane equals the single-point value.
+    batched root per call; each lane equals the single-point value. Scalar
+    parameters give a float.
     """
 
-    if _is_batch(params):
-        d_star = _durabilities(params, model, regime, d_max)
-        if model is ModelKind.TWO_PERIOD:
-            return np.where(
-                margin_active(params, model, regime),
-                tp.profit(params, regime, d_star).total,
-                tp.shutdown_profit(params),
-            )
-        return olg_mod.objective_value(params, regime, d_star)
-    if model is ModelKind.TWO_PERIOD:
-        if tp.activity_margin(params, regime) <= 0.0:
-            return tp.shutdown_profit(params)
-        d_star = tp.optimal_durability(params, regime, d_max=d_max)
-        return tp.profit(params, regime, d_star).total
-    sol = olg_mod.solve_olg(params, regime, d_max=d_max)
-    return sol.objective_value
+    d_star = _durabilities(params, model, regime, d_max)
+    if model is ModelKind.OLG:
+        return _plain(olg_mod.objective_value(params, regime, d_star))
+    return _plain(
+        np.where(
+            margin_active(params, model, regime),
+            tp.profit(params, regime, d_star).total,
+            tp.shutdown_profit(params),
+        )
+    )
 
 
 def fd_profit_derivative(
@@ -212,28 +199,37 @@ def fd_profit_derivative(
     ) / (2.0 * h)
 
 
-def _is_batch(params: ModelParams) -> bool:
-    """Whether any scalar field of ``params`` is an array."""
+def _plain(value):
+    """A 0-d result (scalar parameters) as a plain float; arrays unchanged."""
 
-    return any(np.ndim(getattr(params, f)) for f in _SCALAR_FIELDS)
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _durabilities(
-    params: ModelParams, model: ModelKind, regime: Regime, d_max: float
-) -> np.ndarray:
-    """D* on every lane of a ModelParams with array fields and one
-    cost/quality family, from one :func:`two_period.solve_foc` call.
-
-    A lane equals the ``D_star`` of the single-point ``tp.solve`` or
-    ``solve_olg`` bit for bit; lanes whose margin is not positive hold the
-    shutdown durability 0.0.
-    """
+def _margin_slope(params: ModelParams, model: ModelKind, regime: Regime):
+    """Margin ``M`` and durability-condition slope ``k*M`` of a (model,
+    regime): ``k = delta/(1+delta)`` in the two-period model, 1 in the
+    steady state. Elementwise when the parameter fields are arrays."""
 
     if model is ModelKind.TWO_PERIOD:
         margin = tp.activity_margin(params, regime)
-        slope = tp.foc_slope(params, margin)
-    else:
-        margin = slope = olg_mod.olg_margin(params, regime)
+        return margin, tp.foc_slope(params, margin)
+    margin = olg_mod.olg_margin(params, regime)
+    return margin, margin
+
+
+def _durabilities(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
+    """D* of a (model, regime) through :func:`two_period.solve_foc`, or the
+    shutdown durability 0.0 where the margin is not positive.
+
+    Scalar parameters give a float; array fields (one cost/quality family)
+    give one lane each from one kernel call. Either way the value equals
+    the ``D_star`` of the single-point ``tp.solve`` or ``solve_olg`` bit
+    for bit.
+    """
+
+    margin, slope = _margin_slope(params, model, regime)
+    if np.ndim(slope) == 0:
+        return tp.solve_foc(params, slope, d_max) if margin > 0.0 else 0.0
     live = np.broadcast_to(margin > 0.0, np.shape(slope))
     d_star = np.zeros(np.shape(slope))
     d_star[live] = tp.solve_foc(params, slope[live], d_max)
@@ -377,37 +373,24 @@ def optimal_commission(
 ) -> CommissionCurve:
     """Brute-force the branded profit over a commission grid on [0, 1).
 
-    Lanes with a positive activity margin are solved by vectorized bisection
-    of the shared first-order condition and valued by the single-point
-    objective, both evaluated with the grid as ``beta``, so a lane equals
-    the scalar solve at its commission; the rest carry the commission-free
-    shutdown value. Ties in the argmax resolve to the lowest index.
+    Lanes with a positive activity margin are solved by the batched
+    durability kernel and valued by the single-point objective, both
+    evaluated with the grid as ``beta``, so a lane equals the scalar solve
+    at its commission (and raises its ``BracketError`` when the root lies
+    beyond ``d_max``); the rest carry the commission-free shutdown value.
+    Ties in the argmax resolve to the lowest index.
     """
 
     betas = np.linspace(0.0, 1.0, n_points, endpoint=False)
     grid = dataclasses.replace(params, beta=betas)
-    if model is ModelKind.TWO_PERIOD:
-        margins = tp.activity_margin(grid, Regime.BRANDED)
-        slopes = tp.foc_slope(grid, margins)
-        shutdown = tp.shutdown_profit(params)
-    else:
-        margins = slopes = olg_mod.olg_margin(grid, Regime.BRANDED)
-        shutdown = params.n_H * params.v_H / (1.0 - params.delta)
-
-    active = margins > 0.0
-    d_stars = np.zeros_like(betas)
-    if np.any(active):
-        residual = tp.foc_residual(params, slopes[active])
-        n = int(np.count_nonzero(active))
-        roots = bisect_increasing_vec(residual, 1e-12, d_max, n)
-        # a margin so large that the root escapes the bracket pins to d_max
-        overflow = residual(np.full(n, d_max)) < 0.0
-        d_stars[active] = np.where(overflow, d_max, roots)
-
+    active = margin_active(grid, model, Regime.BRANDED)
+    d_stars = _durabilities(grid, model, Regime.BRANDED, d_max)
     if model is ModelKind.TWO_PERIOD:
         value = tp.profit(grid, Regime.BRANDED, d_stars).total
+        shutdown = tp.shutdown_profit(params)
     else:
         value = olg_mod.objective_value(grid, Regime.BRANDED, d_stars)
+        shutdown = params.n_H * params.v_H / (1.0 - params.delta)
     profits = np.where(active, value, shutdown)
 
     idx = int(np.argmax(profits))
@@ -557,9 +540,7 @@ def margin_active(params: ModelParams, model: ModelKind, regime: Regime) -> bool
     """Whether the (model, regime) margin is positive; elementwise when the
     parameter fields are arrays."""
 
-    if model is ModelKind.TWO_PERIOD:
-        return tp.activity_margin(params, regime) > 0.0
-    return olg_mod.olg_margin(params, regime) > 0.0
+    return _margin_slope(params, model, regime)[0] > 0.0
 
 
 def equilibrium_feasible(
@@ -759,11 +740,12 @@ def _prop_foc_grid(
         pools.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
         worst = 0.0
-        for params in pool:
-            if model is ModelKind.TWO_PERIOD:
-                d_star = tp.optimal_durability(params, regime, d_max=d_max)
-            else:
-                d_star = olg_mod.solve_olg(params, regime, d_max=d_max).D_star
+        d_stars = ()
+        if pool:
+            (d_stars,) = _by_family(
+                pool, lambda stacked: (_optimal_durabilities(stacked, model, regime, d_max),)
+            )
+        for params, d_star in zip(pool, map(float, d_stars)):
             hit = oracle_mod.grid_argmax_profit(params, regime, model, grid)
             gap = abs(d_star - hit.D_at_max)
             worst = max(worst, gap)
@@ -876,18 +858,23 @@ def _by_family(
     return tuple(out)
 
 
-def _optimal_durabilities(params: ModelParams, regime: Regime, d_max: float) -> np.ndarray:
-    """``tp.optimal_durability`` on every lane of a ModelParams with array
-    fields and one family (see :func:`_durabilities`).
+def _optimal_durabilities(
+    params: ModelParams, model: ModelKind, regime: Regime, d_max: float
+) -> np.ndarray:
+    """The single-point optimum (``tp.optimal_durability`` or the ``D_star``
+    of ``solve_olg``) on every lane of a ModelParams with array fields and
+    one family (see :func:`_durabilities`).
 
-    Like the scalar solver it refuses a shut-down market: the first lane
-    with no positive margin is handed to it, to raise the same error.
+    Like ``tp.optimal_durability`` the two-period model refuses a shut-down
+    market: the first lane with no positive margin is handed to it, to
+    raise the same error.
     """
 
-    shut = np.argwhere(tp.activity_margin(params, regime) <= 0.0)
-    if shut.size:
-        tp.optimal_durability(_draw_row(params, tuple(shut[0])), regime, d_max=d_max)
-    return _durabilities(params, ModelKind.TWO_PERIOD, regime, d_max)
+    if model is ModelKind.TWO_PERIOD:
+        shut = np.argwhere(~margin_active(params, model, regime))
+        if shut.size:
+            tp.optimal_durability(_draw_row(params, tuple(shut[0])), regime, d_max=d_max)
+    return _durabilities(params, model, regime, d_max)
 
 
 def _ladder_group(
@@ -907,7 +894,7 @@ def _ladder_group(
         climb = np.array([[name == wrt] for wrt in _LADDER_PARAMS]) * rungs
         fields[name] = getattr(stacked, name)[:, None, None] + climb  # [draw, wrt, rung]
     lad = dataclasses.replace(stacked, **fields)
-    d_stars = [_optimal_durabilities(lad, regime, d_max) for regime in _REGIMES]
+    d_stars = [_optimal_durabilities(lad, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES]
     profits = [tp.profit(lad, regime, d).total for regime, d in zip(_REGIMES, d_stars)]
     return np.stack(d_stars, axis=1), np.stack(profits, axis=1)
 
@@ -968,21 +955,17 @@ def _prop_durability_premium(
 ) -> PropertyResult:
     """Branded durability strictly exceeds third-party durability."""
 
-    def two_period(stacked: ModelParams) -> tuple[np.ndarray, ...]:
-        return tuple(_optimal_durabilities(stacked, r, d_max) for r in _REGIMES)
-
-    def olg(stacked: ModelParams) -> tuple[np.ndarray, ...]:
-        return tuple(_durabilities(stacked, ModelKind.OLG, r, d_max) for r in _REGIMES)
-
     checks = violations = 0
     example = None
-    for model, pool, solve in (
-        (ModelKind.TWO_PERIOD, pool_tp, two_period),
-        (ModelKind.OLG, pool_olg, olg),
-    ):
+    for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
         if not pool:
             continue
-        d_t, d_b = _by_family(pool, solve)
+        d_t, d_b = _by_family(
+            pool,
+            lambda stacked: tuple(
+                _optimal_durabilities(stacked, model, r, d_max) for r in _REGIMES
+            ),
+        )
         bad = np.flatnonzero(~(d_b > d_t))
         checks += len(pool)
         violations += bad.size
@@ -1265,8 +1248,10 @@ def _prop_efficiency(pool: list[ModelParams], d_max: float) -> PropertyResult:
     social benchmark, pointwise in every both-active draw."""
 
     def values(stacked: ModelParams) -> tuple[np.ndarray, ...]:
-        d_stars = [_optimal_durabilities(stacked, r, d_max) for r in _REGIMES]
-        d_stars.append(tp.solve_foc(stacked, tp.foc_slope(stacked, stacked.v_L), d_max))
+        d_stars = [
+            _optimal_durabilities(stacked, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES
+        ]
+        d_stars.append(tp.social_optimal_durability(stacked, d_max))
         d = np.stack(d_stars, axis=1)  # [draw, (third-party, branded, social)]
         w = np.stack([tp.welfare(stacked, x) for x in d_stars], axis=1)
         return d, w

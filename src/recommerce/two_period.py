@@ -117,18 +117,21 @@ def foc_residual(params: ModelParams, slope):
     return residual
 
 
-def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX) -> np.ndarray:
-    """Batched durability roots, one lane per entry of the array ``slope``.
+def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
+    """Durability root of ``foc_residual(params, slope)`` on [1e-12, d_max].
 
-    Lane i solves ``foc_residual(params, slope[i])`` on [1e-12, d_max] with
-    the shared cost/quality family of ``params``, by the midpoint sequence
-    of the scalar :func:`bisect_increasing`, so it equals the single-point
-    root (default tolerance) bit for bit. A lane without a strict sign
-    change on the bracket is handed to that scalar bisection: it returns
+    The one entry to the durability condition. A 0-d ``slope`` is solved by
+    the scalar :func:`bisect_increasing` and gives a float. An array
+    ``slope`` gives one lane per entry, solved with the shared cost/quality
+    family of ``params`` by the scalar midpoint sequence, so each lane
+    equals the single-point root bit for bit; a lane without a strict sign
+    change on the bracket is handed to the scalar bisection, so it returns
     the same endpoint or raises the same :class:`BracketError`. Callers
     decide which lanes are active.
     """
 
+    if np.ndim(slope) == 0:
+        return bisect_increasing(foc_residual(params, slope), 1e-12, d_max)
     slope = np.asarray(slope, dtype=float)
     lanes = slope.ravel()
     n = lanes.size
@@ -138,29 +141,21 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX) -> np.nd
         residual(np.full(n, d_max)) <= 0.0
     )
     for lane in np.flatnonzero(unbracketed):
-        one = foc_residual(params, float(lanes[lane]))
-        roots[lane] = bisect_increasing(one, 1e-12, d_max)
+        roots[lane] = solve_foc(params, float(lanes[lane]), d_max)
     return roots.reshape(slope.shape)
 
 
-def _foc_root(params: ModelParams, margin: float, d_max: float, xtol: float) -> float:
-    residual = foc_residual(params, foc_slope(params, margin))
-    return bisect_increasing(residual, 1e-12, d_max, xtol=xtol)
+def social_optimal_durability(params: ModelParams, d_max: float = DEFAULT_D_MAX):
+    """Durability maximizing total surplus: c'(D) = delta/(1+delta)*v_L*s'(D).
 
+    Elementwise when the parameter fields are arrays (one family).
+    """
 
-def social_optimal_durability(
-    params: ModelParams, d_max: float = DEFAULT_D_MAX, xtol: float = 1e-10
-) -> float:
-    """Durability maximizing total surplus: c'(D) = delta/(1+delta)*v_L*s'(D)."""
-
-    return _foc_root(params, params.v_L, d_max, xtol)
+    return solve_foc(params, foc_slope(params, params.v_L), d_max)
 
 
 def optimal_durability(
-    params: ModelParams,
-    regime: Regime,
-    d_max: float = DEFAULT_D_MAX,
-    xtol: float = 1e-10,
+    params: ModelParams, regime: Regime, d_max: float = DEFAULT_D_MAX
 ) -> float:
     """Profit-maximizing durability in the active region.
 
@@ -173,7 +168,7 @@ def optimal_durability(
         raise ValueError(
             f"{regime.value}: margin {margin} is not positive; market is shut down"
         )
-    return _foc_root(params, margin, d_max, xtol)
+    return solve_foc(params, foc_slope(params, margin), d_max)
 
 
 @dataclass(frozen=True)
@@ -324,7 +319,6 @@ def solve(
     params: ModelParams,
     regime: Regime,
     d_max: float = DEFAULT_D_MAX,
-    xtol: float = 1e-10,
     slack_tol: float = 1e-9,
 ) -> TwoPeriodEquilibrium:
     """Solve one regime end to end.
@@ -337,11 +331,11 @@ def solve(
     """
 
     margin = activity_margin(params, regime)
-    d_social = social_optimal_durability(params, d_max=d_max, xtol=xtol)
+    d_social = social_optimal_durability(params, d_max=d_max)
     shutdown = shutdown_profit(params)
 
     if margin > 0.0:
-        d_star = _foc_root(params, margin, d_max, xtol)
+        d_star = solve_foc(params, foc_slope(params, margin), d_max)
         pr = prices(params, d_star)
         br = profit(params, regime, d_star)
         slacks = constraint_slacks(params, d_star)

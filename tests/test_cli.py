@@ -423,6 +423,95 @@ def test_verify_matches_frozen_digests(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+OLG_ACTIVE = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "olg_active.json")
+
+# SHA-256 of the sweep, compare and solve outputs written while single points
+# were solved by a scalar root helper and the value function and envelope
+# derivatives kept a scalar branch; routing them through the batched kernel
+# must reproduce them byte for byte. The canonical point has a shut-down
+# OLG market; configs/olg_active.json has both OLG regimes active.
+FROZEN_RUNS = {
+    "sweep-two-period-alpha": (
+        ["sweep", "--parameter", "alpha", "--start", "0.75", "--stop", "1.0", "--steps", "26"],
+        {
+            "sweep.csv": "2ac8954bdaf2cf4df0044dab158593cf975fa107c5547fdef8c8d0c00b11e15f",
+            "sweep_verdicts.json": "4c8b73a6c9b3e2ea3fa6152d1c012b5be9854a0e3c58972c208b81f0eda64b98",
+        },
+    ),
+    "sweep-two-period-beta": (
+        ["sweep", "--parameter", "beta", "--start", "0.0", "--stop", "0.5", "--steps", "26"],
+        {
+            "sweep.csv": "72e54c17e77269502d1b6db1cc21bcaccae0373a6106e121026e33a35cb342e2",
+            "sweep_verdicts.json": "103991c9cc0bda4789ed18af6e7f62463b5d07ac9094d1279cd2f6432e1f7950",
+        },
+    ),
+    "sweep-two-period-delta": (
+        ["sweep", "--parameter", "delta", "--start", "0.5", "--stop", "0.95", "--steps", "26"],
+        {
+            "sweep.csv": "f34a60b0cf19e6e2710acc944847b36220dd5baf5df4219fc31adb8ede69c9ea",
+            "sweep_verdicts.json": "ee09c7e5f7add9602ddbfc05325604765af259afa4e7b11c46d513a4625d1ed4",
+        },
+    ),
+    "sweep-olg-alpha": (
+        ["sweep", "--config", OLG_ACTIVE, "--model", "olg",
+         "--parameter", "alpha", "--start", "0.8", "--stop", "1.0", "--steps", "26"],
+        {
+            "sweep.csv": "676217383df1805439e2f7a756aea830ef585716b8d953519be04e2485cd3d9e",
+            "sweep_verdicts.json": "d7fb30bf1c6bf9ae5c0f58d54e91d7a692616a9e81b578356d0862b7c3218e17",
+        },
+    ),
+    "sweep-olg-beta": (
+        ["sweep", "--config", OLG_ACTIVE, "--model", "olg",
+         "--parameter", "beta", "--start", "0.0", "--stop", "0.25", "--steps", "26"],
+        {
+            "sweep.csv": "d7f3965264d8aabc6dd01ce0f7002a0e9d78f53f1cddff705dceb7e013e5e452",
+            "sweep_verdicts.json": "0efb5cd5803be3f4d6f56f21923e1111b177d577488baaaf251c8e0c7b6e4ba1",
+        },
+    ),
+    "sweep-olg-delta": (
+        ["sweep", "--config", OLG_ACTIVE, "--model", "olg",
+         "--parameter", "delta", "--start", "0.3", "--stop", "0.6", "--steps", "26"],
+        {
+            "sweep.csv": "c82c56e41ba9ac5745f3b3f69311a949518a4238462806e334a2bb08601d9b1c",
+            "sweep_verdicts.json": "82afa829917c34201adaa9f686dc671828a61039a18fdca887604593125d723b",
+        },
+    ),
+    "compare": (
+        ["compare"],
+        {"compare.json": "cf6a92fdc2ce5c8e8d9a6bde71282c75f87b3c7b84abc439e38985aca25b2c03"},
+    ),
+    "compare-olg": (
+        ["compare", "--config", OLG_ACTIVE],
+        {"compare.json": "ada619fe8015c17c83c70feb14d5613ae3d8913a11d720e45bc1fc28aab00d88"},
+    ),
+    "solve": (
+        ["solve", "--model", "both"],
+        {
+            "solution.json": "476ff475f62f36cd2ea0c8eb0a19382ea88d8158793de37dfef4f8ce2721c1ae",
+            "two_period.csv": "aee7a427e6fb7bc5bfeb8ea7c1640717298a1e76cd03e92676215021d039f018",
+            "olg.csv": "ba44329a11489c6142ccdc48e893146945a7e71dc55b04336a91b564b773c777",
+        },
+    ),
+    "solve-olg": (
+        ["solve", "--model", "both", "--config", OLG_ACTIVE],
+        {
+            "solution.json": "cf607e8642e684a56212022fdf231e49293bc4640799c3b0f4572221817fef1b",
+            "two_period.csv": "7947ff68e994adf5946687413cda7e00fc75b3ca4262e0009f40f992256aea52",
+            "olg.csv": "0ff0496620c163929c332cfd2cc7f168dc9e6f016a36aea23d356ab2870dd7ce",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("run", FROZEN_RUNS)
+def test_outputs_match_frozen_digests(tmp_path, run):
+    argv, digests = FROZEN_RUNS[run]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_verify_inject_failure(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["verify", *SMALL_VERIFY, "--inject-failure", "--out", str(out)])

@@ -233,6 +233,29 @@ def test_commission_curve_lanes_equal_scalar_solves():
     assert checked > 4000
 
 
+def test_commission_curve_raises_like_the_scalar_solver(olg_feasible):
+    # a root beyond d_max raises the single-point BracketError; the curve
+    # does not pin the lane to d_max
+    flat = dataclasses.replace(
+        olg_feasible, cost=PowerCost(c0=1e-6, p=2.0), quality=RationalQuality(k=1.0)
+    )
+    with pytest.raises(BracketError):
+        tp.solve(flat, B)
+    # the commission-free lane has the largest slope, so it fails first;
+    # tp.solve fails earlier still, on the social root, so the two-period
+    # reference is its profit-maximizing root
+    free = dataclasses.replace(flat, beta=0.0)
+    for model, solve in (
+        (TP, lambda pt: tp.optimal_durability(pt, B)),
+        (OLG, lambda pt: solve_olg(pt, B)),
+    ):
+        with pytest.raises(BracketError) as single:
+            solve(free)
+        with pytest.raises(BracketError) as curve:
+            optimal_commission(flat, model)
+        assert str(curve.value) == str(single.value)
+
+
 def test_commission_grid_excludes_unit(canonical):
     curve = optimal_commission(canonical, TP, n_points=200)
     assert curve.betas[0] == 0.0
@@ -439,6 +462,13 @@ def test_kernel_lanes_equal_scalar_solves(family):
             assert social[i] == tp.social_optimal_durability(params)
         for k, i in enumerate(np.flatnonzero(live)):
             assert roots[k] == tp.optimal_durability(pool[i], regime)
+            # a 0-d slope takes the scalar bisection and gives a float
+            slope = tp.foc_slope(pool[i], margin[i])
+            scalar = bisect_increasing(tp.foc_residual(pool[i], slope), 1e-12, DEFAULT_D_MAX)
+            for zero_d in (slope, np.array(slope)):
+                root = tp.solve_foc(pool[i], zero_d)
+                assert type(root) is float
+                assert root == scalar == roots[k]
         shutdowns += int(np.count_nonzero(~live))
     assert shutdowns > 0
 
@@ -450,15 +480,19 @@ def test_kernel_rejects_like_the_scalar_solver(canonical):
     # c'(10) = 2e-5 and s'(10) = 1/121: a slope of 0.1 has no root below d_max
     with pytest.raises(BracketError) as batched:
         tp.solve_foc(flat, np.array([1e-3, 0.1]))
+    with pytest.raises(BracketError) as zero_d:
+        tp.solve_foc(flat, 0.1)
     with pytest.raises(BracketError) as single:
         bisect_increasing(tp.foc_residual(flat, 0.1), 1e-12, DEFAULT_D_MAX)
-    assert str(batched.value) == str(single.value)
+    assert str(batched.value) == str(zero_d.value) == str(single.value)
     # a nonpositive slope is rejected at the lower end, as a single point is
     with pytest.raises(BracketError) as batched:
         tp.solve_foc(canonical, np.array([0.2, -0.1]))
+    with pytest.raises(BracketError) as zero_d:
+        tp.solve_foc(canonical, np.array(-0.1))
     with pytest.raises(BracketError) as single:
         bisect_increasing(tp.foc_residual(canonical, -0.1), 1e-12, DEFAULT_D_MAX)
-    assert str(batched.value) == str(single.value)
+    assert str(batched.value) == str(zero_d.value) == str(single.value)
 
 
 def test_properties_refuse_shut_down_draws_like_the_scalar_solver(canonical):
@@ -475,21 +509,64 @@ def test_properties_refuse_shut_down_draws_like_the_scalar_solver(canonical):
         assert str(batched.value) == str(single.value)
 
 
+def _solved(params, regime, model):
+    """(maximized objective, D*, active) of the single-point solver."""
+
+    if model is TP:
+        eq = tp.solve(params, regime)
+        return eq.profit_total, eq.D_star, eq.market_mode is tp.MarketMode.ACTIVE
+    sol = solve_olg(params, regime)
+    return sol.objective_value, sol.D_star, sol.market_mode is tp.MarketMode.ACTIVE
+
+
+def _shutdown_slope(params, wrt, model):
+    """Derivative of the high-types-only profit ``(1+delta)*n_H*v_H`` (two
+    periods) or ``n_H*v_H/(1-delta)`` (steady state)."""
+
+    if wrt != "delta":
+        return 0.0
+    if model is TP:
+        return params.n_H * params.v_H
+    return params.n_H * params.v_H / (1.0 - params.delta) ** 2
+
+
 def test_batched_value_function_and_derivatives_equal_scalar():
+    # references: the single-point solvers' values and D*, the closed-form
+    # envelope at that D*, and the centered difference of solver values
     pool = admissible_olg_pool(40, 7)
     stacked = _stack(pool)
+    h = 1e-5
+    shutdowns = 0
     for model in (TP, OLG):
         for regime in (T, B):
+            value = value_function(stacked, regime, model)
+            for i, params in enumerate(pool):
+                ref, _, active = _solved(params, regime, model)
+                single = value_function(params, regime, model)
+                assert type(single) is float
+                assert value[i] == single == ref
+                shutdowns += not active
             for wrt in ("alpha", "beta", "delta"):
                 env = envelope_profit_derivative(stacked, regime, wrt, model)
-                fd = fd_profit_derivative(stacked, regime, wrt, model)
+                fd = fd_profit_derivative(stacked, regime, wrt, model, h=h)
                 for i, params in enumerate(pool):
-                    assert env[i] == envelope_profit_derivative(params, regime, wrt, model)
-                    assert fd[i] == fd_profit_derivative(params, regime, wrt, model)
-            value = value_function(stacked, regime, model)
-            assert [value[i] for i in range(len(pool))] == [
-                value_function(params, regime, model) for params in pool
-            ]
+                    _, d_star, active = _solved(params, regime, model)
+                    ref_env = (
+                        envelope_profit_derivative(params, regime, wrt, model, D_star=d_star)
+                        if active
+                        else _shutdown_slope(params, wrt, model)
+                    )
+                    base = getattr(params, wrt)
+                    hi, lo = (
+                        _solved(dataclasses.replace(params, **{wrt: base + d}), regime, model)[0]
+                        for d in (h, -h)
+                    )
+                    single_env = envelope_profit_derivative(params, regime, wrt, model)
+                    single_fd = fd_profit_derivative(params, regime, wrt, model, h=h)
+                    assert type(single_env) is float and type(single_fd) is float
+                    assert env[i] == single_env == ref_env
+                    assert fd[i] == single_fd == (hi - lo) / (2.0 * h)
+    assert shutdowns > 0
 
 
 # The pre-batching loop bodies of three properties, kept as the reference
