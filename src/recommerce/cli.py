@@ -9,7 +9,8 @@ same inputs and seed.
 
 Exit codes: 0 on success, 1 when a verified property fails (a counterexample
 dump is written next to the other outputs), 2 on usage or validation errors,
-including a durability first-order condition with no root below ``d_max``.
+including a durability first-order condition with no root below ``d_max``,
+and when a requested size does not fit in memory.
 """
 
 from __future__ import annotations
@@ -665,6 +666,11 @@ def main(argv=None) -> int:
             f"error: durability first-order condition has no root in (0, d_max]: {exc}",
             file=sys.stderr,
         )
+        return 2
+    except MemoryError as exc:
+        # e.g. an oversized --grid-points; NumPy's message names the array
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return 2
 
 

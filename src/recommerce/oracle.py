@@ -20,13 +20,21 @@ Three instruments:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import DEFAULT_D_MAX, ModelKind, ModelParams, Regime
+from .primitives import (
+    DEFAULT_D_MAX,
+    CostFn,
+    ModelKind,
+    ModelParams,
+    QualityFn,
+    Regime,
+)
 from .olg import (
     Action,
     ActionProfile,
@@ -50,6 +58,7 @@ __all__ = [
     "action_value",
     "action_table",
     "CellAudit",
+    "cell_audits",
     "AuditReport",
     "best_response_audit",
     "ScanRow",
@@ -88,6 +97,31 @@ class GridResult:
     step: float
 
 
+# Points per slice of the objective: each of its eight float64 temporaries
+# is 64 KiB, under glibc's default 128 KiB mmap threshold, so slices reuse
+# heap memory instead of mapping and faulting in fresh pages on every call.
+_GRID_CHUNK = 8_192
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_arrays(
+    cost: CostFn, quality: QualityFn, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, s(D), c(D))`` on the grid, read-only.
+
+    They depend on nothing but the families and the grid, and callers walk
+    one family at a time (a draw pool shares one; a point is checked in
+    four model/regime cells), so one entry is enough.
+    """
+
+    D = grid.points()
+    s = quality.value(D)
+    c = cost.value(D)
+    for arr in (D, s, c):
+        arr.setflags(write=False)
+    return D, s, c
+
+
 def grid_argmax_profit(
     params: ModelParams,
     regime: Regime,
@@ -97,36 +131,46 @@ def grid_argmax_profit(
 ) -> GridResult:
     """Maximize the seller objective by brute force over a durability grid.
 
-    Ties resolve to the lowest grid index. The objective is assembled from
-    scratch: per-unit revenues times cohort masses, discounted.
+    Ties resolve to the lowest grid index, and a NaN wins as it does in
+    ``np.argmax``. The objective is assembled from scratch: per-unit
+    revenues times cohort masses, discounted. It is evaluated slice by
+    slice with a running argmax, which equals one ``np.argmax`` over the
+    whole grid because every term is elementwise.
     """
 
     if grid is None:
         grid = GridSpec()
     p = params
-    D = grid.points()
-    s = p.quality.value(D)
-    c = p.cost.value(D)
+    D, s_all, c_all = _grid_arrays(p.cost, p.quality, grid)
 
-    used_price = p.alpha * p.v_L * s
-    new_price_late = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
-    seller_take_late = (
-        new_price_late + p.beta * used_price
-        if regime is Regime.BRANDED
-        else new_price_late
-    )
-    entry = p.v_H + p.delta * (1.0 - p.beta) * used_price
+    idx = -1
+    best = math.nan
+    for lo in range(0, grid.count, _GRID_CHUNK):
+        s = s_all[lo : lo + _GRID_CHUNK]
+        c = c_all[lo : lo + _GRID_CHUNK]
 
-    if model is ModelKind.TWO_PERIOD:
-        value = p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
-    else:
-        stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
-        value = stream if not include_entry_premium else p.n_H * entry + stream
+        used_price = p.alpha * p.v_L * s
+        new_price_late = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
+        seller_take_late = (
+            new_price_late + p.beta * used_price
+            if regime is Regime.BRANDED
+            else new_price_late
+        )
+        entry = p.v_H + p.delta * (1.0 - p.beta) * used_price
 
-    idx = int(np.argmax(value))
-    return GridResult(
-        D_at_max=float(D[idx]), value=float(value[idx]), index=idx, step=grid.step
-    )
+        if model is ModelKind.TWO_PERIOD:
+            value = p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
+        else:
+            stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
+            value = stream if not include_entry_premium else p.n_H * entry + stream
+
+        j = int(np.argmax(value))
+        v = float(value[j])
+        # a later slice wins only with a NaN or a strictly larger value, and
+        # nothing beats an earlier NaN
+        if idx < 0 or (best == best and (v != v or v > best)):
+            idx, best = lo + j, v
+    return GridResult(D_at_max=float(D[idx]), value=best, index=idx, step=grid.step)
 
 
 def truncated_stream(
@@ -251,6 +295,38 @@ class AuditReport:
     all_selected: bool
 
 
+def cell_audits(
+    table: dict[str, dict[Action, float]], tol: float = 1e-12
+) -> dict[str, dict[Action, CellAudit]]:
+    """Every cell's audit for every action it could be prescribed.
+
+    A cell's best value, attaining set and tie-broken selection depend on
+    the state's :func:`action_table`, not on the profile, so an audit of
+    many profiles in one state builds these once and picks one per cell.
+    """
+
+    audits = {}
+    for cell in _CELLS:
+        values = table[cell]
+        best = max(values.values())
+        attaining = {a for a, val in values.items() if val >= best - tol}
+        selected = next(a for a in _SELECTION_PRIORITY if a in attaining)
+        audits[cell] = {
+            a: CellAudit(
+                cell=cell,
+                prescribed=a,
+                prescribed_value=pv,
+                best_value=best,
+                attains_max=pv >= best - tol,
+                selected=selected,
+                is_selected=selected is a,
+                values=values,
+            )
+            for a, pv in values.items()
+        }
+    return audits
+
+
 def best_response_audit(
     params: ModelParams,
     D: float,
@@ -259,7 +335,7 @@ def best_response_audit(
     p_n: float | None = None,
     p_u: float | None = None,
     tol: float = 1e-12,
-    table: dict[str, dict[Action, float]] | None = None,
+    audits: dict[str, dict[Action, CellAudit]] | None = None,
 ) -> AuditReport:
     """Check each cell's prescribed action against its full menu.
 
@@ -268,39 +344,18 @@ def best_response_audit(
     first: sell-and-replace over keeping, buying used over doing nothing),
     which is how binding indifference conditions are resolved.
 
-    ``table`` may carry this state's :func:`action_table` at these prices,
-    computed once by a caller auditing many profiles; each cell's
-    ``values`` is then that table's dict for the cell.
+    ``audits`` may carry :func:`cell_audits` of this state's
+    :func:`action_table` at these prices and this ``tol``, computed once by
+    a caller auditing many profiles; the report then shares its cells.
     """
 
-    if table is None:
+    if audits is None:
         if p_n is None or p_u is None:
             pr = prices(params, D)
             p_n, p_u = pr.p2n, pr.p2u
-        table = action_table(params, D, p_n, p_u, state)
+        audits = cell_audits(action_table(params, D, p_n, p_u, state), tol)
 
-    cells = []
-    for cell in _CELLS:
-        values = table[cell]
-        best = max(values.values())
-        attaining = {a for a, val in values.items() if val >= best - tol}
-        selected = next(a for a in _SELECTION_PRIORITY if a in attaining)
-        prescribed = profile.get(cell)
-        pv = values[prescribed]
-        cells.append(
-            CellAudit(
-                cell=cell,
-                prescribed=prescribed,
-                prescribed_value=pv,
-                best_value=best,
-                attains_max=pv >= best - tol,
-                selected=selected,
-                is_selected=selected is prescribed,
-                values=values,
-            )
-        )
-
-    cells = tuple(cells)
+    cells = tuple(audits[cell][profile.get(cell)] for cell in _CELLS)
     return AuditReport(
         state=state,
         profile=profile,
@@ -343,6 +398,11 @@ class ScanResult:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _profiles(state: OlgState) -> tuple[ActionProfile, ...]:
+    return tuple(enumerate_profiles(state))
+
+
 def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     """Audit all candidate (state, profile) pairs at the posted prices.
 
@@ -350,7 +410,7 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     (81 per state), applying the structural feasibility checks and the
     best-response audit. In the active region exactly one pair should
     survive: the high-only stock with the buy/sell-and-replace/used-used
-    trade pattern. Prices, constraint slacks and each state's action table
+    trade pattern. Prices, constraint slacks and each state's cell audits
     depend only on (params, D, state), so they are computed once per scan
     and shared by the rows.
     """
@@ -359,9 +419,9 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     slacks = constraint_slacks_olg(params, D)
     rows = []
     for state in OlgState:
-        table = action_table(params, D, pr.p2n, pr.p2u, state)
-        for profile in enumerate_profiles(state):
+        audits = cell_audits(action_table(params, D, pr.p2n, pr.p2u, state))
+        for profile in _profiles(state):
             feas = check_steady_state(params, D, state, profile, slacks=slacks)
-            audit = best_response_audit(params, D, state, profile, table=table)
+            audit = best_response_audit(params, D, state, profile, audits=audits)
             rows.append(ScanRow(state=state, profile=profile, feasibility=feas, audit=audit))
     return ScanResult(D=D, p_n=pr.p2n, p_u=pr.p2u, rows=tuple(rows))

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from recommerce import canonical_params, params_to_dict
+from recommerce import canonical_params, oracle, params_to_dict
 from recommerce.cli import CONFIG_SCHEMA, OUT_ENV_VAR, main
 from recommerce.reporting import (
     AUDIT_COLUMNS,
@@ -563,3 +563,22 @@ def test_oracle_check_rejects_coarse_grid(tmp_path, capsys):
     assert main(["oracle-check", "--grid-points", "10",
                  "--out", str(tmp_path / "x")]) == 2
     assert "at least 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle-check", "--grid-points", "400000000"], ["verify", *SMALL_VERIFY]],
+    ids=["oracle-check", "verify"],
+)
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    # an oversized grid fails where the grid is built; raise there instead
+    # of allocating, and start from an empty grid cache so it is reached
+    def too_big(self):
+        raise MemoryError(f"Unable to allocate array with shape ({self.count},)")
+
+    monkeypatch.setattr(oracle.GridSpec, "points", too_big)
+    oracle._grid_arrays.cache_clear()
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert err.count("\n") == 1

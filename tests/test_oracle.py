@@ -23,8 +23,11 @@ from recommerce import (
     truncated_stream,
     truncated_stream_error_bound,
 )
+from recommerce import oracle
 from recommerce.olg import check_steady_state, enumerate_profiles
-from recommerce.oracle import ScanRow, action_value
+from recommerce.oracle import GridResult, ScanRow, action_value
+from recommerce.primitives import DEFAULT_D_MAX
+from recommerce.statics import foc_pool, olg_pool
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
@@ -79,6 +82,124 @@ def test_grid_matches_first_order_solution_olg(olg_feasible, regime):
     )
     assert abs(res.D_at_max - sol.D_star) <= res.step
     assert res.value == pytest.approx(sol.objective_value, abs=1e-6)
+
+
+def one_shot_grid_argmax(params, regime, model, grid=None, include_entry_premium=True):
+    """The grid oracle as one full-length ``np.argmax``: fresh D, s(D) and
+    c(D), and the objective over the whole grid at once."""
+
+    if grid is None:
+        grid = GridSpec()
+    p = params
+    D = grid.points()
+    s = p.quality.value(D)
+    c = p.cost.value(D)
+
+    used_price = p.alpha * p.v_L * s
+    new_price_late = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
+    seller_take_late = (
+        new_price_late + p.beta * used_price
+        if regime is Regime.BRANDED
+        else new_price_late
+    )
+    entry = p.v_H + p.delta * (1.0 - p.beta) * used_price
+
+    if model is ModelKind.TWO_PERIOD:
+        value = p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
+    else:
+        stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
+        value = stream if not include_entry_premium else p.n_H * entry + stream
+
+    idx = int(np.argmax(value))
+    return GridResult(
+        D_at_max=float(D[idx]), value=float(value[idx]), index=idx, step=grid.step
+    )
+
+
+def assert_same_hit(got, want):
+    assert (got.index, got.D_at_max, got.value) == (want.index, want.D_at_max, want.value)
+    assert got.step == want.step
+
+
+FOC_CELLS = [(m, r) for m in ModelKind for r in Regime]
+# (model, regime, include_entry_premium): every objective the grid writes out
+OBJECTIVES = [(m, r, True) for m, r in FOC_CELLS] + [
+    (ModelKind.OLG, r, False) for r in Regime
+]
+
+
+@pytest.fixture(scope="module")
+def seed42_foc_pools():
+    return {(m, r): foc_pool(40, 42, m, r) for m, r in FOC_CELLS}
+
+
+@pytest.mark.parametrize(
+    "model,regime,entry", OBJECTIVES, ids=lambda v: getattr(v, "value", str(v))
+)
+def test_chunked_grid_equals_one_shot_on_foc_pools(seed42_foc_pools, model, regime, entry):
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
+    for params in seed42_foc_pools[model, regime]:
+        got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+        want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+        assert_same_hit(got, want)
+
+
+CHUNK = oracle._GRID_CHUNK
+
+
+@pytest.mark.parametrize(
+    "count", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 100_000]
+)
+def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_foc_pools, count):
+    grid = GridSpec(0.0, DEFAULT_D_MAX, count)
+    for model, regime, entry in OBJECTIVES:
+        for params in seed42_foc_pools[model, regime][:5]:
+            got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+            want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+            assert_same_hit(got, want)
+
+
+@pytest.mark.parametrize(
+    "ties,nans,expected",
+    [
+        # a maximum on both sides of a chunk boundary: the first wins
+        ((CHUNK - 1, CHUNK + 5, 2 * CHUNK), (), CHUNK - 1),
+        # the whole grid ties
+        ((), (), 0),
+        # a NaN in a later chunk than the maximum wins, as in np.argmax
+        ((3,), (CHUNK + 2,), CHUNK + 2),
+        # the first NaN wins over later maxima and later NaNs
+        ((2 * CHUNK,), (CHUNK - 2, CHUNK + 1, 2 * CHUNK + 3), CHUNK - 2),
+    ],
+    ids=["tie-across-boundary", "flat", "nan-after-max", "first-nan"],
+)
+def test_chunk_fold_takes_first_index(monkeypatch, canonical, ties, nans, expected):
+    grid = GridSpec(0.0, 1.0, 3 * CHUNK)
+    D = grid.points()
+    s = np.full(grid.count, 0.25)
+    c = np.full(grid.count, 0.25)
+    c[list(ties)] = 0.0  # every objective falls in c at fixed s
+    c[list(nans)] = np.nan
+    monkeypatch.setattr(oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c))
+    for model, regime, entry in OBJECTIVES:
+        got = grid_argmax_profit(canonical, regime, model, grid, include_entry_premium=entry)
+        assert got.index == expected
+        assert got.D_at_max == D[expected]
+        assert (got.value == got.value) == (not nans)
+
+
+def test_cached_grid_arrays_are_read_only(canonical):
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 1_000)
+    arrays = oracle._grid_arrays(canonical.cost, canonical.quality, grid)
+    assert oracle._grid_arrays(canonical.cost, canonical.quality, grid) is arrays
+    for arr, want in zip(
+        arrays,
+        (grid.points(), canonical.quality.value(grid.points()), canonical.cost.value(grid.points())),
+    ):
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, want)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_grid_shutdown_pins_zero(canonical):
@@ -278,13 +399,9 @@ def test_scan_has_no_survivor_when_cap_fails(cap_failure):
     assert not res.unique_survivor_is_trade_pattern
 
 
-@pytest.mark.parametrize("case", ["active", "shutdown", "cap-binding"])
-def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failure, case):
-    params = {"active": olg_feasible, "shutdown": canonical, "cap-binding": cap_failure}[case]
-    sol = solve_olg(params, T)
-    assert sol.market_mode.value == ("shutdown" if case == "shutdown" else "active-pre-owned")
-    assert sol.no_active_steady_state == (case == "cap-binding")
-    d = sol.D_star
+def assert_scan_equals_naive_per_row_audit(params, d):
+    # each naive row audits from scratch; the scan passes every row its
+    # state's precomputed cell audits
     p_n, p_u = posted_prices(params, d)
     naive = tuple(
         ScanRow(
@@ -299,3 +416,19 @@ def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failur
     scan = exhaustive_steady_state_scan(params, d)
     assert len(scan.rows) == 243
     assert scan.rows == naive
+
+
+@pytest.mark.parametrize("case", ["active", "shutdown", "cap-binding"])
+def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failure, case):
+    params = {"active": olg_feasible, "shutdown": canonical, "cap-binding": cap_failure}[case]
+    sol = solve_olg(params, T)
+    assert sol.market_mode.value == ("shutdown" if case == "shutdown" else "active-pre-owned")
+    assert sol.no_active_steady_state == (case == "cap-binding")
+    assert_scan_equals_naive_per_row_audit(params, sol.D_star)
+
+
+@pytest.mark.parametrize("regime", [T, B])
+def test_scan_rows_equal_naive_per_row_audit_on_verify_audit_draws(regime):
+    # the audit draws verify scans: the head of the seed-42 olg pool, at D*
+    for params in olg_pool(12, 42):
+        assert_scan_equals_naive_per_row_audit(params, solve_olg(params, regime).D_star)
