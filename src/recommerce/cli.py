@@ -37,6 +37,7 @@ from .primitives import (
     ModelParams,
     Regime,
     canonical_params,
+    is_finite_number,
     params_from_dict,
     params_to_dict,
     validate_params,
@@ -66,16 +67,15 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value) -> bool:
-    return _integer(value) or (isinstance(value, float) and math.isfinite(value))
-
-
 # (section, key) -> (check, what the value must be)
 _VALUE_TYPES = {
-    ("solver", "d_max"): (lambda v: _number(v) and v > 0.0, "a finite positive number"),
+    ("solver", "d_max"): (
+        lambda v: is_finite_number(v) and v > 0.0,
+        "a finite positive number",
+    ),
     ("sweep", "parameter"): (lambda v: isinstance(v, str), "a string"),
-    ("sweep", "start"): (_number, "a finite number"),
-    ("sweep", "stop"): (_number, "a finite number"),
+    ("sweep", "start"): (is_finite_number, "a finite number"),
+    ("sweep", "stop"): (is_finite_number, "a finite number"),
     ("sweep", "steps"): (_integer, "an integer"),
     **{("verification", key): (_integer, "an integer") for key in _VERIFY_KEYS},
 }

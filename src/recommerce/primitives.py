@@ -43,6 +43,7 @@ __all__ = [
     "canonical_params",
     "params_from_dict",
     "params_to_dict",
+    "is_finite_number",
     "bisect_increasing",
     "bisect_increasing_vec",
     "BracketError",
@@ -74,10 +75,12 @@ class ModelKind(str, Enum):
 
 def _as_array(D) -> tuple[np.ndarray, bool]:
     arr = np.asarray(D, dtype=float)
-    # ndarray.any skips the dispatch of np.any, which dominated 0-d calls
-    if (arr < 0.0).any():
+    scalar = arr.ndim == 0
+    # a 0-d input is settled by one float comparison, not a ufunc reduction
+    # over a 0-d bool array; NaN and -0.0 pass either way
+    if (float(arr) < 0.0) if scalar else (arr < 0.0).any():
         raise ValueError("durability must be nonnegative")
-    return arr, arr.ndim == 0
+    return arr, scalar
 
 
 def _maybe_scalar(out: np.ndarray, scalar: bool):
@@ -347,6 +350,23 @@ _FAMILY_FIELDS = {
 }
 
 
+def is_finite_number(value) -> bool:
+    """The one rule for a numeric config value: a finite int or float, not a bool."""
+
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _config_float(value, label: str) -> float:
+    if not is_finite_number(value):
+        raise ValueError(f"{label} must be a finite number, found {value!r}")
+    return float(value)
+
+
 def _family_from_dict(payload: dict, registry: dict, label: str):
     if not isinstance(payload, dict):
         raise ValueError(f"{label}: expected an object with a 'family' key")
@@ -364,7 +384,7 @@ def _family_from_dict(payload: dict, registry: dict, label: str):
     missing = expected - set(data)
     if missing:
         raise ValueError(f"{label}: missing keys {sorted(missing)}")
-    return cls(**{k: float(v) for k, v in data.items()})
+    return cls(**{k: _config_float(v, f"{label}.{k}") for k, v in data.items()})
 
 
 _SCALAR_FIELDS = ("v_H", "v_L", "n_H", "n_L", "delta", "alpha", "beta")
@@ -389,7 +409,7 @@ def params_from_dict(payload: dict) -> ModelParams:
     missing = set(_SCALAR_FIELDS) - set(data)
     if missing:
         raise ValueError(f"params: missing keys {sorted(missing)}")
-    scalars = {k: float(data[k]) for k in _SCALAR_FIELDS}
+    scalars = {k: _config_float(data[k], f"params.{k}") for k in _SCALAR_FIELDS}
     return ModelParams(cost=cost, quality=quality, **scalars)
 
 
@@ -429,7 +449,8 @@ def bisect_increasing(
 
     This plain bisection is the canonical root-finder for every first-order
     condition in the package; tests freeze its output, so the iteration is
-    deliberately simple and deterministic.
+    deliberately simple and deterministic. It returns the midpoint of a
+    bracket at most ``xtol`` wide, so the root lies within ``xtol`` of it.
     """
 
     flo = f(lo)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 import warnings
 
@@ -123,6 +124,15 @@ def test_shipped_config_loads(tmp_path):
                  "--out", str(tmp_path / "run")]) == 0
 
 
+def params_config(section=None, **fields):
+    """Canonical params as config text, with ``fields`` replaced at the top
+    level or, given ``section``, inside the cost or quality family."""
+
+    params = params_to_dict(canonical_params())
+    (params[section] if section else params).update(fields)
+    return json.dumps({"schema": CONFIG_SCHEMA, "params": params})
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -140,6 +150,16 @@ def test_shipped_config_loads(tmp_path):
         '{"schema": "recommerce-config/1", "sweep": {"steps": 2.5}}',
         '{"schema": "recommerce-config/1", "verification": {"seed": "x"}}',
         '{"schema": "recommerce-config/1", "verification": {"draws": true}}',
+        pytest.param(params_config(v_H=math.inf), id="params-v_H-Infinity"),
+        pytest.param(params_config(v_L=-math.inf), id="params-v_L--Infinity"),
+        pytest.param(params_config(delta=math.nan), id="params-delta-NaN"),
+        pytest.param(params_config(v_H=True), id="params-v_H-true"),
+        pytest.param(params_config(alpha="0.9"), id="params-alpha-string"),
+        pytest.param(params_config(beta=None), id="params-beta-null"),
+        pytest.param(params_config("cost", p="2"), id="params-cost-p-string"),
+        pytest.param(params_config("cost", c0=True), id="params-cost-c0-true"),
+        pytest.param(params_config("quality", k=math.inf), id="params-quality-k-inf"),
+        pytest.param(params_config("quality", s_bar=[1.0]), id="params-quality-list"),
     ],
 )
 def test_config_rejection(tmp_path, capsys, content):
@@ -149,6 +169,17 @@ def test_config_rejection(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def test_nonfinite_config_param_names_the_field(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(params_config(v_H=math.inf))
+    argv = ["solve", "--model", "both", "--config", str(path), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: bad config params: params.v_H must be a finite number, found inf\n"
+    )
+    assert not (tmp_path / "x" / "solution.json").exists()
 
 
 def test_solver_xtol_is_not_a_config_key(tmp_path, capsys):

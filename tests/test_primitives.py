@@ -95,6 +95,17 @@ def test_negative_entries_rejected_in_scalars_and_arrays():
                 method(-1e-300)
             with pytest.raises(ValueError, match="nonnegative"):
                 method(arr)
+            # every 0-d kind of negative input takes the same guard
+            for negative in (np.float64(-1e-300), np.asarray(-1e-300), -1):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    method(negative)
+            # -0.0, inf and NaN are not negative: they pass the guard, as
+            # before; what the formula then makes of them is not checked here
+            for passing in (-0.0, math.inf, math.nan):
+                with np.errstate(all="ignore"):
+                    assert type(method(passing)) is float
+            for zero_d in (0.5, np.float64(0.5), np.asarray(0.5), 1):
+                assert type(method(zero_d)) is float
         # NaN is not negative: it passes the guard, as before
         assert math.isnan(fn.deriv(math.nan))
 

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from recommerce import (
+    DEFAULT_D_MAX,
     MarketMode,
+    PowerCost,
+    RationalQuality,
     Regime,
+    SaturatingExpQuality,
     activity_margin,
     activity_threshold,
     constraint_slacks,
@@ -18,6 +22,7 @@ from recommerce import (
     solve,
     welfare,
 )
+from recommerce.two_period import solve_foc
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
@@ -111,6 +116,62 @@ def test_social_durability_rises_with_patience(canonical):
 def test_social_durability_vanishes_with_worthless_low_types(canonical):
     p = dataclasses.replace(canonical, v_L=1e-6)
     assert social_optimal_durability(p) < 1e-4
+
+
+# bisect_increasing stops once its bracket is at most xtol = 1e-10 wide and
+# returns the midpoint, so a float root lies within 1e-10 of the exact one
+FOC_ROOT_TOL = 1e-10
+
+
+def _mp_foc_root(mp, params, slope):
+    """Root of ``c'(D) - slope * s'(D)`` by 50-digit bisection on the solver's
+    bracket [1e-12, DEFAULT_D_MAX], from the exact values of the float parameters."""
+
+    cost, quality = params.cost, params.quality
+    with mp.workdps(50):
+        c0, p, k, slope = (mp.mpf(x) for x in (cost.c0, cost.p, quality.k, slope))
+        if isinstance(quality, SaturatingExpQuality):
+            s_bar = mp.mpf(quality.s_bar)
+
+            def quality_deriv(D):
+                return s_bar * k * mp.exp(-k * D)
+
+        else:
+
+            def quality_deriv(D):
+                return k / (D + k) ** 2
+
+        def residual(D):
+            return c0 * p * D ** (p - 1) - slope * quality_deriv(D)
+
+        lo, hi = mp.mpf(1e-12), mp.mpf(DEFAULT_D_MAX)
+        assert residual(lo) < 0 < residual(hi)
+        for _ in range(200):  # 10 * 2**-200 is far below 50 digits
+            mid = (lo + hi) / 2
+            if residual(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "quality",
+    [SaturatingExpQuality(s_bar=0.9, k=1.3), RationalQuality(k=0.7)],
+    ids=["saturating_exp", "rational"],
+)
+def test_foc_roots_match_mpmath_reference(canonical, p, quality):
+    mp = pytest.importorskip("mpmath").mp
+    params = dataclasses.replace(canonical, cost=PowerCost(c0=0.5, p=p), quality=quality)
+    slopes = [0.01, 0.1, 0.35, 1.0, 3.0]
+    lanes = solve_foc(params, np.array(slopes))
+    for slope, lane in zip(slopes, lanes):
+        exact = _mp_foc_root(mp, params, slope)
+        scalar = solve_foc(params, slope)
+        assert type(scalar) is float
+        assert abs(mp.mpf(scalar) - exact) <= FOC_ROOT_TOL
+        assert abs(mp.mpf(float(lane)) - exact) <= FOC_ROOT_TOL
 
 
 # ----------------------------------------------------------------------
