@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -78,6 +77,7 @@ _VALUE_TYPES = {
     ("sweep", "stop"): (is_finite_number, "a finite number"),
     ("sweep", "steps"): (_integer, "an integer"),
     **{("verification", key): (_integer, "an integer") for key in _VERIFY_KEYS},
+    ("verification", "seed"): (lambda v: _integer(v) and v >= 0, "a nonnegative integer"),
 }
 
 
@@ -361,8 +361,12 @@ def _cmd_olg_verify(args) -> int:
 
     if args.durability is not None:
         d_audit = args.durability
-        if not (math.isfinite(d_audit) and d_audit > 0.0):
-            raise UsageError("--durability must be finite and positive")
+        # NaN fails both comparisons
+        if not (0.0 < d_audit <= d_max):
+            raise UsageError(
+                f"--durability must be positive and at most d_max = {d_max!r}, "
+                f"found {d_audit!r}"
+            )
     else:
         sol = olg_mod.solve_olg(params, regime, d_max=d_max)
         if sol.market_mode is tp.MarketMode.SHUTDOWN:
@@ -427,6 +431,10 @@ def _cmd_verify(args) -> int:
         )
     if grid_points < 1000:
         raise UsageError("grid_points must be at least 1000")
+    if seed < 0:
+        raise UsageError(f"--seed must be a nonnegative integer, found {seed}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, found {args.jobs}")
     out = _out_dir(args, cfg)
 
     results = statics_mod.run_verification(

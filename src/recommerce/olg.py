@@ -66,7 +66,6 @@ __all__ = [
     "per_period_profit",
     "per_period_commission",
     "discounted_stream",
-    "stream_slope",
     "olg_margin",
     "objective_value",
     "zero_durability_alternatives",
@@ -185,32 +184,6 @@ def discounted_stream(params: ModelParams, regime: Regime, D):
 
     p = params
     return p.delta / (1.0 - p.delta) * per_period_profit(params, regime, D)
-
-
-def stream_slope(params: ModelParams, regime: Regime, D):
-    """dG/dD where G is the discounted stationary stream."""
-
-    p = params
-    sp = p.quality.deriv(D)
-    cp = p.cost.deriv(D)
-    if regime is Regime.THIRD_PARTY:
-        m = p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
-    else:
-        m = p.alpha * p.v_L - p.v_H
-    return p.delta / (1.0 - p.delta) * p.n_H * (m * sp - cp)
-
-
-def stream_curvature(params: ModelParams, regime: Regime, D):
-    """d2G/dD2 where G is the discounted stationary stream."""
-
-    p = params
-    spp = p.quality.deriv2(D)
-    cpp = p.cost.deriv2(D)
-    if regime is Regime.THIRD_PARTY:
-        m = p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
-    else:
-        m = p.alpha * p.v_L - p.v_H
-    return p.delta / (1.0 - p.delta) * p.n_H * (m * spp - cpp)
 
 
 def olg_margin(params: ModelParams, regime: Regime) -> float:

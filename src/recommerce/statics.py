@@ -38,6 +38,8 @@ from .primitives import (
     Regime,
     SaturatingExpQuality,
     _SCALAR_FIELDS,
+    canonical_params,
+    params_to_dict,
     validate_params,
 )
 from . import olg as olg_mod
@@ -72,6 +74,7 @@ __all__ = [
 ]
 
 _SWEEPABLE = ("alpha", "beta", "delta")
+_REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
 
 
 # ======================================================================
@@ -353,7 +356,12 @@ def monotonicity_sweep(
 
 @dataclass(frozen=True)
 class CommissionCurve:
-    """Maximized profit under the branded regime as the commission varies."""
+    """Maximized profit under the branded regime as the commission varies.
+
+    With array parameter fields the curve arrays gain a leading draw axis
+    and ``beta_star``, ``profit_at_star`` and ``argmax_index`` hold one
+    entry per draw.
+    """
 
     model: ModelKind
     betas: np.ndarray
@@ -378,31 +386,35 @@ def optimal_commission(
     evaluated with the grid as ``beta``, so a lane equals the scalar solve
     at its commission (and raises its ``BracketError`` when the root lies
     beyond ``d_max``); the rest carry the commission-free shutdown value.
-    Ties in the argmax resolve to the lowest index.
+    Ties in the argmax resolve to the lowest index. Elementwise when the
+    parameter fields are arrays (one family): every draw's grid is solved
+    in the same kernel call, and each row equals that draw's single curve.
     """
 
     betas = np.linspace(0.0, 1.0, n_points, endpoint=False)
-    grid = dataclasses.replace(params, beta=betas)
+    # each draw's fields along a trailing axis, against the grid as ``beta``
+    fields = {f: np.asarray(getattr(params, f))[..., None] for f in _SCALAR_FIELDS}
+    grid = dataclasses.replace(params, **{**fields, "beta": betas})
     active = margin_active(grid, model, Regime.BRANDED)
     d_stars = _durabilities(grid, model, Regime.BRANDED, d_max)
     if model is ModelKind.TWO_PERIOD:
         value = tp.profit(grid, Regime.BRANDED, d_stars).total
-        shutdown = tp.shutdown_profit(params)
+        shutdown = tp.shutdown_profit(grid)
     else:
         value = olg_mod.objective_value(grid, Regime.BRANDED, d_stars)
-        shutdown = params.n_H * params.v_H / (1.0 - params.delta)
+        shutdown = grid.n_H * grid.v_H / (1.0 - grid.delta)
     profits = np.where(active, value, shutdown)
 
-    idx = int(np.argmax(profits))
+    idx = np.argmax(profits, axis=-1)
     return CommissionCurve(
         model=model,
         betas=betas,
         d_stars=d_stars,
         profits=profits,
         active=active,
-        beta_star=float(betas[idx]),
-        profit_at_star=float(profits[idx]),
-        argmax_index=idx,
+        beta_star=_plain(betas[idx]),
+        profit_at_star=_plain(profits.max(axis=-1)),
+        argmax_index=int(idx) if np.ndim(idx) == 0 else idx,
     )
 
 
@@ -623,13 +635,12 @@ def sample_filtered(
 
 def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
-        if not validate_params(cand, ModelKind.TWO_PERIOD).ok:
-            return False
-        if not ladder_active(cand, ModelKind.TWO_PERIOD):
-            return False
-        return all(
-            equilibrium_feasible(cand, ModelKind.TWO_PERIOD, regime, d_max)
-            for regime in (Regime.THIRD_PARTY, Regime.BRANDED)
+        return (
+            validate_params(cand, ModelKind.TWO_PERIOD).ok
+            and ladder_active(cand, ModelKind.TWO_PERIOD)
+            and all(
+                equilibrium_feasible(cand, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES
+            )
         )
 
     return ok, lambda block: ladder_active(block, ModelKind.TWO_PERIOD)
@@ -637,11 +648,8 @@ def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
 
 def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
-        if not validate_params(cand, ModelKind.OLG).ok:
-            return False
-        return all(
-            equilibrium_feasible(cand, ModelKind.OLG, regime, d_max)
-            for regime in (Regime.THIRD_PARTY, Regime.BRANDED)
+        return validate_params(cand, ModelKind.OLG).ok and all(
+            equilibrium_feasible(cand, ModelKind.OLG, r, d_max) for r in _REGIMES
         )
 
     def screen(block: ModelParams) -> np.ndarray:
@@ -717,114 +725,48 @@ class PropertyResult:
         return self.violations == 0
 
 
+@dataclass
+class _Tally:
+    """Checks, violations and first counterexample of one property, fed its
+    checks in loop order."""
+
+    checks: int = 0
+    violations: int = 0
+    example: dict | None = None
+
+    def add(self, failed, describe: Callable[..., dict]) -> None:
+        """Count a block of checks. ``failed`` flags each one (a bool or an
+        array, row-major in loop order); ``describe`` builds the
+        counterexample from the index of the block's first failure, when no
+        earlier block failed."""
+
+        failed = np.asarray(failed, dtype=bool)
+        self.checks += failed.size
+        self.violations += int(np.count_nonzero(failed))
+        if self.example is None and failed.any():
+            self.example = describe(*map(int, np.argwhere(failed)[0]))
+
+    def result(self, name: str, detail: str) -> PropertyResult:
+        return PropertyResult(name, self.checks, self.violations, detail, self.example)
+
+
 def _params_payload(params: ModelParams, **extra) -> dict:
-    from .primitives import params_to_dict
-
-    payload = {"params": params_to_dict(params)}
-    payload.update(extra)
-    return payload
+    return {"params": params_to_dict(params), **extra}
 
 
-def _prop_foc_grid(
-    pools: dict[tuple[ModelKind, Regime], list[ModelParams]],
-    grid_points: int,
-    d_max: float,
-) -> PropertyResult:
-    """Analytic optimum vs dense-grid argmax, per (model, regime) draw pool."""
-
-    checks = violations = 0
-    example = None
-    notes = []
-    grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
-    for (model, regime), pool in sorted(
-        pools.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        worst = 0.0
-        d_stars = ()
-        if pool:
-            (d_stars,) = _by_family(
-                pool, lambda stacked: (_optimal_durabilities(stacked, model, regime, d_max),)
-            )
-        for params, d_star in zip(pool, map(float, d_stars)):
-            hit = oracle_mod.grid_argmax_profit(params, regime, model, grid)
-            gap = abs(d_star - hit.D_at_max)
-            worst = max(worst, gap)
-            checks += 1
-            if gap > grid.step:
-                violations += 1
-                if example is None:
-                    example = _params_payload(
-                        params,
-                        model=model.value,
-                        regime=regime.value,
-                        solver_D=d_star,
-                        grid_D=hit.D_at_max,
-                    )
-        notes.append(f"{model.value}/{regime.value} worst gap {worst:.3e}")
-    return PropertyResult(
-        name="foc-grid-agreement",
-        checks=checks,
-        violations=violations,
-        detail=f"grid step {grid.step:.2e}; " + "; ".join(notes),
-        counterexample=example,
-    )
-
-
-_CANONICAL_TARGETS = {
-    "third_party": 0.0673,
-    "branded": 0.1238,
-    "social": 0.285,
-}
-
-
-def _prop_canonical(grid_points: int, d_max: float) -> PropertyResult:
-    """Regression against the frozen worked-example durabilities, each
-    re-confirmed live against the grid oracle."""
-
-    from .primitives import canonical_params
-
-    params = canonical_params()
-    grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
-    d_t = tp.optimal_durability(params, Regime.THIRD_PARTY, d_max=d_max)
-    d_b = tp.optimal_durability(params, Regime.BRANDED, d_max=d_max)
-    d_s = tp.social_optimal_durability(params, d_max=d_max)
-
-    checks = violations = 0
-    failures = []
-    for label, value in (("third_party", d_t), ("branded", d_b), ("social", d_s)):
-        checks += 1
-        if abs(value - _CANONICAL_TARGETS[label]) > 1e-3:
-            violations += 1
-            failures.append(f"{label}={value!r}")
-    for regime, value in ((Regime.THIRD_PARTY, d_t), (Regime.BRANDED, d_b)):
-        hit = oracle_mod.grid_argmax_profit(params, regime, ModelKind.TWO_PERIOD, grid)
-        checks += 1
-        if abs(value - hit.D_at_max) > grid.step:
-            violations += 1
-            failures.append(f"oracle[{regime.value}]={hit.D_at_max!r}")
-    example = None
-    if violations:
-        example = _params_payload(params, failures=failures)
-    return PropertyResult(
-        name="canonical-regression",
-        checks=checks,
-        violations=violations,
-        detail=(
-            f"D_T={d_t:.6f} D_B={d_b:.6f} D_social={d_s:.6f} "
-            f"targets {_CANONICAL_TARGETS} (tol 1e-3)"
-        ),
-        counterexample=example,
-    )
-
-
-_REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
 _LADDER_PARAMS = ("alpha", "beta")
 
 
 def _stack(pool: list[ModelParams]) -> ModelParams:
-    """Draws as one ModelParams with (len(pool),) array fields and the
-    cost/quality family of the first draw."""
+    """Draws as one ModelParams with (len(pool),) array fields.
 
+    A pool holds one cost/quality family, as every draw does; a pool that
+    mixes families raises ValueError.
+    """
+
+    family = (pool[0].cost, pool[0].quality)
+    if any((p.cost, p.quality) != family for p in pool):
+        raise ValueError("a draw pool must hold one cost/quality family")
     return dataclasses.replace(
         pool[0],
         **{f: np.array([getattr(p, f) for p in pool], dtype=float) for f in _SCALAR_FIELDS}
@@ -837,25 +779,6 @@ def _take(params: ModelParams, idx: np.ndarray) -> ModelParams:
     return dataclasses.replace(
         params, **{f: getattr(params, f)[idx] for f in _SCALAR_FIELDS}
     )
-
-
-def _by_family(
-    pool: list[ModelParams], values: Callable[[ModelParams], tuple[np.ndarray, ...]]
-) -> tuple[np.ndarray, ...]:
-    """Apply ``values`` to the draws of each cost/quality family, stacked by
-    :func:`_stack`, and return its arrays (draw axis first) in pool order."""
-
-    groups: dict[tuple, list[int]] = {}
-    for i, params in enumerate(pool):
-        groups.setdefault((params.cost, params.quality), []).append(i)
-    out: list[np.ndarray] = []
-    for idx in groups.values():
-        parts = values(_stack([pool[i] for i in idx]))
-        if not out:
-            out = [np.empty((len(pool),) + a.shape[1:], dtype=a.dtype) for a in parts]
-        for whole, part in zip(out, parts):
-            whole[idx] = part
-    return tuple(out)
 
 
 def _optimal_durabilities(
@@ -877,17 +800,92 @@ def _optimal_durabilities(
     return _durabilities(params, model, regime, d_max)
 
 
-def _ladder_group(
-    stacked: ModelParams, d_max: float
+def _prop_foc_grid(
+    pools: dict[tuple[ModelKind, Regime], list[ModelParams]],
+    grid_points: int,
+    d_max: float,
+) -> PropertyResult:
+    """Analytic optimum vs dense-grid argmax, per (model, regime) draw pool."""
+
+    tally = _Tally()
+    notes = []
+    grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
+    for (model, regime), pool in sorted(
+        pools.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
+    ):
+        d_stars = _optimal_durabilities(_stack(pool), model, regime, d_max) if pool else ()
+        grid_d = [
+            oracle_mod.grid_argmax_profit(params, regime, model, grid).D_at_max
+            for params in pool
+        ]
+        gaps = np.abs(np.subtract(d_stars, grid_d))
+        tally.add(
+            gaps > grid.step,
+            lambda i: _params_payload(
+                pool[i],
+                model=model.value,
+                regime=regime.value,
+                solver_D=float(d_stars[i]),
+                grid_D=grid_d[i],
+            ),
+        )
+        notes.append(f"{model.value}/{regime.value} worst gap {max([0.0, *gaps]):.3e}")
+    return tally.result(
+        "foc-grid-agreement", f"grid step {grid.step:.2e}; " + "; ".join(notes)
+    )
+
+
+_CANONICAL_TARGETS = {
+    "third_party": 0.0673,
+    "branded": 0.1238,
+    "social": 0.285,
+}
+
+
+def _prop_canonical(grid_points: int, d_max: float) -> PropertyResult:
+    """Regression against the frozen worked-example durabilities, each
+    re-confirmed live against the grid oracle."""
+
+    params = canonical_params()
+    grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
+    d_t = tp.optimal_durability(params, Regime.THIRD_PARTY, d_max=d_max)
+    d_b = tp.optimal_durability(params, Regime.BRANDED, d_max=d_max)
+    d_s = tp.social_optimal_durability(params, d_max=d_max)
+
+    checks = [  # (failed, what it found)
+        (abs(value - _CANONICAL_TARGETS[label]) > 1e-3, f"{label}={value!r}")
+        for label, value in (("third_party", d_t), ("branded", d_b), ("social", d_s))
+    ]
+    for regime, value in ((Regime.THIRD_PARTY, d_t), (Regime.BRANDED, d_b)):
+        hit = oracle_mod.grid_argmax_profit(params, regime, ModelKind.TWO_PERIOD, grid)
+        checks.append(
+            (abs(value - hit.D_at_max) > grid.step, f"oracle[{regime.value}]={hit.D_at_max!r}")
+        )
+    failures = [found for failed, found in checks if failed]
+    tally = _Tally()
+    tally.add(
+        [failed for failed, _ in checks],
+        lambda _: _params_payload(params, failures=failures),
+    )
+    return tally.result(
+        "canonical-regression",
+        f"D_T={d_t:.6f} D_B={d_b:.6f} D_social={d_s:.6f} "
+        f"targets {_CANONICAL_TARGETS} (tol 1e-3)",
+    )
+
+
+def _ladder_values(
+    pool: list[ModelParams], d_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ladder D* and profits, indexed [draw, regime, wrt, rung], for stacked
-    draws that share one family.
+    """D* and maximized two-period profit on every ladder rung of every draw,
+    as arrays indexed [regime, draw, wrt (alpha, beta), rung].
 
     Each regime solves every rung of every ladder in one batched call, so
     each D* equals the scalar ``tp.optimal_durability`` exactly, and profits
     come from ``tp.profit``.
     """
 
+    stacked = _stack(pool)
     rungs = np.arange(LADDER_POINTS) * LADDER_STEP
     fields = {}
     for name in _SCALAR_FIELDS:
@@ -896,17 +894,7 @@ def _ladder_group(
     lad = dataclasses.replace(stacked, **fields)
     d_stars = [_optimal_durabilities(lad, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES]
     profits = [tp.profit(lad, regime, d).total for regime, d in zip(_REGIMES, d_stars)]
-    return np.stack(d_stars, axis=1), np.stack(profits, axis=1)
-
-
-def _ladder_values(
-    pool: list[ModelParams], d_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """D* and maximized two-period profit on every ladder rung of every draw,
-    as arrays indexed [regime, draw, wrt (alpha, beta), rung]."""
-
-    d_stars, profits = _by_family(pool, lambda stacked: _ladder_group(stacked, d_max))
-    return np.moveaxis(d_stars, 0, 1), np.moveaxis(profits, 0, 1)
+    return np.stack(d_stars), np.stack(profits)
 
 
 def _prop_ladders(pool: list[ModelParams], d_max: float) -> PropertyResult:
@@ -924,29 +912,20 @@ def _prop_ladders(pool: list[ModelParams], d_max: float) -> PropertyResult:
         & rising(-d_stars[:, :, 1])
         & rising(-profits[:, :, 1])
     )
-    checks = violations = 0
-    example = None
-    for i, params in enumerate(pool):
-        for r, regime in enumerate(_REGIMES):
-            checks += 1
-            if not ok_all[r, i]:
-                violations += 1
-                if example is None:
-                    example = _params_payload(
-                        params,
-                        regime=regime.value,
-                        alpha_D=d_stars[r, i, 0].tolist(),
-                        beta_D=d_stars[r, i, 1].tolist(),
-                    )
-    return PropertyResult(
-        name="alpha-beta-ladders",
-        checks=checks,
-        violations=violations,
-        detail=(
-            f"{LADDER_POINTS}-point ladders, step {LADDER_STEP}, both regimes, "
-            "strict monotonicity of D* and maximized profit"
+    tally = _Tally()
+    tally.add(
+        ~ok_all.T,  # [draw, regime]
+        lambda i, r: _params_payload(
+            pool[i],
+            regime=_REGIMES[r].value,
+            alpha_D=d_stars[r, i, 0].tolist(),
+            beta_D=d_stars[r, i, 1].tolist(),
         ),
-        counterexample=example,
+    )
+    return tally.result(
+        "alpha-beta-ladders",
+        f"{LADDER_POINTS}-point ladders, step {LADDER_STEP}, both regimes, "
+        "strict monotonicity of D* and maximized profit",
     )
 
 
@@ -955,31 +934,21 @@ def _prop_durability_premium(
 ) -> PropertyResult:
     """Branded durability strictly exceeds third-party durability."""
 
-    checks = violations = 0
-    example = None
+    tally = _Tally()
     for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
         if not pool:
             continue
-        d_t, d_b = _by_family(
-            pool,
-            lambda stacked: tuple(
-                _optimal_durabilities(stacked, model, r, d_max) for r in _REGIMES
+        stacked = _stack(pool)
+        d_t, d_b = (_optimal_durabilities(stacked, model, r, d_max) for r in _REGIMES)
+        tally.add(
+            ~(d_b > d_t),
+            lambda i: _params_payload(
+                pool[i], model=model.value, D_T=float(d_t[i]), D_B=float(d_b[i])
             ),
         )
-        bad = np.flatnonzero(~(d_b > d_t))
-        checks += len(pool)
-        violations += bad.size
-        if example is None and bad.size:
-            i = bad[0]
-            example = _params_payload(
-                pool[i], model=model.value, D_T=float(d_t[i]), D_B=float(d_b[i])
-            )
-    return PropertyResult(
-        name="branded-durability-premium",
-        checks=checks,
-        violations=violations,
-        detail="D*_branded > D*_third-party on every both-active draw, both models",
-        counterexample=example,
+    return tally.result(
+        "branded-durability-premium",
+        "D*_branded > D*_third-party on every both-active draw, both models",
     )
 
 
@@ -992,28 +961,24 @@ def _prop_commission_argmax(
     """The branded profit curve over the commission grid peaks at zero and
     falls strictly across its active stretch, in both models."""
 
-    checks = violations = 0
-    example = None
+    tally = _Tally()
     for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
-        for params in pool:
-            curve = optimal_commission(params, model, n_points=n_points, d_max=d_max)
-            active_profits = curve.profits[curve.active]
-            checks += 1
-            ok = curve.argmax_index == 0 and bool(
-                np.all(np.diff(active_profits) < 0.0)
-            )
-            if not ok:
-                violations += 1
-                if example is None:
-                    example = _params_payload(
-                        params, model=model.value, argmax_beta=curve.beta_star
-                    )
-    return PropertyResult(
-        name="commission-argmax-zero",
-        checks=checks,
-        violations=violations,
-        detail=f"{n_points}-point commission grid on [0,1), both models",
-        counterexample=example,
+        if not pool:
+            continue
+        curve = optimal_commission(_stack(pool), model, n_points=n_points, d_max=d_max)
+        tally.add(
+            [
+                not (idx == 0 and np.all(np.diff(profits[active]) < 0.0))
+                for idx, profits, active in zip(
+                    curve.argmax_index, curve.profits, curve.active
+                )
+            ],
+            lambda i: _params_payload(
+                pool[i], model=model.value, argmax_beta=float(curve.beta_star[i])
+            ),
+        )
+    return tally.result(
+        "commission-argmax-zero", f"{n_points}-point commission grid on [0,1), both models"
     )
 
 
@@ -1025,20 +990,20 @@ def _prop_alpha_envelope(
     (strictly for positive commissions), and envelope derivatives agree with
     centered finite differences of the re-solved value function.
 
-    Each claim is evaluated as arrays over every draw of a family; the
-    counts and the first counterexample follow the loop order draw, then
+    Each claim is evaluated as arrays over every draw of a pool; the counts
+    and the first counterexample follow the loop order draw, then
     commission (first claim) or model, draw, regime, parameter (second).
     """
 
     fracs = (0.0, 0.5, 1.0)
     h = 1e-5
     wrts = ("alpha", "beta")
-    checks = violations = 0
-    example = None
+    tally = _Tally()
 
-    def dominance(stacked: ModelParams) -> tuple[np.ndarray, ...]:
+    if pool_tp:
+        stacked = _stack(pool_tp)
         base_b0 = dataclasses.replace(stacked, beta=np.zeros_like(stacked.beta))
-        lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha")
+        lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha")[:, None]
         beta_t = stacked.beta[:, None] * fracs  # [draw, frac]
         rhs = np.stack(
             [
@@ -1049,25 +1014,21 @@ def _prop_alpha_envelope(
             ],
             axis=1,
         )
-        return lhs, beta_t, rhs
-
-    if pool_tp:
-        lhs, beta_t, rhs = _by_family(pool_tp, dominance)
-        lhs = lhs[:, None]
-        bad = ~np.where(beta_t > 0.0, lhs > rhs, lhs >= rhs - 1e-12)
-        checks += bad.size
-        violations += int(np.count_nonzero(bad))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            example = _params_payload(
+        tally.add(
+            ~np.where(beta_t > 0.0, lhs > rhs, lhs >= rhs - 1e-12),
+            lambda i, j: _params_payload(
                 pool_tp[i],
                 beta_tested=float(beta_t[i, j]),
                 lhs=float(lhs[i, 0]),
                 rhs=float(rhs[i, j]),
-            )
+            ),
+        )
 
-    def agreement(stacked: ModelParams, model: ModelKind) -> tuple[np.ndarray, ...]:
-        shape = (len(stacked.alpha), len(_REGIMES), len(wrts))
+    for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
+        if not pool:
+            continue
+        stacked = _stack(pool)
+        shape = (len(pool), len(_REGIMES), len(wrts))
         checked = np.zeros(shape, dtype=bool)
         env, fd = np.zeros(shape), np.zeros(shape)
         for r, regime in enumerate(_REGIMES):
@@ -1079,9 +1040,7 @@ def _prop_alpha_envelope(
                 interior = np.flatnonzero(
                     np.logical_and.reduce([
                         margin_active(
-                            dataclasses.replace(stacked, **{wrt: base + d}),
-                            model,
-                            regime,
+                            dataclasses.replace(stacked, **{wrt: base + d}), model, regime
                         )
                         for d in (-h, h)
                     ])
@@ -1096,35 +1055,24 @@ def _prop_alpha_envelope(
                 fd[lanes, r, w] = fd_profit_derivative(
                     _take(stacked, lanes), regime, wrt, model, h=h, d_max=d_max
                 )
-        return checked, env, fd
-
-    for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
-        if not pool:
-            continue
-        checked, env, fd = _by_family(pool, lambda stacked: agreement(stacked, model))
         with np.errstate(divide="ignore", invalid="ignore"):
-            bad = checked & (np.abs(env - fd) / np.abs(env) > 1e-4)
-        checks += int(np.count_nonzero(checked))
-        violations += int(np.count_nonzero(bad))
-        if example is None and bad.any():
-            i, r, w = np.argwhere(bad)[0]
-            example = _params_payload(
-                pool[i],
+            bad = np.abs(env - fd) / np.abs(env) > 1e-4
+        where = np.argwhere(checked)
+        tally.add(
+            bad[checked],
+            lambda k: _params_payload(
+                pool[where[k, 0]],
                 model=model.value,
-                regime=_REGIMES[r].value,
-                wrt=wrts[w],
-                envelope=float(env[i, r, w]),
-                fd=float(fd[i, r, w]),
-            )
-    return PropertyResult(
-        name="alpha-sensitivity-envelope",
-        checks=checks,
-        violations=violations,
-        detail=(
-            "commission-free branded deflator slope dominates third-party at "
-            "tested commissions; envelope vs finite difference rel err <= 1e-4"
-        ),
-        counterexample=example,
+                regime=_REGIMES[where[k, 1]].value,
+                wrt=wrts[where[k, 2]],
+                envelope=float(env[tuple(where[k])]),
+                fd=float(fd[tuple(where[k])]),
+            ),
+        )
+    return tally.result(
+        "alpha-sensitivity-envelope",
+        "commission-free branded deflator slope dominates third-party at "
+        "tested commissions; envelope vs finite difference rel err <= 1e-4",
     )
 
 
@@ -1132,34 +1080,26 @@ def _prop_olg_unique(pool: list[ModelParams], d_max: float) -> PropertyResult:
     """Exhaustive steady-state audit: one survivor, the trade pattern, with
     prices matching the two-period second-period formulas to 1e-12."""
 
-    checks = violations = 0
-    example = None
+    tally = _Tally()
     for params in pool:
-        for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
+        for regime in _REGIMES:
             sol = olg_mod.solve_olg(params, regime, d_max=d_max)
             scan = oracle_mod.exhaustive_steady_state_scan(params, sol.D_star)
             pr = tp.prices(params, sol.D_star)
-            checks += 1
             ok = (
                 scan.unique_survivor_is_trade_pattern
                 and abs(scan.p_n - pr.p2n) <= 1e-12
                 and abs(scan.p_u - pr.p2u) <= 1e-12
             )
-            if not ok:
-                violations += 1
-                if example is None:
-                    example = _params_payload(
-                        params,
-                        regime=regime.value,
-                        D=sol.D_star,
-                        survivors=len(scan.survivors),
-                    )
-    return PropertyResult(
-        name="olg-steady-state-uniqueness",
-        checks=checks,
-        violations=violations,
-        detail="243 candidate (state, profile) pairs audited per draw per regime",
-        counterexample=example,
+            tally.add(
+                not ok,
+                lambda: _params_payload(
+                    params, regime=regime.value, D=sol.D_star, survivors=len(scan.survivors)
+                ),
+            )
+    return tally.result(
+        "olg-steady-state-uniqueness",
+        "243 candidate (state, profile) pairs audited per draw per regime",
     )
 
 
@@ -1173,20 +1113,12 @@ def _prop_constraints(
     chain and the cap equivalence at candidate prices off-equilibrium."""
 
     tol = 1e-9
-    checks = violations = 0
-    example = None
-
-    def fail(params: ModelParams, **extra) -> None:
-        nonlocal violations, example
-        violations += 1
-        if example is None:
-            example = _params_payload(params, **extra)
+    tally = _Tally()
 
     for params in pool_tp:
-        for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
+        for regime in _REGIMES:
             d_star = tp.optimal_durability(params, regime, d_max=d_max)
             slacks = tp.constraint_slacks(params, d_star)
-            checks += 1
             ok = (
                 abs(slacks["ic_h"]) <= tol
                 and abs(slacks["ir_l"]) <= tol
@@ -1194,14 +1126,17 @@ def _prop_constraints(
                 and slacks["ir_h"] >= -tol
                 and slacks["ir_h_first"] >= -tol
             )
-            if not ok:
-                fail(params, model="two-period", regime=regime.value, slacks=slacks)
+            tally.add(
+                not ok,
+                lambda: _params_payload(
+                    params, model="two-period", regime=regime.value, slacks=slacks
+                ),
+            )
 
     for params in pool_olg:
-        for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
+        for regime in _REGIMES:
             d_star = olg_mod.solve_olg(params, regime, d_max=d_max).D_star
             slacks = olg_mod.constraint_slacks_olg(params, d_star)
-            checks += 1
             ok = (
                 abs(slacks["ic_h2"]) <= tol
                 and abs(slacks["ir_l2"]) <= tol
@@ -1209,14 +1144,17 @@ def _prop_constraints(
                 and slacks["ic_l1"] >= -tol
                 and slacks["ic_l2"] >= -tol
             )
-            if not ok:
-                fail(params, model="olg", regime=regime.value, slacks=slacks)
+            tally.add(
+                not ok,
+                lambda: _params_payload(
+                    params, model="olg", regime=regime.value, slacks=slacks
+                ),
+            )
 
     probe_ds = (0.05, 0.3, 1.0)
     for params in pool_any:
         for d in probe_ds:
             slacks = olg_mod.constraint_slacks_olg(params, d)
-            checks += 1
             ok = True
             # old-high indifference implies the young-high acceptance
             if slacks["ic_h2"] >= -tol and slacks["ic_h1"] < -tol:
@@ -1228,18 +1166,12 @@ def _prop_constraints(
             agree = (slacks["ratio_cap"] >= -tol) == (slacks["ic_l1"] >= -tol)
             if not agree and abs(slacks["ic_l1"]) > tol and abs(slacks["ratio_cap"]) > tol:
                 ok = False
-            if not ok:
-                fail(params, D=d, slacks=slacks)
-    return PropertyResult(
-        name="constraint-structure",
-        checks=checks,
-        violations=violations,
-        detail=(
-            "old-high self-selection and old-low participation bind to 1e-9, "
-            "all other slacks weakly positive; implication chain and cap "
-            "equivalence checked at off-equilibrium durabilities"
-        ),
-        counterexample=example,
+            tally.add(not ok, lambda: _params_payload(params, D=d, slacks=slacks))
+    return tally.result(
+        "constraint-structure",
+        "old-high self-selection and old-low participation bind to 1e-9, "
+        "all other slacks weakly positive; implication chain and cap "
+        "equivalence checked at off-equilibrium durabilities",
     )
 
 
@@ -1247,41 +1179,30 @@ def _prop_efficiency(pool: list[ModelParams], d_max: float) -> PropertyResult:
     """Durability and welfare orderings: third-party below branded below the
     social benchmark, pointwise in every both-active draw."""
 
-    def values(stacked: ModelParams) -> tuple[np.ndarray, ...]:
+    tally = _Tally()
+    if pool:
+        stacked = _stack(pool)
         d_stars = [
             _optimal_durabilities(stacked, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES
         ]
         d_stars.append(tp.social_optimal_durability(stacked, d_max))
         d = np.stack(d_stars, axis=1)  # [draw, (third-party, branded, social)]
         w = np.stack([tp.welfare(stacked, x) for x in d_stars], axis=1)
-        return d, w
-
-    checks = violations = 0
-    example = None
-    if pool:
-        d, w = _by_family(pool, values)
         ordered = (d[:, 0] < d[:, 1]) & (d[:, 1] < d[:, 2])
         ordered &= (w[:, 0] < w[:, 1]) & (w[:, 1] < w[:, 2])
-        bad = np.flatnonzero(~ordered)
-        checks, violations = len(pool), bad.size
-        if bad.size:
-            i = bad[0]
-            example = _params_payload(
+        tally.add(
+            ~ordered,
+            lambda i: _params_payload(
                 pool[i], D=tuple(map(float, d[i])), welfare=tuple(map(float, w[i]))
-            )
-    return PropertyResult(
-        name="efficiency-ordering",
-        checks=checks,
-        violations=violations,
-        detail="D*_T < D*_B < D_social and matching welfare ordering per draw",
-        counterexample=example,
+            ),
+        )
+    return tally.result(
+        "efficiency-ordering", "D*_T < D*_B < D_social and matching welfare ordering per draw"
     )
 
 
 def _prop_injected_failure() -> PropertyResult:
     """Deliberately failing probe proving the harness reports failures."""
-
-    from .primitives import canonical_params, params_to_dict
 
     return PropertyResult(
         name="injected-failure-probe",
@@ -1290,19 +1211,6 @@ def _prop_injected_failure() -> PropertyResult:
         detail="self-test probe: always fails by construction",
         counterexample={"params": params_to_dict(canonical_params())},
     )
-
-
-PROPERTY_NAMES = (
-    "foc-grid-agreement",
-    "canonical-regression",
-    "alpha-beta-ladders",
-    "branded-durability-premium",
-    "commission-argmax-zero",
-    "alpha-sensitivity-envelope",
-    "olg-steady-state-uniqueness",
-    "constraint-structure",
-    "efficiency-ordering",
-)
 
 
 _PROPERTY_DISPATCH: dict[str, Callable[..., PropertyResult]] = {
@@ -1316,6 +1224,8 @@ _PROPERTY_DISPATCH: dict[str, Callable[..., PropertyResult]] = {
     "constraint-structure": _prop_constraints,
     "efficiency-ordering": _prop_efficiency,
 }
+
+PROPERTY_NAMES = tuple(_PROPERTY_DISPATCH)
 
 
 def _build_tasks(

@@ -5,9 +5,11 @@ import math
 import pathlib
 import warnings
 
+import numpy as np
 import pytest
 
 from recommerce import canonical_params, oracle, params_to_dict
+from recommerce.primitives import DEFAULT_D_MAX
 from recommerce.cli import CONFIG_SCHEMA, OUT_ENV_VAR, main
 from recommerce.reporting import (
     AUDIT_COLUMNS,
@@ -150,6 +152,7 @@ def params_config(section=None, **fields):
         '{"schema": "recommerce-config/1", "sweep": {"steps": 2.5}}',
         '{"schema": "recommerce-config/1", "verification": {"seed": "x"}}',
         '{"schema": "recommerce-config/1", "verification": {"draws": true}}',
+        '{"schema": "recommerce-config/1", "verification": {"seed": -1}}',
         pytest.param(params_config(v_H=math.inf), id="params-v_H-Infinity"),
         pytest.param(params_config(v_L=-math.inf), id="params-v_L--Infinity"),
         pytest.param(params_config(delta=math.nan), id="params-delta-NaN"),
@@ -375,11 +378,23 @@ def test_olg_verify_at_chosen_durability(tmp_path, capsys):
 
 
 def test_olg_verify_rejects_nonpositive_durability(tmp_path, capsys):
-    for value in ("-1", "0", "nan", "inf"):
-        assert main(["olg-verify", f"--durability={value}",
-                     "--out", str(tmp_path / "x")]) == 2
+    # durabilities live in (0, d_max]; 1e200 would overflow c0*D**2
+    above = repr(float(np.nextafter(DEFAULT_D_MAX, np.inf)))
+    for value in ("-1", "0", "nan", "inf", "1e200", above):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["olg-verify", f"--durability={value}",
+                         "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "positive" in err and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+    # exactly d_max is accepted, here with d_max lowered to a passing point
+    cfg = write_config(tmp_path, solver={"d_max": 0.12})
+    assert main(["olg-verify", "--config", cfg, "--durability", "0.12",
+                 "--out", str(tmp_path / "y")]) == 0
+    assert main(["olg-verify", "--config", cfg, "--durability", repr(float(np.nextafter(0.12, 1))),
+                 "--out", str(tmp_path / "z")]) == 2
+    assert "at most d_max = 0.12" in capsys.readouterr().err
 
 
 def test_olg_verify_reports_uniqueness_failure(tmp_path, capsys):
@@ -558,6 +573,23 @@ def test_verify_rejects_bad_scales(tmp_path, capsys):
     assert main(["verify", "--commission-points", "0",
                  "--out", str(tmp_path / "z")]) == 2
     assert capsys.readouterr().err.count("error:") == 3
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--jobs", "0"], ["--jobs", "-3"]], ids=" ".join
+)
+def test_verify_rejects_negative_seed_and_jobs_below_one(tmp_path, capsys, flags):
+    assert main(["verify", *SMALL_VERIFY, *flags, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} must be")
+    assert err.count("\n") == 1
+
+
+def test_verify_rejects_negative_config_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, verification={"seed": -1})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config verification.seed must be a nonnegative integer, found -1\n"
 
 
 def test_verify_scales_from_config(tmp_path):

@@ -25,10 +25,9 @@ from recommerce.olg import (
     menu,
     owns_used,
     per_period_commission,
-    stream_curvature,
-    stream_slope,
     zero_durability_alternatives,
 )
+from recommerce.statics import admissible_olg_pool, olg_pool
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
@@ -168,24 +167,70 @@ def test_stream_equals_per_period_at_half_discount(olg_feasible):
         )
 
 
+def _symbolic_stream():
+    """The discounted stream G(D) of each regime, written from the price
+    formulas with the quality s(D) and cost c(D) as undefined functions,
+    and a map from a parameter point to the numeric substitution."""
+
+    sp = pytest.importorskip("sympy")
+    D = sp.Symbol("D", positive=True)
+    s, c = sp.Function("s"), sp.Function("c")
+    alpha, beta, v_L, v_H, delta, n_H = sp.symbols(
+        "alpha beta v_L v_H delta n_H", positive=True
+    )
+    p2u = alpha * v_L * s(D)  # the deflated low-type valuation
+    p2n = alpha * (1 - beta) * v_L * s(D) + v_H * (1 - s(D))  # high type indifferent
+    # per cohort one replacement sale; the branded seller also keeps the
+    # commission on the used trade
+    take = {T: p2n - c(D), B: p2n + beta * p2u - c(D)}
+    stream = {r: delta / (1 - delta) * n_H * take[r] for r in (T, B)}
+    scale = delta / (1 - delta) * n_H * alpha * beta * v_L
+
+    def at(params, d):
+        subs = {
+            alpha: params.alpha, beta: params.beta, v_L: params.v_L,
+            v_H: params.v_H, delta: params.delta, n_H: params.n_H,
+        }
+        for f, fam in ((s, params.quality), (c, params.cost)):
+            subs[f(D).diff(D, 2)] = fam.deriv2(d)
+            subs[f(D).diff(D)] = fam.deriv(d)
+            subs[f(D)] = fam.value(d)
+        return subs
+
+    return sp, D, s, stream, scale, at
+
+
+def test_symbolic_stream_matches_discounted_stream():
+    sp, D, _, stream, _, at = _symbolic_stream()
+    rng = np.random.default_rng(11)
+    for params in olg_pool(4, 11) + admissible_olg_pool(4, 11):
+        for d in rng.uniform(0.0, 3.0, 3):
+            for regime in (T, B):
+                symbolic = float(stream[regime].subs(at(params, d)))
+                assert symbolic == pytest.approx(
+                    discounted_stream(params, regime, d), rel=1e-12, abs=1e-15
+                )
+
+
 def test_stream_is_strictly_decreasing(canonical):
     # resale never recovers the build cost: the stream slope is negative
+    sp, D, _, stream, _, at = _symbolic_stream()
     for regime in (T, B):
+        slope = stream[regime].diff(D)
         for d in np.linspace(0.0, 3.0, 31):
-            assert stream_slope(canonical, regime, d) < 0.0
+            assert float(slope.subs(at(canonical, d))) < 0.0
 
 
 def test_branded_stream_flatter_and_more_concave(canonical):
     # slope gap is the commission term, curvature gap flips sign with s''
-    p = canonical
+    sp, D, s, stream, scale, at = _symbolic_stream()
+    gap = stream[B] - stream[T]
+    slope_gap, curv_gap = gap.diff(D), gap.diff(D, 2)
+    assert sp.simplify(slope_gap - scale * s(D).diff(D)) == 0
+    assert sp.simplify(curv_gap - scale * s(D).diff(D, 2)) == 0
     for d in np.linspace(0.1, 2.0, 11):
-        slope_gap = stream_slope(p, B, d) - stream_slope(p, T, d)
-        curv_gap = stream_curvature(p, B, d) - stream_curvature(p, T, d)
-        scale = p.delta / (1 - p.delta) * p.n_H * p.alpha * p.beta * p.v_L
-        assert slope_gap == pytest.approx(scale * p.quality.deriv(d), abs=1e-12)
-        assert curv_gap == pytest.approx(scale * p.quality.deriv2(d), abs=1e-12)
-        assert slope_gap > 0.0
-        assert curv_gap < 0.0
+        assert float(slope_gap.subs(at(canonical, d))) > 0.0
+        assert float(curv_gap.subs(at(canonical, d))) < 0.0
 
 
 def test_objective_at_zero(canonical):

@@ -42,8 +42,10 @@ from recommerce.statics import (
     _olg_filters,
     _params_payload,
     _prop_alpha_envelope,
+    _prop_commission_argmax,
     _prop_durability_premium,
     _prop_efficiency,
+    _prop_foc_grid,
     _stack,
     _two_period_filters,
     admissible_olg_pool,
@@ -214,11 +216,21 @@ def test_commission_curve_olg(olg_feasible):
 
 def test_commission_curve_lanes_equal_scalar_solves():
     # each active lane prices its commission with the same margin, root and
-    # objective formulas as a single-point solve, so the values agree exactly
+    # objective formulas as a single-point solve, so the values agree exactly;
+    # a stacked pool gives one row per draw, each equal to its single curve
     checked = 0
     for model, pool in ((TP, two_period_pool(40, 42)), (OLG, olg_pool(40, 42))):
-        for params in pool:
+        rows = optimal_commission(_stack(pool), model, n_points=201)
+        assert rows.profits.shape == rows.d_stars.shape == rows.active.shape == (40, 201)
+        for k, params in enumerate(pool):
             curve = optimal_commission(params, model, n_points=201)
+            assert type(curve.argmax_index) is int
+            assert type(curve.beta_star) is type(curve.profit_at_star) is float
+            for field in ("d_stars", "profits", "active"):
+                assert np.array_equal(getattr(rows, field)[k], getattr(curve, field))
+            assert rows.argmax_index[k] == curve.argmax_index
+            assert rows.beta_star[k] == curve.beta_star
+            assert rows.profit_at_star[k] == curve.profit_at_star
             for i in np.flatnonzero(curve.active):
                 pt = dataclasses.replace(params, beta=float(curve.betas[i]))
                 if model is TP:
@@ -393,26 +405,26 @@ def test_screen_leaves_pool_unchanged(name):
 
 def test_batched_ladders_equal_scalar_solves():
     base = two_period_pool(100, 42)
-    # a second cost/quality family exercises the per-family grouping
+    # a second cost/quality family, as a pool of its own
     other = [
         dataclasses.replace(p, cost=PowerCost(c0=0.8, p=2.5), quality=RationalQuality(k=1.0))
         for p in base[:4]
     ]
-    pool = base[:48] + other + base[48:]
-    d_stars, profits = _ladder_values(pool, DEFAULT_D_MAX)
     lanes = 0
-    for r, regime in enumerate((T, B)):
-        for i, params in enumerate(pool):
-            for w, wrt in enumerate(("alpha", "beta")):
-                for rung in range(LADDER_POINTS):
-                    pt = dataclasses.replace(
-                        params, **{wrt: getattr(params, wrt) + rung * LADDER_STEP}
-                    )
-                    d = tp.optimal_durability(pt, regime)
-                    assert d_stars[r, i, w, rung] == d
-                    assert profits[r, i, w, rung] == tp.profit(pt, regime, d).total
-                    lanes += 1
-    assert lanes == 2 * len(pool) * 2 * LADDER_POINTS
+    for pool in (base, other):
+        d_stars, profits = _ladder_values(pool, DEFAULT_D_MAX)
+        for r, regime in enumerate((T, B)):
+            for i, params in enumerate(pool):
+                for w, wrt in enumerate(("alpha", "beta")):
+                    for rung in range(LADDER_POINTS):
+                        pt = dataclasses.replace(
+                            params, **{wrt: getattr(params, wrt) + rung * LADDER_STEP}
+                        )
+                        d = tp.optimal_durability(pt, regime)
+                        assert d_stars[r, i, w, rung] == d
+                        assert profits[r, i, w, rung] == tp.profit(pt, regime, d).total
+                        lanes += 1
+    assert lanes == 2 * (len(base) + len(other)) * 2 * LADDER_POINTS
 
 
 def test_batched_ladders_reject_like_the_scalar_solver(canonical):
@@ -420,8 +432,29 @@ def test_batched_ladders_reject_like_the_scalar_solver(canonical):
     unbracketed = dataclasses.replace(
         canonical, cost=PowerCost(c0=1e-6, p=2.0), quality=RationalQuality(k=1.0)
     )
-    with pytest.raises(BracketError):
-        _ladder_values([canonical, unbracketed], DEFAULT_D_MAX)
+    with pytest.raises(BracketError) as single:
+        tp.optimal_durability(unbracketed, T)
+    with pytest.raises(BracketError) as batched:
+        _ladder_values([unbracketed], DEFAULT_D_MAX)
+    assert str(batched.value) == str(single.value)
+
+
+def test_pools_that_mix_families_are_refused(canonical):
+    # a pool is stacked into one ModelParams, which holds one cost/quality
+    # family; draws of another family belong in a pool of their own
+    other = dataclasses.replace(canonical, cost=PowerCost(c0=0.8, p=2.5))
+    mixed = [canonical, other]
+    for run in (
+        lambda: _stack(mixed),
+        lambda: _ladder_values(mixed, DEFAULT_D_MAX),
+        lambda: _prop_durability_premium(mixed, [], DEFAULT_D_MAX),
+        lambda: _prop_commission_argmax([], mixed, 11, DEFAULT_D_MAX),
+        lambda: _prop_alpha_envelope(mixed, [], DEFAULT_D_MAX),
+        lambda: _prop_efficiency(mixed, DEFAULT_D_MAX),
+        lambda: _prop_foc_grid({(TP, T): mixed}, 1000, DEFAULT_D_MAX),
+    ):
+        with pytest.raises(ValueError, match="one cost/quality family"):
+            run()
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +602,7 @@ def test_batched_value_function_and_derivatives_equal_scalar():
     assert shutdowns > 0
 
 
-# The pre-batching loop bodies of three properties, kept as the reference
+# The pre-batching loop bodies of four properties, kept as the reference
 # the array versions must reproduce exactly.
 
 
@@ -682,26 +715,51 @@ def _scalar_efficiency(pool, d_max):
     )
 
 
-def _mixed(pool):
-    # every third draw gets a cost so steep that D* is tiny: its commission
-    # slope falls near 1e-8, where the centered difference loses the 1e-4
+def _scalar_commission(pool_tp, pool_olg, n_points, d_max):
+    checks = violations = 0
+    example = None
+    for model, pool in ((TP, pool_tp), (OLG, pool_olg)):
+        for params in pool:
+            curve = optimal_commission(params, model, n_points=n_points, d_max=d_max)
+            active_profits = curve.profits[curve.active]
+            checks += 1
+            ok = curve.argmax_index == 0 and bool(
+                np.all(np.diff(active_profits) < 0.0)
+            )
+            if not ok:
+                violations += 1
+                if example is None:
+                    example = _params_payload(
+                        params, model=model.value, argmax_beta=curve.beta_star
+                    )
+    return PropertyResult(
+        name="commission-argmax-zero",
+        checks=checks,
+        violations=violations,
+        detail=f"{n_points}-point commission grid on [0,1), both models",
+        counterexample=example,
+    )
+
+
+def _violating(pool):
+    # every draw gets a cost so steep that D* is tiny: its commission slope
+    # falls near 1e-8, where the centered difference loses the 1e-4
     # agreement; every fourth has no commission, so the regimes tie
     out = []
     for i, params in enumerate(pool):
-        if i % 3 == 1:
-            params = dataclasses.replace(params, cost=PowerCost(c0=1e6, p=2.0))
+        params = dataclasses.replace(params, cost=PowerCost(c0=1e6, p=2.0))
         if i % 4 == 2:
             params = dataclasses.replace(params, beta=0.0)
         out.append(params)
     return out
 
 
-@pytest.mark.parametrize("pools", ["seed-1", "seed-2", "seed-3", "mixed"])
+@pytest.mark.parametrize("pools", ["seed-1", "seed-2", "seed-3", "violating"])
 def test_batched_properties_equal_scalar_reference(pools):
-    seed = 1 if pools == "mixed" else int(pools[-1])
+    seed = 1 if pools == "violating" else int(pools[-1])
     pool_tp, pool_olg = two_period_pool(30, seed), olg_pool(30, seed)
-    if pools == "mixed":
-        pool_tp, pool_olg = _mixed(pool_tp), _mixed(pool_olg)
+    if pools == "violating":
+        pool_tp, pool_olg = _violating(pool_tp), _violating(pool_olg)
     results = [
         (_prop_durability_premium(pool_tp, pool_olg, DEFAULT_D_MAX),
          _scalar_premium(pool_tp, pool_olg, DEFAULT_D_MAX)),
@@ -709,19 +767,46 @@ def test_batched_properties_equal_scalar_reference(pools):
          _scalar_envelope(pool_tp, pool_olg, DEFAULT_D_MAX)),
         (_prop_efficiency(pool_tp, DEFAULT_D_MAX),
          _scalar_efficiency(pool_tp, DEFAULT_D_MAX)),
+        (_prop_commission_argmax(pool_tp, pool_olg, 101, DEFAULT_D_MAX),
+         _scalar_commission(pool_tp, pool_olg, 101, DEFAULT_D_MAX)),
     ]
     for batched, scalar in results:
         assert batched == scalar
         assert json.dumps(batched.counterexample) == json.dumps(scalar.counterexample)
-    if pools == "mixed":
-        assert all(batched.violations > 0 for batched, _ in results)
-        assert all(batched.counterexample is not None for batched, _ in results)
+    if pools == "violating":
+        assert all(batched.violations > 0 for batched, _ in results[:3])
+        assert all(batched.counterexample is not None for batched, _ in results[:3])
+
+
+@pytest.mark.parametrize("s_bar", [1e-5, 1e-6])
+def test_batched_commission_equals_scalar_reference_on_violations(s_bar):
+    # quality so low that the branded curve is flat to rounding: adjacent
+    # commissions tie on some draws (1e-5), on every draw and with the
+    # argmax away from zero on a few (1e-6)
+    quality = SaturatingExpQuality(s_bar=s_bar, k=1.0)
+    pool_tp, pool_olg = (
+        [dataclasses.replace(p, quality=quality) for p in pool]
+        for pool in (two_period_pool(30, 1), olg_pool(30, 1))
+    )
+    batched = _prop_commission_argmax(pool_tp, pool_olg, 201, DEFAULT_D_MAX)
+    scalar = _scalar_commission(pool_tp, pool_olg, 201, DEFAULT_D_MAX)
+    assert batched == scalar
+    assert json.dumps(batched.counterexample) == json.dumps(scalar.counterexample)
+    assert 0 < batched.violations
+    if s_bar == 1e-5:
+        assert batched.violations < batched.checks
+    else:
+        assert any(
+            optimal_commission(_stack(pool), model, n_points=201).argmax_index.any()
+            for model, pool in ((TP, pool_tp), (OLG, pool_olg))
+        )
 
 
 def test_batched_properties_accept_empty_pools():
     assert _prop_durability_premium([], [], DEFAULT_D_MAX).checks == 0
     assert _prop_alpha_envelope([], [], DEFAULT_D_MAX).checks == 0
     assert _prop_efficiency([], DEFAULT_D_MAX).checks == 0
+    assert _prop_commission_argmax([], [], 11, DEFAULT_D_MAX).checks == 0
 
 
 # ----------------------------------------------------------------------
