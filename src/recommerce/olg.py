@@ -41,6 +41,7 @@ optimum, so that the regime comparison stays informative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +70,7 @@ __all__ = [
     "olg_margin",
     "objective_value",
     "zero_durability_alternatives",
+    "ratio_cap_slack",
     "constraint_slacks_olg",
     "OLG_CONSTRAINT_NAMES",
     "FeasibilityReport",
@@ -228,6 +230,19 @@ def zero_durability_alternatives(params: ModelParams) -> dict[str, float]:
 OLG_CONSTRAINT_NAMES = ("ic_h2", "ic_h1", "ir_l2", "ic_l1", "ic_l2", "ratio_cap")
 
 
+def ratio_cap_slack(params: ModelParams, s):
+    """Slack of the valuation-ratio cap on v_L/v_H at resale quality
+    ``s = s(D)``: the closed form of the young-low acceptance ``ic_l1``.
+
+    Elementwise when ``s`` or the parameter fields are arrays; each lane
+    equals the single-point slack bit for bit.
+    """
+
+    p = params
+    cap = (1.0 - s) / (1.0 - ((1.0 - p.beta) * p.alpha - p.delta) * s)
+    return cap - p.v_L / p.v_H
+
+
 def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
     """Slacks of the steady-state self-selection and participation conditions.
 
@@ -252,14 +267,13 @@ def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
     cont_h = max(resale_net_h, p.v_H * s)
     cont_l = max(p.v_L - p_n + (1.0 - p.beta) * p_u, p.v_L * s)
     used_l = p.alpha * p.v_L * s - p_u
-    cap = (1.0 - s) / (1.0 - ((1.0 - p.beta) * p.alpha - p.delta) * s)
     return {
         "ic_h2": resale_net_h - p.v_H * s,
         "ic_h1": (p.v_H - p_n + p.delta * cont_h) - (p.v_H * s - p_u),
         "ir_l2": used_l,
         "ic_l1": used_l - (p.v_L - p_n + p.delta * cont_l),
         "ic_l2": used_l - (p.v_L - p_n),
-        "ratio_cap": cap - p.v_L / p.v_H,
+        "ratio_cap": ratio_cap_slack(params, s),
     }
 
 
@@ -294,6 +308,28 @@ def _buys_new(action: Action) -> bool:
     return action in (Action.BUY_NEW, Action.SELL_AND_BUY_NEW)
 
 
+@functools.lru_cache(maxsize=None)
+def _profile_facts(
+    state: OlgState, profile: ActionProfile
+) -> tuple[float, float, tuple[bool, ...], tuple[bool, ...]]:
+    """What :func:`check_steady_state` needs of a (state, profile) pair
+    alone: whether each young cell buys new (as 1.0 or 0.0), and, in cell
+    order, whether each cell that supplies or demands a used unit is high.
+
+    A scan checks the same 243 pairs at every draw, so they are built once.
+    """
+
+    supply = tuple(
+        cell.startswith("h")
+        for cell in _CELLS
+        if profile.get(cell) is Action.SELL_AND_BUY_NEW and owns_used(state, cell)
+    )
+    demand = tuple(
+        cell.startswith("h") for cell in _CELLS if profile.get(cell) is Action.BUY_USED
+    )
+    return float(_buys_new(profile.h1)), float(_buys_new(profile.l1)), supply, demand
+
+
 def check_steady_state(
     params: ModelParams,
     D: float,
@@ -318,20 +354,17 @@ def check_steady_state(
     """
 
     p = params
-    next_stock = p.n_H * float(_buys_new(profile.h1)) + p.n_L * float(
-        _buys_new(profile.l1)
-    )
+    h1_new, l1_new, supply_high, demand_high = _profile_facts(state, profile)
+    next_stock = p.n_H * h1_new + p.n_L * l1_new
     state_consistent = abs(next_stock - state.fraction(params)) <= 1e-12
 
+    # summed in cell order, as the cells are listed
     supply = 0.0
+    for high in supply_high:
+        supply += p.n_H if high else p.n_L
     demand = 0.0
-    masses = {"h1": p.n_H, "h2": p.n_H, "l1": p.n_L, "l2": p.n_L}
-    for cell in _CELLS:
-        action = profile.get(cell)
-        if action is Action.SELL_AND_BUY_NEW and owns_used(state, cell):
-            supply += masses[cell]
-        if action is Action.BUY_USED:
-            demand += masses[cell]
+    for high in demand_high:
+        demand += p.n_H if high else p.n_L
     if supply == 0.0:
         market_clearing = demand == 0.0
     else:

@@ -355,13 +355,16 @@ def best_response_audit(
             p_n, p_u = pr.p2n, pr.p2u
         audits = cell_audits(action_table(params, D, p_n, p_u, state), tol)
 
-    cells = tuple(audits[cell][profile.get(cell)] for cell in _CELLS)
+    h1 = audits["h1"][profile.h1]
+    h2 = audits["h2"][profile.h2]
+    l1 = audits["l1"][profile.l1]
+    l2 = audits["l2"][profile.l2]
     return AuditReport(
         state=state,
         profile=profile,
-        cells=cells,
-        all_attain=all(c.attains_max for c in cells),
-        all_selected=all(c.is_selected for c in cells),
+        cells=(h1, h2, l1, l2),
+        all_attain=all((h1.attains_max, h2.attains_max, l1.attains_max, l2.attains_max)),
+        all_selected=all((h1.is_selected, h2.is_selected, l1.is_selected, l2.is_selected)),
     )
 
 

@@ -57,6 +57,17 @@ def fmt12(value) -> str:
     return str(value)
 
 
+def _cell_text(value) -> str:
+    """:func:`fmt12` of one CSV cell, with bools and enum members (the
+    whole audit table) rendered before its ``isinstance`` chain."""
+
+    if type(value) is bool:
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return str(value._value_)
+    return fmt12(value)
+
+
 def to_jsonable(obj):
     """Recursively convert results into plain JSON types.
 
@@ -112,7 +123,7 @@ def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> No
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([fmt12(cell) for cell in row])
+            writer.writerow([_cell_text(cell) for cell in row])
 
 
 TWO_PERIOD_COLUMNS = (

@@ -32,6 +32,7 @@ import numpy as np
 
 from .primitives import (
     DEFAULT_D_MAX,
+    BracketError,
     ModelKind,
     ModelParams,
     PowerCost,
@@ -570,8 +571,7 @@ def equilibrium_feasible(
         d_star = tp.optimal_durability(params, regime, d_max=d_max)
         slacks = tp.constraint_slacks(params, d_star)
     else:
-        d_star = olg_mod.solve_olg(params, regime, d_max=d_max).D_star
-        slacks = olg_mod.constraint_slacks_olg(params, d_star)
+        slacks = olg_mod.solve_olg(params, regime, d_max=d_max).slacks
     return all(v >= -slack_tol for v in slacks.values())
 
 
@@ -647,15 +647,32 @@ def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
 
 
 def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
+    slack_tol = 1e-9
+
     def ok(cand: ModelParams) -> bool:
         return validate_params(cand, ModelKind.OLG).ok and all(
-            equilibrium_feasible(cand, ModelKind.OLG, r, d_max) for r in _REGIMES
+            equilibrium_feasible(cand, ModelKind.OLG, r, d_max, slack_tol) for r in _REGIMES
         )
 
     def screen(block: ModelParams) -> np.ndarray:
-        return margin_active(block, ModelKind.OLG, Regime.THIRD_PARTY) & margin_active(
+        # both margins positive, then the ratio cap at both regimes' D*: the
+        # slack that margin-active draws fail. Each lane's D* and cap slack
+        # equal the predicate's bit for bit, so no accepted draw is lost.
+        active = margin_active(block, ModelKind.OLG, Regime.THIRD_PARTY) & margin_active(
             block, ModelKind.OLG, Regime.BRANDED
         )
+        lanes = _take(block, active)
+        try:
+            d_stars = [_durabilities(lanes, ModelKind.OLG, r, d_max) for r in _REGIMES]
+        except BracketError:
+            # a root beyond d_max: the predicate raises it in draw order
+            return active
+        third_party, branded = (
+            olg_mod.ratio_cap_slack(lanes, lanes.quality.value(d)) >= -slack_tol
+            for d in d_stars
+        )
+        active[active] = third_party & branded
+        return active
 
     return ok, screen
 
@@ -774,7 +791,8 @@ def _stack(pool: list[ModelParams]) -> ModelParams:
 
 
 def _take(params: ModelParams, idx: np.ndarray) -> ModelParams:
-    """The lanes ``idx`` of a ModelParams with (n,) array fields."""
+    """The lanes ``idx`` (indices or a boolean mask) of a ModelParams with
+    (n,) array fields."""
 
     return dataclasses.replace(
         params, **{f: getattr(params, f)[idx] for f in _SCALAR_FIELDS}

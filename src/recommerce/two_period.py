@@ -32,6 +32,7 @@ import numpy as np
 
 from .primitives import (
     DEFAULT_D_MAX,
+    BracketError,
     ModelParams,
     Regime,
     bisect_increasing,
@@ -121,7 +122,9 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
     """Durability root of ``foc_residual(params, slope)`` on [1e-12, d_max].
 
     The one entry to the durability condition. A 0-d ``slope`` is solved by
-    the scalar :func:`bisect_increasing` and gives a float. An array
+    the scalar :func:`bisect_increasing` and gives a float; a root below the
+    bracket (a residual negative at 0 and positive at 1e-12) is bisected on
+    [0, 1e-12] instead, and otherwise the bracket's error stands. An array
     ``slope`` gives one lane per entry, solved with the shared cost/quality
     family of ``params`` by the scalar midpoint sequence, so each lane
     equals the single-point root bit for bit; a lane without a strict sign
@@ -131,7 +134,14 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
     """
 
     if np.ndim(slope) == 0:
-        return bisect_increasing(foc_residual(params, slope), 1e-12, d_max)
+        residual = foc_residual(params, slope)
+        try:
+            return bisect_increasing(residual, 1e-12, d_max)
+        except BracketError:
+            # a root below the bracket's floor: a sign change in (0, 1e-12)
+            if residual(1e-12) > 0.0 and residual(0.0) < 0.0:
+                return bisect_increasing(residual, 0.0, 1e-12)
+            raise
     slope = np.asarray(slope, dtype=float)
     lanes = slope.ravel()
     n = lanes.size

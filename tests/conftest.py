@@ -4,6 +4,15 @@ import pytest
 
 from recommerce import canonical_params
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile("recommerce", derandomize=True, database=None)
+    settings.load_profile("recommerce")
+
 
 @pytest.fixture()
 def canonical():
@@ -26,3 +35,4 @@ def cap_failure(canonical):
     return dataclasses.replace(
         canonical, v_L=0.95, alpha=0.95, beta=0.2, delta=0.5
     )
+

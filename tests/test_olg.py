@@ -20,6 +20,7 @@ from recommerce import (
     solve_olg,
 )
 from recommerce.olg import (
+    FeasibilityReport,
     NONOWNER_MENU,
     OWNER_MENU,
     menu,
@@ -391,6 +392,91 @@ def test_market_clearing_requires_buyers(canonical):
     rep = check_steady_state(canonical, 0.12, OlgState.HIGH_ONLY, profile)
     assert not rep.market_clearing
     assert not rep.passes
+
+
+def _reference_check_steady_state(params, D, state, profile, slack_tol=1e-9, slacks=None):
+    """check_steady_state as one self-contained body: every fact of the
+    (state, profile) pair is rebuilt on each call."""
+
+    p = params
+    buys_new = (Action.BUY_NEW, Action.SELL_AND_BUY_NEW)
+    next_stock = p.n_H * float(profile.h1 in buys_new) + p.n_L * float(profile.l1 in buys_new)
+    state_consistent = abs(next_stock - state.fraction(params)) <= 1e-12
+    supply = 0.0
+    demand = 0.0
+    masses = {"h1": p.n_H, "h2": p.n_H, "l1": p.n_L, "l2": p.n_L}
+    for cell in ("h1", "h2", "l1", "l2"):
+        action = profile.get(cell)
+        if action is Action.SELL_AND_BUY_NEW and owns_used(state, cell):
+            supply += masses[cell]
+        if action is Action.BUY_USED:
+            demand += masses[cell]
+    market_clearing = demand == 0.0 if supply == 0.0 else demand >= supply - 1e-12
+    if slacks is None:
+        slacks = constraint_slacks_olg(params, D)
+    constraints_ok = all(v >= -slack_tol for v in slacks.values())
+    dominated, note, cand, alt = False, "", None, None
+    if state is OlgState.ALL and state_consistent:
+        dominated = True
+        note = "all-hold replacement cycle vs zero-durability mass pricing"
+        cand = p.v_L * (1.0 + p.delta * p.quality.value(D)) - p.cost.value(D)
+        alt = 2.0 * p.v_L
+    elif state is OlgState.HIGH_ONLY and profile.h2 is Action.KEEP_USED:
+        dominated = True
+        note = "high keep-used pattern vs selling new to both high cohorts"
+        cand = p.n_H * (p.v_H * (1.0 + p.delta * p.quality.value(D)) - p.cost.value(D))
+        alt = 2.0 * p.n_H * p.v_H
+    elif state is OlgState.HIGH_ONLY and profile.h2 is Action.BUY_NEW and D > 0.0:
+        dominated = True
+        note = "discard-replace pattern vs the same sales at zero durability"
+        cand = 2.0 * p.n_H * (p.v_H - p.cost.value(D))
+        alt = 2.0 * p.n_H * p.v_H
+    elif state is OlgState.NONE and state_consistent:
+        dominated = True
+        note = "empty-stock state earns nothing on repeat trade"
+        cand = 0.0
+        alt = 2.0 * max(p.v_L, p.n_H * p.v_H)
+    return FeasibilityReport(
+        state=state,
+        profile=profile,
+        state_consistent=state_consistent,
+        used_supply=supply,
+        used_demand=demand,
+        market_clearing=market_clearing,
+        slacks=slacks,
+        constraints_ok=constraints_ok,
+        dominated=dominated,
+        dominance_note=note,
+        candidate_profit=cand,
+        alternative_profit=alt,
+    )
+
+
+@pytest.mark.parametrize("point", ["active-d-star", "zero", "cap-binding", "cap-failing"])
+def test_check_steady_state_equals_reference_on_every_pair(
+    olg_feasible, cap_failure, point
+):
+    params, D = {
+        "active-d-star": (olg_feasible, solve_olg(olg_feasible, B).D_star),
+        # D = 0 skips the discard-replace branch, which needs D > 0
+        "zero": (olg_feasible, 0.0),
+        "cap-binding": (cap_failure, solve_olg(cap_failure, T).best_feasible_D),
+        "cap-failing": (cap_failure, solve_olg(cap_failure, T).D_star),
+    }[point]
+    slacks = constraint_slacks_olg(params, D)
+    pairs = [(state, profile) for state in OlgState for profile in enumerate_profiles(state)]
+    assert len(pairs) == 243
+    notes = set()
+    for state, profile in pairs:
+        for shared in (None, slacks):
+            got = check_steady_state(params, D, state, profile, slacks=shared)
+            want = _reference_check_steady_state(params, D, state, profile, slacks=shared)
+            assert got == want
+            assert got.used_supply.hex() == want.used_supply.hex()
+            assert got.used_demand.hex() == want.used_demand.hex()
+            notes.add(got.dominance_note)
+    discard = "discard-replace pattern vs the same sales at zero durability"
+    assert (discard in notes) == (D > 0.0)
 
 
 # ----------------------------------------------------------------------

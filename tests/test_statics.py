@@ -19,6 +19,7 @@ from recommerce import (
     solve_olg,
     value_function,
 )
+from recommerce import olg as olg_mod
 from recommerce import two_period as tp
 from recommerce.primitives import (
     BracketError,
@@ -394,6 +395,10 @@ def test_pool_screen_is_a_necessary_condition(name):
     assert accepted, "no draw satisfies the predicate; the check says nothing"
     assert not passed.all(), "the screen rejects nothing; the check says nothing"
     assert all(passed[i] for i in accepted)
+    if name == "olg":
+        # the cap at D* rejects draws that both margins let through
+        margins = margin_active(block, OLG, T) & margin_active(block, OLG, B)
+        assert (margins & ~passed).any()
 
 
 @pytest.mark.parametrize("name", ["two-period", "olg", "foc-olg-branded"])
@@ -401,6 +406,60 @@ def test_screen_leaves_pool_unchanged(name):
     predicate, screen = _POOL_FILTERS[name]
     plain = sample_filtered(3, (5, 9), predicate)
     assert sample_filtered(3, (5, 9), predicate, screen=screen) == plain
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_screened_pools_equal_unscreened_pools(seed):
+    predicate, _ = _POOL_FILTERS["olg"]
+    assert olg_pool(8, seed) == sample_filtered(8, (seed, 2), predicate)
+    for name in sorted(_POOL_FILTERS):
+        predicate, screen = _POOL_FILTERS[name]
+        plain = sample_filtered(3, (seed, 9), predicate)
+        assert sample_filtered(3, (seed, 9), predicate, screen=screen) == plain, name
+
+
+@pytest.mark.parametrize("d_max", [0.1, 0.25])
+def test_olg_screen_leaves_roots_beyond_d_max_to_the_predicate(d_max):
+    # the first block holds margin-active draws with no root below d_max;
+    # the screened pool raises the unscreened pool's error (d_max = 0.1) or,
+    # when the pool fills before the predicate meets one, equals it (0.25)
+    block = _draw_block(np.random.default_rng([6, 2]), 4096, DEFAULT_BOX)
+    with pytest.raises(BracketError):
+        _durabilities(block, OLG, B, d_max)
+    predicate, screen = _olg_filters(d_max)
+
+    def pool(**kw):
+        try:
+            return sample_filtered(4, (6, 2), predicate, **kw)
+        except BracketError as exc:
+            return str(exc)
+
+    plain = pool()
+    assert isinstance(plain, str) == (d_max == 0.1)
+    assert pool(screen=screen) == plain
+
+
+def test_ratio_cap_slack_lanes_equal_scalar_slacks():
+    block = _draw_block(np.random.default_rng([23, 5]), 2000, DEFAULT_BOX)
+    rng = np.random.default_rng(8)
+    live = margin_active(block, OLG, T) & margin_active(block, OLG, B)
+    durabilities = [
+        rng.uniform(0.0, 2.0, 2000),
+        np.where(live, _durabilities(block, OLG, B, DEFAULT_D_MAX), 0.0),
+    ]
+    for d in durabilities:
+        lanes = olg_mod.ratio_cap_slack(block, block.quality.value(d))
+        for i in range(2000):
+            scalar = olg_mod.constraint_slacks_olg(_draw_row(block, i), float(d[i]))
+            assert float(lanes[i]).hex() == scalar["ratio_cap"].hex()
+
+
+def test_olg_feasibility_reads_the_solved_slacks():
+    pool = olg_pool(50, 42)
+    for params in pool:
+        for regime in (T, B):
+            sol = solve_olg(params, regime)
+            assert sol.slacks == olg_mod.constraint_slacks_olg(params, sol.D_star)
 
 
 def test_batched_ladders_equal_scalar_solves():

@@ -22,6 +22,7 @@ from recommerce import (
     solve,
     welfare,
 )
+from recommerce.primitives import BracketError
 from recommerce.two_period import solve_foc
 
 T = Regime.THIRD_PARTY
@@ -123,9 +124,9 @@ def test_social_durability_vanishes_with_worthless_low_types(canonical):
 FOC_ROOT_TOL = 1e-10
 
 
-def _mp_foc_root(mp, params, slope):
+def _mp_foc_root(mp, params, slope, lo=1e-12):
     """Root of ``c'(D) - slope * s'(D)`` by 50-digit bisection on the solver's
-    bracket [1e-12, DEFAULT_D_MAX], from the exact values of the float parameters."""
+    bracket [lo, DEFAULT_D_MAX], from the exact values of the float parameters."""
 
     cost, quality = params.cost, params.quality
     with mp.workdps(50):
@@ -144,7 +145,7 @@ def _mp_foc_root(mp, params, slope):
         def residual(D):
             return c0 * p * D ** (p - 1) - slope * quality_deriv(D)
 
-        lo, hi = mp.mpf(1e-12), mp.mpf(DEFAULT_D_MAX)
+        lo, hi = mp.mpf(lo), mp.mpf(DEFAULT_D_MAX)
         assert residual(lo) < 0 < residual(hi)
         for _ in range(200):  # 10 * 2**-200 is far below 50 digits
             mid = (lo + hi) / 2
@@ -172,6 +173,28 @@ def test_foc_roots_match_mpmath_reference(canonical, p, quality):
         assert type(scalar) is float
         assert abs(mp.mpf(scalar) - exact) <= FOC_ROOT_TOL
         assert abs(mp.mpf(float(lane)) - exact) <= FOC_ROOT_TOL
+
+
+def test_root_below_the_bracket_floor_is_solved(canonical):
+    # a steep cost and a branded margin of 1e-8 put the root near 2.4e-13,
+    # below the bracket's floor 1e-12, where the residual is already positive
+    mp = pytest.importorskip("mpmath").mp
+    params = dataclasses.replace(canonical, cost=PowerCost(c0=1e4, p=2.0))
+    params = dataclasses.replace(params, v_L=(1.0 + 1e-8) / (params.alpha * (2.0 - params.beta)))
+    assert activity_margin(params, B) == pytest.approx(1e-8, rel=1e-6)
+    slope = params.delta / (1.0 + params.delta) * activity_margin(params, B)
+    assert solve_foc(params, slope) == optimal_durability(params, B)
+    exact = _mp_foc_root(mp, params, slope, lo=0.0)
+    assert exact < 1e-12
+    for root in (optimal_durability(params, B), float(solve_foc(params, np.array([slope]))[0])):
+        assert abs(mp.mpf(root) - exact) <= FOC_ROOT_TOL
+    assert solve(params, B).D_star == optimal_durability(params, B)
+
+
+def test_nonpositive_slope_keeps_the_bracket_error(canonical):
+    # the residual is positive at 0 too, so there is no root to bisect below
+    with pytest.raises(BracketError, match=r"f\(1e-12\) = .* is not negative"):
+        solve_foc(canonical, -0.1)
 
 
 # ----------------------------------------------------------------------
