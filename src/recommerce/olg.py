@@ -70,7 +70,6 @@ __all__ = [
     "olg_margin",
     "objective_value",
     "zero_durability_alternatives",
-    "ratio_cap_slack",
     "constraint_slacks_olg",
     "OLG_CONSTRAINT_NAMES",
     "FeasibilityReport",
@@ -230,7 +229,7 @@ def zero_durability_alternatives(params: ModelParams) -> dict[str, float]:
 OLG_CONSTRAINT_NAMES = ("ic_h2", "ic_h1", "ir_l2", "ic_l1", "ic_l2", "ratio_cap")
 
 
-def ratio_cap_slack(params: ModelParams, s):
+def _ratio_cap_slack(params: ModelParams, s):
     """Slack of the valuation-ratio cap on v_L/v_H at resale quality
     ``s = s(D)``: the closed form of the young-low acceptance ``ic_l1``.
 
@@ -273,7 +272,7 @@ def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
         "ir_l2": used_l,
         "ic_l1": used_l - (p.v_L - p_n + p.delta * cont_l),
         "ic_l2": used_l - (p.v_L - p_n),
-        "ratio_cap": ratio_cap_slack(params, s),
+        "ratio_cap": _ratio_cap_slack(params, s),
     }
 
 

@@ -44,28 +44,19 @@ __all__ = [
 def fmt12(value) -> str:
     """Render one CSV cell: floats at 12 significant digits, blanks for None."""
 
+    if type(value) is bool:
+        return "true" if value else "false"
     if value is None:
         return ""
     if isinstance(value, enum.Enum):
-        return str(value.value)
-    if isinstance(value, (bool, np.bool_)):
+        return str(value._value_)
+    if isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         if math.isnan(value):
             return "nan"
         return format(float(value), ".12g")
     return str(value)
-
-
-def _cell_text(value) -> str:
-    """:func:`fmt12` of one CSV cell, with bools and enum members (the
-    whole audit table) rendered before its ``isinstance`` chain."""
-
-    if type(value) is bool:
-        return "true" if value else "false"
-    if isinstance(value, enum.Enum):
-        return str(value._value_)
-    return fmt12(value)
 
 
 def to_jsonable(obj):
@@ -123,7 +114,7 @@ def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> No
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([_cell_text(cell) for cell in row])
+            writer.writerow([fmt12(cell) for cell in row])
 
 
 TWO_PERIOD_COLUMNS = (

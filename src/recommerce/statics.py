@@ -668,7 +668,7 @@ def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
             # a root beyond d_max: the predicate raises it in draw order
             return active
         third_party, branded = (
-            olg_mod.ratio_cap_slack(lanes, lanes.quality.value(d)) >= -slack_tol
+            olg_mod._ratio_cap_slack(lanes, lanes.quality.value(d)) >= -slack_tol
             for d in d_stars
         )
         active[active] = third_party & branded

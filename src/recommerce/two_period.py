@@ -119,12 +119,14 @@ def foc_residual(params: ModelParams, slope):
 
 
 def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
-    """Durability root of ``foc_residual(params, slope)`` on [1e-12, d_max].
+    """Durability root of ``foc_residual(params, slope)`` on [0, d_max].
 
     The one entry to the durability condition. A 0-d ``slope`` is solved by
-    the scalar :func:`bisect_increasing` and gives a float; a root below the
-    bracket (a residual negative at 0 and positive at 1e-12) is bisected on
-    [0, 1e-12] instead, and otherwise the bracket's error stands. An array
+    the scalar :func:`bisect_increasing` on [1e-12, d_max] and gives a
+    float. A root in (0, 1e-12) (a residual negative at 0 and positive at
+    1e-12) comes back as that bracket's midpoint 5e-13, which the fixed
+    1e-10 tolerance already accepts: it is accurate to 1e-10 absolutely,
+    not relatively. Otherwise the bracket's error stands. An array
     ``slope`` gives one lane per entry, solved with the shared cost/quality
     family of ``params`` by the scalar midpoint sequence, so each lane
     equals the single-point root bit for bit; a lane without a strict sign
@@ -138,9 +140,9 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
         try:
             return bisect_increasing(residual, 1e-12, d_max)
         except BracketError:
-            # a root below the bracket's floor: a sign change in (0, 1e-12)
+            # a sign change in (0, 1e-12), a bracket narrower than xtol
             if residual(1e-12) > 0.0 and residual(0.0) < 0.0:
-                return bisect_increasing(residual, 0.0, 1e-12)
+                return 0.5 * 1e-12
             raise
     slope = np.asarray(slope, dtype=float)
     lanes = slope.ravel()

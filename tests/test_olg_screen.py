@@ -98,7 +98,7 @@ def box_points(draw):
     return params
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None)
 @given(box_points())
 def test_olg_predicate_implies_screen(params):
     passed = bool(SCREEN(_stack([params]))[0])

@@ -6,42 +6,36 @@ import pytest
 
 from recommerce import Action, MarketMode, OlgState, Regime, solve_olg
 from recommerce.oracle import exhaustive_steady_state_scan
-from recommerce.reporting import AUDIT_COLUMNS, _cell_text, audit_row, fmt12, write_csv
+from recommerce.reporting import AUDIT_COLUMNS, audit_row, fmt12, write_csv
 
 CELLS = [
-    Action.BUY_NEW,
-    Action.SELL_AND_BUY_NEW,
-    OlgState.HIGH_ONLY,
-    Regime.BRANDED,
-    MarketMode.SHUTDOWN,
-    True,
-    False,
-    np.True_,
-    np.False_,
-    1,
-    1.0,
-    0,
-    0.0,
-    -0.0,
-    math.nan,
-    np.float64(0.1),
-    np.int64(7),
-    None,
-    "pass",
-    "",
+    (Action.BUY_NEW, Action.BUY_NEW.value),
+    (Action.SELL_AND_BUY_NEW, Action.SELL_AND_BUY_NEW.value),
+    (OlgState.HIGH_ONLY, OlgState.HIGH_ONLY.value),
+    (Regime.BRANDED, Regime.BRANDED.value),
+    (MarketMode.SHUTDOWN, MarketMode.SHUTDOWN.value),
+    (True, "true"),
+    (False, "false"),
+    (np.True_, "true"),
+    (np.False_, "false"),
+    (1, "1"),
+    (1.0, "1"),
+    (0, "0"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (math.nan, "nan"),
+    (np.float64(0.1), "0.1"),
+    (np.int64(7), "7"),
+    (None, ""),
+    ("pass", "pass"),
+    ("", ""),
 ]
 
 
-@pytest.mark.parametrize("value", CELLS, ids=repr)
-def test_cell_fast_path_equals_fmt12(value):
-    assert _cell_text(value) == fmt12(value)
-
-
-def test_cell_fast_path_keeps_equal_values_of_different_types_apart():
+@pytest.mark.parametrize(("value", "text"), CELLS, ids=repr)
+def test_fmt12_renders_each_cell_type(value, text):
     # True == 1 == 1.0 and 0.0 == -0.0, yet each renders as its own type
-    assert [_cell_text(v) for v in (True, 1, 1.0, False, 0, 0.0, -0.0)] == [
-        "true", "1", "1", "false", "0", "0", "-0",
-    ]
+    assert fmt12(value) == text
 
 
 def test_audit_csv_equals_fmt12_rendering(tmp_path, olg_feasible):
