@@ -124,15 +124,15 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
     The one entry to the durability condition. A 0-d ``slope`` is solved by
     the scalar :func:`bisect_increasing` on [1e-12, d_max] and gives a
     float. A root in (0, 1e-12) (a residual negative at 0 and positive at
-    1e-12) comes back as that bracket's midpoint 5e-13, which the fixed
-    1e-10 tolerance already accepts: it is accurate to 1e-10 absolutely,
-    not relatively. Otherwise the bracket's error stands. An array
-    ``slope`` gives one lane per entry, solved with the shared cost/quality
-    family of ``params`` by the scalar midpoint sequence, so each lane
-    equals the single-point root bit for bit; a lane without a strict sign
-    change on the bracket is handed to the scalar bisection, so it returns
-    the same endpoint or raises the same :class:`BracketError`. Callers
-    decide which lanes are active.
+    1e-12) goes to :func:`bisect_increasing` on [0, 1e-12], a bracket
+    narrower than its 1e-10 tolerance, so it comes back as the midpoint
+    5e-13: accurate to 1e-10 absolutely, not relatively. Otherwise the
+    bracket's error stands. An array ``slope`` gives one lane per entry,
+    solved with the shared cost/quality family of ``params`` by the scalar
+    midpoint sequence, so each lane equals the single-point root bit for
+    bit; a lane without a strict sign change on the bracket is handed to
+    the scalar bisection, so it returns the same endpoint or raises the
+    same :class:`BracketError`. Callers decide which lanes are active.
     """
 
     if np.ndim(slope) == 0:
@@ -140,9 +140,10 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
         try:
             return bisect_increasing(residual, 1e-12, d_max)
         except BracketError:
-            # a sign change in (0, 1e-12), a bracket narrower than xtol
+            # a sign change in (0, 1e-12): that bracket is already narrower
+            # than xtol, so the bisection returns its midpoint 5e-13
             if residual(1e-12) > 0.0 and residual(0.0) < 0.0:
-                return 0.5 * 1e-12
+                return bisect_increasing(residual, 0.0, 1e-12)
             raise
     slope = np.asarray(slope, dtype=float)
     lanes = slope.ravel()
