@@ -455,8 +455,9 @@ class SteadyStateSolution:
 def _cap_boundary(params: ModelParams, hi: float) -> float:
     """Largest durability (up to hi) at which the ratio cap still holds."""
 
-    def slack(D: float) -> float:
-        return constraint_slacks_olg(params, D)["ratio_cap"]
+    def slack(D):
+        # the ratio_cap of constraint_slacks_olg, elementwise for the bisection
+        return _ratio_cap_slack(params, params.quality.value(D))
 
     if slack(hi) >= 0.0:
         return hi

@@ -156,7 +156,10 @@ class SaturatingExpQuality:
 
     def deriv2(self, D):
         arr, scalar = _as_array(D)
-        return _maybe_scalar(-self.s_bar * self.k**2 * np.exp(-self.k * arr), scalar)
+        # k * k, not k**2: the float power raises OverflowError above about
+        # 1.3e154, where the product is inf
+        k2 = self.k * self.k
+        return _maybe_scalar(-self.s_bar * k2 * np.exp(-self.k * arr), scalar)
 
     def eval_triple(self, D):
         return self.value(D), self.deriv(D), self.deriv2(D)
@@ -439,8 +442,13 @@ class BracketError(ValueError):
     """The supplied interval does not bracket a sign change."""
 
 
+# Levels of the midpoint tree in the first call of ``f``: its 2**5 - 1
+# midpoints and the two ends of the bracket.
+_PROBE_LEVELS = 5
+
+
 def bisect_increasing(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     xtol: float = 1e-10,
@@ -451,10 +459,26 @@ def bisect_increasing(
     condition in the package; tests freeze its output, so the iteration is
     deliberately simple and deterministic. It returns the midpoint of a
     bracket at most ``xtol`` wide, so the root lies within ``xtol`` of it.
+
+    ``f`` must be elementwise: it is called on a float array, and each entry
+    must equal ``f`` at that point alone. One call evaluates the midpoints
+    the bisection would visit if its decisions followed an estimate of the
+    root (the first levels of the midpoint tree, then a linear interpolation
+    between the bracket's ends), and the loop takes each decision from ``f``
+    at its exact midpoint. A wrong estimate costs one more call from the
+    verified bracket, never a different midpoint, so the result equals the
+    one-point-at-a-time bisection for any elementwise ``f`` (non-monotone or
+    NaN-valued too), with about 5 calls of ``f`` instead of about 40.
     """
 
-    flo = f(lo)
-    fhi = f(hi)
+    seen: dict[float, float] = {}
+
+    def evaluate(points: list[float]) -> list[float]:
+        values = f(np.array(points, dtype=float)).tolist()
+        seen.update(zip(points, values))
+        return values
+
+    flo, fhi, *_ = evaluate([lo, hi, *_tree_midpoints(lo, hi, xtol)])
     if flo >= 0.0:
         if flo == 0.0:
             return lo
@@ -467,11 +491,54 @@ def bisect_increasing(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval no longer splittable
             break
-        if f(mid) < 0.0:
+        fmid = seen.get(mid)
+        if fmid is None:  # a wrong estimate: a new path, starting at mid
+            fmid = evaluate(_predicted_midpoints(lo, flo, hi, fhi, xtol))[0]
+        if fmid < 0.0:
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _tree_midpoints(lo: float, hi: float, xtol: float) -> list[float]:
+    """Every midpoint the bisection of [lo, hi] can visit in its first
+    ``_PROBE_LEVELS`` steps, level by level."""
+
+    points: list[float] = []
+    brackets = [(lo, hi)]
+    for _ in range(_PROBE_LEVELS):
+        children = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            if b - a > xtol and not (mid <= a or mid >= b):
+                points.append(mid)
+                children += [(a, mid), (mid, b)]
+        brackets = children
+    return points
+
+
+def _predicted_midpoints(
+    lo: float, flo: float, hi: float, fhi: float, xtol: float
+) -> list[float]:
+    """The midpoints the bisection of [lo, hi] visits, in order, if ``f``
+    is negative exactly below the secant root of its two ends; the midpoint
+    tree where that root is not inside the bracket."""
+
+    guess = lo - flo * (hi - lo) / (fhi - flo)
+    if not lo < guess < hi:
+        return _tree_midpoints(lo, hi, xtol)
+    points = []
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        points.append(mid)
+        if mid < guess:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return points
 
 
 def bisect_increasing_vec(

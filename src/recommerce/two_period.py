@@ -25,6 +25,7 @@ and flagged as a tie.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -165,6 +166,18 @@ def social_optimal_durability(params: ModelParams, d_max: float = DEFAULT_D_MAX)
     """
 
     return solve_foc(params, foc_slope(params, params.v_L), d_max)
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_social_durability(params: ModelParams, d_max: float) -> float:
+    """:func:`social_optimal_durability` of one point.
+
+    It does not depend on the regime, and callers solve both regimes of a
+    point in turn, so one entry lets them share the root. A
+    :class:`BracketError` is not cached; it is raised again on every call.
+    """
+
+    return social_optimal_durability(params, d_max)
 
 
 def optimal_durability(
@@ -344,7 +357,7 @@ def solve(
     """
 
     margin = activity_margin(params, regime)
-    d_social = social_optimal_durability(params, d_max=d_max)
+    d_social = _shared_social_durability(params, d_max)
     shutdown = shutdown_profit(params)
 
     if margin > 0.0:

@@ -162,6 +162,8 @@ def params_config(section=None, **fields):
         pytest.param(params_config("cost", p="2"), id="params-cost-p-string"),
         pytest.param(params_config("cost", c0=True), id="params-cost-c0-true"),
         pytest.param(params_config("quality", k=math.inf), id="params-quality-k-inf"),
+        pytest.param(params_config("quality", k=1e155), id="params-quality-k-1e155"),
+        pytest.param(params_config("quality", k=1e300), id="params-quality-k-1e300"),
         pytest.param(params_config("quality", s_bar=[1.0]), id="params-quality-list"),
     ],
 )
@@ -231,6 +233,33 @@ def test_overflowing_d_max_exits_2_with_one_line(tmp_path, capsys):
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: parameters fail two-period admissibility")
+    assert err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("k", [1e154, 1e155, 1e300])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["compare"],
+        ["sweep", "--parameter", "beta", "--start", "0.1", "--stop", "0.2", "--steps", "2"],
+        ["olg-verify"],
+        ["oracle-check"],
+    ],
+)
+def test_huge_quality_rate_exits_2_with_one_line(tmp_path, capsys, argv, k):
+    # s''(D) = -s_bar k**2 exp(-k D) overflows above k of about 1.3e154; the
+    # shape checks it breaks fail, without a traceback or a NumPy warning
+    params = {**params_to_dict(canonical_params()),
+              "quality": {"family": "saturating_exp", "s_bar": 1.0, "k": k}}
+    cfg = write_config(tmp_path, params=params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters fail ")
+    assert "admissibility: quality_below_one, " in err
     assert err.count("\n") == 1
     assert [str(w.message) for w in caught] == []
 

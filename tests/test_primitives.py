@@ -19,7 +19,15 @@ from recommerce import (
     params_to_dict,
     validate_params,
 )
-from recommerce.primitives import _family_checks, bisect_increasing_vec
+from recommerce import olg, statics
+from recommerce import two_period as tp
+from recommerce.primitives import Regime, _family_checks, bisect_increasing_vec
+from recommerce.statics import _margin_slope
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests below are not collected
+    given = None
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +296,7 @@ def test_bisect_requires_bracket():
 
 
 def test_bisect_tolerance():
-    root = bisect_increasing(lambda x: math.expm1(x) - 1.0, 0.0, 5.0, xtol=1e-12)
+    root = bisect_increasing(lambda x: np.expm1(x) - 1.0, 0.0, 5.0, xtol=1e-12)
     assert root == pytest.approx(math.log(2.0), abs=1e-10)
 
 
@@ -302,6 +310,252 @@ def test_vectorized_bisection_matches_scalar():
     for i, t in enumerate(targets):
         scalar = bisect_increasing(lambda x, t=t: x**2 - t, 0.0, 4.0)
         assert roots[i] == scalar
+
+
+# ----------------------------------------------------------------------
+# bisect_increasing against the one-point-at-a-time bisection
+# ----------------------------------------------------------------------
+
+
+def _reference_bisect(f, lo, hi, xtol=1e-10):
+    """The plain bisection, one scalar call of ``f`` per point: the body
+    ``bisect_increasing`` had before it evaluated predicted midpoints in
+    batches. ``bisect_increasing`` must return exactly what it returns."""
+
+    flo = f(lo)
+    fhi = f(hi)
+    if flo >= 0.0:
+        if flo == 0.0:
+            return lo
+        raise BracketError(f"f({lo}) = {flo} is not negative")
+    if fhi <= 0.0:
+        if fhi == 0.0:
+            return hi
+        raise BracketError(f"f({hi}) = {fhi} is not positive")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # interval no longer splittable
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _outcome(fn):
+    """The root as its type and exact text (NaN and -0.0 included), or the
+    BracketError message."""
+
+    try:
+        root = fn()
+    except BracketError as exc:
+        return ("error", str(exc))
+    return ("root", type(root).__name__, repr(root))
+
+
+def _assert_same_as_reference(f, lo, hi, xtol=1e-10):
+    got = _outcome(lambda: bisect_increasing(f, lo, hi, xtol))
+    assert got == _outcome(lambda: _reference_bisect(f, lo, hi, xtol))
+    return got
+
+
+def _elementwise(g):
+    """``g`` on a float array, and a NumPy scalar on one point."""
+
+    return lambda x: g(np.asarray(x, dtype=float))[()]
+
+
+FOC_FAMILIES = [
+    (PowerCost(c0=c0, p=p), quality)
+    for c0, p in [(0.5, 2.0), (0.1, 1.05), (2.0, 4.0), (0.7, 1.5), (1.3, 3.0)]
+    for quality in [
+        SaturatingExpQuality(s_bar=1.0, k=1.0),
+        SaturatingExpQuality(s_bar=0.6, k=3.0),
+        RationalQuality(k=0.3),
+        RationalQuality(k=3.0),
+    ]
+]
+
+
+def _slope_with_root_at(params, D):
+    """The slope whose durability condition has its root at ``D``."""
+
+    return params.cost.deriv(D) / params.quality.deriv(D)
+
+
+def _foc_slopes(params):
+    """Both models' and regimes' slopes at three points, the social slope,
+    nonpositive slopes, and slopes with roots near (and on either side of)
+    the bracket ends 1e-12 and d_max = 10."""
+
+    slopes = [0.0, -0.1]
+    for v_L, alpha, beta in [(0.8, 0.9, 0.2), (0.75, 0.95, 0.05), (0.95, 0.95, 0.2)]:
+        point = dataclasses.replace(params, v_L=v_L, alpha=alpha, beta=beta)
+        slopes.append(tp.foc_slope(point, point.v_L))
+        for model in ModelKind:
+            for regime in Regime:
+                slopes.append(_margin_slope(point, model, regime)[1])
+    for D in [1e-13, 5e-13, 1e-12, 3e-12, 1e-6, 9.999999, 10.0, 10.000001, 30.0]:
+        slopes += [_slope_with_root_at(params, D) * (1.0 + e) for e in (-1e-9, 0.0, 1e-9)]
+    return slopes
+
+
+@pytest.mark.parametrize("cost,quality", FOC_FAMILIES)
+def test_foc_roots_equal_reference(canonical, cost, quality):
+    # both brackets of solve_foc: [1e-12, d_max] and the fallback [0, 1e-12]
+    params = dataclasses.replace(canonical, cost=cost, quality=quality)
+    outcomes = set()
+    for slope in _foc_slopes(params):
+        residual = tp.foc_residual(params, slope)
+        outcomes.add(_assert_same_as_reference(residual, 1e-12, 10.0)[0])
+        _assert_same_as_reference(residual, 0.0, 1e-12)
+    assert outcomes == {"root", "error"}
+
+
+def _reference_cap_boundary(params, hi):
+    """``olg._cap_boundary`` before it was elementwise: the slack read from
+    ``constraint_slacks_olg`` and the plain bisection."""
+
+    def slack(D):
+        return olg.constraint_slacks_olg(params, D)["ratio_cap"]
+
+    if slack(hi) >= 0.0:
+        return hi
+    if slack(0.0) < 0.0:
+        return 0.0
+    return _reference_bisect(lambda d: -slack(d), 0.0, hi, xtol=1e-12)
+
+
+@pytest.mark.parametrize("quality", [SaturatingExpQuality(1.0, 1.0), RationalQuality(0.5)])
+def test_cap_boundary_equals_reference(cap_failure, quality):
+    params = dataclasses.replace(cap_failure, quality=quality)
+    solved = [olg.solve_olg(params, regime).D_star for regime in Regime]
+    bisected = 0
+    for v_L in [0.8, 0.9, 0.93, 0.95, 0.97, 0.99]:
+        point = dataclasses.replace(params, v_L=v_L)
+        for hi in [*solved, 1e-6, 0.05, 0.3, 1.0, 4.0, 10.0]:
+            got = olg._cap_boundary(point, hi)
+            assert repr(got) == repr(_reference_cap_boundary(point, hi))
+            bisected += 0.0 < got < hi
+    assert bisected >= 10
+
+
+def test_bisect_midpoint_with_exact_zero_residual():
+    # 2.5 is the third midpoint of [0, 10]; f is exactly 0 there and the
+    # walk takes it as the new upper end
+    _assert_same_as_reference(lambda x: x - 2.5, 0.0, 10.0)
+    _assert_same_as_reference(lambda x: x - 2.5, 0.0, 10.0, xtol=1e-300)
+    _assert_same_as_reference(lambda x: np.maximum(x - 2.5, 0.0) - 1e-300, 0.0, 10.0)
+
+
+def test_bisect_with_nan_on_part_of_the_bracket():
+    # NaN compares false, so it moves the upper end like a positive value
+    for cut in [0.3, 1.7, 3.14, 7.9]:
+        f = _elementwise(lambda x, cut=cut: np.where((x > cut) & (x < 9.5), np.nan, x - 5.0))
+        _assert_same_as_reference(f, 0.0, 10.0)
+    f = _elementwise(lambda x: np.where(x > 2.0, np.nan, x - 5.0))
+    _assert_same_as_reference(f, 0.0, 10.0)  # NaN at hi passes the checks
+    _assert_same_as_reference(_elementwise(lambda x: x * np.nan), 0.0, 1.0)
+
+
+def test_bisect_with_huge_and_infinite_values():
+    # the estimate overflows or is NaN; the walk's decisions do not use it
+    for g in [
+        lambda x: 1e308 * np.tanh(x - 3.3),
+        lambda x: np.where(x > 3.3, np.inf, -np.inf),
+        lambda x: np.where(x > 3.3, 1.0, -np.inf),
+    ]:
+        _assert_same_as_reference(_elementwise(g), 0.0, 10.0)
+
+
+def test_bisect_non_monotone_function():
+    f = _elementwise(lambda x: np.sin(7.0 * x) + 0.1 * x - 0.05)
+    for lo, hi in [(0.0, 10.0), (0.1, 5.3), (0.0, 1.2)]:
+        _assert_same_as_reference(f, lo, hi)
+    saw = _elementwise(lambda x: np.mod(x, 0.37) - 0.2 + 1e-3 * x)
+    _assert_same_as_reference(saw, 0.05, 9.0, xtol=1e-13)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 1.0, math.nan])
+def test_bisect_degenerate_bracket(value):
+    got = _assert_same_as_reference(_elementwise(lambda x: x * 0.0 + value), 2.0, 2.0)
+    assert got[0] == ("error" if value in (-1.0, 1.0) else "root")
+
+
+if given is not None:
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(["saturating", "rational"]),
+        c0=st.floats(0.05, 3.0),
+        p=st.floats(1.05, 4.0),
+        s_bar=st.floats(0.6, 1.0),
+        k=st.floats(0.3, 3.0),
+        log_root=st.floats(-14.0, 2.0),
+        nudge=st.sampled_from([-1e-6, 0.0, 1e-9]),
+    )
+    def test_foc_roots_equal_reference_over_families(family, c0, p, s_bar, k, log_root, nudge):
+        # a slope whose root lies at 10**log_root: below, at and above both
+        # ends of the bracket [1e-12, 10]
+        quality = SaturatingExpQuality(s_bar, k) if family == "saturating" else RationalQuality(k)
+        params = dataclasses.replace(canonical_params(), cost=PowerCost(c0, p), quality=quality)
+        slope = _slope_with_root_at(params, 10.0**log_root) * (1.0 + nudge)
+        residual = tp.foc_residual(params, slope)
+        _assert_same_as_reference(residual, 1e-12, 10.0)
+        _assert_same_as_reference(residual, 0.0, 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.floats(0.5, 40.0),
+        b=st.floats(-3.0, 3.0),
+        c=st.floats(-1.0, 1.0),
+        d=st.floats(-1.0, 1.0),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(0.0, 10.0),
+        nan_from=st.floats(-5.0, 20.0) | st.just(math.inf),
+        xtol=st.sampled_from([1e-10, 1e-12, 1e-3, 0.0]),
+    )
+    def test_bisect_equals_reference_on_any_elementwise_function(
+        a, b, c, d, lo, width, nan_from, xtol
+    ):
+        # non-monotone, with NaN above nan_from; most draws bracket nothing
+        # and must raise the same error, the rest take the same midpoints
+        f = _elementwise(
+            lambda x: np.where(x < nan_from, np.sin(a * x + b) + c * x + d, np.nan)
+        )
+        _assert_same_as_reference(f, lo, lo + width, xtol)
+
+
+def test_roots_take_few_batched_residual_calls(canonical, monkeypatch):
+    # the canonical point's social slope and its margin-active (model,
+    # regime) slopes, and a seed-42 foc_pool per cell
+    slopes = [(canonical, tp.foc_slope(canonical, canonical.v_L))]
+    for model in ModelKind:
+        for regime in Regime:
+            for p in [canonical, *statics.foc_pool(10, 42, model, regime)]:
+                margin, slope = _margin_slope(p, model, regime)
+                if margin > 0.0:
+                    slopes.append((p, slope))
+    assert len(slopes) >= 42
+
+    arguments = []
+    real = tp.foc_residual
+
+    def counting(params, slope):
+        residual = real(params, slope)
+
+        def counted(D):
+            arguments.append(D)
+            return residual(D)
+
+        return counted
+
+    monkeypatch.setattr(tp, "foc_residual", counting)
+    for params, slope in slopes:
+        assert 0.0 < tp.solve_foc(params, slope) < 10.0
+    assert all(type(D) is np.ndarray for D in arguments)
+    assert len(arguments) < 10 * len(slopes)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,8 @@ from recommerce import (
     solve,
     welfare,
 )
+from recommerce import statics
+from recommerce import two_period as tp
 from recommerce.primitives import BracketError
 from recommerce.two_period import solve_foc
 
@@ -369,3 +371,35 @@ def test_solve_shutdown_branch(canonical):
     assert eq.profit_total == pytest.approx(0.57)
     assert eq.welfare == pytest.approx(0.57)
     assert eq.constraints_ok
+
+
+def test_both_regimes_share_one_social_root(canonical, monkeypatch):
+    direct = social_optimal_durability
+    rng = np.random.default_rng(42)
+    points = [canonical, *(statics.sample_params(rng) for _ in range(12))]
+    expected = [direct(p) for p in points]
+
+    calls = []
+
+    def counting(params, d_max=DEFAULT_D_MAX):
+        calls.append(params)
+        return direct(params, d_max)
+
+    monkeypatch.setattr(tp, "social_optimal_durability", counting)
+    tp._shared_social_durability.cache_clear()
+    for i, params in enumerate(points):
+        rc = statics.regime_comparison(params)
+        assert calls == points[: i + 1]
+        assert [eq.D_social for eq in rc.two_period.values()] == [expected[i]] * 2
+
+
+def test_social_bracket_error_propagates_from_solve(canonical):
+    # cost so flat that the social root lies beyond d_max, in either regime
+    flat = dataclasses.replace(
+        canonical, cost=PowerCost(c0=1e-6, p=2.0), quality=RationalQuality(k=1.0)
+    )
+    for regime in (T, B, T):
+        with pytest.raises(BracketError, match="is not positive"):
+            solve(flat, regime)
+    with pytest.raises(BracketError):
+        statics.regime_comparison(flat)
