@@ -559,6 +559,15 @@ def _cmd_oracle_check(args) -> int:
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (a bad value or choice, an unknown
+    flag, a missing subcommand) raise UsageError, for one ``error:`` line
+    and exit 2 instead of a usage block. Subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(" ".join(message.split()))
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="path to a JSON config file")
     sub.add_argument("--out", help="output directory (overrides env and config)")
@@ -573,7 +582,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recommerce",
         description=(
             "Equilibrium durability, prices, and profits for a durable-goods "
@@ -662,9 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

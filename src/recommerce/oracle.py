@@ -97,10 +97,21 @@ class GridResult:
     step: float
 
 
-# Points per slice of the objective: each of its eight float64 temporaries
-# is 64 KiB, under glibc's default 128 KiB mmap threshold, so slices reuse
-# heap memory instead of mapping and faulting in fresh pages on every call.
+# Grid points per block of the branch-and-bound search.
+_BLOCK = 128
+# Points per slice when a run of blocks is evaluated: each float64 temporary
+# of the objective is 64 KiB, under glibc's default 128 KiB mmap threshold,
+# so slices reuse heap memory instead of mapping and faulting in fresh pages.
 _GRID_CHUNK = 8_192
+# The block bounds' rounding margin, relative to the block's sum of
+# magnitudes, and an absolute floor for rounding below the normal range.
+_BOUND_MARGIN = 1e-12
+_BOUND_FLOOR = 2.0**-1000
+# A magnitude of the objective past _MAGNITUDE_CAP reads as infinite, and so
+# does a block's 1 + max|s| + max|c| past _BLOCK_MAGNITUDE_CAP: no value
+# computed for a block with a finite bound comes near overflow (2**1024).
+_MAGNITUDE_CAP = 2.0**900
+_BLOCK_MAGNITUDE_CAP = 2.0**100
 
 
 @functools.lru_cache(maxsize=1)
@@ -122,6 +133,98 @@ def _grid_arrays(
     return D, s, c
 
 
+@dataclass(frozen=True)
+class _Blocks:
+    """Per block of ``_BLOCK`` grid points, read-only: the extremes of ``s``
+    and ``c``, and ``mag = 1 + max|s| + max|c|``, infinite where the block
+    holds a NaN or ``mag`` would pass ``_BLOCK_MAGNITUDE_CAP``."""
+
+    s_lo: np.ndarray
+    s_hi: np.ndarray
+    c_lo: np.ndarray
+    c_hi: np.ndarray
+    mag: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray, c: np.ndarray) -> "_Blocks":
+        starts = np.arange(0, s.size, _BLOCK)
+        s_lo, s_hi, c_lo, c_hi = (
+            ufunc.reduceat(x, starts)
+            for x in (s, c)
+            for ufunc in (np.minimum, np.maximum)
+        )
+        mag = 1.0 + np.maximum(-s_lo, s_hi) + np.maximum(-c_lo, c_hi)
+        mag[~(mag <= _BLOCK_MAGNITUDE_CAP)] = np.inf
+        for arr in (s_lo, s_hi, c_lo, c_hi, mag):
+            arr.setflags(write=False)
+        return cls(s_lo, s_hi, c_lo, c_hi, mag)
+
+
+# The (s, c) arrays last searched and their _Blocks. _grid_arrays hands out
+# the same arrays for the same family and grid, so identity is the key; the
+# entry holds the arrays, so their ids cannot be reused while it stands.
+_last_blocks: tuple[np.ndarray, np.ndarray, _Blocks] | None = None
+
+
+def _grid_blocks(s: np.ndarray, c: np.ndarray) -> _Blocks:
+    global _last_blocks
+    hit = _last_blocks
+    if hit is None or hit[0] is not s or hit[1] is not c:
+        hit = _last_blocks = (s, c, _Blocks.of(s, c))
+    return hit[2]
+
+
+class _Magnitude:
+    """A bound on ``|x|`` under which subtraction adds, as addition does.
+
+    Passed to :func:`_objective` as ``s`` and ``c``, it gives the sum of the
+    magnitudes of every product the expression writes out, with its
+    parameter-only subexpressions as constants. A partial result past
+    ``_MAGNITUDE_CAP``, or NaN, reads as infinite.
+    """
+
+    __slots__ = ("m",)
+    __array_ufunc__ = None  # NumPy scalars defer to the reflected operators
+
+    def __init__(self, m: float):
+        self.m = m if m <= _MAGNITUDE_CAP else math.inf
+
+    def __add__(self, other):
+        return _Magnitude(self.m + _magnitude(other))
+
+    def __mul__(self, other):
+        return _Magnitude(self.m * _magnitude(other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def _magnitude(x) -> float:
+    return x.m if isinstance(x, _Magnitude) else abs(x)
+
+
+def _objective(
+    p: ModelParams, regime: Regime, model: ModelKind, include_entry_premium: bool, s, c
+):
+    """The seller objective at resale quality ``s`` and unit cost ``c``,
+    assembled from the revenue story: per-unit revenues times cohort masses,
+    discounted. Elementwise, and affine in ``(s, c)``."""
+
+    used_price = p.alpha * p.v_L * s
+    new_price_late = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
+    seller_take_late = (
+        new_price_late + p.beta * used_price
+        if regime is Regime.BRANDED
+        else new_price_late
+    )
+    entry = p.v_H + p.delta * (1.0 - p.beta) * used_price
+
+    if model is ModelKind.TWO_PERIOD:
+        return p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
+    stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
+    return stream if not include_entry_premium else p.n_H * entry + stream
+
+
 def grid_argmax_profit(
     params: ModelParams,
     regime: Regime,
@@ -131,45 +234,83 @@ def grid_argmax_profit(
 ) -> GridResult:
     """Maximize the seller objective by brute force over a durability grid.
 
-    Ties resolve to the lowest grid index, and a NaN wins as it does in
-    ``np.argmax``. The objective is assembled from scratch: per-unit
-    revenues times cohort masses, discounted. It is evaluated slice by
-    slice with a running argmax, which equals one ``np.argmax`` over the
-    whole grid because every term is elementwise.
+    The result is that of one ``np.argmax`` of :func:`_objective` over the
+    whole grid, bit for bit: ties resolve to the lowest grid index, and the
+    first NaN wins. But only the blocks of ``_BLOCK`` points that can still
+    hold the maximum are evaluated.
+
+    The objective ``f`` is affine in ``(s, c)``: ``A + B*s + C*c`` with
+    ``A = f(0, 0)``, ``B = f(1, 0) - A`` and ``C = f(0, 1) - A``. On a block
+    it is at most ``A + max(B*s_lo, B*s_hi) + max(C*c_lo, C*c_hi)`` plus a
+    rounding margin. Let ``T`` be the sum of the magnitudes of every product
+    in ``f`` at ``|s| = |c| = 1`` (:class:`_Magnitude`); ``v_H`` and
+    ``v_H*s`` count apart although they cancel inside ``B``. On a block,
+    ``E = T * (1 + max|s| + max|c|)`` bounds the magnitudes there and the
+    products of ``T(0, 0)`` with ``|s|`` and ``|c|``. A path through ``f``
+    has at most 9 roundings, so with ``u = 2**-53`` the objective evaluated
+    at any point of the block, ``A``, ``B``, ``C`` and the bound's own four
+    roundings together stray from the exact affine form by at most
+    ``34*u*E`` (under ``4e-15*E``). The margin ``1e-12*E`` covers that about
+    250 times over, and ``_BOUND_FLOOR`` covers absolute rounding below the
+    normal range (2**-1075 per operation, however later factors up to 2**60
+    scale it).
+
+    A bound is finite unless ``T`` or the block's ``1 + max|s| + max|c|``
+    passes its cap or is NaN (as with any NaN or infinity in ``s``, ``c``
+    or the parameters); it is then +inf or NaN, and the block is always
+    evaluated. A finite bound thus also means finite values. The objective
+    at the middle of the block with the highest finite bound is a floor
+    under the maximum. Every block whose bound is not below it is evaluated,
+    in index order with a running argmax, in contiguous runs sliced to at
+    most ``_GRID_CHUNK`` points; the others hold neither the maximum nor a
+    tie with it.
     """
 
     if grid is None:
         grid = GridSpec()
     p = params
     D, s_all, c_all = _grid_arrays(p.cost, p.quality, grid)
+    blocks = _grid_blocks(s_all, c_all)
+
+    def f(s, c):
+        return _objective(p, regime, model, include_entry_premium, s, c)
+
+    A = f(0.0, 0.0)
+    B = f(1.0, 0.0) - A
+    C = f(0.0, 1.0) - A
+    margin = _BOUND_MARGIN * f(_Magnitude(1.0), _Magnitude(1.0)).m
+    with np.errstate(all="ignore"):
+        s_top = blocks.s_hi if B >= 0 else blocks.s_lo
+        c_top = blocks.c_hi if C >= 0 else blocks.c_lo
+        bound = (B * s_top + C * c_top + margin * blocks.mag) + (
+            A + (margin + _BOUND_FLOOR)
+        )
+
+    ranked = np.where(bound < math.inf, bound, -math.inf)
+    top = int(np.argmax(ranked))
+    floor = -math.inf
+    if ranked[top] > -math.inf:
+        i = min(top * _BLOCK + _BLOCK // 2, grid.count - 1)
+        floor = f(float(s_all[i]), float(c_all[i]))
+    keep = np.flatnonzero(~(bound < floor))
+    # contiguous runs of kept blocks
+    cuts = np.flatnonzero(keep[1:] - keep[:-1] > 1)
+    starts = [int(keep[0]), *keep[cuts + 1].tolist()]
+    ends = [*keep[cuts].tolist(), int(keep[-1])]
 
     idx = -1
     best = math.nan
-    for lo in range(0, grid.count, _GRID_CHUNK):
-        s = s_all[lo : lo + _GRID_CHUNK]
-        c = c_all[lo : lo + _GRID_CHUNK]
-
-        used_price = p.alpha * p.v_L * s
-        new_price_late = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
-        seller_take_late = (
-            new_price_late + p.beta * used_price
-            if regime is Regime.BRANDED
-            else new_price_late
-        )
-        entry = p.v_H + p.delta * (1.0 - p.beta) * used_price
-
-        if model is ModelKind.TWO_PERIOD:
-            value = p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
-        else:
-            stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
-            value = stream if not include_entry_premium else p.n_H * entry + stream
-
-        j = int(np.argmax(value))
-        v = float(value[j])
-        # a later slice wins only with a NaN or a strictly larger value, and
-        # nothing beats an earlier NaN
-        if idx < 0 or (best == best and (v != v or v > best)):
-            idx, best = lo + j, v
+    for first, last in zip(starts, ends):
+        end = (last + 1) * _BLOCK
+        for lo in range(first * _BLOCK, min(end, grid.count), _GRID_CHUNK):
+            hi = min(lo + _GRID_CHUNK, end)
+            value = f(s_all[lo:hi], c_all[lo:hi])
+            j = int(np.argmax(value))
+            v = float(value[j])
+            # a later slice wins only with a NaN or a strictly larger value,
+            # and nothing beats an earlier NaN
+            if idx < 0 or (best == best and (v != v or v > best)):
+                idx, best = lo + j, v
     return GridResult(D_at_max=float(D[idx]), value=best, index=idx, step=grid.step)
 
 

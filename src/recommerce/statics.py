@@ -1245,6 +1245,21 @@ _PROPERTY_DISPATCH: dict[str, Callable[..., PropertyResult]] = {
 
 PROPERTY_NAMES = tuple(_PROPERTY_DISPATCH)
 
+# The order in which ``--jobs`` workers are handed the properties: longest
+# first at default scale, so no long task starts after the short ones. A
+# permutation of PROPERTY_NAMES; results still come back in that order.
+_DISPATCH_ORDER = (
+    "olg-steady-state-uniqueness",
+    "commission-argmax-zero",
+    "foc-grid-agreement",
+    "constraint-structure",
+    "alpha-sensitivity-envelope",
+    "alpha-beta-ladders",
+    "branded-durability-premium",
+    "efficiency-ordering",
+    "canonical-regression",
+)
+
 
 def _build_tasks(
     seed: int,
@@ -1312,8 +1327,11 @@ def run_verification(
     if jobs > 1:
         import concurrent.futures as cf
 
+        args = dict(tasks)
+        ordered = [(name, args[name]) for name in _DISPATCH_ORDER]
         with cf.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_task, tasks))
+            done = dict(zip(_DISPATCH_ORDER, pool.map(_run_task, ordered)))
+        results = [done[name] for name, _ in tasks]
     else:
         results = [_run_task(task) for task in tasks]
     if inject_failure:

@@ -470,7 +470,8 @@ def test_verify_parallel_matches_serial_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", *SMALL_VERIFY, "--out", str(out1)]) == 0
     assert main(["verify", *SMALL_VERIFY, "--jobs", "2", "--out", str(out2)]) == 0
-    assert (out1 / "verify.csv").read_bytes() == (out2 / "verify.csv").read_bytes()
+    for name in ("verify.csv", "verify.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # verify --seed 42 at a small scale: SHA-256 of the outputs written by the
@@ -575,6 +576,16 @@ FROZEN_RUNS = {
             "olg.csv": "0ff0496620c163929c332cfd2cc7f168dc9e6f016a36aea23d356ab2870dd7ce",
         },
     ),
+    # written while the grid oracle evaluated every point of its 1e5-point
+    # grid; they hold each cell's grid_D, which pruning must not move
+    "oracle-check": (
+        ["oracle-check"],
+        {"oracle_check.json": "139e209605b8636856ecf744e1ea330953bdf81d85e46d4755a2852bd7f8649b"},
+    ),
+    "oracle-check-olg": (
+        ["oracle-check", "--config", OLG_ACTIVE],
+        {"oracle_check.json": "adb36b6b91b83b892710e0c5ee316855edad108dad7af67934586cdc5b2f749c"},
+    ),
 }
 
 
@@ -612,6 +623,44 @@ def test_verify_rejects_negative_seed_and_jobs_below_one(tmp_path, capsys, flags
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flags[0]} must be")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle-check", "--grid-points", "1e5"],
+         "argument --grid-points: invalid int value: '1e5'"),
+        (["verify", "--jobs", "abc"], "argument --jobs: invalid int value: 'abc'"),
+        (["solve", "--alpha", "high"], "argument --alpha: invalid float value: 'high'"),
+        (["solve", "--model", "three-period"],
+         "argument --model: invalid choice: 'three-period' "
+         "(choose from 'two-period', 'olg', 'both')"),
+        (["sweep", "--steps"], "argument --steps: expected one argument"),
+        (["compare", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+         "'solve', 'sweep', 'compare', 'olg-verify', 'verify', 'oracle-check')"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-int", "bad-jobs", "bad-float", "bad-choice", "missing-value",
+         "unknown-flag", "unknown-subcommand", "no-subcommand"],
+)
+def test_argument_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "x")] if argv else argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["verify"], ["oracle-check"]], ids=repr)
+def test_help_is_unchanged(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: recommerce") and "--help" in out
+    assert err == ""
 
 
 def test_verify_rejects_negative_config_seed(tmp_path, capsys):

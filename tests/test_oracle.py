@@ -26,8 +26,19 @@ from recommerce import (
 from recommerce import oracle
 from recommerce.olg import check_steady_state, enumerate_profiles
 from recommerce.oracle import GridResult, ScanRow, action_value
-from recommerce.primitives import DEFAULT_D_MAX
-from recommerce.statics import foc_pool, olg_pool
+from recommerce.primitives import (
+    DEFAULT_D_MAX,
+    ModelParams,
+    PowerCost,
+    RationalQuality,
+    SaturatingExpQuality,
+)
+from recommerce.statics import DEFAULT_BOX, foc_pool, olg_pool
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests below are not collected
+    given = None
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
@@ -84,16 +95,22 @@ def test_grid_matches_first_order_solution_olg(olg_feasible, regime):
     assert res.value == pytest.approx(sol.objective_value, abs=1e-6)
 
 
-def one_shot_grid_argmax(params, regime, model, grid=None, include_entry_premium=True):
+def one_shot_grid_argmax(
+    params, regime, model, grid=None, include_entry_premium=True, arrays=None
+):
     """The grid oracle as one full-length ``np.argmax``: fresh D, s(D) and
-    c(D), and the objective over the whole grid at once."""
+    c(D) (or the given ``arrays``), and the objective over the whole grid at
+    once."""
 
     if grid is None:
         grid = GridSpec()
     p = params
-    D = grid.points()
-    s = p.quality.value(D)
-    c = p.cost.value(D)
+    if arrays is None:
+        D = grid.points()
+        s = p.quality.value(D)
+        c = p.cost.value(D)
+    else:
+        D, s, c = arrays
 
     used_price = p.alpha * p.v_L * s
     new_price_late = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
@@ -147,8 +164,12 @@ def test_chunked_grid_equals_one_shot_on_foc_pools(seed42_foc_pools, model, regi
 CHUNK = oracle._GRID_CHUNK
 
 
+BLOCK = oracle._BLOCK
+
+
 @pytest.mark.parametrize(
-    "count", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 100_000]
+    "count",
+    [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 100_000],
 )
 def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_foc_pools, count):
     grid = GridSpec(0.0, DEFAULT_D_MAX, count)
@@ -164,6 +185,9 @@ def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_foc_pools, count)
     [
         # a maximum on both sides of a chunk boundary: the first wins
         ((CHUNK - 1, CHUNK + 5, 2 * CHUNK), (), CHUNK - 1),
+        # and on both sides of a block boundary, and in blocks far apart
+        ((5 * BLOCK, BLOCK, BLOCK - 1), (), BLOCK - 1),
+        ((2 * CHUNK + 3 * BLOCK, 7 * BLOCK + 1), (), 7 * BLOCK + 1),
         # the whole grid ties
         ((), (), 0),
         # a NaN in a later chunk than the maximum wins, as in np.argmax
@@ -171,7 +195,10 @@ def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_foc_pools, count)
         # the first NaN wins over later maxima and later NaNs
         ((2 * CHUNK,), (CHUNK - 2, CHUNK + 1, 2 * CHUNK + 3), CHUNK - 2),
     ],
-    ids=["tie-across-boundary", "flat", "nan-after-max", "first-nan"],
+    ids=[
+        "tie-across-boundary", "tie-across-block-boundary", "tie-far-apart",
+        "flat", "nan-after-max", "first-nan",
+    ],
 )
 def test_chunk_fold_takes_first_index(monkeypatch, canonical, ties, nans, expected):
     grid = GridSpec(0.0, 1.0, 3 * CHUNK)
@@ -200,6 +227,165 @@ def test_cached_grid_arrays_are_read_only(canonical):
         np.testing.assert_array_equal(arr, want)
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+# ----------------------------------------------------------------------
+# branch and bound: every result equals the full sweep's
+# ----------------------------------------------------------------------
+
+
+# the family the draws use, exponents 1.5 (c'' diverges at 0) and 3, and the
+# rational quality curve
+FAMILIES = [
+    (PowerCost(c0=0.5, p=2.0), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+    (PowerCost(c0=0.5, p=1.5), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+    (PowerCost(c0=0.5, p=3.0), RationalQuality(k=1.0)),
+    (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "family", FAMILIES, ids=lambda f: f"{f[0].p}-{type(f[1]).__name__}"
+)
+def test_pruned_grid_equals_one_shot_on_every_family(seed42_foc_pools, family):
+    cost, quality = family
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
+    for model, regime, entry in OBJECTIVES:
+        for params in seed42_foc_pools[model, regime][:10]:
+            params = dataclasses.replace(params, cost=cost, quality=quality)
+            got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+            want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+            assert_same_hit(got, want)
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-12, 1e-300])
+def test_pruned_grid_equals_one_shot_on_flat_objectives(canonical, delta):
+    # the OLG objectives are n_H*v_H + O(delta): flat in float at small delta,
+    # so every block survives and the first of the tied points must win
+    params = dataclasses.replace(canonical, delta=delta)
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
+    for model, regime, entry in OBJECTIVES:
+        got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+        want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+        assert_same_hit(got, want)
+
+
+_NON_FINITE = {
+    # name: ({index: s value}, {index: c value}); a NaN or an infinity in s
+    # makes the objective NaN there, with NumPy's invalid-value warning
+    "c-minus-inf": ({}, {5000: -np.inf}),
+    "c-minus-inf-twice": ({}, {9 * BLOCK + 3: -np.inf, 2 * BLOCK: -np.inf}),
+    "c-plus-inf": ({}, {0: np.inf, 4 * BLOCK: np.inf}),
+    "c-nan-after-minus-inf": ({}, {BLOCK: -np.inf, 3 * CHUNK: np.nan}),
+    "c-nan-block": ({}, {i: np.nan for i in range(6 * BLOCK, 7 * BLOCK)}),
+    "c-plus-inf-block": ({}, {i: np.inf for i in range(2 * BLOCK, 3 * BLOCK)}),
+    "s-nan": ({2 * CHUNK + 5: np.nan}, {}),
+    "s-plus-inf": ({700: np.inf}, {}),
+    "s-minus-inf-and-c-nan": ({CHUNK + 1: -np.inf}, {CHUNK: np.nan}),
+    "s-huge": ({300: 1e200, 301: -1e200}, {}),
+}
+
+
+@pytest.mark.parametrize("case", _NON_FINITE)
+def test_pruned_grid_equals_one_shot_on_non_finite_families(
+    monkeypatch, olg_feasible, case
+):
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 3 * CHUNK + 7)
+    D = grid.points()
+    s = olg_feasible.quality.value(D)
+    c = olg_feasible.cost.value(D)
+    s_edits, c_edits = _NON_FINITE[case]
+    s[list(s_edits)] = list(s_edits.values())
+    c[list(c_edits)] = list(c_edits.values())
+    monkeypatch.setattr(oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c))
+    for model, regime, entry in OBJECTIVES:
+        with np.errstate(invalid="ignore" if s_edits else "raise"):
+            got = grid_argmax_profit(olg_feasible, regime, model, grid, include_entry_premium=entry)
+            want = one_shot_grid_argmax(
+                olg_feasible, regime, model, grid, include_entry_premium=entry, arrays=(D, s, c)
+            )
+        assert (got.index, got.D_at_max, got.step) == (want.index, want.D_at_max, want.step)
+        assert got.value == want.value or (got.value != got.value and want.value != want.value)
+
+
+def test_margin_covers_rounding_on_constant_grids(monkeypatch, seed42_foc_pools):
+    # s and c constant over the grid: every point takes the same value, which
+    # each block's bound must not fall below through rounding, so the first
+    # point wins
+    grid = GridSpec(0.0, 1.0, 2 * BLOCK + 1)
+    D = grid.points()
+    rng = np.random.default_rng(42)
+    for s0, c0 in rng.uniform(0.0, 3.0, (25, 2)):
+        s, c = np.full(grid.count, s0), np.full(grid.count, c0)
+        monkeypatch.setattr(oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c))
+        for model, regime, entry in OBJECTIVES:
+            for params in seed42_foc_pools[model, regime][:10]:
+                got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+                assert got.index == 0
+
+
+def test_pruned_grid_evaluates_under_5_percent_of_the_grid(monkeypatch, seed42_foc_pools):
+    evaluated = []
+    objective = oracle._objective
+
+    def counted(p, regime, model, entry, s, c):
+        evaluated[-1] += np.size(s) if isinstance(s, np.ndarray) else 0
+        return objective(p, regime, model, entry, s, c)
+
+    monkeypatch.setattr(oracle, "_objective", counted)
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
+    for model, regime, entry in OBJECTIVES:
+        for params in seed42_foc_pools[model, regime]:
+            evaluated.append(0)
+            grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+    assert len(evaluated) == 6 * 40
+    assert 0 < max(evaluated) < 0.05 * grid.count
+
+
+def test_block_extremes_are_cached_read_only(canonical):
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 1_000)
+    _, s, c = oracle._grid_arrays(canonical.cost, canonical.quality, grid)
+    blocks = oracle._grid_blocks(s, c)
+    assert oracle._grid_blocks(s, c) is blocks
+    starts = range(0, grid.count, BLOCK)
+    for x_lo, x_hi, x in ((blocks.s_lo, blocks.s_hi, s), (blocks.c_lo, blocks.c_hi, c)):
+        assert list(x_lo) == [min(x[i : i + BLOCK]) for i in starts]
+        assert list(x_hi) == [max(x[i : i + BLOCK]) for i in starts]
+    for arr in (blocks.s_lo, blocks.s_hi, blocks.c_lo, blocks.c_hi, blocks.mag):
+        assert not arr.flags.writeable
+    # other arrays, as a monkeypatched _grid_arrays hands out, get their own
+    assert oracle._grid_blocks(s.copy(), c) is not blocks
+
+
+if given is not None:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.tuples(*[st.floats(0.0, 1.0)] * 5),
+        c0=st.floats(0.05, 3.0),
+        p=st.floats(1.05, 4.0),
+        s_bar=st.floats(0.6, 1.0),
+        k=st.floats(0.3, 3.0),
+        rational=st.booleans(),
+        objective=st.sampled_from(OBJECTIVES),
+        count=st.sampled_from([2, BLOCK + 1, 1_000, 20_000]),
+    )
+    def test_pruned_grid_equals_one_shot_over_the_box(
+        u, c0, p, s_bar, k, rational, objective, count
+    ):
+        box = DEFAULT_BOX
+        bounds = (box.n_H, box.v_L, box.delta, box.alpha, box.beta)
+        n_h, v_l, delta, alpha, beta = (lo + (hi - lo) * x for (lo, hi), x in zip(bounds, u))
+        params = ModelParams(
+            v_H=1.0, v_L=v_l, n_H=n_h, n_L=1.0 - n_h, delta=delta, alpha=alpha, beta=beta,
+            cost=PowerCost(c0=c0, p=p),
+            quality=RationalQuality(k=k) if rational else SaturatingExpQuality(s_bar=s_bar, k=k),
+        )
+        model, regime, entry = objective
+        grid = GridSpec(0.0, DEFAULT_D_MAX, count)
+        got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+        want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+        assert_same_hit(got, want)
 
 
 def test_grid_shutdown_pins_zero(canonical):

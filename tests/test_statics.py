@@ -35,6 +35,7 @@ from recommerce.statics import (
     LADDER_STEP,
     PROPERTY_NAMES,
     PropertyResult,
+    _DISPATCH_ORDER,
     _draw_block,
     _draw_row,
     _durabilities,
@@ -898,6 +899,11 @@ def test_run_verification_small_scale():
         assert r.checks > 0
         assert r.violations == 0
         assert r.counterexample is None
+
+
+def test_dispatch_order_is_a_permutation_of_the_properties():
+    assert len(_DISPATCH_ORDER) == len(PROPERTY_NAMES)
+    assert sorted(_DISPATCH_ORDER) == sorted(PROPERTY_NAMES)
 
 
 def test_run_verification_parallel_matches_serial():
