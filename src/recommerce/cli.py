@@ -212,7 +212,7 @@ def _cmd_solve(args) -> int:
         for regime in regimes:
             eq = tp.solve(params, regime, d_max=d_max)
             section[regime.value] = eq
-            rows.append(rep.two_period_row(eq))
+            rows.append(rep._row(eq, rep.TWO_PERIOD_COLUMNS))
             line = (
                 f"two-period {regime.value}: D*={eq.D_star:.6g} "
                 f"D_social={eq.D_social:.6g} profit={eq.profit_total:.6g}"
@@ -228,7 +228,7 @@ def _cmd_solve(args) -> int:
         for regime in regimes:
             sol = olg_mod.solve_olg(params, regime, d_max=d_max)
             section[regime.value] = sol
-            rows.append(rep.olg_row(sol))
+            rows.append(rep._row(sol, rep.OLG_COLUMNS))
             line = (
                 f"olg {regime.value}: D*={sol.D_star:.6g} "
                 f"objective={sol.objective_value:.6g}"
@@ -282,7 +282,7 @@ def _cmd_sweep(args) -> int:
         statics_mod.monotonicity_sweep(params, regime, parameter, values, model, d_max=d_max)
         for regime in regimes
     ]
-    rows = [rep.sweep_row(pt) for report in reports for pt in report.points]
+    rows = [rep._row(pt, rep.SWEEP_COLUMNS) for report in reports for pt in report.points]
     rep.write_csv(out / "sweep.csv", rep.SWEEP_COLUMNS, rows)
     rep.write_json(
         out / "sweep_verdicts.json",

@@ -46,8 +46,11 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .primitives import (
     DEFAULT_D_MAX,
+    _SLACK_TOL,
     ModelParams,
     Regime,
     bisect_increasing,
@@ -242,7 +245,7 @@ def _ratio_cap_slack(params: ModelParams, s):
     return cap - p.v_L / p.v_H
 
 
-def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
+def constraint_slacks_olg(params: ModelParams, D) -> dict[str, float]:
     """Slacks of the steady-state self-selection and participation conditions.
 
     Evaluated at the stationary candidate prices:
@@ -256,6 +259,10 @@ def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
       optimal old-age continuation.
     * ``ic_l2``: old low types prefer used to new.
     * ``ratio_cap``: the closed-form cap on v_L/v_H equivalent to ``ic_l1``.
+
+    Elementwise when ``D`` or the parameter fields are arrays; each lane
+    equals the single-point slack bit for bit. ``np.where(b > a, b, a)`` is
+    Python's ``max(a, b)`` exactly, NaN and signed zeros included.
     """
 
     p = params
@@ -263,8 +270,9 @@ def constraint_slacks_olg(params: ModelParams, D: float) -> dict[str, float]:
     pr = prices(params, D)
     p_n, p_u = pr.p2n, pr.p2u
     resale_net_h = p.v_H - p_n + (1.0 - p.beta) * p_u
-    cont_h = max(resale_net_h, p.v_H * s)
-    cont_l = max(p.v_L - p_n + (1.0 - p.beta) * p_u, p.v_L * s)
+    resale_net_l = p.v_L - p_n + (1.0 - p.beta) * p_u
+    cont_h = np.where(p.v_H * s > resale_net_h, p.v_H * s, resale_net_h)
+    cont_l = np.where(p.v_L * s > resale_net_l, p.v_L * s, resale_net_l)
     used_l = p.alpha * p.v_L * s - p_u
     return {
         "ic_h2": resale_net_h - p.v_H * s,
@@ -334,7 +342,6 @@ def check_steady_state(
     D: float,
     state: OlgState,
     profile: ActionProfile,
-    slack_tol: float = 1e-9,
     slacks: dict[str, float] | None = None,
 ) -> FeasibilityReport:
     """Structural feasibility of a candidate steady state.
@@ -371,7 +378,7 @@ def check_steady_state(
 
     if slacks is None:
         slacks = constraint_slacks_olg(params, D)
-    constraints_ok = all(v >= -slack_tol for v in slacks.values())
+    constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
 
     dominated = False
     note = ""
@@ -472,7 +479,6 @@ def solve_olg(
     regime: Regime,
     d_max: float = DEFAULT_D_MAX,
     include_entry_premium: bool = True,
-    slack_tol: float = 1e-9,
 ) -> SteadyStateSolution:
     """Solve the stationary policy for one regime.
 
@@ -490,8 +496,8 @@ def solve_olg(
         d_star = solve_foc(params, margin, d_max)
         pr = prices(params, d_star)
         slacks = constraint_slacks_olg(params, d_star)
-        constraints_ok = all(v >= -slack_tol for v in slacks.values())
-        cap_ok = slacks["ratio_cap"] >= -slack_tol
+        constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
+        cap_ok = slacks["ratio_cap"] >= -_SLACK_TOL
         best_feasible = d_star if cap_ok else _cap_boundary(params, d_star)
         supply = params.n_H
         demand = 2.0 * params.n_L

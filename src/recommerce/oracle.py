@@ -396,6 +396,9 @@ def action_value(
 
 _CELLS = ("h1", "h2", "l1", "l2")
 
+# An action attains a cell's best value when it falls short by at most this.
+_TIE_TOL = 1e-12
+
 
 def action_table(
     params: ModelParams, D: float, p_n: float, p_u: float, state: OlgState
@@ -437,7 +440,7 @@ class AuditReport:
 
 
 def cell_audits(
-    table: dict[str, dict[Action, float]], tol: float = 1e-12
+    table: dict[str, dict[Action, float]],
 ) -> dict[str, dict[Action, CellAudit]]:
     """Every cell's audit for every action it could be prescribed.
 
@@ -450,7 +453,7 @@ def cell_audits(
     for cell in _CELLS:
         values = table[cell]
         best = max(values.values())
-        attaining = {a for a, val in values.items() if val >= best - tol}
+        attaining = {a for a, val in values.items() if val >= best - _TIE_TOL}
         selected = next(a for a in _SELECTION_PRIORITY if a in attaining)
         audits[cell] = {
             a: CellAudit(
@@ -458,7 +461,7 @@ def cell_audits(
                 prescribed=a,
                 prescribed_value=pv,
                 best_value=best,
-                attains_max=pv >= best - tol,
+                attains_max=pv >= best - _TIE_TOL,
                 selected=selected,
                 is_selected=selected is a,
                 values=values,
@@ -475,26 +478,25 @@ def best_response_audit(
     profile: ActionProfile,
     p_n: float | None = None,
     p_u: float | None = None,
-    tol: float = 1e-12,
     audits: dict[str, dict[Action, CellAudit]] | None = None,
 ) -> AuditReport:
     """Check each cell's prescribed action against its full menu.
 
-    ``attains_max`` is weak attainment within ``tol``; ``is_selected``
+    ``attains_max`` is weak attainment within ``_TIE_TOL``; ``is_selected``
     additionally applies the deterministic tie-break (trade-creating actions
     first: sell-and-replace over keeping, buying used over doing nothing),
     which is how binding indifference conditions are resolved.
 
     ``audits`` may carry :func:`cell_audits` of this state's
-    :func:`action_table` at these prices and this ``tol``, computed once by
-    a caller auditing many profiles; the report then shares its cells.
+    :func:`action_table` at these prices, computed once by a caller
+    auditing many profiles; the report then shares its cells.
     """
 
     if audits is None:
         if p_n is None or p_u is None:
             pr = prices(params, D)
             p_n, p_u = pr.p2n, pr.p2u
-        audits = cell_audits(action_table(params, D, p_n, p_u, state), tol)
+        audits = cell_audits(action_table(params, D, p_n, p_u, state))
 
     h1 = audits["h1"][profile.h1]
     h2 = audits["h2"][profile.h2]

@@ -53,6 +53,9 @@ __all__ = [
 # enough that optimal durability sits far inside this bound.
 DEFAULT_D_MAX = 10.0
 
+# A constraint slack counts as satisfied down to -_SLACK_TOL.
+_SLACK_TOL = 1e-9
+
 
 class Regime(str, Enum):
     """Who operates the pre-owned marketplace."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import olg as olg_mod
 from . import oracle as oracle_mod
 from . import statics as statics_mod
-from . import two_period as tp
+from .primitives import _SLACK_TOL
 
 __all__ = [
     "fmt12",
@@ -33,9 +33,6 @@ __all__ = [
     "SWEEP_COLUMNS",
     "AUDIT_COLUMNS",
     "VERIFY_COLUMNS",
-    "two_period_row",
-    "olg_row",
-    "sweep_row",
     "audit_row",
     "verify_row",
 ]
@@ -176,53 +173,16 @@ AUDIT_COLUMNS = (
 VERIFY_COLUMNS = ("property", "checks", "violations", "status")
 
 
-def two_period_row(eq: tp.TwoPeriodEquilibrium) -> list:
-    return [
-        eq.regime,
-        eq.market_mode,
-        eq.D_star,
-        eq.D_social,
-        eq.p1n,
-        eq.p2n,
-        eq.p2u,
-        eq.profit_total,
-        eq.commission_revenue,
-        eq.welfare,
-    ]
+def _row(obj, columns: Iterable[str]) -> list:
+    """The attributes of ``obj`` named by ``columns``, in column order."""
+
+    return [getattr(obj, c) for c in columns]
 
 
-def olg_row(sol: olg_mod.SteadyStateSolution) -> list:
-    return [
-        sol.regime,
-        sol.market_mode,
-        sol.D_star,
-        sol.p_n,
-        sol.p_u,
-        sol.entry_price,
-        sol.per_period_profit,
-        sol.per_period_commission,
-        sol.discounted_stream,
-        sol.objective_value,
-    ]
-
-
-def sweep_row(pt: statics_mod.SweepPoint) -> list:
-    return [
-        pt.param_value,
-        pt.regime,
-        pt.D_star,
-        pt.profit,
-        pt.welfare,
-        pt.envelope_deriv,
-        pt.fd_deriv,
-        pt.market_mode,
-    ]
-
-
-def audit_row(row: oracle_mod.ScanRow, slack_tol: float = 1e-9) -> list:
+def audit_row(row: oracle_mod.ScanRow) -> list:
     feas = row.feasibility
     slack_flags = [
-        feas.slacks[name] >= -slack_tol for name in olg_mod.OLG_CONSTRAINT_NAMES
+        feas.slacks[name] >= -_SLACK_TOL for name in olg_mod.OLG_CONSTRAINT_NAMES
     ]
     return [
         row.state,

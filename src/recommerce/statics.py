@@ -32,6 +32,7 @@ import numpy as np
 
 from .primitives import (
     DEFAULT_D_MAX,
+    _SLACK_TOL,
     BracketError,
     ModelKind,
     ModelParams,
@@ -167,16 +168,24 @@ def value_function(
     parameters give a float.
     """
 
+    return _plain(_solved_values(params, model, regime, d_max)[1])
+
+
+def _solved_values(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
+    """D* (see :func:`_durabilities`) and the maximized objective there,
+    each lane equal to the single-point ``tp.solve`` or ``solve_olg``: a
+    shut-down lane carries the two-period shutdown profit, or the
+    steady-state objective at its zero durability."""
+
     d_star = _durabilities(params, model, regime, d_max)
     if model is ModelKind.OLG:
-        return _plain(olg_mod.objective_value(params, regime, d_star))
-    return _plain(
-        np.where(
-            margin_active(params, model, regime),
-            tp.profit(params, regime, d_star).total,
-            tp.shutdown_profit(params),
-        )
+        return d_star, olg_mod.objective_value(params, regime, d_star)
+    value = np.where(
+        margin_active(params, model, regime),
+        tp.profit(params, regime, d_star).total,
+        tp.shutdown_profit(params),
     )
+    return d_star, value
 
 
 def fd_profit_derivative(
@@ -382,11 +391,9 @@ def optimal_commission(
 ) -> CommissionCurve:
     """Brute-force the branded profit over a commission grid on [0, 1).
 
-    Lanes with a positive activity margin are solved by the batched
-    durability kernel and valued by the single-point objective, both
-    evaluated with the grid as ``beta``, so a lane equals the scalar solve
-    at its commission (and raises its ``BracketError`` when the root lies
-    beyond ``d_max``); the rest carry the commission-free shutdown value.
+    Every lane is solved and valued as :func:`value_function` does, with
+    the grid as ``beta``, so it equals the scalar solve at its commission
+    (and raises its ``BracketError`` when the root lies beyond ``d_max``).
     Ties in the argmax resolve to the lowest index. Elementwise when the
     parameter fields are arrays (one family): every draw's grid is solved
     in the same kernel call, and each row equals that draw's single curve.
@@ -397,14 +404,7 @@ def optimal_commission(
     fields = {f: np.asarray(getattr(params, f))[..., None] for f in _SCALAR_FIELDS}
     grid = dataclasses.replace(params, **{**fields, "beta": betas})
     active = margin_active(grid, model, Regime.BRANDED)
-    d_stars = _durabilities(grid, model, Regime.BRANDED, d_max)
-    if model is ModelKind.TWO_PERIOD:
-        value = tp.profit(grid, Regime.BRANDED, d_stars).total
-        shutdown = tp.shutdown_profit(grid)
-    else:
-        value = olg_mod.objective_value(grid, Regime.BRANDED, d_stars)
-        shutdown = grid.n_H * grid.v_H / (1.0 - grid.delta)
-    profits = np.where(active, value, shutdown)
+    d_stars, profits = _solved_values(grid, model, Regime.BRANDED, d_max)
 
     idx = np.argmax(profits, axis=-1)
     return CommissionCurve(
@@ -561,7 +561,6 @@ def equilibrium_feasible(
     model: ModelKind,
     regime: Regime,
     d_max: float = DEFAULT_D_MAX,
-    slack_tol: float = 1e-9,
 ) -> bool:
     """Margin positive and every price-taking constraint satisfied at D*."""
 
@@ -572,7 +571,7 @@ def equilibrium_feasible(
         slacks = tp.constraint_slacks(params, d_star)
     else:
         slacks = olg_mod.solve_olg(params, regime, d_max=d_max).slacks
-    return all(v >= -slack_tol for v in slacks.values())
+    return all(v >= -_SLACK_TOL for v in slacks.values())
 
 
 def ladder_active(params: ModelParams, model: ModelKind = ModelKind.TWO_PERIOD) -> bool:
@@ -647,11 +646,9 @@ def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
 
 
 def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
-    slack_tol = 1e-9
-
     def ok(cand: ModelParams) -> bool:
         return validate_params(cand, ModelKind.OLG).ok and all(
-            equilibrium_feasible(cand, ModelKind.OLG, r, d_max, slack_tol) for r in _REGIMES
+            equilibrium_feasible(cand, ModelKind.OLG, r, d_max) for r in _REGIMES
         )
 
     def screen(block: ModelParams) -> np.ndarray:
@@ -668,7 +665,7 @@ def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
             # a root beyond d_max: the predicate raises it in draw order
             return active
         third_party, branded = (
-            olg_mod._ratio_cap_slack(lanes, lanes.quality.value(d)) >= -slack_tol
+            olg_mod._ratio_cap_slack(lanes, lanes.quality.value(d)) >= -_SLACK_TOL
             for d in d_stars
         )
         active[active] = third_party & branded
@@ -775,7 +772,8 @@ _LADDER_PARAMS = ("alpha", "beta")
 
 
 def _stack(pool: list[ModelParams]) -> ModelParams:
-    """Draws as one ModelParams with (len(pool),) array fields.
+    """Draws as one ModelParams with (len(pool),) array fields: the form in
+    which every property takes its pools.
 
     A pool holds one cost/quality family, as every draw does; a pool that
     mixes families raises ValueError.
@@ -790,9 +788,9 @@ def _stack(pool: list[ModelParams]) -> ModelParams:
     )
 
 
-def _take(params: ModelParams, idx: np.ndarray) -> ModelParams:
-    """The lanes ``idx`` (indices or a boolean mask) of a ModelParams with
-    (n,) array fields."""
+def _take(params: ModelParams, idx) -> ModelParams:
+    """The lanes ``idx`` (indices, a slice or a boolean mask) of a
+    ModelParams with (n,) array fields."""
 
     return dataclasses.replace(
         params, **{f: getattr(params, f)[idx] for f in _SCALAR_FIELDS}
@@ -819,7 +817,7 @@ def _optimal_durabilities(
 
 
 def _prop_foc_grid(
-    pools: dict[tuple[ModelKind, Regime], list[ModelParams]],
+    pools: dict[tuple[ModelKind, Regime], ModelParams],
     grid_points: int,
     d_max: float,
 ) -> PropertyResult:
@@ -831,16 +829,16 @@ def _prop_foc_grid(
     for (model, regime), pool in sorted(
         pools.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
-        d_stars = _optimal_durabilities(_stack(pool), model, regime, d_max) if pool else ()
+        d_stars = _optimal_durabilities(pool, model, regime, d_max)
         grid_d = [
-            oracle_mod.grid_argmax_profit(params, regime, model, grid).D_at_max
-            for params in pool
+            oracle_mod.grid_argmax_profit(_draw_row(pool, i), regime, model, grid).D_at_max
+            for i in range(len(d_stars))
         ]
         gaps = np.abs(np.subtract(d_stars, grid_d))
         tally.add(
             gaps > grid.step,
             lambda i: _params_payload(
-                pool[i],
+                _draw_row(pool, i),
                 model=model.value,
                 regime=regime.value,
                 solver_D=float(d_stars[i]),
@@ -892,9 +890,7 @@ def _prop_canonical(grid_points: int, d_max: float) -> PropertyResult:
     )
 
 
-def _ladder_values(
-    pool: list[ModelParams], d_max: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_values(pool: ModelParams, d_max: float) -> tuple[np.ndarray, np.ndarray]:
     """D* and maximized two-period profit on every ladder rung of every draw,
     as arrays indexed [regime, draw, wrt (alpha, beta), rung].
 
@@ -903,19 +899,18 @@ def _ladder_values(
     come from ``tp.profit``.
     """
 
-    stacked = _stack(pool)
     rungs = np.arange(LADDER_POINTS) * LADDER_STEP
     fields = {}
     for name in _SCALAR_FIELDS:
         climb = np.array([[name == wrt] for wrt in _LADDER_PARAMS]) * rungs
-        fields[name] = getattr(stacked, name)[:, None, None] + climb  # [draw, wrt, rung]
-    lad = dataclasses.replace(stacked, **fields)
+        fields[name] = getattr(pool, name)[:, None, None] + climb  # [draw, wrt, rung]
+    lad = dataclasses.replace(pool, **fields)
     d_stars = [_optimal_durabilities(lad, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES]
     profits = [tp.profit(lad, regime, d).total for regime, d in zip(_REGIMES, d_stars)]
     return np.stack(d_stars), np.stack(profits)
 
 
-def _prop_ladders(pool: list[ModelParams], d_max: float) -> PropertyResult:
+def _prop_ladders(pool: ModelParams, d_max: float) -> PropertyResult:
     """Local monotonicity: D* and maximized profit strictly rise along a
     deflator ladder and strictly fall along a commission ladder."""
 
@@ -934,7 +929,7 @@ def _prop_ladders(pool: list[ModelParams], d_max: float) -> PropertyResult:
     tally.add(
         ~ok_all.T,  # [draw, regime]
         lambda i, r: _params_payload(
-            pool[i],
+            _draw_row(pool, i),
             regime=_REGIMES[r].value,
             alpha_D=d_stars[r, i, 0].tolist(),
             beta_D=d_stars[r, i, 1].tolist(),
@@ -948,20 +943,17 @@ def _prop_ladders(pool: list[ModelParams], d_max: float) -> PropertyResult:
 
 
 def _prop_durability_premium(
-    pool_tp: list[ModelParams], pool_olg: list[ModelParams], d_max: float
+    pool_tp: ModelParams, pool_olg: ModelParams, d_max: float
 ) -> PropertyResult:
     """Branded durability strictly exceeds third-party durability."""
 
     tally = _Tally()
     for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
-        if not pool:
-            continue
-        stacked = _stack(pool)
-        d_t, d_b = (_optimal_durabilities(stacked, model, r, d_max) for r in _REGIMES)
+        d_t, d_b = (_optimal_durabilities(pool, model, r, d_max) for r in _REGIMES)
         tally.add(
             ~(d_b > d_t),
             lambda i: _params_payload(
-                pool[i], model=model.value, D_T=float(d_t[i]), D_B=float(d_b[i])
+                _draw_row(pool, i), model=model.value, D_T=float(d_t[i]), D_B=float(d_b[i])
             ),
         )
     return tally.result(
@@ -971,8 +963,8 @@ def _prop_durability_premium(
 
 
 def _prop_commission_argmax(
-    pool_tp: list[ModelParams],
-    pool_olg: list[ModelParams],
+    pool_tp: ModelParams,
+    pool_olg: ModelParams,
     n_points: int,
     d_max: float,
 ) -> PropertyResult:
@@ -981,9 +973,7 @@ def _prop_commission_argmax(
 
     tally = _Tally()
     for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
-        if not pool:
-            continue
-        curve = optimal_commission(_stack(pool), model, n_points=n_points, d_max=d_max)
+        curve = optimal_commission(pool, model, n_points=n_points, d_max=d_max)
         tally.add(
             [
                 not (idx == 0 and np.all(np.diff(profits[active]) < 0.0))
@@ -992,7 +982,7 @@ def _prop_commission_argmax(
                 )
             ],
             lambda i: _params_payload(
-                pool[i], model=model.value, argmax_beta=float(curve.beta_star[i])
+                _draw_row(pool, i), model=model.value, argmax_beta=float(curve.beta_star[i])
             ),
         )
     return tally.result(
@@ -1001,7 +991,7 @@ def _prop_commission_argmax(
 
 
 def _prop_alpha_envelope(
-    pool_tp: list[ModelParams], pool_olg: list[ModelParams], d_max: float
+    pool_tp: ModelParams, pool_olg: ModelParams, d_max: float
 ) -> PropertyResult:
     """Two claims per draw: the branded commission-free deflator sensitivity
     weakly dominates the third-party sensitivity at every tested commission
@@ -1018,35 +1008,30 @@ def _prop_alpha_envelope(
     wrts = ("alpha", "beta")
     tally = _Tally()
 
-    if pool_tp:
-        stacked = _stack(pool_tp)
-        base_b0 = dataclasses.replace(stacked, beta=np.zeros_like(stacked.beta))
-        lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha")[:, None]
-        beta_t = stacked.beta[:, None] * fracs  # [draw, frac]
-        rhs = np.stack(
-            [
-                envelope_profit_derivative(
-                    dataclasses.replace(stacked, beta=b), Regime.THIRD_PARTY, "alpha"
-                )
-                for b in beta_t.T
-            ],
-            axis=1,
-        )
-        tally.add(
-            ~np.where(beta_t > 0.0, lhs > rhs, lhs >= rhs - 1e-12),
-            lambda i, j: _params_payload(
-                pool_tp[i],
-                beta_tested=float(beta_t[i, j]),
-                lhs=float(lhs[i, 0]),
-                rhs=float(rhs[i, j]),
-            ),
-        )
+    base_b0 = dataclasses.replace(pool_tp, beta=np.zeros_like(pool_tp.beta))
+    lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha")[:, None]
+    beta_t = pool_tp.beta[:, None] * fracs  # [draw, frac]
+    rhs = np.stack(
+        [
+            envelope_profit_derivative(
+                dataclasses.replace(pool_tp, beta=b), Regime.THIRD_PARTY, "alpha"
+            )
+            for b in beta_t.T
+        ],
+        axis=1,
+    )
+    tally.add(
+        ~np.where(beta_t > 0.0, lhs > rhs, lhs >= rhs - 1e-12),
+        lambda i, j: _params_payload(
+            _draw_row(pool_tp, i),
+            beta_tested=float(beta_t[i, j]),
+            lhs=float(lhs[i, 0]),
+            rhs=float(rhs[i, j]),
+        ),
+    )
 
     for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
-        if not pool:
-            continue
-        stacked = _stack(pool)
-        shape = (len(pool), len(_REGIMES), len(wrts))
+        shape = (len(pool.beta), len(_REGIMES), len(wrts))
         checked = np.zeros(shape, dtype=bool)
         env, fd = np.zeros(shape), np.zeros(shape)
         for r, regime in enumerate(_REGIMES):
@@ -1054,24 +1039,24 @@ def _prop_alpha_envelope(
                 # the centered difference is a one-branch derivative
                 # estimate only when both perturbed points stay on the
                 # active side of the shutdown boundary
-                base = getattr(stacked, wrt)
+                base = getattr(pool, wrt)
                 interior = np.flatnonzero(
                     np.logical_and.reduce([
                         margin_active(
-                            dataclasses.replace(stacked, **{wrt: base + d}), model, regime
+                            dataclasses.replace(pool, **{wrt: base + d}), model, regime
                         )
                         for d in (-h, h)
                     ])
                 )
                 e = envelope_profit_derivative(
-                    _take(stacked, interior), regime, wrt, model, d_max=d_max
+                    _take(pool, interior), regime, wrt, model, d_max=d_max
                 )
                 big = np.abs(e) > 1e-8
                 lanes = interior[big]
                 checked[lanes, r, w] = True
                 env[lanes, r, w] = e[big]
                 fd[lanes, r, w] = fd_profit_derivative(
-                    _take(stacked, lanes), regime, wrt, model, h=h, d_max=d_max
+                    _take(pool, lanes), regime, wrt, model, h=h, d_max=d_max
                 )
         with np.errstate(divide="ignore", invalid="ignore"):
             bad = np.abs(env - fd) / np.abs(env) > 1e-4
@@ -1079,7 +1064,7 @@ def _prop_alpha_envelope(
         tally.add(
             bad[checked],
             lambda k: _params_payload(
-                pool[where[k, 0]],
+                _draw_row(pool, where[k, 0]),
                 model=model.value,
                 regime=_REGIMES[where[k, 1]].value,
                 wrt=wrts[where[k, 2]],
@@ -1094,25 +1079,21 @@ def _prop_alpha_envelope(
     )
 
 
-def _prop_olg_unique(pool: list[ModelParams], d_max: float) -> PropertyResult:
-    """Exhaustive steady-state audit: one survivor, the trade pattern, with
-    prices matching the two-period second-period formulas to 1e-12."""
+def _prop_olg_unique(pool: ModelParams, d_max: float) -> PropertyResult:
+    """Exhaustive steady-state audit: one survivor, the trade pattern, at
+    each regime's optimal durability. The scan posts the two-period
+    second-period prices there."""
 
+    d_stars = [_durabilities(pool, ModelKind.OLG, r, d_max) for r in _REGIMES]
     tally = _Tally()
-    for params in pool:
-        for regime in _REGIMES:
-            sol = olg_mod.solve_olg(params, regime, d_max=d_max)
-            scan = oracle_mod.exhaustive_steady_state_scan(params, sol.D_star)
-            pr = tp.prices(params, sol.D_star)
-            ok = (
-                scan.unique_survivor_is_trade_pattern
-                and abs(scan.p_n - pr.p2n) <= 1e-12
-                and abs(scan.p_u - pr.p2u) <= 1e-12
-            )
+    for i in range(len(pool.beta)):
+        params = _draw_row(pool, i)
+        for regime, d in zip(_REGIMES, d_stars):
+            scan = oracle_mod.exhaustive_steady_state_scan(params, float(d[i]))
             tally.add(
-                not ok,
+                not scan.unique_survivor_is_trade_pattern,
                 lambda: _params_payload(
-                    params, regime=regime.value, D=sol.D_star, survivors=len(scan.survivors)
+                    params, regime=regime.value, D=scan.D, survivors=len(scan.survivors)
                 ),
             )
     return tally.result(
@@ -1121,70 +1102,82 @@ def _prop_olg_unique(pool: list[ModelParams], d_max: float) -> PropertyResult:
     )
 
 
+# Per model: the slacks that bind at a solved optimum (|slack| <= tol) and
+# those that only need to hold (slack >= -tol).
+_BINDING_PATTERN = {
+    ModelKind.TWO_PERIOD: (("ic_h", "ir_l"), ("ic_l", "ir_h", "ir_h_first")),
+    ModelKind.OLG: (("ic_h2", "ir_l2"), ("ic_h1", "ic_l1", "ic_l2")),
+}
+
+
 def _prop_constraints(
-    pool_tp: list[ModelParams],
-    pool_olg: list[ModelParams],
-    pool_any: list[ModelParams],
+    pool_tp: ModelParams,
+    pool_olg: ModelParams,
+    pool_any: ModelParams,
     d_max: float,
 ) -> PropertyResult:
     """Binding pattern at every solved equilibrium, plus the implication
-    chain and the cap equivalence at candidate prices off-equilibrium."""
+    chain and the cap equivalence at candidate prices off-equilibrium.
 
-    tol = 1e-9
+    Every slack is evaluated on all lanes of a pool at once; the counts and
+    the first counterexample follow the loop order model, draw, regime,
+    then draw, probed durability.
+    """
+
+    tol = _SLACK_TOL
     tally = _Tally()
 
-    for params in pool_tp:
-        for regime in _REGIMES:
-            d_star = tp.optimal_durability(params, regime, d_max=d_max)
-            slacks = tp.constraint_slacks(params, d_star)
-            ok = (
-                abs(slacks["ic_h"]) <= tol
-                and abs(slacks["ir_l"]) <= tol
-                and slacks["ic_l"] >= -tol
-                and slacks["ir_h"] >= -tol
-                and slacks["ir_h_first"] >= -tol
-            )
-            tally.add(
-                not ok,
-                lambda: _params_payload(
-                    params, model="two-period", regime=regime.value, slacks=slacks
-                ),
-            )
+    def lane(slacks: dict, i: int) -> dict[str, float]:
+        return {name: float(v[i]) for name, v in slacks.items()}
 
-    for params in pool_olg:
-        for regime in _REGIMES:
-            d_star = olg_mod.solve_olg(params, regime, d_max=d_max).D_star
-            slacks = olg_mod.constraint_slacks_olg(params, d_star)
-            ok = (
-                abs(slacks["ic_h2"]) <= tol
-                and abs(slacks["ir_l2"]) <= tol
-                and slacks["ic_h1"] >= -tol
-                and slacks["ic_l1"] >= -tol
-                and slacks["ic_l2"] >= -tol
-            )
-            tally.add(
-                not ok,
-                lambda: _params_payload(
-                    params, model="olg", regime=regime.value, slacks=slacks
-                ),
-            )
+    for model, pool, slacks_at in (
+        (ModelKind.TWO_PERIOD, pool_tp, tp.constraint_slacks),
+        (ModelKind.OLG, pool_olg, olg_mod.constraint_slacks_olg),
+    ):
+        binding, holding = _BINDING_PATTERN[model]
+        slacks = [
+            slacks_at(pool, _optimal_durabilities(pool, model, r, d_max)) for r in _REGIMES
+        ]
+        ok = np.stack(
+            [
+                np.logical_and.reduce(
+                    [np.abs(s[k]) <= tol for k in binding] + [s[k] >= -tol for k in holding]
+                )
+                for s in slacks
+            ],
+            axis=1,
+        )  # [draw, regime]
+        tally.add(
+            ~ok,
+            lambda i, r: _params_payload(
+                _draw_row(pool, i),
+                model=model.value,
+                regime=_REGIMES[r].value,
+                slacks=lane(slacks[r], i),
+            ),
+        )
 
     probe_ds = (0.05, 0.3, 1.0)
-    for params in pool_any:
-        for d in probe_ds:
-            slacks = olg_mod.constraint_slacks_olg(params, d)
-            ok = True
-            # old-high indifference implies the young-high acceptance
-            if slacks["ic_h2"] >= -tol and slacks["ic_h1"] < -tol:
-                ok = False
-            # young-low acceptance implies the old-low acceptance
-            if slacks["ic_l1"] >= -tol and slacks["ic_l2"] < -tol:
-                ok = False
-            # the valuation-ratio cap is the closed form of the young-low test
-            agree = (slacks["ratio_cap"] >= -tol) == (slacks["ic_l1"] >= -tol)
-            if not agree and abs(slacks["ic_l1"]) > tol and abs(slacks["ratio_cap"]) > tol:
-                ok = False
-            tally.add(not ok, lambda: _params_payload(params, D=d, slacks=slacks))
+    slacks = [olg_mod.constraint_slacks_olg(pool_any, d) for d in probe_ds]
+    bad = [
+        # old-high indifference implies the young-high acceptance
+        ((s["ic_h2"] >= -tol) & (s["ic_h1"] < -tol))
+        # young-low acceptance implies the old-low acceptance
+        | ((s["ic_l1"] >= -tol) & (s["ic_l2"] < -tol))
+        # the valuation-ratio cap is the closed form of the young-low test
+        | (
+            ((s["ratio_cap"] >= -tol) != (s["ic_l1"] >= -tol))
+            & (np.abs(s["ic_l1"]) > tol)
+            & (np.abs(s["ratio_cap"]) > tol)
+        )
+        for s in slacks
+    ]
+    tally.add(
+        np.stack(bad, axis=1),  # [draw, probe]
+        lambda i, j: _params_payload(
+            _draw_row(pool_any, i), D=probe_ds[j], slacks=lane(slacks[j], i)
+        ),
+    )
     return tally.result(
         "constraint-structure",
         "old-high self-selection and old-low participation bind to 1e-9, "
@@ -1193,27 +1186,23 @@ def _prop_constraints(
     )
 
 
-def _prop_efficiency(pool: list[ModelParams], d_max: float) -> PropertyResult:
+def _prop_efficiency(pool: ModelParams, d_max: float) -> PropertyResult:
     """Durability and welfare orderings: third-party below branded below the
     social benchmark, pointwise in every both-active draw."""
 
+    d_stars = [_optimal_durabilities(pool, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES]
+    d_stars.append(tp.social_optimal_durability(pool, d_max))
+    d = np.stack(d_stars, axis=1)  # [draw, (third-party, branded, social)]
+    w = np.stack([tp.welfare(pool, x) for x in d_stars], axis=1)
+    ordered = (d[:, 0] < d[:, 1]) & (d[:, 1] < d[:, 2])
+    ordered &= (w[:, 0] < w[:, 1]) & (w[:, 1] < w[:, 2])
     tally = _Tally()
-    if pool:
-        stacked = _stack(pool)
-        d_stars = [
-            _optimal_durabilities(stacked, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES
-        ]
-        d_stars.append(tp.social_optimal_durability(stacked, d_max))
-        d = np.stack(d_stars, axis=1)  # [draw, (third-party, branded, social)]
-        w = np.stack([tp.welfare(stacked, x) for x in d_stars], axis=1)
-        ordered = (d[:, 0] < d[:, 1]) & (d[:, 1] < d[:, 2])
-        ordered &= (w[:, 0] < w[:, 1]) & (w[:, 1] < w[:, 2])
-        tally.add(
-            ~ordered,
-            lambda i: _params_payload(
-                pool[i], D=tuple(map(float, d[i])), welfare=tuple(map(float, w[i]))
-            ),
-        )
+    tally.add(
+        ~ordered,
+        lambda i: _params_payload(
+            _draw_row(pool, i), D=tuple(map(float, d[i])), welfare=tuple(map(float, w[i]))
+        ),
+    )
     return tally.result(
         "efficiency-ordering", "D*_T < D*_B < D_social and matching welfare ordering per draw"
     )
@@ -1270,18 +1259,24 @@ def _build_tasks(
     commission_points: int,
     d_max: float,
 ) -> list[tuple[str, tuple]]:
-    """Draw every pool once and bind each property to picklable arguments."""
+    """Draw and stack every pool once and bind each property to picklable
+    arguments."""
 
     foc_pools = {
-        (model, regime): foc_pool(foc_draws, seed, model, regime)
+        (model, regime): _stack(foc_pool(foc_draws, seed, model, regime))
         for model in ModelKind
         for regime in Regime
     }
-    pool_tp = two_period_pool(pool_draws, seed, d_max)
-    pool_olg = olg_pool(pool_draws, seed, d_max)
-    pool_audit = pool_olg[:audit_draws]
-    pool_any = admissible_olg_pool(audit_draws, seed)
-    pool_tp_small = pool_tp[:audit_draws]
+    pool_tp, pool_olg, pool_any = map(
+        _stack,
+        (
+            two_period_pool(pool_draws, seed, d_max),
+            olg_pool(pool_draws, seed, d_max),
+            admissible_olg_pool(audit_draws, seed),
+        ),
+    )
+    pool_audit = _take(pool_olg, slice(audit_draws))
+    pool_tp_small = _take(pool_tp, slice(audit_draws))
 
     return [
         ("foc-grid-agreement", (foc_pools, grid_points, d_max)),

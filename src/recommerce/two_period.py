@@ -33,6 +33,7 @@ import numpy as np
 
 from .primitives import (
     DEFAULT_D_MAX,
+    _SLACK_TOL,
     BracketError,
     ModelParams,
     Regime,
@@ -345,13 +346,12 @@ def solve(
     params: ModelParams,
     regime: Regime,
     d_max: float = DEFAULT_D_MAX,
-    slack_tol: float = 1e-9,
 ) -> TwoPeriodEquilibrium:
     """Solve one regime end to end.
 
     In the active region the record carries the candidate-price constraint
     slacks; ``constraints_ok`` is False when any slack falls below
-    ``-slack_tol``, which happens for parameter corners where the low type
+    ``-_SLACK_TOL``, which happens for parameter corners where the low type
     would rather buy new than used (the construction is then internally
     inconsistent and downstream draws filter such points out).
     """
@@ -382,7 +382,7 @@ def solve(
             shutdown_profit=shutdown,
             boundary_tie=False,
             slacks=slacks,
-            constraints_ok=all(v >= -slack_tol for v in slacks.values()),
+            constraints_ok=all(v >= -_SLACK_TOL for v in slacks.values()),
         )
 
     p = params

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -300,6 +301,36 @@ def test_implication_chain_at_candidate_prices(canonical):
         assert slacks["ic_h1"] >= -1e-12
         if slacks["ic_l1"] >= 0.0:
             assert slacks["ic_l2"] >= -1e-12
+
+
+def test_slack_lanes_equal_scalar_slacks_bit_for_bit(canonical):
+    # every combination of ordinary, signed-zero, infinite and NaN operands,
+    # plus seed-42 pool draws at their own durabilities
+    nan, inf = float("nan"), float("inf")
+    fields = {
+        "v_H": (1.0, inf, nan),
+        "v_L": (0.5, 0.0, -0.0, nan),
+        "alpha": (0.9, 0.0, -0.0, inf, nan),
+        "beta": (0.2, 1.0, nan),
+        "delta": (0.5, 0.0, -0.0),
+    }
+    points = [
+        (dataclasses.replace(canonical, **dict(zip(fields, combo[:-1]))), combo[-1])
+        for combo in itertools.product(*fields.values(), (0.0, -0.0, 0.3, nan))
+    ]
+    rng = np.random.default_rng(3)
+    points += [(p, float(d)) for p in olg_pool(20, 42) for d in rng.uniform(0.0, 2.0, 3)]
+    lanes = dataclasses.replace(
+        canonical,
+        **{f: np.array([getattr(p, f) for p, _ in points]) for f in fields},
+    )
+    with np.errstate(all="ignore"):
+        slacks = constraint_slacks_olg(lanes, np.array([d for _, d in points]))
+    for i, (params, d) in enumerate(points):
+        scalar = constraint_slacks_olg(params, d)
+        assert list(scalar) == list(slacks)
+        for name, value in scalar.items():
+            assert float(slacks[name][i]).hex() == float(value).hex(), (params, d, name)
 
 
 # ----------------------------------------------------------------------

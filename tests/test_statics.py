@@ -20,6 +20,7 @@ from recommerce import (
     value_function,
 )
 from recommerce import olg as olg_mod
+from recommerce import oracle
 from recommerce import two_period as tp
 from recommerce.primitives import (
     BracketError,
@@ -45,10 +46,14 @@ from recommerce.statics import (
     _params_payload,
     _prop_alpha_envelope,
     _prop_commission_argmax,
+    _prop_constraints,
     _prop_durability_premium,
     _prop_efficiency,
     _prop_foc_grid,
+    _prop_ladders,
+    _prop_olg_unique,
     _stack,
+    _take,
     _two_period_filters,
     admissible_olg_pool,
     equilibrium_feasible,
@@ -210,17 +215,23 @@ def test_commission_curve_olg(olg_feasible):
     curve = optimal_commission(olg_feasible, OLG, n_points=1001)
     assert curve.beta_star == 0.0
     assert int(curve.active.sum()) == 194
+    # the inactive tail carries the steady-state objective at D = 0, which
+    # no commission enters: n_H*v_H/(1-delta) up to rounding
     tail = curve.profits[~curve.active]
-    expected = olg_feasible.n_H * olg_feasible.v_H / (1.0 - olg_feasible.delta)
+    expected = olg_mod.objective_value(olg_feasible, B, 0.0)
     assert np.all(tail == expected)
+    assert expected == pytest.approx(
+        olg_feasible.n_H * olg_feasible.v_H / (1.0 - olg_feasible.delta), rel=1e-15
+    )
     assert np.all(np.diff(curve.profits[curve.active]) < 0.0)
 
 
 def test_commission_curve_lanes_equal_scalar_solves():
-    # each active lane prices its commission with the same margin, root and
-    # objective formulas as a single-point solve, so the values agree exactly;
-    # a stacked pool gives one row per draw, each equal to its single curve
-    checked = 0
+    # each lane prices its commission with the same margin, root and
+    # objective formulas as a single-point solve, shut-down lanes included,
+    # so the values agree exactly; a stacked pool gives one row per draw,
+    # each equal to its single curve
+    checked = shutdowns = 0
     for model, pool in ((TP, two_period_pool(40, 42)), (OLG, olg_pool(40, 42))):
         rows = optimal_commission(_stack(pool), model, n_points=201)
         assert rows.profits.shape == rows.d_stars.shape == rows.active.shape == (40, 201)
@@ -233,18 +244,16 @@ def test_commission_curve_lanes_equal_scalar_solves():
             assert rows.argmax_index[k] == curve.argmax_index
             assert rows.beta_star[k] == curve.beta_star
             assert rows.profit_at_star[k] == curve.profit_at_star
-            for i in np.flatnonzero(curve.active):
-                pt = dataclasses.replace(params, beta=float(curve.betas[i]))
-                if model is TP:
-                    d = tp.optimal_durability(pt, B)
-                    value = tp.profit(pt, B, d).total
-                else:
-                    sol = solve_olg(pt, B)
-                    d, value = sol.D_star, sol.objective_value
+            for i, beta in enumerate(curve.betas):
+                pt = dataclasses.replace(params, beta=float(beta))
+                value, d, active = _solved(pt, B, model)
+                assert curve.active[i] == active
                 assert curve.d_stars[i] == d
                 assert curve.profits[i] == value
                 checked += 1
-    assert checked > 4000
+                shutdowns += not active
+    assert checked == 2 * 40 * 201
+    assert shutdowns > 4000
 
 
 def test_commission_curve_raises_like_the_scalar_solver(olg_feasible):
@@ -479,7 +488,7 @@ def test_batched_ladders_equal_scalar_solves():
     ]
     lanes = 0
     for pool in (base, other):
-        d_stars, profits = _ladder_values(pool, DEFAULT_D_MAX)
+        d_stars, profits = _ladder_values(_stack(pool), DEFAULT_D_MAX)
         for r, regime in enumerate((T, B)):
             for i, params in enumerate(pool):
                 for w, wrt in enumerate(("alpha", "beta")):
@@ -502,7 +511,7 @@ def test_batched_ladders_reject_like_the_scalar_solver(canonical):
     with pytest.raises(BracketError) as single:
         tp.optimal_durability(unbracketed, T)
     with pytest.raises(BracketError) as batched:
-        _ladder_values([unbracketed], DEFAULT_D_MAX)
+        _ladder_values(_stack([unbracketed]), DEFAULT_D_MAX)
     assert str(batched.value) == str(single.value)
 
 
@@ -510,18 +519,8 @@ def test_pools_that_mix_families_are_refused(canonical):
     # a pool is stacked into one ModelParams, which holds one cost/quality
     # family; draws of another family belong in a pool of their own
     other = dataclasses.replace(canonical, cost=PowerCost(c0=0.8, p=2.5))
-    mixed = [canonical, other]
-    for run in (
-        lambda: _stack(mixed),
-        lambda: _ladder_values(mixed, DEFAULT_D_MAX),
-        lambda: _prop_durability_premium(mixed, [], DEFAULT_D_MAX),
-        lambda: _prop_commission_argmax([], mixed, 11, DEFAULT_D_MAX),
-        lambda: _prop_alpha_envelope(mixed, [], DEFAULT_D_MAX),
-        lambda: _prop_efficiency(mixed, DEFAULT_D_MAX),
-        lambda: _prop_foc_grid({(TP, T): mixed}, 1000, DEFAULT_D_MAX),
-    ):
-        with pytest.raises(ValueError, match="one cost/quality family"):
-            run()
+    with pytest.raises(ValueError, match="one cost/quality family"):
+        _stack([canonical, other])
 
 
 # ----------------------------------------------------------------------
@@ -599,10 +598,12 @@ def test_properties_refuse_shut_down_draws_like_the_scalar_solver(canonical):
     shut = dataclasses.replace(canonical, v_L=0.5)
     with pytest.raises(ValueError) as single:
         tp.optimal_durability(shut, T)
+    pool = _stack([canonical, shut])
     for run in (
-        lambda: _prop_efficiency([canonical, shut], DEFAULT_D_MAX),
-        lambda: _prop_durability_premium([canonical, shut], [], DEFAULT_D_MAX),
-        lambda: _ladder_values([canonical, shut], DEFAULT_D_MAX),
+        lambda: _prop_efficiency(pool, DEFAULT_D_MAX),
+        lambda: _prop_durability_premium(pool, _take(pool, slice(0)), DEFAULT_D_MAX),
+        lambda: _prop_constraints(pool, *[_take(pool, slice(0))] * 2, DEFAULT_D_MAX),
+        lambda: _ladder_values(pool, DEFAULT_D_MAX),
     ):
         with pytest.raises(ValueError) as batched:
             run()
@@ -669,8 +670,9 @@ def test_batched_value_function_and_derivatives_equal_scalar():
     assert shutdowns > 0
 
 
-# The pre-batching loop bodies of four properties, kept as the reference
-# the array versions must reproduce exactly.
+# The pre-batching loop bodies of six properties, kept as the reference
+# the array versions must reproduce exactly. They take pools as lists of
+# single draws; the properties take the same pools stacked.
 
 
 def _scalar_premium(pool_tp, pool_olg, d_max):
@@ -808,6 +810,101 @@ def _scalar_commission(pool_tp, pool_olg, n_points, d_max):
     )
 
 
+def _scalar_olg_unique(pool, d_max):
+    checks = violations = 0
+    example = None
+    for params in pool:
+        for regime in (T, B):
+            sol = solve_olg(params, regime, d_max=d_max)
+            scan = oracle.exhaustive_steady_state_scan(params, sol.D_star)
+            pr = tp.prices(params, sol.D_star)
+            ok = (
+                scan.unique_survivor_is_trade_pattern
+                and abs(scan.p_n - pr.p2n) <= 1e-12
+                and abs(scan.p_u - pr.p2u) <= 1e-12
+            )
+            checks += 1
+            if not ok:
+                violations += 1
+                if example is None:
+                    example = _params_payload(
+                        params, regime=regime.value, D=sol.D_star, survivors=len(scan.survivors)
+                    )
+    return PropertyResult(
+        name="olg-steady-state-uniqueness",
+        checks=checks,
+        violations=violations,
+        detail="243 candidate (state, profile) pairs audited per draw per regime",
+        counterexample=example,
+    )
+
+
+def _scalar_constraints(pool_tp, pool_olg, pool_any, d_max):
+    tol = 1e-9
+    checks = violations = 0
+    example = None
+
+    def tally(ok, payload):
+        nonlocal checks, violations, example
+        checks += 1
+        if not ok:
+            violations += 1
+            if example is None:
+                example = payload()
+
+    for params in pool_tp:
+        for regime in (T, B):
+            d_star = tp.optimal_durability(params, regime, d_max=d_max)
+            slacks = tp.constraint_slacks(params, d_star)
+            ok = (
+                abs(slacks["ic_h"]) <= tol
+                and abs(slacks["ir_l"]) <= tol
+                and slacks["ic_l"] >= -tol
+                and slacks["ir_h"] >= -tol
+                and slacks["ir_h_first"] >= -tol
+            )
+            tally(ok, lambda: _params_payload(
+                params, model="two-period", regime=regime.value, slacks=slacks
+            ))
+    for params in pool_olg:
+        for regime in (T, B):
+            d_star = solve_olg(params, regime, d_max=d_max).D_star
+            slacks = olg_mod.constraint_slacks_olg(params, d_star)
+            ok = (
+                abs(slacks["ic_h2"]) <= tol
+                and abs(slacks["ir_l2"]) <= tol
+                and slacks["ic_h1"] >= -tol
+                and slacks["ic_l1"] >= -tol
+                and slacks["ic_l2"] >= -tol
+            )
+            tally(ok, lambda: _params_payload(
+                params, model="olg", regime=regime.value, slacks=slacks
+            ))
+    for params in pool_any:
+        for d in (0.05, 0.3, 1.0):
+            slacks = olg_mod.constraint_slacks_olg(params, d)
+            ok = True
+            if slacks["ic_h2"] >= -tol and slacks["ic_h1"] < -tol:
+                ok = False
+            if slacks["ic_l1"] >= -tol and slacks["ic_l2"] < -tol:
+                ok = False
+            agree = (slacks["ratio_cap"] >= -tol) == (slacks["ic_l1"] >= -tol)
+            if not agree and abs(slacks["ic_l1"]) > tol and abs(slacks["ratio_cap"]) > tol:
+                ok = False
+            tally(ok, lambda: _params_payload(params, D=d, slacks=slacks))
+    return PropertyResult(
+        name="constraint-structure",
+        checks=checks,
+        violations=violations,
+        detail=(
+            "old-high self-selection and old-low participation bind to 1e-9, "
+            "all other slacks weakly positive; implication chain and cap "
+            "equivalence checked at off-equilibrium durabilities"
+        ),
+        counterexample=example,
+    )
+
+
 def _violating(pool):
     # every draw gets a cost so steep that D* is tiny: its commission slope
     # falls near 1e-8, where the centered difference loses the 1e-4
@@ -821,28 +918,107 @@ def _violating(pool):
     return out
 
 
+def _unique_violating(pool):
+    # a negative commission on every third draw leaves no steady state
+    return [
+        dataclasses.replace(params, beta=-1.0) if i % 3 == 1 else params
+        for i, params in enumerate(pool)
+    ]
+
+
 @pytest.mark.parametrize("pools", ["seed-1", "seed-2", "seed-3", "violating"])
 def test_batched_properties_equal_scalar_reference(pools):
     seed = 1 if pools == "violating" else int(pools[-1])
     pool_tp, pool_olg = two_period_pool(30, seed), olg_pool(30, seed)
+    pool_any = admissible_olg_pool(10, seed)
     if pools == "violating":
         pool_tp, pool_olg = _violating(pool_tp), _violating(pool_olg)
+    audit = _unique_violating(pool_olg[:6]) if pools == "violating" else pool_olg[:6]
+    stacked_tp, stacked_olg = _stack(pool_tp), _stack(pool_olg)
     results = [
-        (_prop_durability_premium(pool_tp, pool_olg, DEFAULT_D_MAX),
+        (_prop_durability_premium(stacked_tp, stacked_olg, DEFAULT_D_MAX),
          _scalar_premium(pool_tp, pool_olg, DEFAULT_D_MAX)),
-        (_prop_alpha_envelope(pool_tp, pool_olg, DEFAULT_D_MAX),
+        (_prop_alpha_envelope(stacked_tp, stacked_olg, DEFAULT_D_MAX),
          _scalar_envelope(pool_tp, pool_olg, DEFAULT_D_MAX)),
-        (_prop_efficiency(pool_tp, DEFAULT_D_MAX),
+        (_prop_efficiency(stacked_tp, DEFAULT_D_MAX),
          _scalar_efficiency(pool_tp, DEFAULT_D_MAX)),
-        (_prop_commission_argmax(pool_tp, pool_olg, 101, DEFAULT_D_MAX),
+        (_prop_olg_unique(_stack(audit), DEFAULT_D_MAX),
+         _scalar_olg_unique(audit, DEFAULT_D_MAX)),
+        (_prop_commission_argmax(stacked_tp, stacked_olg, 101, DEFAULT_D_MAX),
          _scalar_commission(pool_tp, pool_olg, 101, DEFAULT_D_MAX)),
+        (_prop_constraints(
+            _take(stacked_tp, slice(10)), _take(stacked_olg, slice(10)), _stack(pool_any),
+            DEFAULT_D_MAX,
+         ),
+         _scalar_constraints(pool_tp[:10], pool_olg[:10], pool_any, DEFAULT_D_MAX)),
     ]
     for batched, scalar in results:
         assert batched == scalar
         assert json.dumps(batched.counterexample) == json.dumps(scalar.counterexample)
     if pools == "violating":
-        assert all(batched.violations > 0 for batched, _ in results[:3])
-        assert all(batched.counterexample is not None for batched, _ in results[:3])
+        assert all(batched.violations > 0 for batched, _ in results[:4])
+        assert all(batched.counterexample is not None for batched, _ in results[:4])
+        unique = results[3][0]
+        assert 0 < unique.violations < unique.checks
+
+
+def _scaled(params):
+    # valuations and cost at 1e8 leave D* unchanged and the binding slacks
+    # exact only to rounding, which exceeds 1e-9 there
+    return dataclasses.replace(
+        params, v_H=params.v_H * 1e8, v_L=params.v_L * 1e8, cost=PowerCost(c0=0.5e8, p=2.0)
+    )
+
+
+def _cheap(params):
+    # cheap durability pushes s(D*) toward 1: low types would rather buy new
+    return dataclasses.replace(params, cost=PowerCost(c0=1e-3, p=2.0))
+
+
+def _low_v_h(params):
+    # the high valuation below the used unit's deflated worth
+    return dataclasses.replace(params, v_H=0.5 * params.alpha * (1.0 - params.beta) * params.v_L)
+
+
+def _replaced(**fields):
+    return lambda params: dataclasses.replace(params, **fields)
+
+
+# (pool, draw change, clause the first counterexample fails). Each change
+# is applied to one pool, so the counterexample comes from that pool. The
+# participation slacks ir_l and ir_l2 are a product minus itself, zero in
+# any rounding, so no finite draw breaks them.
+_CONSTRAINT_BREAKERS = [
+    ("two-period", _scaled, lambda s: abs(s["ic_h"]) > 1e-9),
+    ("two-period", _cheap, lambda s: s["ic_l"] < -1e-9),
+    ("two-period", _low_v_h, lambda s: s["ir_h"] < -1e-9 and s["ir_h_first"] < -1e-9),
+    ("olg", _scaled, lambda s: abs(s["ic_h2"]) > 1e-9),
+    ("olg", _cheap, lambda s: s["ic_l1"] < -1e-9),
+    ("olg", _low_v_h, lambda s: s["ic_l2"] < -1e-9),
+    ("olg", _replaced(beta=-1.0), lambda s: s["ic_h1"] < -1e-9),
+    # the implication chain and the cap equivalence, off equilibrium
+    ("any", _replaced(delta=-1.0), lambda s: s["ic_h2"] >= -1e-9 > s["ic_h1"]),
+    ("any", _replaced(delta=-0.5, alpha=1.5), lambda s: s["ic_l1"] >= -1e-9 > s["ic_l2"]),
+    ("any", _replaced(alpha=3.0), lambda s: (s["ratio_cap"] >= -1e-9) != (s["ic_l1"] >= -1e-9)),
+]
+
+
+@pytest.mark.parametrize("k", range(len(_CONSTRAINT_BREAKERS)))
+def test_batched_constraints_equal_scalar_reference_on_violations(k):
+    target, change, broken = _CONSTRAINT_BREAKERS[k]
+    pools = {
+        "two-period": two_period_pool(10, 1),
+        "olg": olg_pool(10, 1),
+        "any": admissible_olg_pool(10, 1),
+    }
+    pools[target] = [change(params) for params in pools[target]]
+    batched = _prop_constraints(*map(_stack, pools.values()), DEFAULT_D_MAX)
+    scalar = _scalar_constraints(*pools.values(), DEFAULT_D_MAX)
+    assert batched == scalar
+    assert json.dumps(batched.counterexample) == json.dumps(scalar.counterexample)
+    assert batched.violations > 0
+    assert batched.counterexample.get("model", "any") == target
+    assert broken(batched.counterexample["slacks"])
 
 
 @pytest.mark.parametrize("s_bar", [1e-5, 1e-6])
@@ -855,7 +1031,7 @@ def test_batched_commission_equals_scalar_reference_on_violations(s_bar):
         [dataclasses.replace(p, quality=quality) for p in pool]
         for pool in (two_period_pool(30, 1), olg_pool(30, 1))
     )
-    batched = _prop_commission_argmax(pool_tp, pool_olg, 201, DEFAULT_D_MAX)
+    batched = _prop_commission_argmax(_stack(pool_tp), _stack(pool_olg), 201, DEFAULT_D_MAX)
     scalar = _scalar_commission(pool_tp, pool_olg, 201, DEFAULT_D_MAX)
     assert batched == scalar
     assert json.dumps(batched.counterexample) == json.dumps(scalar.counterexample)
@@ -869,11 +1045,20 @@ def test_batched_commission_equals_scalar_reference_on_violations(s_bar):
         )
 
 
-def test_batched_properties_accept_empty_pools():
-    assert _prop_durability_premium([], [], DEFAULT_D_MAX).checks == 0
-    assert _prop_alpha_envelope([], [], DEFAULT_D_MAX).checks == 0
-    assert _prop_efficiency([], DEFAULT_D_MAX).checks == 0
-    assert _prop_commission_argmax([], [], 11, DEFAULT_D_MAX).checks == 0
+def test_batched_properties_accept_empty_pools(canonical):
+    empty = _take(_stack([canonical]), slice(0))
+    assert empty.beta.shape == (0,)
+    for result in (
+        _prop_foc_grid({(TP, T): empty, (OLG, B): empty}, 1000, DEFAULT_D_MAX),
+        _prop_ladders(empty, DEFAULT_D_MAX),
+        _prop_durability_premium(empty, empty, DEFAULT_D_MAX),
+        _prop_alpha_envelope(empty, empty, DEFAULT_D_MAX),
+        _prop_efficiency(empty, DEFAULT_D_MAX),
+        _prop_commission_argmax(empty, empty, 11, DEFAULT_D_MAX),
+        _prop_olg_unique(empty, DEFAULT_D_MAX),
+        _prop_constraints(empty, empty, empty, DEFAULT_D_MAX),
+    ):
+        assert (result.checks, result.violations, result.counterexample) == (0, 0, None)
 
 
 # ----------------------------------------------------------------------
