@@ -10,7 +10,8 @@ same inputs and seed.
 Exit codes: 0 on success, 1 when a verified property fails (a counterexample
 dump is written next to the other outputs), 2 on usage or validation errors,
 including a durability first-order condition with no root below ``d_max``,
-and when a requested size does not fit in memory.
+an ``oracle-check`` grid that does not resolve the objective, and when a
+requested size does not fit in memory.
 """
 
 from __future__ import annotations
@@ -506,6 +507,7 @@ def _cmd_oracle_check(args) -> int:
     grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
     entries = []
     worst = 0.0
+    unresolved, mismatched = [], []
     for model in (ModelKind.TWO_PERIOD, ModelKind.OLG):
         _validate_for(params, [model], d_max)
         for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
@@ -518,6 +520,9 @@ def _cmd_oracle_check(args) -> int:
             hit = oracle_mod.grid_argmax_profit(params, regime, model, grid)
             gap = abs(d_star - hit.D_at_max)
             worst = max(worst, gap)
+            if gap > grid.step:
+                resolves = oracle_mod.grid_resolves(params, regime, model, grid, hit, d_star)
+                (mismatched if resolves else unresolved).append(f"{model.value} {regime.value}")
             entries.append(
                 {
                     "model": model,
@@ -532,6 +537,12 @@ def _cmd_oracle_check(args) -> int:
                 f"{model.value} {regime.value}: solver D*={d_star:.8g} "
                 f"grid D={hit.D_at_max:.8g} gap={gap:.3e}"
             )
+    if unresolved and not mismatched:
+        raise UsageError(
+            "the grid does not resolve the objective at these parameters: at "
+            f"{', '.join(unresolved)} its maximum is within rounding of its value "
+            f"nearest the solver's D* (gap {worst:.3e}, step {grid.step:.3e})"
+        )
     ok = worst <= grid.step
     rep.write_json(
         out / "oracle_check.json",

@@ -21,7 +21,8 @@ stationary per-period stream::
 
 where ``g1(D) = v_H + delta*alpha*(1-beta)*v_L*s(D)`` and ``R(D)`` is the
 per-cohort stationary margin. The first-order condition again factors into
-``c'(D) = M * s'(D)`` (``two_period.foc_residual`` with slope ``M``) with
+``c'(D) = M * s'(D)``, the ``k = 1`` rows of the table
+``two_period.durability_condition``, with
 
 * third-party: ``M = (2-delta)*alpha*(1-beta)*v_L - v_H``
 * branded:     ``M = alpha*(2-beta-delta*(1-beta))*v_L - v_H``
@@ -51,11 +52,19 @@ import numpy as np
 from .primitives import (
     DEFAULT_D_MAX,
     _SLACK_TOL,
+    ModelKind,
     ModelParams,
     Regime,
     bisect_increasing,
 )
-from .two_period import MarketMode, prices, replacement_margin, solve_foc
+from .two_period import (
+    MarketMode,
+    _prices,
+    durability_condition,
+    prices,
+    replacement_margin,
+    solve_foc,
+)
 
 __all__ = [
     "OlgState",
@@ -70,7 +79,6 @@ __all__ = [
     "per_period_profit",
     "per_period_commission",
     "discounted_stream",
-    "olg_margin",
     "objective_value",
     "zero_durability_alternatives",
     "constraint_slacks_olg",
@@ -190,15 +198,6 @@ def discounted_stream(params: ModelParams, regime: Regime, D):
     return p.delta / (1.0 - p.delta) * per_period_profit(params, regime, D)
 
 
-def olg_margin(params: ModelParams, regime: Regime) -> float:
-    """Margin in the factored steady-state first-order condition."""
-
-    p = params
-    if regime is Regime.THIRD_PARTY:
-        return (2.0 - p.delta) * p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
-    return p.alpha * (2.0 - p.beta - p.delta * (1.0 - p.beta)) * p.v_L - p.v_H
-
-
 def objective_value(
     params: ModelParams, regime: Regime, D, include_entry_premium: bool = True
 ):
@@ -267,7 +266,7 @@ def constraint_slacks_olg(params: ModelParams, D) -> dict[str, float]:
 
     p = params
     s = p.quality.value(D)
-    pr = prices(params, D)
+    pr = _prices(params, s)
     p_n, p_u = pr.p2n, pr.p2u
     resale_net_h = p.v_H - p_n + (1.0 - p.beta) * p_u
     resale_net_l = p.v_L - p_n + (1.0 - p.beta) * p_u
@@ -489,11 +488,11 @@ def solve_olg(
     candidate, so that boundary point is the constrained optimum).
     """
 
-    margin = olg_margin(params, regime)
+    margin, slope = durability_condition(params, ModelKind.OLG, regime)
     d0_alt = zero_durability_alternatives(params)
 
     if include_entry_premium and margin > 0.0:
-        d_star = solve_foc(params, margin, d_max)
+        d_star = solve_foc(params, slope, d_max)
         pr = prices(params, d_star)
         slacks = constraint_slacks_olg(params, d_star)
         constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())

@@ -53,6 +53,7 @@ __all__ = [
     "GridSpec",
     "GridResult",
     "grid_argmax_profit",
+    "grid_resolves",
     "truncated_stream",
     "truncated_stream_error_bound",
     "action_value",
@@ -312,6 +313,28 @@ def grid_argmax_profit(
             if idx < 0 or (best == best and (v != v or v > best)):
                 idx, best = lo + j, v
     return GridResult(D_at_max=float(D[idx]), value=best, index=idx, step=grid.step)
+
+
+def grid_resolves(
+    params: ModelParams,
+    regime: Regime,
+    model: ModelKind,
+    grid: GridSpec,
+    hit: GridResult,
+    D: float,
+) -> bool:
+    """Whether the grid tells its maximum ``hit`` (with the entry premium)
+    apart from its point nearest ``D``: their objective values differ by more
+    than the block bounds' rounding margin, ``_BOUND_MARGIN`` times the sum
+    of magnitudes (:class:`_Magnitude`) scaled by ``1 + |s| + |c|`` at the
+    two points. A steady state with a discount factor near 0 reads flat."""
+
+    _, s, c = _grid_arrays(params.cost, params.quality, grid)
+    near = min(max(round((D - grid.lower) / grid.step), 0), grid.count - 1)
+    mag = 1.0 + max(abs(s[hit.index]), abs(s[near])) + max(abs(c[hit.index]), abs(c[near]))
+    f = functools.partial(_objective, params, regime, model, True)
+    margin = _BOUND_MARGIN * f(_Magnitude(1.0), _Magnitude(1.0)).m * mag
+    return not abs(hit.value - f(float(s[near]), float(c[near]))) <= margin
 
 
 def truncated_stream(

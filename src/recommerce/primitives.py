@@ -549,9 +549,9 @@ def bisect_increasing_vec(
     lo: float,
     hi: float,
     n: int,
-    xtol: float = 1e-10,
 ) -> np.ndarray:
-    """Vectorized counterpart of :func:`bisect_increasing`.
+    """Vectorized counterpart of :func:`bisect_increasing` at its default
+    ``xtol = 1e-10``.
 
     Runs ``n`` independent bisections that share the bracket [lo, hi]; ``f``
     maps an array of midpoints to an array of residuals. The arithmetic per
@@ -563,7 +563,7 @@ def bisect_increasing_vec(
     his = np.full(n, hi, dtype=float)
     while True:
         mids = 0.5 * (los + his)
-        active = (his - los > xtol) & (mids > los) & (mids < his)
+        active = (his - los > 1e-10) & (mids > los) & (mids < his)
         if not np.any(active):
             break
         vals = f(mids)

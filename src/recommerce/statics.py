@@ -76,6 +76,8 @@ __all__ = [
 ]
 
 _SWEEPABLE = ("alpha", "beta", "delta")
+# Half-width of the centered finite differences of the value function.
+_FD_STEP = 1e-5
 _REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
 
 
@@ -193,41 +195,28 @@ def fd_profit_derivative(
     regime: Regime,
     wrt: str,
     model: ModelKind = ModelKind.TWO_PERIOD,
-    h: float = 1e-5,
     d_max: float = DEFAULT_D_MAX,
 ) -> float:
-    """Centered finite difference of the value function, re-solving D* at
-    each perturbed parameter value (the total derivative the envelope
-    theorem predicts). Evaluation may step just outside the admissible box;
-    all formulas extend continuously there. Elementwise when the parameter
-    fields are arrays."""
+    """Centered finite difference of the value function with half-width
+    ``_FD_STEP``, re-solving D* at each perturbed parameter value (the total
+    derivative the envelope theorem predicts). Evaluation may step just
+    outside the admissible box; all formulas extend continuously there.
+    Elementwise when the parameter fields are arrays."""
 
     if wrt not in _SWEEPABLE:
         raise ValueError(f"unsupported parameter {wrt!r}; expected one of {_SWEEPABLE}")
     base = getattr(params, wrt)
-    hi = dataclasses.replace(params, **{wrt: base + h})
-    lo = dataclasses.replace(params, **{wrt: base - h})
+    hi = dataclasses.replace(params, **{wrt: base + _FD_STEP})
+    lo = dataclasses.replace(params, **{wrt: base - _FD_STEP})
     return (
         value_function(hi, regime, model, d_max) - value_function(lo, regime, model, d_max)
-    ) / (2.0 * h)
+    ) / (2.0 * _FD_STEP)
 
 
 def _plain(value):
     """A 0-d result (scalar parameters) as a plain float; arrays unchanged."""
 
     return float(value) if np.ndim(value) == 0 else value
-
-
-def _margin_slope(params: ModelParams, model: ModelKind, regime: Regime):
-    """Margin ``M`` and durability-condition slope ``k*M`` of a (model,
-    regime): ``k = delta/(1+delta)`` in the two-period model, 1 in the
-    steady state. Elementwise when the parameter fields are arrays."""
-
-    if model is ModelKind.TWO_PERIOD:
-        margin = tp.activity_margin(params, regime)
-        return margin, tp.foc_slope(params, margin)
-    margin = olg_mod.olg_margin(params, regime)
-    return margin, margin
 
 
 def _durabilities(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
@@ -240,7 +229,7 @@ def _durabilities(params: ModelParams, model: ModelKind, regime: Regime, d_max: 
     for bit.
     """
 
-    margin, slope = _margin_slope(params, model, regime)
+    margin, slope = tp.durability_condition(params, model, regime)
     if np.ndim(slope) == 0:
         return tp.solve_foc(params, slope, d_max) if margin > 0.0 else 0.0
     live = np.broadcast_to(margin > 0.0, np.shape(slope))
@@ -297,7 +286,6 @@ def monotonicity_sweep(
     parameter: str,
     values: Sequence[float],
     model: ModelKind = ModelKind.TWO_PERIOD,
-    fd_step: float = 1e-5,
     d_max: float = DEFAULT_D_MAX,
 ) -> ComparativeReport:
     """Solve along a parameter grid and classify the directions of D*, the
@@ -325,7 +313,7 @@ def monotonicity_sweep(
             mode, d_star, profit = sol.market_mode, sol.D_star, sol.objective_value
             wel = math.nan
         env = envelope_profit_derivative(pt, regime, parameter, model, d_max=d_max)
-        fd = fd_profit_derivative(pt, regime, parameter, model, h=fd_step, d_max=d_max)
+        fd = fd_profit_derivative(pt, regime, parameter, model, d_max=d_max)
         points.append(
             SweepPoint(
                 param_value=float(value),
@@ -505,8 +493,9 @@ _LADDER_SPAN = LADDER_STEP * (LADDER_POINTS - 1)
 _DRAW_BLOCK = 4096
 
 
-def _draw_block(rng: np.random.Generator, size: int, box: ParamBox) -> ModelParams:
-    """``size`` raw draws as one ModelParams whose scalar fields are arrays.
+def _draw_block(rng: np.random.Generator, size: int) -> ModelParams:
+    """``size`` raw draws from ``DEFAULT_BOX`` as one ModelParams whose
+    scalar fields are arrays.
 
     Row i uses the i-th five uniforms of ``rng`` in the order n_H, v_L,
     delta, alpha, beta, each scaled as ``lo + (hi - lo) * u``. That is the
@@ -520,6 +509,7 @@ def _draw_block(rng: np.random.Generator, size: int, box: ParamBox) -> ModelPara
         lo, hi = bounds
         return lo + (hi - lo) * u[:, j]
 
+    box = DEFAULT_BOX
     n_h = col(0, box.n_H)
     return ModelParams(
         v_H=np.ones(size),
@@ -543,17 +533,18 @@ def _draw_row(block: ModelParams, i) -> ModelParams:
     )
 
 
-def sample_params(rng: np.random.Generator, box: ParamBox = DEFAULT_BOX) -> ModelParams:
-    """One raw draw from the box (no admissibility or activity filtering)."""
+def sample_params(rng: np.random.Generator) -> ModelParams:
+    """One raw draw from ``DEFAULT_BOX`` (no admissibility or activity
+    filtering)."""
 
-    return _draw_row(_draw_block(rng, 1, box), 0)
+    return _draw_row(_draw_block(rng, 1), 0)
 
 
 def margin_active(params: ModelParams, model: ModelKind, regime: Regime) -> bool:
     """Whether the (model, regime) margin is positive; elementwise when the
     parameter fields are arrays."""
 
-    return _margin_slope(params, model, regime)[0] > 0.0
+    return tp.durability_condition(params, model, regime)[0] > 0.0
 
 
 def equilibrium_feasible(
@@ -566,11 +557,9 @@ def equilibrium_feasible(
 
     if not margin_active(params, model, regime):
         return False
-    if model is ModelKind.TWO_PERIOD:
-        d_star = tp.optimal_durability(params, regime, d_max=d_max)
-        slacks = tp.constraint_slacks(params, d_star)
-    else:
-        slacks = olg_mod.solve_olg(params, regime, d_max=d_max).slacks
+    if model is ModelKind.OLG:
+        return olg_mod.solve_olg(params, regime, d_max=d_max).constraints_ok
+    slacks = tp.constraint_slacks(params, tp.optimal_durability(params, regime, d_max=d_max))
     return all(v >= -_SLACK_TOL for v in slacks.values())
 
 
@@ -599,7 +588,6 @@ def sample_filtered(
     n: int,
     seed_key: Sequence[int],
     predicate: Predicate,
-    box: ParamBox = DEFAULT_BOX,
     max_attempts: int | None = None,
     screen: Screen | None = None,
 ) -> list[ModelParams]:
@@ -618,7 +606,7 @@ def sample_filtered(
     drawn = 0
     while drawn < cap:
         size = min(_DRAW_BLOCK, cap - drawn)
-        block = _draw_block(rng, size, box)
+        block = _draw_block(rng, size)
         drawn += size
         rows = range(size) if screen is None else np.flatnonzero(screen(block))
         for i in rows:
@@ -800,19 +788,12 @@ def _take(params: ModelParams, idx) -> ModelParams:
 def _optimal_durabilities(
     params: ModelParams, model: ModelKind, regime: Regime, d_max: float
 ) -> np.ndarray:
-    """The single-point optimum (``tp.optimal_durability`` or the ``D_star``
-    of ``solve_olg``) on every lane of a ModelParams with array fields and
-    one family (see :func:`_durabilities`).
-
-    Like ``tp.optimal_durability`` the two-period model refuses a shut-down
-    market: the first lane with no positive margin is handed to it, to
-    raise the same error.
-    """
+    """The single-point optimum (``tp.optimal_durability``, which refuses a
+    shut-down market, or the ``D_star`` of ``solve_olg``) on every lane of a
+    ModelParams with array fields and one family."""
 
     if model is ModelKind.TWO_PERIOD:
-        shut = np.argwhere(~margin_active(params, model, regime))
-        if shut.size:
-            tp.optimal_durability(_draw_row(params, tuple(shut[0])), regime, d_max=d_max)
+        return tp.optimal_durability(params, regime, d_max=d_max)
     return _durabilities(params, model, regime, d_max)
 
 
@@ -1004,7 +985,6 @@ def _prop_alpha_envelope(
     """
 
     fracs = (0.0, 0.5, 1.0)
-    h = 1e-5
     wrts = ("alpha", "beta")
     tally = _Tally()
 
@@ -1045,7 +1025,7 @@ def _prop_alpha_envelope(
                         margin_active(
                             dataclasses.replace(pool, **{wrt: base + d}), model, regime
                         )
-                        for d in (-h, h)
+                        for d in (-_FD_STEP, _FD_STEP)
                     ])
                 )
                 e = envelope_profit_derivative(
@@ -1056,7 +1036,7 @@ def _prop_alpha_envelope(
                 checked[lanes, r, w] = True
                 env[lanes, r, w] = e[big]
                 fd[lanes, r, w] = fd_profit_derivative(
-                    _take(pool, lanes), regime, wrt, model, h=h, d_max=d_max
+                    _take(pool, lanes), regime, wrt, model, d_max=d_max
                 )
         with np.errstate(divide="ignore", invalid="ignore"):
             bad = np.abs(env - fd) / np.abs(env) > 1e-4

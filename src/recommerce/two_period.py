@@ -7,15 +7,12 @@ collects the commission ``beta`` on used sales: an outside marketplace
 (third-party) or the seller itself (branded).
 
 The durability first-order condition equates marginal production cost with a
-margin-weighted marginal resale quality::
-
-    c'(D*) = delta/(1+delta) * M * s'(D*)
-
-with ``M = 2*alpha*(1-beta)*v_L - v_H`` (third-party) or
-``M = alpha*(2-beta)*v_L - v_H`` (branded). The condition uses the derivative
-``s'(D)``; a transcription that places ``s(D)`` itself on the right-hand side
-does not stationarize the profit objective and is deliberately not
-implemented. The social benchmark replaces ``M`` with ``v_L``.
+margin-weighted marginal resale quality, ``c'(D*) = k * M * s'(D*)``, with
+``k = delta/(1+delta)`` here and ``M`` per (model, regime) from the one table
+:func:`durability_condition`. The condition uses the derivative ``s'(D)``; a
+transcription that places ``s(D)`` itself on the right-hand side does not
+stationarize the profit objective and is deliberately not implemented. The
+social benchmark replaces ``M`` with ``v_L``.
 
 When the relevant margin is not strictly positive the seller shuts the
 low types out: zero durability, both prices at ``v_H``, and profit
@@ -35,6 +32,7 @@ from .primitives import (
     DEFAULT_D_MAX,
     _SLACK_TOL,
     BracketError,
+    ModelKind,
     ModelParams,
     Regime,
     bisect_increasing,
@@ -46,10 +44,7 @@ __all__ = [
     "Prices",
     "ProfitBreakdown",
     "TwoPeriodEquilibrium",
-    "activity_margin",
-    "activity_threshold",
-    "market_mode",
-    "foc_slope",
+    "durability_condition",
     "foc_residual",
     "solve_foc",
     "social_optimal_durability",
@@ -69,47 +64,37 @@ class MarketMode(str, Enum):
     SHUTDOWN = "shutdown"
 
 
-def activity_margin(params: ModelParams, regime: Regime) -> float:
-    """Signed activity margin; the pre-owned market operates iff positive."""
+def durability_condition(params: ModelParams, model: ModelKind, regime: Regime):
+    """Margin ``M`` and slope ``k*M`` of the durability condition
+    ``c'(D) = k*M*s'(D)`` of a (model, regime).
+
+    ``k = delta/(1+delta)`` in the two-period model and 1 in the steady
+    state. The market operates iff ``M > 0``; the branded margin exceeds
+    the third-party one by ``alpha*beta*v_L`` in both models. Elementwise
+    when the parameter fields are arrays.
+    """
 
     p = params
+    if model is ModelKind.TWO_PERIOD:
+        if regime is Regime.THIRD_PARTY:
+            margin = 2.0 * p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
+        else:
+            margin = p.alpha * (2.0 - p.beta) * p.v_L - p.v_H
+        return margin, p.delta / (1.0 + p.delta) * margin
     if regime is Regime.THIRD_PARTY:
-        return 2.0 * p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
-    return p.alpha * (2.0 - p.beta) * p.v_L - p.v_H
-
-
-def activity_threshold(params: ModelParams, regime: Regime) -> float:
-    """The v_L cutoff at which the margin turns positive."""
-
-    p = params
-    if regime is Regime.THIRD_PARTY:
-        return p.v_H / (2.0 * p.alpha * (1.0 - p.beta))
-    return p.v_H / (p.alpha * (2.0 - p.beta))
-
-
-def market_mode(params: ModelParams, regime: Regime) -> MarketMode:
-    """Classify the regime; an exactly zero margin counts as shutdown."""
-
-    return (
-        MarketMode.ACTIVE
-        if activity_margin(params, regime) > 0.0
-        else MarketMode.SHUTDOWN
-    )
-
-
-def foc_slope(params: ModelParams, margin):
-    """Two-period slope ``delta/(1+delta) * M`` of the durability condition."""
-
-    return params.delta / (1.0 + params.delta) * margin
+        margin = (2.0 - p.delta) * p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
+    else:
+        margin = p.alpha * (2.0 - p.beta - p.delta * (1.0 - p.beta)) * p.v_L - p.v_H
+    return margin, margin
 
 
 def foc_residual(params: ModelParams, slope):
     """The durability condition ``c'(D) = slope * s'(D)`` as an increasing
     residual ``D -> c'(D) - slope * s'(D)``.
 
-    Shared by both models: ``slope`` is :func:`foc_slope` of the margin here
-    and the margin itself in the steady state. With an array ``slope`` the
-    residual maps an array of lanes elementwise.
+    Shared by both models: ``slope`` is the ``k*M`` of
+    :func:`durability_condition`. With an array ``slope`` the residual maps
+    an array of lanes elementwise.
     """
 
     cost, quality = params.cost, params.quality
@@ -166,7 +151,7 @@ def social_optimal_durability(params: ModelParams, d_max: float = DEFAULT_D_MAX)
     Elementwise when the parameter fields are arrays (one family).
     """
 
-    return solve_foc(params, foc_slope(params, params.v_L), d_max)
+    return solve_foc(params, params.delta / (1.0 + params.delta) * params.v_L, d_max)
 
 
 @functools.lru_cache(maxsize=1)
@@ -181,21 +166,21 @@ def _shared_social_durability(params: ModelParams, d_max: float) -> float:
     return social_optimal_durability(params, d_max)
 
 
-def optimal_durability(
-    params: ModelParams, regime: Regime, d_max: float = DEFAULT_D_MAX
-) -> float:
+def optimal_durability(params: ModelParams, regime: Regime, d_max: float = DEFAULT_D_MAX):
     """Profit-maximizing durability in the active region.
 
-    Raises ValueError outside the active region; callers classify first via
-    :func:`market_mode`.
+    Raises ValueError, naming the first margin in row-major order that is
+    not positive, outside the active region. Elementwise when the parameter
+    fields are arrays (one family); each lane equals the single-point root.
     """
 
-    margin = activity_margin(params, regime)
-    if margin <= 0.0:
+    margin, slope = durability_condition(params, ModelKind.TWO_PERIOD, regime)
+    shut = np.asarray(margin)[np.asarray(margin <= 0.0)]
+    if shut.size:
         raise ValueError(
-            f"{regime.value}: margin {margin} is not positive; market is shut down"
+            f"{regime.value}: margin {float(shut[0])} is not positive; market is shut down"
         )
-    return solve_foc(params, foc_slope(params, margin), d_max)
+    return solve_foc(params, slope, d_max)
 
 
 @dataclass(frozen=True)
@@ -356,12 +341,12 @@ def solve(
     inconsistent and downstream draws filter such points out).
     """
 
-    margin = activity_margin(params, regime)
+    margin, slope = durability_condition(params, ModelKind.TWO_PERIOD, regime)
     d_social = _shared_social_durability(params, d_max)
     shutdown = shutdown_profit(params)
 
     if margin > 0.0:
-        d_star = solve_foc(params, foc_slope(params, margin), d_max)
+        d_star = solve_foc(params, slope, d_max)
         pr = prices(params, d_star)
         br = profit(params, regime, d_star)
         slacks = constraint_slacks(params, d_star)

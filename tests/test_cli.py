@@ -1,15 +1,25 @@
+import contextlib
 import dataclasses
 import hashlib
+import importlib
+import io
 import json
 import math
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 
 from recommerce import canonical_params, oracle, params_to_dict
-from recommerce.primitives import DEFAULT_D_MAX
+from recommerce import two_period as tp
+from recommerce.primitives import (
+    DEFAULT_D_MAX,
+    PowerCost,
+    RationalQuality,
+    SaturatingExpQuality,
+)
 from recommerce.cli import CONFIG_SCHEMA, OUT_ENV_VAR, main
 from recommerce.reporting import (
     AUDIT_COLUMNS,
@@ -18,6 +28,11 @@ from recommerce.reporting import (
     TWO_PERIOD_COLUMNS,
     VERIFY_COLUMNS,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below is not collected
+    given = None
 
 SMALL_VERIFY = [
     "--seed", "7",
@@ -700,6 +715,74 @@ def test_oracle_check(tmp_path, capsys):
     assert "gap=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("delta", ["1e-9", "1e-12", "1e-300"])
+def test_oracle_check_flat_grid_exits_2_with_one_line(tmp_path, capsys, delta):
+    # the steady-state objective is n_H*v_H + O(delta): near its peak the
+    # grid reads flat to rounding, so its argmax says nothing about D*
+    out = tmp_path / "x"
+    assert main(["oracle-check", "--delta", delta, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the grid does not resolve the objective")
+    assert "olg third-party, olg branded" in err
+    assert err.count("\n") == 1
+    assert not (out / "oracle_check.json").exists()
+
+
+@pytest.mark.parametrize("delta", ["0.9", "1e-9"])
+def test_oracle_check_real_mismatch_exits_1(tmp_path, capsys, monkeypatch, delta):
+    # a solver D* ten grid steps off fails the gate; at delta = 1e-9 the
+    # steady-state cells are unresolved, but the two-period ones still decide
+    step = DEFAULT_D_MAX / (20_000 - 1)
+    real = tp.solve
+
+    def off(params, regime, d_max=DEFAULT_D_MAX):
+        eq = real(params, regime, d_max=d_max)
+        return dataclasses.replace(eq, D_star=eq.D_star + 10 * step)
+
+    monkeypatch.setattr(tp, "solve", off)
+    out = tmp_path / "x"
+    argv = ["oracle-check", "--grid-points", "20000", "--delta", delta, "--out", str(out)]
+    assert main(argv) == 1
+    assert "exceeds grid step" in capsys.readouterr().err
+    assert json.loads((out / "oracle_check.json").read_text())["ok"] is False
+
+
+ORACLE_FAMILIES = [
+    (PowerCost(c0=0.5, p=2.0), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+    (PowerCost(c0=0.5, p=1.5), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+    (PowerCost(c0=0.5, p=3.0), RationalQuality(k=1.0)),
+    (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5)),
+]
+
+if given is not None:
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        delta=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(-300.0, -0.01).map(lambda e: 10.0**e),
+        ),
+        family=st.sampled_from(ORACLE_FAMILIES),
+    )
+    def test_oracle_check_agrees_or_exits_2_over_delta(delta, family):
+        params = dataclasses.replace(
+            canonical_params(), delta=delta, cost=family[0], quality=family[1]
+        )
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "config.json"
+            cfg.write_text(json.dumps({"schema": CONFIG_SCHEMA, "params": params_to_dict(params)}))
+            argv = ["oracle-check", "--config", str(cfg), "--grid-points", "2001",
+                    "--out", str(pathlib.Path(tmp) / "run")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                payload = json.loads((pathlib.Path(tmp) / "run" / "oracle_check.json").read_text())
+                assert payload["worst_gap"] <= payload["grid_step"]
+        assert code in (0, 2), err.getvalue()
+        assert err.getvalue().count("\n") == (code == 2)
+
+
 def test_oracle_check_rejects_coarse_grid(tmp_path, capsys):
     assert main(["oracle-check", "--grid-points", "10",
                  "--out", str(tmp_path / "x")]) == 2
@@ -723,3 +806,20 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
     assert err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# benchmark layers
+# ----------------------------------------------------------------------
+
+
+def test_every_traced_layer_is_a_function():
+    # the benchmark traces these functions by name, so renaming or removing
+    # one must fail here, not only in a traced benchmark run
+    bench = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    metrics = json.loads(bench.read_text())["per_layer"]
+    layers = {m["name"].rsplit(".", 1)[0] for m in metrics if not m["name"].startswith("trace.")}
+    assert len(layers) > 10
+    for layer in sorted(layers):
+        module, name = layer.split(".")
+        assert callable(getattr(importlib.import_module(f"recommerce.{module}"), name, None)), layer

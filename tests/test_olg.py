@@ -8,15 +8,16 @@ from recommerce import (
     Action,
     ActionProfile,
     MarketMode,
+    ModelKind,
     OlgState,
     Regime,
     STEADY_TRADE_PROFILE,
     check_steady_state,
     constraint_slacks_olg,
     discounted_stream,
+    durability_condition,
     enumerate_profiles,
     objective_value,
-    olg_margin,
     per_period_profit,
     solve_olg,
 )
@@ -33,6 +34,10 @@ from recommerce.statics import admissible_olg_pool, olg_pool
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
+
+
+def olg_margin(params, regime):
+    return durability_condition(params, ModelKind.OLG, regime)[0]
 
 
 # ----------------------------------------------------------------------

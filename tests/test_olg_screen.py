@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from recommerce import olg as olg_mod
 from recommerce import two_period as tp
-from recommerce.primitives import ModelParams, Regime
+from recommerce.primitives import ModelKind, ModelParams, Regime
 from recommerce.statics import (
     DEFAULT_BOX,
     DEFAULT_D_MAX,
@@ -22,6 +22,7 @@ from recommerce.statics import (
 )
 
 REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
+OLG = ModelKind.OLG
 PREDICATE, SCREEN = _olg_filters(DEFAULT_D_MAX)
 
 
@@ -33,7 +34,7 @@ def _point(v_L, n_H, delta, alpha, beta):
 
 
 def _active(params):
-    return all(olg_mod.olg_margin(params, r) > 0.0 for r in REGIMES)
+    return all(tp.durability_condition(params, OLG, r)[0] > 0.0 for r in REGIMES)
 
 
 def _cap_slack(params):
@@ -41,7 +42,7 @@ def _cap_slack(params):
 
     return min(
         olg_mod.constraint_slacks_olg(
-            params, tp.solve_foc(params, olg_mod.olg_margin(params, r))
+            params, tp.solve_foc(params, tp.durability_condition(params, OLG, r)[1])
         )["ratio_cap"]
         for r in REGIMES
     )

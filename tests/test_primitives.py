@@ -22,7 +22,6 @@ from recommerce import (
 from recommerce import olg, statics
 from recommerce import two_period as tp
 from recommerce.primitives import Regime, _family_checks, bisect_increasing_vec
-from recommerce.statics import _margin_slope
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -392,10 +391,10 @@ def _foc_slopes(params):
     slopes = [0.0, -0.1]
     for v_L, alpha, beta in [(0.8, 0.9, 0.2), (0.75, 0.95, 0.05), (0.95, 0.95, 0.2)]:
         point = dataclasses.replace(params, v_L=v_L, alpha=alpha, beta=beta)
-        slopes.append(tp.foc_slope(point, point.v_L))
+        slopes.append(point.delta / (1.0 + point.delta) * point.v_L)
         for model in ModelKind:
             for regime in Regime:
-                slopes.append(_margin_slope(point, model, regime)[1])
+                slopes.append(tp.durability_condition(point, model, regime)[1])
     for D in [1e-13, 5e-13, 1e-12, 3e-12, 1e-6, 9.999999, 10.0, 10.000001, 30.0]:
         slopes += [_slope_with_root_at(params, D) * (1.0 + e) for e in (-1e-9, 0.0, 1e-9)]
     return slopes
@@ -530,11 +529,11 @@ if given is not None:
 def test_roots_take_few_batched_residual_calls(canonical, monkeypatch):
     # the canonical point's social slope and its margin-active (model,
     # regime) slopes, and a seed-42 foc_pool per cell
-    slopes = [(canonical, tp.foc_slope(canonical, canonical.v_L))]
+    slopes = [(canonical, canonical.delta / (1.0 + canonical.delta) * canonical.v_L)]
     for model in ModelKind:
         for regime in Regime:
             for p in [canonical, *statics.foc_pool(10, 42, model, regime)]:
-                margin, slope = _margin_slope(p, model, regime)
+                margin, slope = tp.durability_condition(p, model, regime)
                 if margin > 0.0:
                     slopes.append((p, slope))
     assert len(slopes) >= 42

@@ -24,6 +24,7 @@ from recommerce import oracle
 from recommerce import two_period as tp
 from recommerce.primitives import (
     BracketError,
+    ModelParams,
     PowerCost,
     RationalQuality,
     SaturatingExpQuality,
@@ -89,6 +90,45 @@ def test_envelope_matches_fd_olg(olg_feasible, regime, wrt):
     env = envelope_profit_derivative(olg_feasible, regime, wrt, OLG)
     fd = fd_profit_derivative(olg_feasible, regime, wrt, OLG)
     assert env == pytest.approx(fd, abs=1e-6)
+
+
+class _Undefined:
+    """A cost or quality stand-in whose value is an undefined function of D."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def value(self, D):
+        return self.fn(D)
+
+
+@pytest.mark.parametrize("regime", [T, B])
+@pytest.mark.parametrize("model", [TP, OLG])
+def test_durability_table_and_envelope_branches_symbolically(model, regime):
+    # the objective, with symbolic parameters and undefined c(D) and s(D):
+    # its D-derivative is w*(k*M*s'(D) - c'(D)) with the table's k*M, and
+    # its partials are the envelope branches at that D
+    sp = pytest.importorskip("sympy")
+    D = sp.Symbol("D", positive=True)
+    s, c = sp.Function("s"), sp.Function("c")
+    names = ("v_H", "v_L", "n_H", "n_L", "delta", "alpha", "beta")
+    sym = dict(zip(names, sp.symbols(names, positive=True)))
+    params = ModelParams(**sym, cost=_Undefined(c), quality=_Undefined(s))
+    if model is TP:
+        objective = tp.profit(params, regime, D).total
+        w = sym["n_H"] * (1 + sym["delta"])
+    else:
+        objective = olg_mod.objective_value(params, regime, D)
+        w = sym["n_H"] * sym["delta"] / (1 - sym["delta"])
+
+    def vanishes(expr):
+        return sp.simplify(sp.nsimplify(expr)) == 0
+
+    _, slope = tp.durability_condition(params, model, regime)
+    assert vanishes(objective.diff(D) - w * (slope * s(D).diff(D) - c(D).diff(D)))
+    for wrt in ("alpha", "beta", "delta"):
+        branch = envelope_profit_derivative(params, regime, wrt, model, D_star=D)
+        assert vanishes(objective.diff(sym[wrt]) - branch), wrt
 
 
 def test_envelope_rejects_unknown_parameter(canonical):
@@ -371,7 +411,7 @@ def test_sample_filtered_exhaustion():
 
 def test_block_draws_reproduce_one_at_a_time_uniforms():
     box = DEFAULT_BOX
-    block = _draw_block(np.random.default_rng([3, 1]), 2000, box)
+    block = _draw_block(np.random.default_rng([3, 1]), 2000)
     rng = np.random.default_rng([3, 1])
     for i in range(2000):
         n_h = rng.uniform(*box.n_H)
@@ -399,7 +439,7 @@ _POOL_FILTERS = {
 @pytest.mark.parametrize("name", sorted(_POOL_FILTERS))
 def test_pool_screen_is_a_necessary_condition(name):
     predicate, screen = _POOL_FILTERS[name]
-    block = _draw_block(np.random.default_rng([17, len(name)]), 3000, DEFAULT_BOX)
+    block = _draw_block(np.random.default_rng([17, len(name)]), 3000)
     passed = screen(block)
     accepted = [i for i in range(3000) if predicate(_draw_row(block, i))]
     assert accepted, "no draw satisfies the predicate; the check says nothing"
@@ -426,7 +466,7 @@ def test_olg_screen_leaves_roots_beyond_d_max_to_the_predicate(d_max):
     # the first block holds margin-active draws with no root below d_max;
     # the screened pool raises the unscreened pool's error (d_max = 0.1) or,
     # when the pool fills before the predicate meets one, equals it (0.25)
-    block = _draw_block(np.random.default_rng([6, 2]), 4096, DEFAULT_BOX)
+    block = _draw_block(np.random.default_rng([6, 2]), 4096)
     with pytest.raises(BracketError):
         _durabilities(block, OLG, B, d_max)
     predicate, screen = _olg_filters(d_max)
@@ -443,7 +483,7 @@ def test_olg_screen_leaves_roots_beyond_d_max_to_the_predicate(d_max):
 
 
 def test_ratio_cap_slack_lanes_equal_scalar_slacks():
-    block = _draw_block(np.random.default_rng([23, 5]), 2000, DEFAULT_BOX)
+    block = _draw_block(np.random.default_rng([23, 5]), 2000)
     rng = np.random.default_rng(8)
     live = margin_active(block, OLG, T) & margin_active(block, OLG, B)
     durabilities = [
@@ -467,7 +507,7 @@ def _olg_feasible_from_recomputed_slacks(params, regime):
 
 def test_olg_feasibility_reads_the_solved_slacks():
     # the seed-42 pool, and margin-active raw draws many of which fail the cap
-    block = _draw_block(np.random.default_rng([42, 7]), 400, DEFAULT_BOX)
+    block = _draw_block(np.random.default_rng([42, 7]), 400)
     margins = margin_active(block, OLG, T) & margin_active(block, OLG, B)
     draws = [_draw_row(block, i) for i in np.flatnonzero(margins)]
     outcomes = set()
@@ -547,12 +587,12 @@ def test_kernel_lanes_equal_scalar_solves(family):
     base = two_period_pool(30, 42) + olg_pool(30, 42) + admissible_olg_pool(30, 42)
     pool = [dataclasses.replace(p, cost=cost, quality=quality) for p in base]
     stacked = _stack(pool)
-    social = tp.solve_foc(stacked, tp.foc_slope(stacked, stacked.v_L))
+    social = tp.social_optimal_durability(stacked)
     shutdowns = 0
     for regime in (T, B):
-        margin = tp.activity_margin(stacked, regime)
+        margin, slopes = tp.durability_condition(stacked, TP, regime)
         live = margin > 0.0
-        roots = tp.solve_foc(stacked, tp.foc_slope(stacked, margin)[live])
+        roots = tp.solve_foc(stacked, slopes[live])
         d_tp = _durabilities(stacked, TP, regime, DEFAULT_D_MAX)
         d_olg = _durabilities(stacked, OLG, regime, DEFAULT_D_MAX)
         for i, params in enumerate(pool):
@@ -562,7 +602,7 @@ def test_kernel_lanes_equal_scalar_solves(family):
         for k, i in enumerate(np.flatnonzero(live)):
             assert roots[k] == tp.optimal_durability(pool[i], regime)
             # a 0-d slope takes the scalar bisection and gives a float
-            slope = tp.foc_slope(pool[i], margin[i])
+            slope = tp.durability_condition(pool[i], TP, regime)[1]
             scalar = bisect_increasing(tp.foc_residual(pool[i], slope), 1e-12, DEFAULT_D_MAX)
             for zero_d in (slope, np.array(slope)):
                 root = tp.solve_foc(pool[i], zero_d)
@@ -649,7 +689,7 @@ def test_batched_value_function_and_derivatives_equal_scalar():
                 shutdowns += not active
             for wrt in ("alpha", "beta", "delta"):
                 env = envelope_profit_derivative(stacked, regime, wrt, model)
-                fd = fd_profit_derivative(stacked, regime, wrt, model, h=h)
+                fd = fd_profit_derivative(stacked, regime, wrt, model)
                 for i, params in enumerate(pool):
                     _, d_star, active = _solved(params, regime, model)
                     ref_env = (
@@ -663,7 +703,7 @@ def test_batched_value_function_and_derivatives_equal_scalar():
                         for d in (h, -h)
                     )
                     single_env = envelope_profit_derivative(params, regime, wrt, model)
-                    single_fd = fd_profit_derivative(params, regime, wrt, model, h=h)
+                    single_fd = fd_profit_derivative(params, regime, wrt, model)
                     assert type(single_env) is float and type(single_fd) is float
                     assert env[i] == single_env == ref_env
                     assert fd[i] == single_fd == (hi - lo) / (2.0 * h)
@@ -737,7 +777,7 @@ def _scalar_envelope(pool_tp, pool_olg, d_max):
                     env = envelope_profit_derivative(params, regime, wrt, model, d_max=d_max)
                     if abs(env) <= 1e-8:
                         continue
-                    fd = fd_profit_derivative(params, regime, wrt, model, h=h, d_max=d_max)
+                    fd = fd_profit_derivative(params, regime, wrt, model, d_max=d_max)
                     checks += 1
                     if abs(env - fd) / abs(env) > 1e-4:
                         violations += 1

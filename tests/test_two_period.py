@@ -10,10 +10,8 @@ from recommerce import (
     RationalQuality,
     Regime,
     SaturatingExpQuality,
-    activity_margin,
-    activity_threshold,
     constraint_slacks,
-    market_mode,
+    durability_condition,
     optimal_durability,
     prices,
     profit,
@@ -24,11 +22,15 @@ from recommerce import (
 )
 from recommerce import statics
 from recommerce import two_period as tp
-from recommerce.primitives import BracketError
+from recommerce.primitives import BracketError, ModelKind
 from recommerce.two_period import solve_foc
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
+
+
+def margin(params, regime):
+    return durability_condition(params, ModelKind.TWO_PERIOD, regime)[0]
 
 
 # ----------------------------------------------------------------------
@@ -38,32 +40,34 @@ B = Regime.BRANDED
 
 def test_canonical_margins(canonical):
     # 2*0.9*0.8*0.8 - 1 and 0.9*1.8*0.8 - 1
-    assert activity_margin(canonical, T) == pytest.approx(0.152)
-    assert activity_margin(canonical, B) == pytest.approx(0.296)
-    assert market_mode(canonical, T) is MarketMode.ACTIVE
-    assert market_mode(canonical, B) is MarketMode.ACTIVE
+    assert margin(canonical, T) == pytest.approx(0.152)
+    assert margin(canonical, B) == pytest.approx(0.296)
+    assert solve(canonical, T).market_mode is MarketMode.ACTIVE
+    assert solve(canonical, B).market_mode is MarketMode.ACTIVE
 
 
 def test_margin_gap_is_commission_term(canonical):
     for beta in (0.0, 0.1, 0.35):
         p = dataclasses.replace(canonical, beta=beta)
-        gap = activity_margin(p, B) - activity_margin(p, T)
+        gap = margin(p, B) - margin(p, T)
         assert gap == pytest.approx(p.alpha * beta * p.v_L, abs=1e-15)
 
 
 def test_activity_thresholds(canonical):
-    # v_L cutoffs: v_H/(2 alpha (1-beta)) and v_H/(alpha (2-beta))
-    assert activity_threshold(canonical, T) == pytest.approx(1.0 / (2 * 0.9 * 0.8))
-    assert activity_threshold(canonical, B) == pytest.approx(1.0 / (0.9 * 1.8))
+    # the v_L cutoffs v_H/(2 alpha (1-beta)) and v_H/(alpha (2-beta)) zero
+    # the margins
+    for regime, cutoff in ((T, 1.0 / (2 * 0.9 * 0.8)), (B, 1.0 / (0.9 * 1.8))):
+        at_cutoff = dataclasses.replace(canonical, v_L=cutoff)
+        assert margin(at_cutoff, regime) == pytest.approx(0.0, abs=1e-15)
     low = dataclasses.replace(canonical, v_L=0.4)
-    assert market_mode(low, T) is MarketMode.SHUTDOWN
-    assert market_mode(low, B) is MarketMode.SHUTDOWN
+    assert solve(low, T).market_mode is MarketMode.SHUTDOWN
+    assert solve(low, B).market_mode is MarketMode.SHUTDOWN
 
 
 def test_boundary_margin_flagged_as_tie(canonical):
     # alpha*(2-beta)*v_L == v_H exactly in floats (0.5*2*1.0 == 1.0)
     edge = dataclasses.replace(canonical, alpha=0.5, beta=0.0, v_L=1.0)
-    assert activity_margin(edge, B) == 0.0
+    assert margin(edge, B) == 0.0
     eq = solve(edge, B)
     assert eq.market_mode is MarketMode.SHUTDOWN
     assert eq.boundary_tie
@@ -107,8 +111,13 @@ def test_commission_free_regimes_coincide(canonical):
 
 def test_optimal_durability_requires_active_margin(canonical):
     low = dataclasses.replace(canonical, v_L=0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as scalar:
         optimal_durability(low, T)
+    # elementwise, the first shut-down lane raises the same error
+    lanes = dataclasses.replace(canonical, v_L=np.array([0.8, 0.4, 0.3]))
+    with pytest.raises(ValueError) as batched:
+        optimal_durability(lanes, T)
+    assert str(batched.value) == str(scalar.value)
 
 
 def test_social_durability_rises_with_patience(canonical):
@@ -183,8 +192,8 @@ def test_root_below_the_bracket_floor_is_solved(canonical):
     mp = pytest.importorskip("mpmath").mp
     params = dataclasses.replace(canonical, cost=PowerCost(c0=1e4, p=2.0))
     params = dataclasses.replace(params, v_L=(1.0 + 1e-8) / (params.alpha * (2.0 - params.beta)))
-    assert activity_margin(params, B) == pytest.approx(1e-8, rel=1e-6)
-    slope = params.delta / (1.0 + params.delta) * activity_margin(params, B)
+    assert margin(params, B) == pytest.approx(1e-8, rel=1e-6)
+    slope = params.delta / (1.0 + params.delta) * margin(params, B)
     assert solve_foc(params, slope) == optimal_durability(params, B)
     exact = _mp_foc_root(mp, params, slope, lo=0.0)
     assert exact < 1e-12
