@@ -61,7 +61,6 @@ from .two_period import (
     MarketMode,
     _prices,
     durability_condition,
-    prices,
     replacement_margin,
     solve_foc,
 )
@@ -178,8 +177,13 @@ def per_period_profit(params: ModelParams, regime: Regime, D):
     """Stationary per-cohort margin R(D) (vectorized): one replacement sale
     per high type, see ``two_period.replacement_margin``."""
 
-    p = params
-    return p.n_H * replacement_margin(p, regime, p.quality.value(D), p.cost.value(D))
+    return _per_period_profit(params, regime, params.quality.value(D), params.cost.value(D))
+
+
+def _per_period_profit(params: ModelParams, regime: Regime, s, c):
+    """:func:`per_period_profit` at ``s = s(D)`` and ``c = c(D)``."""
+
+    return params.n_H * replacement_margin(params, regime, s, c)
 
 
 def per_period_commission(params: ModelParams, regime: Regime, D) -> float:
@@ -187,15 +191,29 @@ def per_period_commission(params: ModelParams, regime: Regime, D) -> float:
 
     if regime is Regime.THIRD_PARTY:
         return 0.0
+    return _per_period_commission(params, regime, params.quality.value(D))
+
+
+def _per_period_commission(params: ModelParams, regime: Regime, s) -> float:
+    """:func:`per_period_commission` at ``s = s(D)``."""
+
+    if regime is Regime.THIRD_PARTY:
+        return 0.0
     p = params
-    return p.n_H * p.beta * p.alpha * p.v_L * p.quality.value(D)
+    return p.n_H * p.beta * p.alpha * p.v_L * s
 
 
 def discounted_stream(params: ModelParams, regime: Regime, D):
     """Present value of the stationary stream from period 2 on."""
 
+    return _discounted_stream(params, regime, params.quality.value(D), params.cost.value(D))
+
+
+def _discounted_stream(params: ModelParams, regime: Regime, s, c):
+    """:func:`discounted_stream` at ``s = s(D)`` and ``c = c(D)``."""
+
     p = params
-    return p.delta / (1.0 - p.delta) * per_period_profit(params, regime, D)
+    return p.delta / (1.0 - p.delta) * _per_period_profit(params, regime, s, c)
 
 
 def objective_value(
@@ -210,10 +228,20 @@ def objective_value(
     """
 
     p = params
-    stream = discounted_stream(params, regime, D)
+    return _objective_value(
+        p, regime, p.quality.value(D), p.cost.value(D), include_entry_premium
+    )
+
+
+def _objective_value(
+    params: ModelParams, regime: Regime, s, c, include_entry_premium: bool = True
+):
+    """:func:`objective_value` at ``s = s(D)`` and ``c = c(D)``."""
+
+    stream = _discounted_stream(params, regime, s, c)
     if not include_entry_premium:
         return stream
-    return p.n_H * prices(params, D).p1n + stream
+    return params.n_H * _prices(params, s).p1n + stream
 
 
 def zero_durability_alternatives(params: ModelParams) -> dict[str, float]:
@@ -493,7 +521,10 @@ def solve_olg(
 
     if include_entry_premium and margin > 0.0:
         d_star = solve_foc(params, slope, d_max)
-        pr = prices(params, d_star)
+        s, c = params.quality.value(d_star), params.cost.value(d_star)
+        pr = _prices(params, s)
+        # the public function, a traced layer of perfbench/, though it
+        # evaluates s(D) once more
         slacks = constraint_slacks_olg(params, d_star)
         constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
         cap_ok = slacks["ratio_cap"] >= -_SLACK_TOL
@@ -509,10 +540,10 @@ def solve_olg(
             p_n=pr.p2n,
             p_u=pr.p2u,
             entry_price=pr.p1n,
-            per_period_profit=per_period_profit(params, regime, d_star),
-            per_period_commission=per_period_commission(params, regime, d_star),
-            discounted_stream=discounted_stream(params, regime, d_star),
-            objective_value=objective_value(params, regime, d_star),
+            per_period_profit=_per_period_profit(params, regime, s, c),
+            per_period_commission=_per_period_commission(params, regime, s),
+            discounted_stream=_discounted_stream(params, regime, s, c),
+            objective_value=_objective_value(params, regime, s, c),
             margin=margin,
             used_supply=supply,
             used_demand=demand,
@@ -528,7 +559,8 @@ def solve_olg(
 
     # shutdown, or stream-only scoring (G is strictly decreasing, so its
     # maximizer is D = 0 whatever the margin)
-    pr = prices(params, 0.0)
+    s, c = params.quality.value(0.0), params.cost.value(0.0)
+    pr = _prices(params, s)
     return SteadyStateSolution(
         regime=regime,
         market_mode=MarketMode.SHUTDOWN,
@@ -538,12 +570,10 @@ def solve_olg(
         p_n=pr.p2n,
         p_u=None,
         entry_price=pr.p1n,
-        per_period_profit=per_period_profit(params, regime, 0.0),
+        per_period_profit=_per_period_profit(params, regime, s, c),
         per_period_commission=0.0,
-        discounted_stream=discounted_stream(params, regime, 0.0),
-        objective_value=objective_value(
-            params, regime, 0.0, include_entry_premium=include_entry_premium
-        ),
+        discounted_stream=_discounted_stream(params, regime, s, c),
+        objective_value=_objective_value(params, regime, s, c, include_entry_premium),
         margin=margin,
         used_supply=0.0,
         used_demand=0.0,

@@ -241,9 +241,13 @@ class ProfitBreakdown:
 def profit(params: ModelParams, regime: Regime, D) -> ProfitBreakdown:
     """Discounted profit of the active strategy at durability D (vectorized)."""
 
+    return _profit(params, regime, params.quality.value(D), params.cost.value(D))
+
+
+def _profit(params: ModelParams, regime: Regime, s, c) -> ProfitBreakdown:
+    """:func:`profit` at ``s = s(D)`` and ``c = c(D)``."""
+
     p = params
-    s = p.quality.value(D)
-    c = p.cost.value(D)
     period1 = p.n_H * (_prices(p, s).p1n - c)
     period2 = p.delta * p.n_H * replacement_margin(p, regime, s, c)
     # the seller's cut of used sales, already inside period2
@@ -260,9 +264,13 @@ def profit(params: ModelParams, regime: Regime, D) -> ProfitBreakdown:
 def welfare(params: ModelParams, D):
     """Total discounted surplus under the active allocation (vectorized)."""
 
+    return _welfare(params, params.quality.value(D), params.cost.value(D))
+
+
+def _welfare(params: ModelParams, s, c):
+    """:func:`welfare` at ``s = s(D)`` and ``c = c(D)``."""
+
     p = params
-    s = p.quality.value(D)
-    c = p.cost.value(D)
     return (
         (1.0 + p.delta) * p.n_H * p.v_H
         + p.delta * p.n_H * p.v_L * s
@@ -291,8 +299,13 @@ def constraint_slacks(params: ModelParams, D: float) -> dict[str, float]:
       staying out, at the premium first-period price.
     """
 
+    return _constraint_slacks(params, params.quality.value(D))
+
+
+def _constraint_slacks(params: ModelParams, s) -> dict[str, float]:
+    """:func:`constraint_slacks` at ``s = s(D)``."""
+
     p = params
-    s = p.quality.value(D)
     pr = _prices(params, s)
     resale_net = p.v_H - pr.p2n + (1.0 - p.beta) * pr.p2u
     return {
@@ -347,9 +360,10 @@ def solve(
 
     if margin > 0.0:
         d_star = solve_foc(params, slope, d_max)
-        pr = prices(params, d_star)
-        br = profit(params, regime, d_star)
-        slacks = constraint_slacks(params, d_star)
+        s, c = params.quality.value(d_star), params.cost.value(d_star)
+        pr = _prices(params, s)
+        br = _profit(params, regime, s, c)
+        slacks = _constraint_slacks(params, s)
         return TwoPeriodEquilibrium(
             regime=regime,
             market_mode=MarketMode.ACTIVE,
@@ -362,7 +376,7 @@ def solve(
             profit_period1=br.period1,
             profit_period2=br.period2,
             commission_revenue=br.commission,
-            welfare=welfare(params, d_star),
+            welfare=_welfare(params, s, c),
             margin=margin,
             shutdown_profit=shutdown,
             boundary_tie=False,

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -194,13 +195,16 @@ def _reference_shape_checks(cost, quality, d_max):
         ]
 
 
-@pytest.mark.parametrize("d_max", [10.0, 1e3, 1e300])
+@pytest.mark.parametrize("d_max", [10.0, 1e3, 1e300, 1e-300])
 @pytest.mark.parametrize(
     "family",
     [
         (PowerCost(0.5, 2.0), SaturatingExpQuality(1.0, 1.0)),
         (PowerCost(0.5, 1.5), RationalQuality(1.0)),
         (PowerCost(2.0, 3.0), SaturatingExpQuality(0.9, 0.2)),
+        # c'' through its np.where branch; k*k overflows; D + k rounds to D
+        (PowerCost(0.5, 1.05), SaturatingExpQuality(1.0, 1e155)),
+        (PowerCost(0.5, 1.05), RationalQuality(1e-300)),
     ],
 )
 def test_shape_checks_are_unchanged_and_run_once(canonical, family, d_max):
@@ -208,7 +212,9 @@ def test_shape_checks_are_unchanged_and_run_once(canonical, family, d_max):
     params = dataclasses.replace(canonical, cost=cost, quality=quality)
     _family_checks.cache_clear()
     for model in ModelKind:
-        checks = validate_params(params, model, d_max).checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = validate_params(params, model, d_max).checks
         names = [c.name for c in checks]
         assert names[:5] == [
             "valuations_ordered", "shares_positive", "discount_in_unit_interval",
@@ -458,6 +464,31 @@ def test_bisect_with_nan_on_part_of_the_bracket():
     _assert_same_as_reference(_elementwise(lambda x: x * np.nan), 0.0, 1.0)
 
 
+def test_bisect_where_the_estimate_has_zero_denominators():
+    # the first estimate of a root at 1.7 in [0, 10] uses the ends 1.5625,
+    # 1.71875 and the end replaced last, 1.875; equal values there give zero
+    # denominators, infinite ones a NaN estimate: it falls back to the
+    # secant or the tree and raises nothing
+    def at(points, value, g):
+        return lambda x: np.where(np.isin(x, points), value, g(x))
+
+    cases = [
+        lambda x: np.where(x < 3.3, -1.0, 1.0),
+        lambda x: np.where(x < 0.7, -2.0, np.where(x < 5.0, 0.0, 1.0)),
+        lambda x: np.floor(x) - 6.5,
+        at([1.875], np.inf, lambda x: x - 1.7),
+        at([1.5625], -np.inf, lambda x: x - 1.7),
+        at([1.5625, 1.71875], -np.inf, at([1.875], np.inf, lambda x: x - 1.7)),
+        at([1.71875, 1.875], np.inf, lambda x: np.where(x < 1.7, -1.0, 1.0)),
+        lambda x: np.where(x < 3.3, -np.inf, np.inf),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in cases:
+            for xtol in (1e-10, 0.0):
+                _assert_same_as_reference(_elementwise(g), 0.0, 10.0, xtol)
+
+
 def test_bisect_with_huge_and_infinite_values():
     # the estimate overflows or is NaN; the walk's decisions do not use it
     for g in [
@@ -554,7 +585,7 @@ def test_roots_take_few_batched_residual_calls(canonical, monkeypatch):
     for params, slope in slopes:
         assert 0.0 < tp.solve_foc(params, slope) < 10.0
     assert all(type(D) is np.ndarray for D in arguments)
-    assert len(arguments) < 10 * len(slopes)
+    assert len(arguments) < 3.5 * len(slopes)
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -20,7 +21,7 @@ from recommerce import (
     solve,
     welfare,
 )
-from recommerce import statics
+from recommerce import olg, statics
 from recommerce import two_period as tp
 from recommerce.primitives import BracketError, ModelKind
 from recommerce.two_period import solve_foc
@@ -400,6 +401,36 @@ def test_both_regimes_share_one_social_root(canonical, monkeypatch):
         rc = statics.regime_comparison(params)
         assert calls == points[: i + 1]
         assert [eq.D_social for eq in rc.two_period.values()] == [expected[i]] * 2
+
+
+@pytest.mark.parametrize("quality", [SaturatingExpQuality(1.0, 1.0), RationalQuality(0.5)])
+def test_solves_evaluate_each_family_once_after_the_root(
+    canonical, olg_feasible, quality, monkeypatch
+):
+    # the roots use c'(D) and s'(D) only; everything after them is built
+    # from one c(D) and one s(D), but for the s(D) of the active steady
+    # state's constraint_slacks_olg call
+    calls = collections.Counter()
+    for cls in (PowerCost, type(quality)):
+
+        def counted(self, D, real=cls.value):
+            calls[type(self).__name__] += 1
+            return real(self, D)
+
+        monkeypatch.setattr(cls, "value", counted)
+    name = type(quality).__name__
+    for solver, point, mode, s_evals in [
+        (solve, canonical, MarketMode.ACTIVE, 1),
+        (olg.solve_olg, canonical, MarketMode.SHUTDOWN, 1),
+        (olg.solve_olg, olg_feasible, MarketMode.ACTIVE, 2),
+    ]:
+        point = dataclasses.replace(point, quality=quality)
+        for regime in Regime:
+            calls.clear()
+            sol = solver(point, regime)
+            assert sol.market_mode is mode
+            assert getattr(sol, "no_active_steady_state", False) is False
+            assert calls == {"PowerCost": 1, name: s_evals}
 
 
 def test_social_bracket_error_propagates_from_solve(canonical):
