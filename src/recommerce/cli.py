@@ -2,10 +2,12 @@
 
 Subcommands: solve, sweep, compare, olg-verify, verify, oracle-check.
 Inputs come from a JSON config file (versioned ``schema`` field, unknown
-keys rejected) with individual flags overriding config values. Output files
-land in a directory resolved as flag > RECOMMERCE_OUT environment variable >
-config ``out_dir`` > ``./out``, and are byte-identical across runs with the
-same inputs and seed.
+keys rejected) with individual flags overriding config values; each
+subcommand resolves and checks all of them (:func:`_inputs`) before it
+prints or writes anything. Output files land in a directory resolved as
+flag > RECOMMERCE_OUT environment variable > config ``out_dir`` >
+``./out``, and are byte-identical across runs with the same inputs and
+seed.
 
 Exit codes: 0 on success, 1 when a verified property fails (a counterexample
 dump is written next to the other outputs), 2 on usage or validation errors,
@@ -21,6 +23,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -49,37 +52,71 @@ CONFIG_SCHEMA = "recommerce-config/1"
 OUT_ENV_VAR = "RECOMMERCE_OUT"
 SHUTDOWN_NOTE = "market shutdown, lower types excluded"
 
-_TOP_KEYS = {"schema", "params", "solver", "sweep", "verification", "out_dir"}
-_SOLVER_KEYS = {"d_max"}
-_SWEEP_KEYS = {"parameter", "start", "stop", "steps"}
 _SWEEP_PARAMETERS = ("alpha", "beta", "delta")
-_VERIFY_KEYS = {
-    "seed",
-    "draws",
-    "foc_draws",
-    "grid_points",
-    "audit_draws",
-    "commission_points",
-}
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclasses.dataclass(frozen=True)
+class _Setting:
+    """A scale setting: the config section holding it (``None`` for a
+    flag-only one), the type its flag parses to, the values it accepts and
+    what they must be, and its default. Its config key is its name, and its
+    flag the name with dashes."""
+
+    section: str | None
+    kind: type
+    ok: Callable[[object], bool]
+    must_be: str
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
-# (section, key) -> (check, what the value must be)
-_VALUE_TYPES = {
-    ("solver", "d_max"): (
-        lambda v: is_finite_number(v) and v > 0.0,
-        "a finite positive number",
+def _count(
+    section: str | None, low: int, default: int | None = None, help: str | None = None
+) -> _Setting:
+    """An integer setting of at least ``low`` (bools are not integers)."""
+
+    must_be = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        low, f"an integer of at least {low}"
+    )
+    return _Setting(
+        section, int, lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low,
+        must_be, default, help,
+    )
+
+
+# Every scale setting by name. The config check, the subcommands' flags, the
+# flag-over-config merge and the range check all read this table.
+_SETTINGS = {
+    "d_max": _Setting(
+        "solver", float, lambda v: is_finite_number(v) and v > 0.0,
+        "a finite positive number", DEFAULT_D_MAX,
     ),
-    ("sweep", "parameter"): (lambda v: isinstance(v, str), "a string"),
-    ("sweep", "start"): (is_finite_number, "a finite number"),
-    ("sweep", "stop"): (is_finite_number, "a finite number"),
-    ("sweep", "steps"): (_integer, "an integer"),
-    **{("verification", key): (_integer, "an integer") for key in _VERIFY_KEYS},
-    ("verification", "seed"): (lambda v: _integer(v) and v >= 0, "a nonnegative integer"),
+    "parameter": _Setting(
+        "sweep", str, lambda v: isinstance(v, str), "a string", choices=_SWEEP_PARAMETERS
+    ),
+    "start": _Setting("sweep", float, is_finite_number, "a finite number"),
+    "stop": _Setting("sweep", float, is_finite_number, "a finite number"),
+    "steps": _count("sweep", 1),
+    "seed": _count("verification", 0, 42),
+    "draws": _count("verification", 1, 200, "draw-pool size"),
+    "foc_draws": _count("verification", 1, 200),
+    "grid_points": _count("verification", 1000, 100_000),
+    "audit_draws": _count("verification", 1, 50),
+    "commission_points": _count("verification", 1, 1001),
+    "jobs": _count(None, 1, 1, "parallel worker processes"),
 }
+# config section -> its keys
+_SECTIONS = {
+    section: {name for name, s in _SETTINGS.items() if s.section == section}
+    for section in dict.fromkeys(s.section for s in _SETTINGS.values() if s.section)
+}
+_TOP_KEYS = {"schema", "params", "out_dir", *_SECTIONS}
+_PARAM_FLAGS = ("alpha", "beta", "delta", "v_L", "n_H")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.lower().replace("_", "-")
 
 
 class UsageError(Exception):
@@ -93,6 +130,9 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
 
 
 def _load_config(path_str: str | None) -> dict:
+    """The config, with every setting value checked, whichever subcommand
+    reads it; the params are checked where they resolve."""
+
     if path_str is None:
         return {}
     path = Path(path_str)
@@ -110,25 +150,19 @@ def _load_config(path_str: str | None) -> dict:
         raise UsageError(
             f"config schema must be {CONFIG_SCHEMA!r}, found {schema!r}"
         )
-    for key, allowed in (
-        ("solver", _SOLVER_KEYS),
-        ("sweep", _SWEEP_KEYS),
-        ("verification", _VERIFY_KEYS),
-    ):
-        if key in cfg:
-            if not isinstance(cfg[key], dict):
-                raise UsageError(f"config {key!r} must be an object")
-            _check_keys(cfg[key], allowed, key)
-            for name, value in cfg[key].items():
-                check, kind = _VALUE_TYPES[key, name]
-                if not check(value):
+    for section, allowed in _SECTIONS.items():
+        if section in cfg:
+            if not isinstance(cfg[section], dict):
+                raise UsageError(f"config {section!r} must be an object")
+            _check_keys(cfg[section], allowed, section)
+            for name, value in cfg[section].items():
+                setting = _SETTINGS[name]
+                if not setting.ok(value):
                     raise UsageError(
-                        f"config {key}.{name} must be {kind}, found {json.dumps(value)}"
+                        f"config {section}.{name} must be {setting.must_be}, "
+                        f"found {json.dumps(value)}"
                     )
     return cfg
-
-
-_PARAM_FLAGS = ("alpha", "beta", "delta", "v_L", "n_H")
 
 
 def _resolve_params(args, cfg: dict) -> ModelParams:
@@ -141,7 +175,7 @@ def _resolve_params(args, cfg: dict) -> ModelParams:
         params = canonical_params()
     overrides = {}
     for name in _PARAM_FLAGS:
-        flag = getattr(args, name.lower(), None)
+        flag = getattr(args, name.lower())
         if flag is not None:
             overrides[name] = flag
     if "n_H" in overrides:
@@ -149,6 +183,38 @@ def _resolve_params(args, cfg: dict) -> ModelParams:
     if overrides:
         params = dataclasses.replace(params, **overrides)
     return params
+
+
+def _inputs(args, block: str | None = None) -> tuple[dict, ModelParams | None]:
+    """The input stage that every subcommand runs before it prints or
+    writes anything:
+
+    1. load the config, with every setting value in it checked;
+    2. set ``d_max`` and each of the subcommand's settings on ``args``: its
+       flag, else its key in the config's ``solver`` or ``block`` section,
+       else its default;
+    3. resolve the params, for a subcommand that takes them;
+    4. range-check the flag values (the config's passed step 1).
+
+    Returns the config and the params. The handler then checks its own
+    inputs and the admissibility of the models it solves, and only then
+    creates its output directory.
+    """
+
+    cfg = _load_config(args.config)
+    given = {**cfg.get("solver", {}), **cfg.get(block, {})}
+    for name in ("d_max", *args.settings):
+        setting = _SETTINGS[name]
+        value = getattr(args, name, None)
+        if value is None:
+            value = given.get(name, setting.default)
+        setattr(args, name, value if value is None else setting.kind(value))
+    params = _resolve_params(args, cfg) if args.takes_params else None
+    for name in args.settings:
+        setting, value = _SETTINGS[name], getattr(args, name)
+        if value is not None and not setting.ok(value):
+            raise UsageError(f"{_flag(name)} must be {setting.must_be}, found {value}")
+    return cfg, params
 
 
 def _validate_for(
@@ -176,10 +242,6 @@ def _out_dir(args, cfg: dict) -> Path:
     return out
 
 
-def _d_max(cfg: dict) -> float:
-    return float(cfg.get("solver", {}).get("d_max", DEFAULT_D_MAX))
-
-
 def _models(arg: str) -> list[ModelKind]:
     if arg == "both":
         return [ModelKind.TWO_PERIOD, ModelKind.OLG]
@@ -192,53 +254,45 @@ def _regimes(arg: str) -> list[Regime]:
     return [Regime(arg)]
 
 
+def _solve(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
+    if model is ModelKind.TWO_PERIOD:
+        return tp.solve(params, regime, d_max=d_max)
+    return olg_mod.solve_olg(params, regime, d_max=d_max)
+
+
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
+    cfg, params = _inputs(args)
     models = _models(args.model)
     regimes = _regimes(args.regime)
-    d_max = _d_max(cfg)
-    _validate_for(params, models, d_max)
+    _validate_for(params, models, args.d_max)
     out = _out_dir(args, cfg)
 
     payload: dict = {"params": params_to_dict(params)}
-    if ModelKind.TWO_PERIOD in models:
+    for model in models:
+        two_period = model is ModelKind.TWO_PERIOD
+        key = model.value.replace("-", "_")
+        columns = rep.TWO_PERIOD_COLUMNS if two_period else rep.OLG_COLUMNS
         rows = []
         section = {}
         for regime in regimes:
-            eq = tp.solve(params, regime, d_max=d_max)
-            section[regime.value] = eq
-            rows.append(rep._row(eq, rep.TWO_PERIOD_COLUMNS))
-            line = (
-                f"two-period {regime.value}: D*={eq.D_star:.6g} "
-                f"D_social={eq.D_social:.6g} profit={eq.profit_total:.6g}"
-            )
-            if eq.market_mode is tp.MarketMode.SHUTDOWN:
-                line += f" ({SHUTDOWN_NOTE})"
-            print(line)
-        payload["two_period"] = section
-        rep.write_csv(out / "two_period.csv", rep.TWO_PERIOD_COLUMNS, rows)
-    if ModelKind.OLG in models:
-        rows = []
-        section = {}
-        for regime in regimes:
-            sol = olg_mod.solve_olg(params, regime, d_max=d_max)
+            sol = _solve(params, model, regime, args.d_max)
             section[regime.value] = sol
-            rows.append(rep._row(sol, rep.OLG_COLUMNS))
-            line = (
-                f"olg {regime.value}: D*={sol.D_star:.6g} "
-                f"objective={sol.objective_value:.6g}"
+            rows.append(rep._row(sol, columns))
+            line = f"{model.value} {regime.value}: D*={sol.D_star:.6g} " + (
+                f"D_social={sol.D_social:.6g} profit={sol.profit_total:.6g}"
+                if two_period
+                else f"objective={sol.objective_value:.6g}"
             )
             if sol.market_mode is tp.MarketMode.SHUTDOWN:
                 line += f" ({SHUTDOWN_NOTE})"
             print(line)
-        payload["olg"] = section
-        rep.write_csv(out / "olg.csv", rep.OLG_COLUMNS, rows)
+        payload[key] = section
+        rep.write_csv(out / f"{key}.csv", columns, rows)
     rep.write_json(out / "solution.json", payload)
     print(f"wrote {out / 'solution.json'}")
     return 0
@@ -250,14 +304,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
-    sweep_cfg = cfg.get("sweep", {})
-    parameter = args.parameter or sweep_cfg.get("parameter")
-    start = args.start if args.start is not None else sweep_cfg.get("start")
-    stop = args.stop if args.stop is not None else sweep_cfg.get("stop")
-    steps = args.steps if args.steps is not None else sweep_cfg.get("steps")
-    if parameter is None or start is None or stop is None or steps is None:
+    cfg, params = _inputs(args, "sweep")
+    parameter = args.parameter
+    if None in (parameter, args.start, args.stop, args.steps):
         raise UsageError(
             "sweep needs --parameter, --start, --stop, and --steps "
             "(flags or the config sweep block)"
@@ -267,13 +316,11 @@ def _cmd_sweep(args) -> int:
             f"sweep parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, "
             f"found {parameter!r}"
         )
-    if steps < 1:
-        raise UsageError("sweep steps must be at least 1")
     model = ModelKind(args.model)
     regimes = _regimes(args.regime)
-    d_max = _d_max(cfg)
+    d_max = args.d_max
     _validate_for(params, [model], d_max)
-    values = np.linspace(float(start), float(stop), steps)
+    values = np.linspace(args.start, args.stop, args.steps)
     for value in values:
         point = dataclasses.replace(params, **{parameter: float(value)})
         _validate_for(point, [model], d_max, f"sweep point {parameter}={value:.6g} fails")
@@ -320,9 +367,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
-    d_max = _d_max(cfg)
+    cfg, params = _inputs(args)
+    d_max = args.d_max
     _validate_for(params, [ModelKind.TWO_PERIOD, ModelKind.OLG], d_max)
     out = _out_dir(args, cfg)
 
@@ -353,29 +399,25 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_olg_verify(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
-    d_max = _d_max(cfg)
+    cfg, params = _inputs(args)
+    d_max = args.d_max
+    # NaN fails both comparisons
+    if args.durability is not None and not (0.0 < args.durability <= d_max):
+        raise UsageError(
+            f"--durability must be positive and at most d_max = {d_max!r}, "
+            f"found {args.durability!r}"
+        )
     _validate_for(params, [ModelKind.OLG], d_max)
-    regime = Regime(args.regime)
-    out = _out_dir(args, cfg)
-
-    if args.durability is not None:
-        d_audit = args.durability
-        # NaN fails both comparisons
-        if not (0.0 < d_audit <= d_max):
-            raise UsageError(
-                f"--durability must be positive and at most d_max = {d_max!r}, "
-                f"found {d_audit!r}"
-            )
-    else:
-        sol = olg_mod.solve_olg(params, regime, d_max=d_max)
+    d_audit = args.durability
+    if d_audit is None:
+        sol = olg_mod.solve_olg(params, Regime(args.regime), d_max=d_max)
         if sol.market_mode is tp.MarketMode.SHUTDOWN:
             raise UsageError(
                 "no active pre-owned steady state at these parameters "
                 f"({SHUTDOWN_NOTE}); pass --durability to audit a chosen value"
             )
         d_audit = sol.D_star
+    out = _out_dir(args, cfg)
 
     scan = oracle_mod.exhaustive_steady_state_scan(params, d_audit)
     rep.write_csv(
@@ -413,56 +455,28 @@ def _cmd_olg_verify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    ver_cfg = cfg.get("verification", {})
-
-    def scale(key: str, default: int) -> int:
-        flag = getattr(args, key)
-        return flag if flag is not None else ver_cfg.get(key, default)
-
-    seed = scale("seed", 42)
-    pool_draws = scale("draws", 200)
-    foc_draws = scale("foc_draws", 200)
-    grid_points = scale("grid_points", 100_000)
-    audit_draws = scale("audit_draws", 50)
-    commission_points = scale("commission_points", 1001)
-    if min(pool_draws, foc_draws, audit_draws, commission_points) <= 0:
-        raise UsageError(
-            "verification draw and commission point counts must be positive"
-        )
-    if grid_points < 1000:
-        raise UsageError("grid_points must be at least 1000")
-    if seed < 0:
-        raise UsageError(f"--seed must be a nonnegative integer, found {seed}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, found {args.jobs}")
+    cfg, _ = _inputs(args, "verification")
     out = _out_dir(args, cfg)
 
+    scales = {
+        name: getattr(args, name)
+        for name in ("draws", "foc_draws", "grid_points", "audit_draws", "commission_points")
+    }
     results = statics_mod.run_verification(
-        seed=seed,
-        foc_draws=foc_draws,
-        grid_points=grid_points,
-        pool_draws=pool_draws,
-        audit_draws=audit_draws,
-        commission_points=commission_points,
-        d_max=_d_max(cfg),
+        seed=args.seed,
+        foc_draws=args.foc_draws,
+        grid_points=args.grid_points,
+        pool_draws=args.draws,
+        audit_draws=args.audit_draws,
+        commission_points=args.commission_points,
+        d_max=args.d_max,
         jobs=args.jobs,
         inject_failure=args.inject_failure,
     )
     rep.write_csv(out / "verify.csv", rep.VERIFY_COLUMNS, [rep.verify_row(r) for r in results])
     rep.write_json(
         out / "verify.json",
-        {
-            "seed": seed,
-            "scales": {
-                "draws": pool_draws,
-                "foc_draws": foc_draws,
-                "grid_points": grid_points,
-                "audit_draws": audit_draws,
-                "commission_points": commission_points,
-            },
-            "results": results,
-        },
+        {"seed": args.seed, "scales": scales, "results": results},
     )
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -496,27 +510,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
-    d_max = _d_max(cfg)
-    grid_points = int(args.grid_points)
-    if grid_points < 1000:
-        raise UsageError("grid_points must be at least 1000")
+    cfg, params = _inputs(args)
+    d_max = args.d_max
+    models = (ModelKind.TWO_PERIOD, ModelKind.OLG)
+    _validate_for(params, models, d_max)
     out = _out_dir(args, cfg)
 
-    grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
+    grid = oracle_mod.GridSpec(0.0, d_max, args.grid_points)
     entries = []
     worst = 0.0
     unresolved, mismatched = [], []
-    for model in (ModelKind.TWO_PERIOD, ModelKind.OLG):
-        _validate_for(params, [model], d_max)
+    for model in models:
         for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
-            if model is ModelKind.TWO_PERIOD:
-                eq = tp.solve(params, regime, d_max=d_max)
-                d_star, mode = eq.D_star, eq.market_mode
-            else:
-                sol = olg_mod.solve_olg(params, regime, d_max=d_max)
-                d_star, mode = sol.D_star, sol.market_mode
+            sol = _solve(params, model, regime, d_max)
+            d_star = sol.D_star
             hit = oracle_mod.grid_argmax_profit(params, regime, model, grid)
             gap = abs(d_star - hit.D_at_max)
             worst = max(worst, gap)
@@ -527,7 +534,7 @@ def _cmd_oracle_check(args) -> int:
                 {
                     "model": model,
                     "regime": regime,
-                    "market_mode": mode,
+                    "market_mode": sol.market_mode,
                     "solver_D": d_star,
                     "grid_D": hit.D_at_max,
                     "gap": gap,
@@ -548,7 +555,7 @@ def _cmd_oracle_check(args) -> int:
         out / "oracle_check.json",
         {
             "params": params_to_dict(params),
-            "grid_points": grid_points,
+            "grid_points": args.grid_points,
             "grid_step": grid.step,
             "worst_gap": worst,
             "ok": ok,
@@ -579,17 +586,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(" ".join(message.split()))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _subcommand(
+    subs, name: str, func, help: str, settings: tuple[str, ...] = (), params: bool = True
+) -> argparse.ArgumentParser:
+    """A subparser with ``--config``, ``--out``, the parameter overrides
+    when ``params``, and a flag for each of ``settings``."""
+
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--config", help="path to a JSON config file")
     sub.add_argument("--out", help="output directory (overrides env and config)")
-    for name in _PARAM_FLAGS:
-        sub.add_argument(
-            f"--{name.lower().replace('_', '-')}",
-            dest=name.lower(),
-            type=float,
-            default=None,
-            help=f"override parameter {name}",
-        )
+    for param in _PARAM_FLAGS if params else ():
+        sub.add_argument(_flag(param), type=float, help=f"override parameter {param}")
+    for key in settings:
+        setting = _SETTINGS[key]
+        sub.add_argument(_flag(key), type=setting.kind, choices=setting.choices, help=setting.help)
+    sub.set_defaults(func=func, settings=settings, takes_params=params)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("solve", help="solve one parameter point")
-    _add_common(sub)
+    sub = _subcommand(subs, "solve", _cmd_solve, "solve one parameter point")
     sub.add_argument(
         "--model",
         choices=["two-period", "olg", "both"],
@@ -614,14 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["third-party", "branded", "both"],
         default="both",
     )
-    sub.set_defaults(func=_cmd_solve)
 
-    sub = subs.add_parser("sweep", help="sweep one parameter and classify monotonicity")
-    _add_common(sub)
-    sub.add_argument("--parameter", choices=_SWEEP_PARAMETERS)
-    sub.add_argument("--start", type=float)
-    sub.add_argument("--stop", type=float)
-    sub.add_argument("--steps", type=int)
+    sub = _subcommand(
+        subs, "sweep", _cmd_sweep, "sweep one parameter and classify monotonicity",
+        ("parameter", "start", "stop", "steps"),
+    )
     sub.add_argument(
         "--model", choices=["two-period", "olg"], default="two-period"
     )
@@ -630,16 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["third-party", "branded", "both"],
         default="both",
     )
-    sub.set_defaults(func=_cmd_sweep)
 
-    sub = subs.add_parser("compare", help="side-by-side regime comparison")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_compare)
+    _subcommand(subs, "compare", _cmd_compare, "side-by-side regime comparison")
 
-    sub = subs.add_parser(
-        "olg-verify", help="exhaustively audit steady-state candidates"
+    sub = _subcommand(
+        subs, "olg-verify", _cmd_olg_verify, "exhaustively audit steady-state candidates"
     )
-    _add_common(sub)
     sub.add_argument(
         "--regime", choices=["third-party", "branded"], default="third-party"
     )
@@ -649,35 +653,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="audit at this durability instead of the solved optimum",
     )
-    sub.set_defaults(func=_cmd_olg_verify)
 
-    sub = subs.add_parser("verify", help="run the seeded property suite")
-    _add_common(sub)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--draws", type=int, default=None, help="draw-pool size")
-    sub.add_argument("--foc-draws", dest="foc_draws", type=int, default=None)
-    sub.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    sub.add_argument("--audit-draws", dest="audit_draws", type=int, default=None)
-    sub.add_argument(
-        "--commission-points", dest="commission_points", type=int, default=None
+    sub = _subcommand(
+        subs, "verify", _cmd_verify, "run the seeded property suite",
+        ("seed", "draws", "foc_draws", "grid_points", "audit_draws", "commission_points", "jobs"),
+        params=False,
     )
-    sub.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     sub.add_argument(
         "--inject-failure",
         action="store_true",
         help="append a deliberately failing probe (harness self-test)",
     )
-    sub.set_defaults(func=_cmd_verify)
 
-    sub = subs.add_parser(
-        "oracle-check", help="compare analytic optima against the grid oracle"
+    _subcommand(
+        subs, "oracle-check", _cmd_oracle_check,
+        "compare analytic optima against the grid oracle", ("grid_points",),
     )
-    _add_common(sub)
-    sub.add_argument(
-        "--grid-points", dest="grid_points", type=int, default=100_000
-    )
-    sub.set_defaults(func=_cmd_oracle_check)
-
     return parser
 
 

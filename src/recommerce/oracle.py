@@ -115,25 +115,6 @@ _MAGNITUDE_CAP = 2.0**900
 _BLOCK_MAGNITUDE_CAP = 2.0**100
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_arrays(
-    cost: CostFn, quality: QualityFn, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(D, s(D), c(D))`` on the grid, read-only.
-
-    They depend on nothing but the families and the grid, and callers walk
-    one family at a time (a draw pool shares one; a point is checked in
-    four model/regime cells), so one entry is enough.
-    """
-
-    D = grid.points()
-    s = quality.value(D)
-    c = cost.value(D)
-    for arr in (D, s, c):
-        arr.setflags(write=False)
-    return D, s, c
-
-
 @dataclass(frozen=True)
 class _Blocks:
     """Per block of ``_BLOCK`` grid points, read-only: the extremes of ``s``
@@ -161,18 +142,24 @@ class _Blocks:
         return cls(s_lo, s_hi, c_lo, c_hi, mag)
 
 
-# The (s, c) arrays last searched and their _Blocks. _grid_arrays hands out
-# the same arrays for the same family and grid, so identity is the key; the
-# entry holds the arrays, so their ids cannot be reused while it stands.
-_last_blocks: tuple[np.ndarray, np.ndarray, _Blocks] | None = None
+@functools.lru_cache(maxsize=1)
+def _grid_arrays(
+    cost: CostFn, quality: QualityFn, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Blocks]:
+    """``(D, s(D), c(D))`` on the grid, read-only, and the blocks of
+    ``s`` and ``c``.
 
+    They depend on nothing but the families and the grid, and callers walk
+    one family at a time (a draw pool shares one; a point is checked in
+    four model/regime cells), so one entry is enough.
+    """
 
-def _grid_blocks(s: np.ndarray, c: np.ndarray) -> _Blocks:
-    global _last_blocks
-    hit = _last_blocks
-    if hit is None or hit[0] is not s or hit[1] is not c:
-        hit = _last_blocks = (s, c, _Blocks.of(s, c))
-    return hit[2]
+    D = grid.points()
+    s = quality.value(D)
+    c = cost.value(D)
+    for arr in (D, s, c):
+        arr.setflags(write=False)
+    return D, s, c, _Blocks.of(s, c)
 
 
 class _Magnitude:
@@ -202,6 +189,14 @@ class _Magnitude:
 
 def _magnitude(x) -> float:
     return x.m if isinstance(x, _Magnitude) else abs(x)
+
+
+def _rounding_margin(f) -> float:
+    """The block bounds' rounding margin per unit of ``1 + |s| + |c|``:
+    ``_BOUND_MARGIN`` times the sum of magnitudes of the products in the
+    objective ``f(s, c)`` at ``|s| = |c| = 1``."""
+
+    return _BOUND_MARGIN * f(_Magnitude(1.0), _Magnitude(1.0)).m
 
 
 def _objective(
@@ -270,16 +265,12 @@ def grid_argmax_profit(
     if grid is None:
         grid = GridSpec()
     p = params
-    D, s_all, c_all = _grid_arrays(p.cost, p.quality, grid)
-    blocks = _grid_blocks(s_all, c_all)
-
-    def f(s, c):
-        return _objective(p, regime, model, include_entry_premium, s, c)
-
+    D, s_all, c_all, blocks = _grid_arrays(p.cost, p.quality, grid)
+    f = functools.partial(_objective, p, regime, model, include_entry_premium)
     A = f(0.0, 0.0)
     B = f(1.0, 0.0) - A
     C = f(0.0, 1.0) - A
-    margin = _BOUND_MARGIN * f(_Magnitude(1.0), _Magnitude(1.0)).m
+    margin = _rounding_margin(f)
     with np.errstate(all="ignore"):
         s_top = blocks.s_hi if B >= 0 else blocks.s_lo
         c_top = blocks.c_hi if C >= 0 else blocks.c_lo
@@ -329,11 +320,11 @@ def grid_resolves(
     of magnitudes (:class:`_Magnitude`) scaled by ``1 + |s| + |c|`` at the
     two points. A steady state with a discount factor near 0 reads flat."""
 
-    _, s, c = _grid_arrays(params.cost, params.quality, grid)
+    _, s, c, _ = _grid_arrays(params.cost, params.quality, grid)
     near = min(max(round((D - grid.lower) / grid.step), 0), grid.count - 1)
     mag = 1.0 + max(abs(s[hit.index]), abs(s[near])) + max(abs(c[hit.index]), abs(c[near]))
     f = functools.partial(_objective, params, regime, model, True)
-    margin = _BOUND_MARGIN * f(_Magnitude(1.0), _Magnitude(1.0)).m * mag
+    margin = _rounding_margin(f) * mag
     return not abs(hit.value - f(float(s[near]), float(c[near]))) <= margin
 
 

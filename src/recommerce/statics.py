@@ -563,8 +563,9 @@ def equilibrium_feasible(
     return all(v >= -_SLACK_TOL for v in slacks.values())
 
 
-def ladder_active(params: ModelParams, model: ModelKind = ModelKind.TWO_PERIOD) -> bool:
-    """Margins stay positive across the local ladder ranges of both regimes.
+def ladder_active(params: ModelParams) -> bool:
+    """Two-period margins stay positive across the local ladder ranges of
+    both regimes.
 
     The deflator ladder climbs (which only raises margins) and the commission
     ladder climbs (which lowers them), so it suffices to check the top of the
@@ -575,8 +576,8 @@ def ladder_active(params: ModelParams, model: ModelKind = ModelKind.TWO_PERIOD) 
     worst = dataclasses.replace(params, beta=params.beta + _LADDER_SPAN)
     return (
         (params.alpha + _LADDER_SPAN <= 1.0)
-        & margin_active(worst, model, Regime.THIRD_PARTY)
-        & margin_active(worst, model, Regime.BRANDED)
+        & margin_active(worst, ModelKind.TWO_PERIOD, Regime.THIRD_PARTY)
+        & margin_active(worst, ModelKind.TWO_PERIOD, Regime.BRANDED)
     )
 
 
@@ -624,13 +625,13 @@ def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
         return (
             validate_params(cand, ModelKind.TWO_PERIOD).ok
-            and ladder_active(cand, ModelKind.TWO_PERIOD)
+            and ladder_active(cand)
             and all(
                 equilibrium_feasible(cand, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES
             )
         )
 
-    return ok, lambda block: ladder_active(block, ModelKind.TWO_PERIOD)
+    return ok, ladder_active
 
 
 def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:

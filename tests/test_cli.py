@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import pathlib
+import shutil
 import tempfile
 import warnings
 
@@ -20,7 +22,7 @@ from recommerce.primitives import (
     RationalQuality,
     SaturatingExpQuality,
 )
-from recommerce.cli import CONFIG_SCHEMA, OUT_ENV_VAR, main
+from recommerce.cli import CONFIG_SCHEMA, OUT_ENV_VAR, build_parser, main
 from recommerce.reporting import (
     AUDIT_COLUMNS,
     OLG_COLUMNS,
@@ -806,6 +808,105 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
     assert err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# the input stage
+# ----------------------------------------------------------------------
+
+
+def subcommand_options():
+    """Each subcommand's declared option actions, but --help's."""
+
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [
+            action for action in sub._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        ]
+        for command, sub in subs.choices.items()
+    }
+
+
+# a valid value off the default for every option a subcommand may declare;
+# --out, --config and --jobs have tests of their own
+OPTION_VALUES = {
+    "--alpha": "0.9", "--beta": "0.1", "--delta": "0.6", "--v-l": "0.7", "--n-h": "0.5",
+    "--model": "olg", "--regime": "branded", "--durability": "0.12",
+    "--parameter": "alpha", "--start": "0.02", "--stop": "0.07", "--steps": "4",
+    "--seed": "8", "--draws": "7", "--foc-draws": "3", "--grid-points": "6000",
+    "--audit-draws": "3", "--commission-points": "41",
+}
+# a sweep does not read the base value of the parameter it sweeps, so the
+# --beta runs sweep another one
+OPTION_EXTRA = {("sweep", "--beta"): ["--parameter", "delta", "--start", "0.4", "--stop", "0.6"]}
+
+
+@pytest.mark.parametrize("command", list(subcommand_options()))
+def test_every_option_is_read(tmp_path, capsys, command):
+    # a run with each option at a valid non-default value differs from the
+    # run without it, in exit code, stdout or written bytes
+    cfg = write_config(
+        tmp_path,
+        params=json.loads(pathlib.Path(OLG_ACTIVE).read_text())["params"],
+        sweep={"parameter": "beta", "start": 0.01, "stop": 0.08, "steps": 3},
+        verification={
+            "seed": 7, "draws": 6, "foc_draws": 2, "grid_points": 5000,
+            "audit_draws": 2, "commission_points": 51,
+        },
+    )
+    out = tmp_path / "run"
+
+    def run(argv):
+        code = main([command, "--config", cfg, *argv, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else None
+        shutil.rmtree(out, ignore_errors=True)
+        return code, capsys.readouterr().out, files
+
+    options = [a for a in subcommand_options()[command]
+               if a.option_strings[-1] not in ("--out", "--config", "--jobs")]
+    assert options
+    for action in options:
+        option = action.option_strings[-1]
+        extra = OPTION_EXTRA.get((command, option), [])
+        given = [option] if action.nargs == 0 else [option, OPTION_VALUES[option]]
+        assert run([*extra, *given]) != run(extra), f"{command} {option} is not read"
+
+
+STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0.8))
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        (None, ["verify", "--alpha", "0.5"]),
+        ({"params": STEADY_STATE_ONLY}, ["oracle-check"]),
+        ({"params": STEADY_STATE_ONLY}, ["compare"]),
+        (None, ["olg-verify", "--durability", "-1"]),
+        (None, ["olg-verify"]),
+        (None, ["oracle-check", "--grid-points", "10"]),
+        (None, ["verify", "--draws", "0"]),
+        (None, ["sweep", "--parameter", "beta", "--start", "0", "--stop", "0.3", "--steps", "0"]),
+        ({"verification": {"draws": "6"}}, ["verify"]),
+        ({"sweep": {"parameter": "beta", "start": 0, "stop": 0.3, "steps": 2.5}}, ["sweep"]),
+    ],
+    ids=[
+        "verify-alpha", "oracle-check-steady-state", "compare-steady-state",
+        "olg-verify-negative-durability", "olg-verify-shutdown", "oracle-check-coarse-grid",
+        "verify-no-draws", "sweep-no-steps", "verification-config-type", "sweep-config-type",
+    ],
+)
+def test_input_errors_come_before_output(tmp_path, capsys, config, argv):
+    # one error line and nothing else: no stdout, no output directory
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, **config)]
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -207,7 +207,9 @@ def test_chunk_fold_takes_first_index(monkeypatch, canonical, ties, nans, expect
     c = np.full(grid.count, 0.25)
     c[list(ties)] = 0.0  # every objective falls in c at fixed s
     c[list(nans)] = np.nan
-    monkeypatch.setattr(oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c))
+    monkeypatch.setattr(
+        oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
+    )
     for model, regime, entry in OBJECTIVES:
         got = grid_argmax_profit(canonical, regime, model, grid, include_entry_premium=entry)
         assert got.index == expected
@@ -297,7 +299,9 @@ def test_pruned_grid_equals_one_shot_on_non_finite_families(
     s_edits, c_edits = _NON_FINITE[case]
     s[list(s_edits)] = list(s_edits.values())
     c[list(c_edits)] = list(c_edits.values())
-    monkeypatch.setattr(oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c))
+    monkeypatch.setattr(
+        oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
+    )
     for model, regime, entry in OBJECTIVES:
         with np.errstate(invalid="ignore" if s_edits else "raise"):
             got = grid_argmax_profit(olg_feasible, regime, model, grid, include_entry_premium=entry)
@@ -317,7 +321,9 @@ def test_margin_covers_rounding_on_constant_grids(monkeypatch, seed42_foc_pools)
     rng = np.random.default_rng(42)
     for s0, c0 in rng.uniform(0.0, 3.0, (25, 2)):
         s, c = np.full(grid.count, s0), np.full(grid.count, c0)
-        monkeypatch.setattr(oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c))
+        monkeypatch.setattr(
+        oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
+    )
         for model, regime, entry in OBJECTIVES:
             for params in seed42_foc_pools[model, regime][:10]:
                 got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
@@ -344,17 +350,14 @@ def test_pruned_grid_evaluates_under_5_percent_of_the_grid(monkeypatch, seed42_f
 
 def test_block_extremes_are_cached_read_only(canonical):
     grid = GridSpec(0.0, DEFAULT_D_MAX, 1_000)
-    _, s, c = oracle._grid_arrays(canonical.cost, canonical.quality, grid)
-    blocks = oracle._grid_blocks(s, c)
-    assert oracle._grid_blocks(s, c) is blocks
+    _, s, c, blocks = oracle._grid_arrays(canonical.cost, canonical.quality, grid)
+    assert oracle._grid_arrays(canonical.cost, canonical.quality, grid)[3] is blocks
     starts = range(0, grid.count, BLOCK)
     for x_lo, x_hi, x in ((blocks.s_lo, blocks.s_hi, s), (blocks.c_lo, blocks.c_hi, c)):
         assert list(x_lo) == [min(x[i : i + BLOCK]) for i in starts]
         assert list(x_hi) == [max(x[i : i + BLOCK]) for i in starts]
     for arr in (blocks.s_lo, blocks.s_hi, blocks.c_lo, blocks.c_hi, blocks.mag):
         assert not arr.flags.writeable
-    # other arrays, as a monkeypatched _grid_arrays hands out, get their own
-    assert oracle._grid_blocks(s.copy(), c) is not blocks
 
 
 if given is not None:
