@@ -197,8 +197,8 @@ def _inputs(args, block: str | None = None) -> tuple[dict, ModelParams | None]:
     4. range-check the flag values (the config's passed step 1).
 
     Returns the config and the params. The handler then checks its own
-    inputs and the admissibility of the models it solves, and only then
-    creates its output directory.
+    inputs and the admissibility of the models it solves; its first written
+    file creates the output directory.
     """
 
     cfg = _load_config(args.config)
@@ -238,7 +238,6 @@ def _out_dir(args, cfg: dict) -> Path:
         out = Path(cfg["out_dir"])
     else:
         out = Path("out")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -316,10 +315,14 @@ def _cmd_sweep(args) -> int:
             f"sweep parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, "
             f"found {parameter!r}"
         )
+    if getattr(args, parameter) is not None:
+        raise UsageError(
+            f"{_flag(parameter)} sets a base value that the sweep over {parameter} "
+            "does not read"
+        )
     model = ModelKind(args.model)
     regimes = _regimes(args.regime)
     d_max = args.d_max
-    _validate_for(params, [model], d_max)
     values = np.linspace(args.start, args.stop, args.steps)
     for value in values:
         point = dataclasses.replace(params, **{parameter: float(value)})

@@ -100,32 +100,17 @@ class GridResult:
 
 # Grid points per block of the branch-and-bound search.
 _BLOCK = 128
-# Points per slice when a run of blocks is evaluated: each float64 temporary
-# of the objective is 64 KiB, under glibc's default 128 KiB mmap threshold,
-# so slices reuse heap memory instead of mapping and faulting in fresh pages.
-_GRID_CHUNK = 8_192
-# The block bounds' rounding margin, relative to the block's sum of
-# magnitudes, and an absolute floor for rounding below the normal range.
-_BOUND_MARGIN = 1e-12
-_BOUND_FLOOR = 2.0**-1000
-# A magnitude of the objective past _MAGNITUDE_CAP reads as infinite, and so
-# does a block's 1 + max|s| + max|c| past _BLOCK_MAGNITUDE_CAP: no value
-# computed for a block with a finite bound comes near overflow (2**1024).
-_MAGNITUDE_CAP = 2.0**900
-_BLOCK_MAGNITUDE_CAP = 2.0**100
 
 
 @dataclass(frozen=True)
 class _Blocks:
     """Per block of ``_BLOCK`` grid points, read-only: the extremes of ``s``
-    and ``c``, and ``mag = 1 + max|s| + max|c|``, infinite where the block
-    holds a NaN or ``mag`` would pass ``_BLOCK_MAGNITUDE_CAP``."""
+    and ``c``, NaN where the block holds a NaN."""
 
     s_lo: np.ndarray
     s_hi: np.ndarray
     c_lo: np.ndarray
     c_hi: np.ndarray
-    mag: np.ndarray
 
     @classmethod
     def of(cls, s: np.ndarray, c: np.ndarray) -> "_Blocks":
@@ -135,11 +120,9 @@ class _Blocks:
             for x in (s, c)
             for ufunc in (np.minimum, np.maximum)
         )
-        mag = 1.0 + np.maximum(-s_lo, s_hi) + np.maximum(-c_lo, c_hi)
-        mag[~(mag <= _BLOCK_MAGNITUDE_CAP)] = np.inf
-        for arr in (s_lo, s_hi, c_lo, c_hi, mag):
+        for arr in (s_lo, s_hi, c_lo, c_hi):
             arr.setflags(write=False)
-        return cls(s_lo, s_hi, c_lo, c_hi, mag)
+        return cls(s_lo, s_hi, c_lo, c_hi)
 
 
 @functools.lru_cache(maxsize=1)
@@ -162,41 +145,33 @@ def _grid_arrays(
     return D, s, c, _Blocks.of(s, c)
 
 
-class _Magnitude:
-    """A bound on ``|x|`` under which subtraction adds, as addition does.
+class _Affine:
+    """``a + b*s + k*c`` with its three coefficients kept apart: passed to
+    :func:`_objective` as ``s`` and ``c``, it gives the coefficients of ``s``
+    and ``c`` as the objective's own arithmetic forms them, without
+    cancelling them against the constant term."""
 
-    Passed to :func:`_objective` as ``s`` and ``c``, it gives the sum of the
-    magnitudes of every product the expression writes out, with its
-    parameter-only subexpressions as constants. A partial result past
-    ``_MAGNITUDE_CAP``, or NaN, reads as infinite.
-    """
-
-    __slots__ = ("m",)
+    __slots__ = ("a", "b", "k")
     __array_ufunc__ = None  # NumPy scalars defer to the reflected operators
 
-    def __init__(self, m: float):
-        self.m = m if m <= _MAGNITUDE_CAP else math.inf
+    def __init__(self, a: float, b: float = 0.0, k: float = 0.0):
+        self.a, self.b, self.k = a, b, k
 
-    def __add__(self, other):
-        return _Magnitude(self.m + _magnitude(other))
+    def __add__(self, o):
+        o = o if isinstance(o, _Affine) else _Affine(o)
+        return _Affine(self.a + o.a, self.b + o.b, self.k + o.k)
 
-    def __mul__(self, other):
-        return _Magnitude(self.m * _magnitude(other))
+    def __mul__(self, x):  # x is parameter-only: the objective is affine
+        return _Affine(self.a * x, self.b * x, self.k * x)
 
-    __radd__ = __sub__ = __rsub__ = __add__
+    def __sub__(self, o):
+        return self + o * -1.0
+
+    def __rsub__(self, x):
+        return self * -1.0 + x
+
+    __radd__ = __add__
     __rmul__ = __mul__
-
-
-def _magnitude(x) -> float:
-    return x.m if isinstance(x, _Magnitude) else abs(x)
-
-
-def _rounding_margin(f) -> float:
-    """The block bounds' rounding margin per unit of ``1 + |s| + |c|``:
-    ``_BOUND_MARGIN`` times the sum of magnitudes of the products in the
-    objective ``f(s, c)`` at ``|s| = |c| = 1``."""
-
-    return _BOUND_MARGIN * f(_Magnitude(1.0), _Magnitude(1.0)).m
 
 
 def _objective(
@@ -221,6 +196,21 @@ def _objective(
     return stream if not include_entry_premium else p.n_H * entry + stream
 
 
+def _coefficients(f) -> tuple[float, float]:
+    """``B`` and ``C`` of an objective ``f(s, c) = A + B*s + C*c``."""
+
+    form = f(_Affine(0.0, 1.0), _Affine(0.0, 0.0, 1.0))
+    return form.b, form.k
+
+
+def _g(B: float, C: float, s, c):
+    """The objective less its D-independent constant. Every value the grid
+    search compares, block bounds included, is a sum of these two products
+    formed in this order."""
+
+    return B * s + C * c
+
+
 def grid_argmax_profit(
     params: ModelParams,
     regime: Regime,
@@ -230,52 +220,33 @@ def grid_argmax_profit(
 ) -> GridResult:
     """Maximize the seller objective by brute force over a durability grid.
 
-    The result is that of one ``np.argmax`` of :func:`_objective` over the
-    whole grid, bit for bit: ties resolve to the lowest grid index, and the
-    first NaN wins. But only the blocks of ``_BLOCK`` points that can still
-    hold the maximum are evaluated.
+    :func:`_objective` is affine in ``(s, c)``, ``A + B*s + C*c``; evaluated
+    on :class:`_Affine` placeholders it gives ``B`` and ``C`` apart from
+    ``A``. The result is that of one ``np.argmax`` of ``g = B*s + C*c``
+    (:func:`_g`) over the whole grid, bit for bit: ties resolve to the
+    lowest grid index, and the first NaN wins. Its value is
+    :func:`_objective` at that index. But only the blocks of ``_BLOCK``
+    points that can still hold the maximum are evaluated.
 
-    The objective ``f`` is affine in ``(s, c)``: ``A + B*s + C*c`` with
-    ``A = f(0, 0)``, ``B = f(1, 0) - A`` and ``C = f(0, 1) - A``. On a block
-    it is at most ``A + max(B*s_lo, B*s_hi) + max(C*c_lo, C*c_hi)`` plus a
-    rounding margin. Let ``T`` be the sum of the magnitudes of every product
-    in ``f`` at ``|s| = |c| = 1`` (:class:`_Magnitude`); ``v_H`` and
-    ``v_H*s`` count apart although they cancel inside ``B``. On a block,
-    ``E = T * (1 + max|s| + max|c|)`` bounds the magnitudes there and the
-    products of ``T(0, 0)`` with ``|s|`` and ``|c|``. A path through ``f``
-    has at most 9 roundings, so with ``u = 2**-53`` the objective evaluated
-    at any point of the block, ``A``, ``B``, ``C`` and the bound's own four
-    roundings together stray from the exact affine form by at most
-    ``34*u*E`` (under ``4e-15*E``). The margin ``1e-12*E`` covers that about
-    250 times over, and ``_BOUND_FLOOR`` covers absolute rounding below the
-    normal range (2**-1075 per operation, however later factors up to 2**60
-    scale it).
-
-    A bound is finite unless ``T`` or the block's ``1 + max|s| + max|c|``
-    passes its cap or is NaN (as with any NaN or infinity in ``s``, ``c``
-    or the parameters); it is then +inf or NaN, and the block is always
-    evaluated. A finite bound thus also means finite values. The objective
-    at the middle of the block with the highest finite bound is a floor
-    under the maximum. Every block whose bound is not below it is evaluated,
-    in index order with a running argmax, in contiguous runs sliced to at
-    most ``_GRID_CHUNK`` points; the others hold neither the maximum nor a
-    tie with it.
+    Round-to-nearest is monotone, so on a block ``B*s`` is at most the
+    larger of ``B*s_lo`` and ``B*s_hi``, ``C*c`` likewise, and ``g`` at most
+    the rounded sum of the two: each block's bound is exact. Where ``g`` can
+    be NaN the bound is NaN or +inf: an extreme is NaN, a product at an
+    extreme is NaN (zero times infinity), or one overflows to +inf. ``g`` at
+    the middle of the block with the highest finite bound is a floor under
+    the maximum. Every block whose bound is not below it is evaluated, in
+    index order; the others hold neither the maximum nor a tie with it.
     """
 
     if grid is None:
         grid = GridSpec()
     p = params
-    D, s_all, c_all, blocks = _grid_arrays(p.cost, p.quality, grid)
+    D, s, c, blocks = _grid_arrays(p.cost, p.quality, grid)
     f = functools.partial(_objective, p, regime, model, include_entry_premium)
-    A = f(0.0, 0.0)
-    B = f(1.0, 0.0) - A
-    C = f(0.0, 1.0) - A
-    margin = _rounding_margin(f)
+    B, C = _coefficients(f)
     with np.errstate(all="ignore"):
-        s_top = blocks.s_hi if B >= 0 else blocks.s_lo
-        c_top = blocks.c_hi if C >= 0 else blocks.c_lo
-        bound = (B * s_top + C * c_top + margin * blocks.mag) + (
-            A + (margin + _BOUND_FLOOR)
+        bound = np.maximum(B * blocks.s_lo, B * blocks.s_hi) + np.maximum(
+            C * blocks.c_lo, C * blocks.c_hi
         )
 
     ranked = np.where(bound < math.inf, bound, -math.inf)
@@ -283,27 +254,14 @@ def grid_argmax_profit(
     floor = -math.inf
     if ranked[top] > -math.inf:
         i = min(top * _BLOCK + _BLOCK // 2, grid.count - 1)
-        floor = f(float(s_all[i]), float(c_all[i]))
-    keep = np.flatnonzero(~(bound < floor))
-    # contiguous runs of kept blocks
-    cuts = np.flatnonzero(keep[1:] - keep[:-1] > 1)
-    starts = [int(keep[0]), *keep[cuts + 1].tolist()]
-    ends = [*keep[cuts].tolist(), int(keep[-1])]
-
-    idx = -1
-    best = math.nan
-    for first, last in zip(starts, ends):
-        end = (last + 1) * _BLOCK
-        for lo in range(first * _BLOCK, min(end, grid.count), _GRID_CHUNK):
-            hi = min(lo + _GRID_CHUNK, end)
-            value = f(s_all[lo:hi], c_all[lo:hi])
-            j = int(np.argmax(value))
-            v = float(value[j])
-            # a later slice wins only with a NaN or a strictly larger value,
-            # and nothing beats an earlier NaN
-            if idx < 0 or (best == best and (v != v or v > best)):
-                idx, best = lo + j, v
-    return GridResult(D_at_max=float(D[idx]), value=best, index=idx, step=grid.step)
+        floor = _g(B, C, float(s[i]), float(c[i]))
+    kept = np.flatnonzero(~(bound < floor))
+    points = (kept[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+    points = points[points < grid.count]
+    idx = int(points[np.argmax(_g(B, C, s[points], c[points]))])
+    return GridResult(
+        D_at_max=float(D[idx]), value=f(float(s[idx]), float(c[idx])), index=idx, step=grid.step
+    )
 
 
 def grid_resolves(
@@ -315,17 +273,19 @@ def grid_resolves(
     D: float,
 ) -> bool:
     """Whether the grid tells its maximum ``hit`` (with the entry premium)
-    apart from its point nearest ``D``: their objective values differ by more
-    than the block bounds' rounding margin, ``_BOUND_MARGIN`` times the sum
-    of magnitudes (:class:`_Magnitude`) scaled by ``1 + |s| + |c|`` at the
-    two points. A steady state with a discount factor near 0 reads flat."""
+    apart from its point nearest ``D``: their values of ``g`` differ by more
+    than its rounding there. Each product in ``g`` and their sum is off by
+    at most half an ulp of its result, so the difference by at most three
+    ulps of the largest. A steady state with a subnormal discount factor
+    reads flat."""
 
     _, s, c, _ = _grid_arrays(params.cost, params.quality, grid)
     near = min(max(round((D - grid.lower) / grid.step), 0), grid.count - 1)
-    mag = 1.0 + max(abs(s[hit.index]), abs(s[near])) + max(abs(c[hit.index]), abs(c[near]))
-    f = functools.partial(_objective, params, regime, model, True)
-    margin = _rounding_margin(f) * mag
-    return not abs(hit.value - f(float(s[near]), float(c[near]))) <= margin
+    B, C = _coefficients(functools.partial(_objective, params, regime, model, True))
+    parts = [(B * float(s[i]), C * float(c[i])) for i in (hit.index, near)]
+    g_hit, g_near = (x + y for x, y in parts)
+    ulp = max(math.ulp(v) for x, y in parts for v in (x, y, x + y))
+    return not g_hit - g_near <= 3.0 * ulp
 
 
 def truncated_stream(

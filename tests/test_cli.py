@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from recommerce import canonical_params, oracle, params_to_dict
+from recommerce import olg as olg_mod
 from recommerce import two_period as tp
 from recommerce.primitives import (
     DEFAULT_D_MAX,
@@ -238,6 +239,7 @@ def test_unbracketed_root_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: durability first-order condition has no root")
     assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_overflowing_d_max_exits_2_with_one_line(tmp_path, capsys):
@@ -275,7 +277,10 @@ def test_huge_quality_rate_exits_2_with_one_line(tmp_path, capsys, argv, k):
         warnings.simplefilter("always")
         assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: parameters fail ")
+    # a sweep checks its points, not the base point
+    assert err.startswith(
+        "error: sweep point beta=0.1 fails " if argv[0] == "sweep" else "error: parameters fail "
+    )
     assert "admissibility: quality_below_one, " in err
     assert err.count("\n") == 1
     assert [str(w.message) for w in caught] == []
@@ -717,36 +722,71 @@ def test_oracle_check(tmp_path, capsys):
     assert "gap=" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("delta", ["1e-9", "1e-12", "1e-300"])
+# subnormal discount factor -> the cells whose grid it leaves unresolved
+FLAT_GRIDS = {
+    "1e-316": "olg third-party",
+    "1e-318": "olg third-party, olg branded",
+    "1e-320": "olg third-party, olg branded",
+}
+
+
+@pytest.mark.parametrize("delta", list(FLAT_GRIDS))
 def test_oracle_check_flat_grid_exits_2_with_one_line(tmp_path, capsys, delta):
-    # the steady-state objective is n_H*v_H + O(delta): near its peak the
-    # grid reads flat to rounding, so its argmax says nothing about D*
+    # at a subnormal delta the steady-state coefficients of s and c keep few
+    # bits: near its peak the grid reads flat to rounding, so its argmax
+    # says nothing about D*
     out = tmp_path / "x"
     assert main(["oracle-check", "--delta", delta, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the grid does not resolve the objective")
-    assert "olg third-party, olg branded" in err
+    assert f"at {FLAT_GRIDS[delta]} its maximum" in err
     assert err.count("\n") == 1
-    assert not (out / "oracle_check.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["1e-9", "1e-12", "1e-300"])
+def test_oracle_check_resolves_small_delta(tmp_path, delta):
+    # the steady-state objective is n_H*v_H + O(delta), but the grid
+    # compares its D-dependent part alone, which keeps full precision
+    out = tmp_path / "x"
+    assert main(["oracle-check", "--delta", delta, "--out", str(out)]) == 0
+    assert json.loads((out / "oracle_check.json").read_text())["ok"] is True
+
+
+def run_oracle_check_off_by_ten_steps(
+    tmp_path, capsys, monkeypatch, module, solver, delta, grid_points
+):
+    """``oracle-check`` with ``module.solver`` returning a D* ten grid steps
+    too high: it must fail the gate."""
+
+    step = DEFAULT_D_MAX / (grid_points - 1)
+    real = getattr(module, solver)
+
+    def off(params, regime, d_max=DEFAULT_D_MAX):
+        sol = real(params, regime, d_max=d_max)
+        return dataclasses.replace(sol, D_star=sol.D_star + 10 * step)
+
+    monkeypatch.setattr(module, solver, off)
+    out = tmp_path / "x"
+    argv = ["oracle-check", "--grid-points", str(grid_points), "--delta", delta, "--out", str(out)]
+    assert main(argv) == 1
+    assert "exceeds grid step" in capsys.readouterr().err
+    assert json.loads((out / "oracle_check.json").read_text())["ok"] is False
 
 
 @pytest.mark.parametrize("delta", ["0.9", "1e-9"])
 def test_oracle_check_real_mismatch_exits_1(tmp_path, capsys, monkeypatch, delta):
-    # a solver D* ten grid steps off fails the gate; at delta = 1e-9 the
-    # steady-state cells are unresolved, but the two-period ones still decide
-    step = DEFAULT_D_MAX / (20_000 - 1)
-    real = tp.solve
+    run_oracle_check_off_by_ten_steps(tmp_path, capsys, monkeypatch, tp, "solve", delta, 20_000)
 
-    def off(params, regime, d_max=DEFAULT_D_MAX):
-        eq = real(params, regime, d_max=d_max)
-        return dataclasses.replace(eq, D_star=eq.D_star + 10 * step)
 
-    monkeypatch.setattr(tp, "solve", off)
-    out = tmp_path / "x"
-    argv = ["oracle-check", "--grid-points", "20000", "--delta", delta, "--out", str(out)]
-    assert main(argv) == 1
-    assert "exceeds grid step" in capsys.readouterr().err
-    assert json.loads((out / "oracle_check.json").read_text())["ok"] is False
+@pytest.mark.parametrize("delta", ["1e-6", "1e-12"])
+def test_oracle_check_steady_state_mismatch_exits_1_at_small_delta(
+    tmp_path, capsys, monkeypatch, delta
+):
+    # on the default grid, whose step is five times finer
+    run_oracle_check_off_by_ten_steps(
+        tmp_path, capsys, monkeypatch, olg_mod, "solve_olg", delta, 100_000
+    )
 
 
 ORACLE_FAMILIES = [
@@ -838,8 +878,8 @@ OPTION_VALUES = {
     "--seed": "8", "--draws": "7", "--foc-draws": "3", "--grid-points": "6000",
     "--audit-draws": "3", "--commission-points": "41",
 }
-# a sweep does not read the base value of the parameter it sweeps, so the
-# --beta runs sweep another one
+# a sweep rejects a base value for the parameter it sweeps, so the --beta
+# runs sweep another one
 OPTION_EXTRA = {("sweep", "--beta"): ["--parameter", "delta", "--start", "0.4", "--stop", "0.6"]}
 
 
@@ -890,11 +930,14 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         (None, ["sweep", "--parameter", "beta", "--start", "0", "--stop", "0.3", "--steps", "0"]),
         ({"verification": {"draws": "6"}}, ["verify"]),
         ({"sweep": {"parameter": "beta", "start": 0, "stop": 0.3, "steps": 2.5}}, ["sweep"]),
+        (None, ["sweep", "--parameter", "beta", "--start", "0", "--stop", "0.3", "--steps", "2",
+                "--beta", "0.15"]),
     ],
     ids=[
         "verify-alpha", "oracle-check-steady-state", "compare-steady-state",
         "olg-verify-negative-durability", "olg-verify-shutdown", "oracle-check-coarse-grid",
         "verify-no-draws", "sweep-no-steps", "verification-config-type", "sweep-config-type",
+        "sweep-swept-base-value",
     ],
 )
 def test_input_errors_come_before_output(tmp_path, capsys, config, argv):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -95,22 +96,8 @@ def test_grid_matches_first_order_solution_olg(olg_feasible, regime):
     assert res.value == pytest.approx(sol.objective_value, abs=1e-6)
 
 
-def one_shot_grid_argmax(
-    params, regime, model, grid=None, include_entry_premium=True, arrays=None
-):
-    """The grid oracle as one full-length ``np.argmax``: fresh D, s(D) and
-    c(D) (or the given ``arrays``), and the objective over the whole grid at
-    once."""
-
-    if grid is None:
-        grid = GridSpec()
-    p = params
-    if arrays is None:
-        D = grid.points()
-        s = p.quality.value(D)
-        c = p.cost.value(D)
-    else:
-        D, s, c = arrays
+def written_objective(p, regime, model, include_entry_premium, s, c):
+    """The grid objective, written out apart from the oracle's."""
 
     used_price = p.alpha * p.v_L * s
     new_price_late = p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s)
@@ -122,14 +109,32 @@ def one_shot_grid_argmax(
     entry = p.v_H + p.delta * (1.0 - p.beta) * used_price
 
     if model is ModelKind.TWO_PERIOD:
-        value = p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
-    else:
-        stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
-        value = stream if not include_entry_premium else p.n_H * entry + stream
+        return p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
+    stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
+    return stream if not include_entry_premium else p.n_H * entry + stream
 
-    idx = int(np.argmax(value))
+
+def one_shot_grid_argmax(
+    params, regime, model, grid=None, include_entry_premium=True, arrays=None
+):
+    """The grid oracle as one full-length ``np.argmax``: fresh D, s(D) and
+    c(D) (or the given ``arrays``), ``B*s + C*c`` over the whole grid at
+    once with ``B`` and ``C`` of the written-out objective, and that
+    objective at the argmax."""
+
+    if grid is None:
+        grid = GridSpec()
+    if arrays is None:
+        D = grid.points()
+        s = params.quality.value(D)
+        c = params.cost.value(D)
+    else:
+        D, s, c = arrays
+    f = functools.partial(written_objective, params, regime, model, include_entry_premium)
+    B, C = oracle._coefficients(f)
+    idx = int(np.argmax(B * s + C * c))
     return GridResult(
-        D_at_max=float(D[idx]), value=float(value[idx]), index=idx, step=grid.step
+        D_at_max=float(D[idx]), value=f(float(s[idx]), float(c[idx])), index=idx, step=grid.step
     )
 
 
@@ -161,9 +166,8 @@ def test_chunked_grid_equals_one_shot_on_foc_pools(seed42_foc_pools, model, regi
         assert_same_hit(got, want)
 
 
-CHUNK = oracle._GRID_CHUNK
-
-
+# a span of 64 blocks, to place grid sizes, ties and NaNs far apart
+CHUNK = 8_192
 BLOCK = oracle._BLOCK
 
 
@@ -183,14 +187,14 @@ def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_foc_pools, count)
 @pytest.mark.parametrize(
     "ties,nans,expected",
     [
-        # a maximum on both sides of a chunk boundary: the first wins
+        # a maximum on both sides of a span boundary: the first wins
         ((CHUNK - 1, CHUNK + 5, 2 * CHUNK), (), CHUNK - 1),
         # and on both sides of a block boundary, and in blocks far apart
         ((5 * BLOCK, BLOCK, BLOCK - 1), (), BLOCK - 1),
         ((2 * CHUNK + 3 * BLOCK, 7 * BLOCK + 1), (), 7 * BLOCK + 1),
         # the whole grid ties
         ((), (), 0),
-        # a NaN in a later chunk than the maximum wins, as in np.argmax
+        # a NaN in a later span than the maximum wins, as in np.argmax
         ((3,), (CHUNK + 2,), CHUNK + 2),
         # the first NaN wins over later maxima and later NaNs
         ((2 * CHUNK,), (CHUNK - 2, CHUNK + 1, 2 * CHUNK + 3), CHUNK - 2),
@@ -260,10 +264,11 @@ def test_pruned_grid_equals_one_shot_on_every_family(seed42_foc_pools, family):
             assert_same_hit(got, want)
 
 
-@pytest.mark.parametrize("delta", [1e-9, 1e-12, 1e-300])
+@pytest.mark.parametrize("delta", [1e-9, 1e-12, 1e-300, 1e-320])
 def test_pruned_grid_equals_one_shot_on_flat_objectives(canonical, delta):
-    # the OLG objectives are n_H*v_H + O(delta): flat in float at small delta,
-    # so every block survives and the first of the tied points must win
+    # the OLG objectives are n_H*v_H + O(delta); at a subnormal delta their
+    # coefficients B and C keep few bits, so g = B*s + C*c is flat to
+    # rounding near its peak and the first of the tied points must win
     params = dataclasses.replace(canonical, delta=delta)
     grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
     for model, regime, entry in OBJECTIVES:
@@ -312,10 +317,35 @@ def test_pruned_grid_equals_one_shot_on_non_finite_families(
         assert got.value == want.value or (got.value != got.value and want.value != want.value)
 
 
+@pytest.mark.parametrize("zero", [0, 1], ids=["B", "C"])
+def test_zero_coefficient_keeps_the_nan_of_an_infinity(monkeypatch, olg_feasible, zero):
+    # 0 * -inf is NaN although the block's upper extreme is finite: the
+    # block must still be evaluated, so that its NaN wins
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 3 * CHUNK + 7)
+    D = grid.points()
+    s = olg_feasible.quality.value(D)
+    c = olg_feasible.cost.value(D)
+    (s, c)[zero][5000] = -np.inf
+    coefficients = oracle._coefficients
+    monkeypatch.setattr(
+        oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
+    )
+    monkeypatch.setattr(
+        oracle, "_coefficients",
+        lambda f: tuple(0.0 if i == zero else k for i, k in enumerate(coefficients(f))),
+    )
+    for model, regime, entry in OBJECTIVES:
+        with np.errstate(invalid="ignore"):
+            got = grid_argmax_profit(olg_feasible, regime, model, grid, include_entry_premium=entry)
+            want = one_shot_grid_argmax(
+                olg_feasible, regime, model, grid, include_entry_premium=entry, arrays=(D, s, c)
+            )
+        assert got.index == want.index == 5000
+
+
 def test_margin_covers_rounding_on_constant_grids(monkeypatch, seed42_foc_pools):
     # s and c constant over the grid: every point takes the same value, which
-    # each block's bound must not fall below through rounding, so the first
-    # point wins
+    # each block's bound must not fall below, so the first point wins
     grid = GridSpec(0.0, 1.0, 2 * BLOCK + 1)
     D = grid.points()
     rng = np.random.default_rng(42)
@@ -332,13 +362,13 @@ def test_margin_covers_rounding_on_constant_grids(monkeypatch, seed42_foc_pools)
 
 def test_pruned_grid_evaluates_under_5_percent_of_the_grid(monkeypatch, seed42_foc_pools):
     evaluated = []
-    objective = oracle._objective
+    g = oracle._g
 
-    def counted(p, regime, model, entry, s, c):
-        evaluated[-1] += np.size(s) if isinstance(s, np.ndarray) else 0
-        return objective(p, regime, model, entry, s, c)
+    def counted(B, C, s, c):
+        evaluated[-1] += np.size(s) if isinstance(s, np.ndarray) else 1
+        return g(B, C, s, c)
 
-    monkeypatch.setattr(oracle, "_objective", counted)
+    monkeypatch.setattr(oracle, "_g", counted)
     grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
     for model, regime, entry in OBJECTIVES:
         for params in seed42_foc_pools[model, regime]:
@@ -356,7 +386,7 @@ def test_block_extremes_are_cached_read_only(canonical):
     for x_lo, x_hi, x in ((blocks.s_lo, blocks.s_hi, s), (blocks.c_lo, blocks.c_hi, c)):
         assert list(x_lo) == [min(x[i : i + BLOCK]) for i in starts]
         assert list(x_hi) == [max(x[i : i + BLOCK]) for i in starts]
-    for arr in (blocks.s_lo, blocks.s_hi, blocks.c_lo, blocks.c_hi, blocks.mag):
+    for arr in (blocks.s_lo, blocks.s_hi, blocks.c_lo, blocks.c_hi):
         assert not arr.flags.writeable
 
 

@@ -131,6 +131,39 @@ def test_durability_table_and_envelope_branches_symbolically(model, regime):
         assert vanishes(objective.diff(sym[wrt]) - branch), wrt
 
 
+@pytest.mark.parametrize("regime", [T, B])
+@pytest.mark.parametrize("model", [TP, OLG])
+def test_durability_table_from_written_out_prices(model, regime):
+    # the objective built here from the posted prices, no solver code, with
+    # s = s(D) and c = c(D) as symbols: it is affine in (s, c), so its
+    # stationary point is c'(D) = k*M*s'(D) with k*M = -(d/ds) / (d/dc)
+    sp = pytest.importorskip("sympy")
+    names = ("v_H", "v_L", "n_H", "n_L", "delta", "alpha", "beta")
+    sym = dict(zip(names, sp.symbols(names, positive=True)))
+    v_H, v_L, n_H, delta, alpha, beta = (
+        sym[name] for name in ("v_H", "v_L", "n_H", "delta", "alpha", "beta")
+    )
+    s, c = sp.symbols("s c")
+    used = alpha * v_L * s  # the low type's deflated value of a used unit
+    # the high type replaces rather than keeps, and sells at the used price
+    # less the commission
+    late_new = v_H * (1 - s) + (1 - beta) * used
+    # the branded seller also keeps the commission on the used trade
+    take = late_new + beta * used if regime is B else late_new
+    # the first purchase prices in the discounted resale proceeds
+    first_new = v_H + delta * (1 - beta) * used
+    if model is TP:
+        objective = n_H * (first_new - c) + delta * n_H * (take - c)
+    else:
+        objective = n_H * first_new + delta / (1 - delta) * n_H * (take - c)
+    derived = -objective.diff(s) / objective.diff(c)
+
+    _, slope = tp.durability_condition(
+        ModelParams(**sym, cost=None, quality=None), model, regime
+    )
+    assert sp.simplify(sp.nsimplify(derived - slope)) == 0
+
+
 def test_envelope_rejects_unknown_parameter(canonical):
     with pytest.raises(ValueError):
         envelope_profit_derivative(canonical, T, "v_L")
