@@ -12,8 +12,9 @@ seed.
 Exit codes: 0 on success, 1 when a verified property fails (a counterexample
 dump is written next to the other outputs), 2 on usage or validation errors,
 including a durability first-order condition with no root below ``d_max``,
-an ``oracle-check`` grid that does not resolve the objective, and when a
-requested size does not fit in memory.
+an ``oracle-check`` grid that does not resolve the objective, when a
+requested size does not fit in memory, and when an output file cannot be
+written.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ __all__ = ["main", "build_parser", "UsageError"]
 CONFIG_SCHEMA = "recommerce-config/1"
 OUT_ENV_VAR = "RECOMMERCE_OUT"
 SHUTDOWN_NOTE = "market shutdown, lower types excluded"
-
-_SWEEP_PARAMETERS = ("alpha", "beta", "delta")
-
 
 @dataclasses.dataclass(frozen=True)
 class _Setting:
@@ -93,7 +91,8 @@ _SETTINGS = {
         "a finite positive number", DEFAULT_D_MAX,
     ),
     "parameter": _Setting(
-        "sweep", str, lambda v: isinstance(v, str), "a string", choices=_SWEEP_PARAMETERS
+        "sweep", str, lambda v: isinstance(v, str), "a string",
+        choices=statics_mod._SWEEPABLE,
     ),
     "start": _Setting("sweep", float, is_finite_number, "a finite number"),
     "stop": _Setting("sweep", float, is_finite_number, "a finite number"),
@@ -113,6 +112,10 @@ _SECTIONS = {
 }
 _TOP_KEYS = {"schema", "params", "out_dir", *_SECTIONS}
 _PARAM_FLAGS = ("alpha", "beta", "delta", "v_L", "n_H")
+
+
+# each enum's values in declaration order, for the subcommands' choices
+_VALUES = {kind: [member.value for member in kind] for kind in (ModelKind, Regime)}
 
 
 def _flag(name: str) -> str:
@@ -185,7 +188,7 @@ def _resolve_params(args, cfg: dict) -> ModelParams:
     return params
 
 
-def _inputs(args, block: str | None = None) -> tuple[dict, ModelParams | None]:
+def _inputs(args, block: str | None = None) -> ModelParams | None:
     """The input stage that every subcommand runs before it prints or
     writes anything:
 
@@ -194,11 +197,14 @@ def _inputs(args, block: str | None = None) -> tuple[dict, ModelParams | None]:
        flag, else its key in the config's ``solver`` or ``block`` section,
        else its default;
     3. resolve the params, for a subcommand that takes them;
-    4. range-check the flag values (the config's passed step 1).
+    4. range-check the flag values (the config's passed step 1);
+    5. set ``args.out`` to the output directory: ``--out``, else
+       ``RECOMMERCE_OUT``, else the config's ``out_dir``, else ``./out``. Its
+       nearest existing ancestor must be a directory.
 
-    Returns the config and the params. The handler then checks its own
-    inputs and the admissibility of the models it solves; its first written
-    file creates the output directory.
+    Returns the params. The handler then checks its own inputs and the
+    admissibility of the models it solves; its first written file creates
+    the output directory.
     """
 
     cfg = _load_config(args.config)
@@ -214,7 +220,14 @@ def _inputs(args, block: str | None = None) -> tuple[dict, ModelParams | None]:
         setting, value = _SETTINGS[name], getattr(args, name)
         if value is not None and not setting.ok(value):
             raise UsageError(f"{_flag(name)} must be {setting.must_be}, found {value}")
-    return cfg, params
+    out = args.out or os.environ.get(OUT_ENV_VAR) or cfg.get("out_dir") or "out"
+    if not isinstance(out, str):
+        raise UsageError(f"config out_dir must be a string, found {json.dumps(out)}")
+    args.out = Path(out)
+    existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+    if not existing.is_dir():
+        raise UsageError(f"output directory {out} cannot be made: {existing} is not a directory")
+    return params
 
 
 def _validate_for(
@@ -229,28 +242,11 @@ def _validate_for(
             )
 
 
-def _out_dir(args, cfg: dict) -> Path:
-    if getattr(args, "out", None):
-        out = Path(args.out)
-    elif os.environ.get(OUT_ENV_VAR):
-        out = Path(os.environ[OUT_ENV_VAR])
-    elif cfg.get("out_dir"):
-        out = Path(cfg["out_dir"])
-    else:
-        out = Path("out")
-    return out
+def _chosen(kind, arg: str) -> list:
+    """The members of ``kind`` that ``arg`` names: every one, in declaration
+    order, for ``both``."""
 
-
-def _models(arg: str) -> list[ModelKind]:
-    if arg == "both":
-        return [ModelKind.TWO_PERIOD, ModelKind.OLG]
-    return [ModelKind(arg)]
-
-
-def _regimes(arg: str) -> list[Regime]:
-    if arg == "both":
-        return [Regime.THIRD_PARTY, Regime.BRANDED]
-    return [Regime(arg)]
+    return list(kind) if arg == "both" else [kind(arg)]
 
 
 def _solve(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
@@ -265,11 +261,11 @@ def _solve(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
 
 
 def _cmd_solve(args) -> int:
-    cfg, params = _inputs(args)
-    models = _models(args.model)
-    regimes = _regimes(args.regime)
+    params = _inputs(args)
+    models = _chosen(ModelKind, args.model)
+    regimes = _chosen(Regime, args.regime)
     _validate_for(params, models, args.d_max)
-    out = _out_dir(args, cfg)
+    out = args.out
 
     payload: dict = {"params": params_to_dict(params)}
     for model in models:
@@ -303,16 +299,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, params = _inputs(args, "sweep")
+    params = _inputs(args, "sweep")
     parameter = args.parameter
     if None in (parameter, args.start, args.stop, args.steps):
         raise UsageError(
             "sweep needs --parameter, --start, --stop, and --steps "
             "(flags or the config sweep block)"
         )
-    if parameter not in _SWEEP_PARAMETERS:
+    if parameter not in statics_mod._SWEEPABLE:
         raise UsageError(
-            f"sweep parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, "
+            f"sweep parameter must be one of {', '.join(statics_mod._SWEEPABLE)}, "
             f"found {parameter!r}"
         )
     if getattr(args, parameter) is not None:
@@ -321,13 +317,13 @@ def _cmd_sweep(args) -> int:
             "does not read"
         )
     model = ModelKind(args.model)
-    regimes = _regimes(args.regime)
+    regimes = _chosen(Regime, args.regime)
     d_max = args.d_max
     values = np.linspace(args.start, args.stop, args.steps)
     for value in values:
         point = dataclasses.replace(params, **{parameter: float(value)})
         _validate_for(point, [model], d_max, f"sweep point {parameter}={value:.6g} fails")
-    out = _out_dir(args, cfg)
+    out = args.out
 
     reports = [
         statics_mod.monotonicity_sweep(params, regime, parameter, values, model, d_max=d_max)
@@ -370,10 +366,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg, params = _inputs(args)
+    params = _inputs(args)
     d_max = args.d_max
-    _validate_for(params, [ModelKind.TWO_PERIOD, ModelKind.OLG], d_max)
-    out = _out_dir(args, cfg)
+    _validate_for(params, list(ModelKind), d_max)
+    out = args.out
 
     rc = statics_mod.regime_comparison(params, d_max=d_max)
     rep.write_json(out / "compare.json", {"params": params_to_dict(params), "comparison": rc})
@@ -402,7 +398,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_olg_verify(args) -> int:
-    cfg, params = _inputs(args)
+    params = _inputs(args)
     d_max = args.d_max
     # NaN fails both comparisons
     if args.durability is not None and not (0.0 < args.durability <= d_max):
@@ -420,7 +416,7 @@ def _cmd_olg_verify(args) -> int:
                 f"({SHUTDOWN_NOTE}); pass --durability to audit a chosen value"
             )
         d_audit = sol.D_star
-    out = _out_dir(args, cfg)
+    out = args.out
 
     scan = oracle_mod.exhaustive_steady_state_scan(params, d_audit)
     rep.write_csv(
@@ -458,8 +454,8 @@ def _cmd_olg_verify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg, _ = _inputs(args, "verification")
-    out = _out_dir(args, cfg)
+    _inputs(args, "verification")
+    out = args.out
 
     scales = {
         name: getattr(args, name)
@@ -513,18 +509,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    cfg, params = _inputs(args)
+    params = _inputs(args)
     d_max = args.d_max
-    models = (ModelKind.TWO_PERIOD, ModelKind.OLG)
+    models = list(ModelKind)
     _validate_for(params, models, d_max)
-    out = _out_dir(args, cfg)
+    out = args.out
 
     grid = oracle_mod.GridSpec(0.0, d_max, args.grid_points)
     entries = []
     worst = 0.0
     unresolved, mismatched = [], []
     for model in models:
-        for regime in (Regime.THIRD_PARTY, Regime.BRANDED):
+        for regime in Regime:
             sol = _solve(params, model, regime, d_max)
             d_star = sol.D_star
             hit = oracle_mod.grid_argmax_profit(params, regime, model, grid)
@@ -618,38 +614,22 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = _subcommand(subs, "solve", _cmd_solve, "solve one parameter point")
-    sub.add_argument(
-        "--model",
-        choices=["two-period", "olg", "both"],
-        default="two-period",
-    )
-    sub.add_argument(
-        "--regime",
-        choices=["third-party", "branded", "both"],
-        default="both",
-    )
+    sub.add_argument("--model", choices=[*_VALUES[ModelKind], "both"], default="two-period")
+    sub.add_argument("--regime", choices=[*_VALUES[Regime], "both"], default="both")
 
     sub = _subcommand(
         subs, "sweep", _cmd_sweep, "sweep one parameter and classify monotonicity",
         ("parameter", "start", "stop", "steps"),
     )
-    sub.add_argument(
-        "--model", choices=["two-period", "olg"], default="two-period"
-    )
-    sub.add_argument(
-        "--regime",
-        choices=["third-party", "branded", "both"],
-        default="both",
-    )
+    sub.add_argument("--model", choices=_VALUES[ModelKind], default="two-period")
+    sub.add_argument("--regime", choices=[*_VALUES[Regime], "both"], default="both")
 
     _subcommand(subs, "compare", _cmd_compare, "side-by-side regime comparison")
 
     sub = _subcommand(
         subs, "olg-verify", _cmd_olg_verify, "exhaustively audit steady-state candidates"
     )
-    sub.add_argument(
-        "--regime", choices=["third-party", "branded"], default="third-party"
-    )
+    sub.add_argument("--regime", choices=_VALUES[Regime], default="third-party")
     sub.add_argument(
         "--durability",
         type=float,
@@ -692,6 +672,10 @@ def main(argv=None) -> int:
         # e.g. an oversized --grid-points; NumPy's message names the array
         detail = " ".join(str(exc).split())
         print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a write that fails after the input stage, e.g. a full disk
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
 
 

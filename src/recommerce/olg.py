@@ -189,8 +189,6 @@ def _per_period_profit(params: ModelParams, regime: Regime, s, c):
 def per_period_commission(params: ModelParams, regime: Regime, D) -> float:
     """Commission component inside the branded per-period margin."""
 
-    if regime is Regime.THIRD_PARTY:
-        return 0.0
     return _per_period_commission(params, regime, params.quality.value(D))
 
 

@@ -36,6 +36,7 @@ from .primitives import (
     Regime,
 )
 from .olg import (
+    _CELLS,
     Action,
     ActionProfile,
     FeasibilityReport,
@@ -367,8 +368,6 @@ def action_value(
         return p.alpha * v * s - p_u
     return 0.0
 
-
-_CELLS = ("h1", "h2", "l1", "l2")
 
 # An action attains a cell's best value when it falls short by at most this.
 _TIE_TOL = 1e-12

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Union
 
@@ -128,9 +128,6 @@ class PowerCost:
                 out = np.where(arr > 0.0, coef * arr ** (self.p - 2.0), np.inf)
         return _maybe_scalar(out, scalar)
 
-    def eval_triple(self, D):
-        return self.value(D), self.deriv(D), self.deriv2(D)
-
 
 @dataclass(frozen=True)
 class SaturatingExpQuality:
@@ -165,9 +162,6 @@ class SaturatingExpQuality:
         k2 = self.k * self.k
         return _maybe_scalar(-self.s_bar * k2 * np.exp(-self.k * arr), scalar)
 
-    def eval_triple(self, D):
-        return self.value(D), self.deriv(D), self.deriv2(D)
-
 
 @dataclass(frozen=True)
 class RationalQuality:
@@ -190,9 +184,6 @@ class RationalQuality:
     def deriv2(self, D):
         arr, scalar = _as_array(D)
         return _maybe_scalar(-2.0 * self.k / (arr + self.k) ** 3, scalar)
-
-    def eval_triple(self, D):
-        return self.value(D), self.deriv(D), self.deriv2(D)
 
 
 CostFn = PowerCost
@@ -256,7 +247,6 @@ def canonical_params() -> ModelParams:
 class Check:
     name: str
     passed: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -288,30 +278,25 @@ def validate_params(
     """
 
     p = params
-    checks: list[Check] = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(Check(name, bool(passed), detail))
-
-    add("valuations_ordered", p.v_H > p.v_L > 0.0, f"v_H={p.v_H}, v_L={p.v_L}")
-    add("shares_positive", p.n_H > 0.0 and p.n_L > 0.0, f"n_H={p.n_H}, n_L={p.n_L}")
-    add("discount_in_unit_interval", 0.0 < p.delta < 1.0, f"delta={p.delta}")
-    add("deflator_in_range", 0.0 < p.alpha <= 1.0, f"alpha={p.alpha}")
-    add("commission_in_range", 0.0 <= p.beta < 1.0, f"beta={p.beta}")
-
-    checks.extend(_family_checks(p.cost, p.quality, d_max))
-
     if model is ModelKind.TWO_PERIOD:
-        add("low_share_exceeds_high", p.n_L > p.n_H, f"n_L={p.n_L}, n_H={p.n_H}")
+        by_model = (Check("low_share_exceeds_high", bool(p.n_L > p.n_H)),)
     else:
-        add(
-            "cohort_shares_sum_to_one",
-            abs(p.n_H + p.n_L - 1.0) <= 1e-12,
-            f"n_H+n_L={p.n_H + p.n_L}",
+        by_model = (
+            Check("cohort_shares_sum_to_one", bool(abs(p.n_H + p.n_L - 1.0) <= 1e-12)),
+            Check("used_demand_covers_supply", bool(2.0 * p.n_L > p.n_H)),
         )
-        add("used_demand_covers_supply", 2.0 * p.n_L > p.n_H)
-
-    return ValidationReport(model=model, checks=tuple(checks))
+    return ValidationReport(
+        model,
+        (
+            Check("valuations_ordered", bool(p.v_H > p.v_L > 0.0)),
+            Check("shares_positive", bool(p.n_H > 0.0 and p.n_L > 0.0)),
+            Check("discount_in_unit_interval", bool(0.0 < p.delta < 1.0)),
+            Check("deflator_in_range", bool(0.0 < p.alpha <= 1.0)),
+            Check("commission_in_range", bool(0.0 <= p.beta < 1.0)),
+            *_family_checks(p.cost, p.quality, d_max),
+            *by_model,
+        ),
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -326,8 +311,8 @@ def _family_checks(cost: CostFn, quality: QualityFn, d_max: float) -> tuple[Chec
 
     grid = _check_grid(d_max)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cv, cd, cdd = cost.eval_triple(grid)
-        sv, sd, sdd = quality.eval_triple(grid)
+        cv, cd, cdd = cost.value(grid), cost.deriv(grid), cost.deriv2(grid)
+        sv, sd, sdd = quality.value(grid), quality.deriv(grid), quality.deriv2(grid)
         crossing = (np.diff(cd / sd) > 0.0).all()
     return (
         Check("cost_zero_at_origin", bool(cv[0] == 0.0 and cd[0] == 0.0)),
@@ -337,7 +322,7 @@ def _family_checks(cost: CostFn, quality: QualityFn, d_max: float) -> tuple[Chec
         Check("quality_below_one", bool((sv < 1.0).all())),
         Check("quality_strictly_increasing", bool((sd > 0.0).all())),
         Check("quality_strictly_concave", bool((sdd < 0.0).all())),
-        Check("foc_single_crossing", bool(crossing), "c'/s' must increase strictly"),
+        Check("foc_single_crossing", bool(crossing)),
     )
 
 
@@ -358,11 +343,6 @@ _COST_FAMILIES = {"power": PowerCost}
 _QUALITY_FAMILIES = {
     "saturating_exp": SaturatingExpQuality,
     "rational": RationalQuality,
-}
-_FAMILY_FIELDS = {
-    PowerCost: ("c0", "p"),
-    SaturatingExpQuality: ("s_bar", "k"),
-    RationalQuality: ("k",),
 }
 
 
@@ -393,7 +373,7 @@ def _family_from_dict(payload: dict, registry: dict, label: str):
             f"{label}: unknown family {family!r}; expected one of {sorted(registry)}"
         )
     cls = registry[family]
-    expected = set(_FAMILY_FIELDS[cls])
+    expected = {f.name for f in fields(cls)}
     unknown = set(data) - expected
     if unknown:
         raise ValueError(f"{label}: unknown keys {sorted(unknown)}")
@@ -436,7 +416,7 @@ def params_to_dict(params: ModelParams) -> dict:
         for name, cls in {**_COST_FAMILIES, **_QUALITY_FAMILIES}.items():
             if type(fn) is cls:
                 out = {"family": name}
-                out.update({f: getattr(fn, f) for f in _FAMILY_FIELDS[cls]})
+                out.update({f.name: getattr(fn, f.name) for f in fields(fn)})
                 return out
         raise ValueError(f"unregistered function family {type(fn)!r}")
 

@@ -153,18 +153,10 @@ SWEEP_COLUMNS = (
 
 AUDIT_COLUMNS = (
     "state",
-    "h1",
-    "h2",
-    "l1",
-    "l2",
+    *olg_mod._CELLS,
     "state_consistent",
     "market_clearing",
-    "ic_h2",
-    "ic_h1",
-    "ir_l2",
-    "ic_l1",
-    "ic_l2",
-    "ratio_cap",
+    *olg_mod.OLG_CONSTRAINT_NAMES,
     "dominated",
     "best_response_ok",
     "steady_state",

@@ -10,7 +10,9 @@ Three layers:
 * a seeded property harness that re-derives the package's headline claims on
   random parameter draws and cross-checks every optimum against the
   brute-force oracle. The harness is what the CLI ``verify`` subcommand runs
-  and what the acceptance suite calls at larger scale.
+  and what the acceptance suite calls at larger scale. ``_build_tasks`` is
+  its one list of properties; ``run_verification`` runs that list serially
+  or on ``jobs`` worker processes and returns the results in row order.
 
 Draws are uniform over a documented box (high valuation normalized to 1,
 low valuation in [0.5, 1), deflator in [0.6, 1], commission in [0, 0.6],
@@ -71,14 +73,13 @@ __all__ = [
     "foc_pool",
     "admissible_olg_pool",
     "PropertyResult",
-    "PROPERTY_NAMES",
     "run_verification",
 ]
 
 _SWEEPABLE = ("alpha", "beta", "delta")
 # Half-width of the centered finite differences of the value function.
 _FD_STEP = 1e-5
-_REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
+_REGIMES = tuple(Regime)
 
 
 # ======================================================================
@@ -1201,36 +1202,6 @@ def _prop_injected_failure() -> PropertyResult:
     )
 
 
-_PROPERTY_DISPATCH: dict[str, Callable[..., PropertyResult]] = {
-    "foc-grid-agreement": _prop_foc_grid,
-    "canonical-regression": _prop_canonical,
-    "alpha-beta-ladders": _prop_ladders,
-    "branded-durability-premium": _prop_durability_premium,
-    "commission-argmax-zero": _prop_commission_argmax,
-    "alpha-sensitivity-envelope": _prop_alpha_envelope,
-    "olg-steady-state-uniqueness": _prop_olg_unique,
-    "constraint-structure": _prop_constraints,
-    "efficiency-ordering": _prop_efficiency,
-}
-
-PROPERTY_NAMES = tuple(_PROPERTY_DISPATCH)
-
-# The order in which ``--jobs`` workers are handed the properties: longest
-# first at default scale, so no long task starts after the short ones. A
-# permutation of PROPERTY_NAMES; results still come back in that order.
-_DISPATCH_ORDER = (
-    "olg-steady-state-uniqueness",
-    "commission-argmax-zero",
-    "foc-grid-agreement",
-    "constraint-structure",
-    "alpha-sensitivity-envelope",
-    "alpha-beta-ladders",
-    "branded-durability-premium",
-    "efficiency-ordering",
-    "canonical-regression",
-)
-
-
 def _build_tasks(
     seed: int,
     foc_draws: int,
@@ -1239,9 +1210,10 @@ def _build_tasks(
     audit_draws: int,
     commission_points: int,
     d_max: float,
-) -> list[tuple[str, tuple]]:
-    """Draw and stack every pool once and bind each property to picklable
-    arguments."""
+) -> list[tuple[int, Callable[..., PropertyResult], tuple]]:
+    """The verify suite: each property's ``verify.csv`` row, its function
+    and its picklable arguments, in the order ``--jobs`` workers take them.
+    Every pool is drawn and stacked once."""
 
     foc_pools = {
         (model, regime): _stack(foc_pool(foc_draws, seed, model, regime))
@@ -1259,22 +1231,24 @@ def _build_tasks(
     pool_audit = _take(pool_olg, slice(audit_draws))
     pool_tp_small = _take(pool_tp, slice(audit_draws))
 
+    # longest first at default scale, so no long task starts after the
+    # short ones
     return [
-        ("foc-grid-agreement", (foc_pools, grid_points, d_max)),
-        ("canonical-regression", (grid_points, d_max)),
-        ("alpha-beta-ladders", (pool_tp, d_max)),
-        ("branded-durability-premium", (pool_tp, pool_olg, d_max)),
-        ("commission-argmax-zero", (pool_tp, pool_olg, commission_points, d_max)),
-        ("alpha-sensitivity-envelope", (pool_tp, pool_olg, d_max)),
-        ("olg-steady-state-uniqueness", (pool_audit, d_max)),
-        ("constraint-structure", (pool_tp_small, pool_audit, pool_any, d_max)),
-        ("efficiency-ordering", (pool_tp, d_max)),
+        (6, _prop_olg_unique, (pool_audit, d_max)),
+        (4, _prop_commission_argmax, (pool_tp, pool_olg, commission_points, d_max)),
+        (0, _prop_foc_grid, (foc_pools, grid_points, d_max)),
+        (7, _prop_constraints, (pool_tp_small, pool_audit, pool_any, d_max)),
+        (5, _prop_alpha_envelope, (pool_tp, pool_olg, d_max)),
+        (2, _prop_ladders, (pool_tp, d_max)),
+        (3, _prop_durability_premium, (pool_tp, pool_olg, d_max)),
+        (8, _prop_efficiency, (pool_tp, d_max)),
+        (1, _prop_canonical, (grid_points, d_max)),
     ]
 
 
-def _run_task(task: tuple[str, tuple]) -> PropertyResult:
-    name, args = task
-    return _PROPERTY_DISPATCH[name](*args)
+def _run_task(task: tuple[int, Callable[..., PropertyResult], tuple]) -> PropertyResult:
+    _, prop, args = task
+    return prop(*args)
 
 
 def run_verification(
@@ -1291,8 +1265,8 @@ def run_verification(
     """Run the full property suite and return one result per property.
 
     Deterministic for a fixed seed and scales: draw pools derive from the
-    seed alone, and results are assembled in the fixed property order no
-    matter how many workers run. ``inject_failure`` appends a deliberately
+    seed alone, and results come back in ``verify.csv`` row order however
+    many workers run the tasks. ``inject_failure`` appends a deliberately
     failing probe so callers can confirm failures are surfaced.
     """
 
@@ -1303,13 +1277,11 @@ def run_verification(
     if jobs > 1:
         import concurrent.futures as cf
 
-        args = dict(tasks)
-        ordered = [(name, args[name]) for name in _DISPATCH_ORDER]
         with cf.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            done = dict(zip(_DISPATCH_ORDER, pool.map(_run_task, ordered)))
-        results = [done[name] for name, _ in tasks]
+            done = list(pool.map(_run_task, tasks))
     else:
-        results = [_run_task(task) for task in tasks]
+        done = [_run_task(task) for task in tasks]
+    results = [result for _, result in sorted(zip((row for row, *_ in tasks), done))]
     if inject_failure:
         results.append(_prop_injected_failure())
     return results

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from recommerce import canonical_params, oracle, params_to_dict
+from recommerce import canonical_params, oracle, params_to_dict, statics
 from recommerce import olg as olg_mod
 from recommerce import two_period as tp
 from recommerce.primitives import (
@@ -522,6 +522,7 @@ def test_verify_matches_frozen_digests(tmp_path):
 
 
 OLG_ACTIVE = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "olg_active.json")
+CANONICAL = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "canonical.json")
 
 # SHA-256 of the sweep, compare and solve outputs written while single points
 # were solved by a scalar root helper and the value function and envelope
@@ -607,6 +608,17 @@ FROZEN_RUNS = {
     "oracle-check-olg": (
         ["oracle-check", "--config", OLG_ACTIVE],
         {"oracle_check.json": "adb36b6b91b83b892710e0c5ee316855edad108dad7af67934586cdc5b2f749c"},
+    ),
+    # every cell of the audit is a state, an action or a flag, so the active
+    # steady state and the shut-down canonical point at a chosen durability
+    # write the same table
+    "olg-verify-olg": (
+        ["olg-verify", "--config", OLG_ACTIVE],
+        {"olg_audit.csv": "cc1558cd58caa64b21f01fd70d5484eab72a302c2314755cf94a40e25fb73bf6"},
+    ),
+    "olg-verify-canonical": (
+        ["olg-verify", "--config", CANONICAL, "--durability", "0.12"],
+        {"olg_audit.csv": "cc1558cd58caa64b21f01fd70d5484eab72a302c2314755cf94a40e25fb73bf6"},
     ),
 }
 
@@ -950,6 +962,133 @@ def test_input_errors_come_before_output(tmp_path, capsys, config, argv):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize(
+    "command", ["solve", "sweep", "compare", "olg-verify", "verify", "oracle-check"]
+)
+def test_out_under_a_regular_file_is_an_input_error(
+    tmp_path, capsys, monkeypatch, command, source
+):
+    # the output directory is resolved and checked in the input stage, from
+    # whichever of the flag, the environment and the config gives it
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "x")
+    argv = [command]
+    if source == "flag":
+        argv += ["--out", out]
+    elif source == "env":
+        monkeypatch.setenv(OUT_ENV_VAR, out)
+    else:
+        argv += ["--config", write_config(tmp_path, out_dir=out)]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: output directory {out} cannot be made: {blocker} is not a directory\n"
+    assert blocker.read_text() == ""
+
+
+def test_config_out_dir_must_be_a_string(tmp_path, capsys):
+    assert main(["solve", "--config", write_config(tmp_path, out_dir=5)]) == 2
+    assert capsys.readouterr() == ("", "error: config out_dir must be a string, found 5\n")
+
+
+def test_a_failed_write_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def full_disk(path, obj):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr("recommerce.reporting.write_json", full_disk)
+    assert main(["compare", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    path = tmp_path / "x" / "compare.json"
+    assert err == f"error: [Errno 28] No space left on device: '{path}'\n"
+
+
+# ----------------------------------------------------------------------
+# fuzzed configs
+# ----------------------------------------------------------------------
+
+# the file a run that exits 1 must leave, per subcommand
+COUNTEREXAMPLE_FILES = {
+    "olg-verify": "olg_audit_counterexample.json",
+    "verify": "counterexample.json",
+    "oracle-check": "oracle_check.json",
+}
+TINY_VERIFY = {"draws": 2, "foc_draws": 1, "grid_points": 1000, "audit_draws": 1,
+               "commission_points": 11}
+
+
+def run_fuzzed(argv, out):
+    """Run one subcommand and hold it to the exit-code contract: 0; or 2
+    with one ``error:`` line and no output directory (but for the table of a
+    sweep with every point shut down); or 1 for a failed audit, property or
+    grid check, with the file that shows it."""
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)])
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if err.startswith("error: empty active region"):
+            assert sorted(f.name for f in out.iterdir()) == ["sweep.csv", "sweep_verdicts.json"]
+        else:
+            assert not out.exists(), (argv, err)
+    else:
+        assert code == 1, (argv, code, err)
+        assert (out / COUNTEREXAMPLE_FILES[argv[0]]).is_file(), (argv, err)
+    shutil.rmtree(out, ignore_errors=True)
+
+
+if given is not None:
+
+    def box_value(bounds):
+        return st.one_of(st.sampled_from(bounds), st.floats(*bounds))
+
+    BOX = statics.DEFAULT_BOX
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        fields=st.fixed_dictionaries(
+            {name: box_value(getattr(BOX, name))
+             for name in ("v_L", "alpha", "beta", "delta", "n_H")}
+        ),
+        family=st.sampled_from(ORACLE_FAMILIES),
+        d_max=st.sampled_from([DEFAULT_D_MAX, 1.0, 0.05]),
+        swept=st.sampled_from(statics._SWEEPABLE),
+        durability=st.sampled_from([None, 0.01, 0.12, 1.0]),
+        seed=st.integers(0, 3),
+    )
+    def test_fuzzed_configs_keep_the_exit_code_contract(
+        fields, family, d_max, swept, durability, seed
+    ):
+        params = dataclasses.replace(
+            canonical_params(), **fields, n_L=1.0 - fields["n_H"], cost=family[0],
+            quality=family[1],
+        )
+        start, stop = getattr(BOX, swept)
+        config = {
+            "schema": CONFIG_SCHEMA,
+            "params": params_to_dict(params),
+            "solver": {"d_max": d_max},
+            "sweep": {"parameter": swept, "start": start, "stop": stop, "steps": 3},
+            "verification": {"seed": seed, **TINY_VERIFY},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(config))
+            out = pathlib.Path(tmp) / "run"
+            audit = [] if durability is None else ["--durability", str(durability)]
+            for argv in (
+                ["solve", "--model", "both"], ["compare"], ["sweep"], ["olg-verify", *audit],
+                ["oracle-check", "--grid-points", "2001"], ["verify"],
+            ):
+                run_fuzzed([*argv, "--config", str(cfg)], out)
 
 
 # ----------------------------------------------------------------------
