@@ -455,6 +455,12 @@ def _cmd_olg_verify(args) -> int:
 
 def _cmd_verify(args) -> int:
     _inputs(args, "verification")
+    # every draw shares one cost/quality family; a d_max it fails would
+    # reject every draw, so it is checked here, on the canonical scalars
+    draws = dataclasses.replace(
+        canonical_params(), cost=statics_mod._DRAW_COST, quality=statics_mod._DRAW_QUALITY
+    )
+    _validate_for(draws, list(ModelKind), args.d_max, "the draw family fails")
     out = args.out
 
     scales = {

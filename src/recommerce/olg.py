@@ -20,8 +20,9 @@ stationary per-period stream::
     F(D) = n_H * g1(D) + delta/(1-delta) * R(D)
 
 where ``g1(D) = v_H + delta*alpha*(1-beta)*v_L*s(D)`` and ``R(D)`` is the
-per-cohort stationary margin. The first-order condition again factors into
-``c'(D) = M * s'(D)``, the ``k = 1`` rows of the table
+per-cohort stationary margin: :func:`objective_value` is ``F``, and
+:func:`discounted_stream` is the stream alone. The first-order condition
+again factors into ``c'(D) = M * s'(D)``, the ``k = 1`` rows of the table
 ``two_period.durability_condition``, with
 
 * third-party: ``M = (2-delta)*alpha*(1-beta)*v_L - v_H``
@@ -214,31 +215,23 @@ def _discounted_stream(params: ModelParams, regime: Regime, s, c):
     return p.delta / (1.0 - p.delta) * _per_period_profit(params, regime, s, c)
 
 
-def objective_value(
-    params: ModelParams, regime: Regime, D, include_entry_premium: bool = True
-):
+def objective_value(params: ModelParams, regime: Regime, D):
     """Seller objective F(D) (vectorized); extended by its own formula at D=0.
 
-    With ``include_entry_premium=False`` only the stationary stream G(D) is
-    scored. G is strictly decreasing in D for all admissible parameters (its
-    margin ``m*v_L - v_H`` is negative), so that switch always drives the
-    maximizer to zero; it exists to make the role of the entry term testable.
+    The stationary stream alone, G(D), is :func:`discounted_stream`. G is
+    strictly decreasing in D for all admissible parameters (its margin
+    ``m*v_L - v_H`` is negative), so the entry term is what makes positive
+    durability pay.
     """
 
     p = params
-    return _objective_value(
-        p, regime, p.quality.value(D), p.cost.value(D), include_entry_premium
-    )
+    return _objective_value(p, regime, p.quality.value(D), p.cost.value(D))
 
 
-def _objective_value(
-    params: ModelParams, regime: Regime, s, c, include_entry_premium: bool = True
-):
+def _objective_value(params: ModelParams, regime: Regime, s, c):
     """:func:`objective_value` at ``s = s(D)`` and ``c = c(D)``."""
 
     stream = _discounted_stream(params, regime, s, c)
-    if not include_entry_premium:
-        return stream
     return params.n_H * _prices(params, s).p1n + stream
 
 
@@ -503,11 +496,12 @@ def solve_olg(
     params: ModelParams,
     regime: Regime,
     d_max: float = DEFAULT_D_MAX,
-    include_entry_premium: bool = True,
 ) -> SteadyStateSolution:
     """Solve the stationary policy for one regime.
 
     An exactly zero margin classifies as shutdown and is flagged as a tie.
+    A shut-down market is the same record at D = 0, with no trade profile,
+    used price, used trade or slacks.
     ``no_active_steady_state`` is set when the interior candidate violates
     the valuation-ratio cap, in which case ``best_feasible_D`` is the largest
     durability satisfying it (the objective is increasing below the interior
@@ -515,72 +509,43 @@ def solve_olg(
     """
 
     margin, slope = durability_condition(params, ModelKind.OLG, regime)
-    d0_alt = zero_durability_alternatives(params)
-
-    if include_entry_premium and margin > 0.0:
+    active = margin > 0.0
+    if active:
         d_star = solve_foc(params, slope, d_max)
         s, c = params.quality.value(d_star), params.cost.value(d_star)
-        pr = _prices(params, s)
         # the public function, a traced layer of perfbench/, though it
         # evaluates s(D) once more
         slacks = constraint_slacks_olg(params, d_star)
-        constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
         cap_ok = slacks["ratio_cap"] >= -_SLACK_TOL
         best_feasible = d_star if cap_ok else _cap_boundary(params, d_star)
-        supply = params.n_H
-        demand = 2.0 * params.n_L
-        return SteadyStateSolution(
-            regime=regime,
-            market_mode=MarketMode.ACTIVE,
-            state=OlgState.HIGH_ONLY,
-            profile=STEADY_TRADE_PROFILE,
-            D_star=d_star,
-            p_n=pr.p2n,
-            p_u=pr.p2u,
-            entry_price=pr.p1n,
-            per_period_profit=_per_period_profit(params, regime, s, c),
-            per_period_commission=_per_period_commission(params, regime, s),
-            discounted_stream=_discounted_stream(params, regime, s, c),
-            objective_value=_objective_value(params, regime, s, c),
-            margin=margin,
-            used_supply=supply,
-            used_demand=demand,
-            rationed_fraction=supply / demand,
-            include_entry_premium=True,
-            slacks=slacks,
-            constraints_ok=constraints_ok,
-            no_active_steady_state=not cap_ok,
-            best_feasible_D=best_feasible,
-            d0_alternatives=d0_alt,
-            boundary_tie=False,
-        )
-
-    # shutdown, or stream-only scoring (G is strictly decreasing, so its
-    # maximizer is D = 0 whatever the margin)
-    s, c = params.quality.value(0.0), params.cost.value(0.0)
+        supply, demand = params.n_H, 2.0 * params.n_L
+    else:
+        # every admissible family is exactly 0 at D = 0, so no family call
+        d_star = s = c = best_feasible = supply = demand = 0.0
+        slacks, cap_ok = None, True
     pr = _prices(params, s)
     return SteadyStateSolution(
         regime=regime,
-        market_mode=MarketMode.SHUTDOWN,
+        market_mode=MarketMode.ACTIVE if active else MarketMode.SHUTDOWN,
         state=OlgState.HIGH_ONLY,
-        profile=None,
-        D_star=0.0,
+        profile=STEADY_TRADE_PROFILE if active else None,
+        D_star=d_star,
         p_n=pr.p2n,
-        p_u=None,
+        p_u=pr.p2u if active else None,
         entry_price=pr.p1n,
         per_period_profit=_per_period_profit(params, regime, s, c),
-        per_period_commission=0.0,
+        per_period_commission=_per_period_commission(params, regime, s),
         discounted_stream=_discounted_stream(params, regime, s, c),
-        objective_value=_objective_value(params, regime, s, c, include_entry_premium),
+        objective_value=_objective_value(params, regime, s, c),
         margin=margin,
-        used_supply=0.0,
-        used_demand=0.0,
-        rationed_fraction=0.0,
-        include_entry_premium=include_entry_premium,
-        slacks=None,
-        constraints_ok=True,
-        no_active_steady_state=False,
-        best_feasible_D=0.0,
-        d0_alternatives=d0_alt,
-        boundary_tie=include_entry_premium and margin == 0.0,
+        used_supply=supply,
+        used_demand=demand,
+        rationed_fraction=supply / demand if active else 0.0,
+        include_entry_premium=True,
+        slacks=slacks,
+        constraints_ok=not active or all(v >= -_SLACK_TOL for v in slacks.values()),
+        no_active_steady_state=not cap_ok,
+        best_feasible_D=best_feasible,
+        d0_alternatives=zero_durability_alternatives(params),
+        boundary_tie=margin == 0.0,
     )

@@ -175,9 +175,7 @@ class _Affine:
     __rmul__ = __mul__
 
 
-def _objective(
-    p: ModelParams, regime: Regime, model: ModelKind, include_entry_premium: bool, s, c
-):
+def _objective(p: ModelParams, regime: Regime, model: ModelKind, s, c):
     """The seller objective at resale quality ``s`` and unit cost ``c``,
     assembled from the revenue story: per-unit revenues times cohort masses,
     discounted. Elementwise, and affine in ``(s, c)``."""
@@ -194,7 +192,7 @@ def _objective(
     if model is ModelKind.TWO_PERIOD:
         return p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
     stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
-    return stream if not include_entry_premium else p.n_H * entry + stream
+    return p.n_H * entry + stream
 
 
 def _coefficients(f) -> tuple[float, float]:
@@ -217,7 +215,6 @@ def grid_argmax_profit(
     regime: Regime,
     model: ModelKind,
     grid: GridSpec | None = None,
-    include_entry_premium: bool = True,
 ) -> GridResult:
     """Maximize the seller objective by brute force over a durability grid.
 
@@ -243,7 +240,7 @@ def grid_argmax_profit(
         grid = GridSpec()
     p = params
     D, s, c, blocks = _grid_arrays(p.cost, p.quality, grid)
-    f = functools.partial(_objective, p, regime, model, include_entry_premium)
+    f = functools.partial(_objective, p, regime, model)
     B, C = _coefficients(f)
     with np.errstate(all="ignore"):
         bound = np.maximum(B * blocks.s_lo, B * blocks.s_hi) + np.maximum(
@@ -273,16 +270,15 @@ def grid_resolves(
     hit: GridResult,
     D: float,
 ) -> bool:
-    """Whether the grid tells its maximum ``hit`` (with the entry premium)
-    apart from its point nearest ``D``: their values of ``g`` differ by more
-    than its rounding there. Each product in ``g`` and their sum is off by
-    at most half an ulp of its result, so the difference by at most three
-    ulps of the largest. A steady state with a subnormal discount factor
-    reads flat."""
+    """Whether the grid tells its maximum ``hit`` apart from its point
+    nearest ``D``: their values of ``g`` differ by more than its rounding
+    there. Each product in ``g`` and their sum is off by at most half an
+    ulp of its result, so the difference by at most three ulps of the
+    largest. A steady state with a subnormal discount factor reads flat."""
 
     _, s, c, _ = _grid_arrays(params.cost, params.quality, grid)
     near = min(max(round((D - grid.lower) / grid.step), 0), grid.count - 1)
-    B, C = _coefficients(functools.partial(_objective, params, regime, model, True))
+    B, C = _coefficients(functools.partial(_objective, params, regime, model))
     parts = [(B * float(s[i]), C * float(c[i])) for i in (hit.index, near)]
     g_hit, g_near = (x + y for x, y in parts)
     ulp = max(math.ulp(v) for x, y in parts for v in (x, y, x + y))
@@ -449,8 +445,6 @@ def best_response_audit(
     D: float,
     state: OlgState,
     profile: ActionProfile,
-    p_n: float | None = None,
-    p_u: float | None = None,
     audits: dict[str, dict[Action, CellAudit]] | None = None,
 ) -> AuditReport:
     """Check each cell's prescribed action against its full menu.
@@ -460,16 +454,15 @@ def best_response_audit(
     first: sell-and-replace over keeping, buying used over doing nothing),
     which is how binding indifference conditions are resolved.
 
-    ``audits`` may carry :func:`cell_audits` of this state's
-    :func:`action_table` at these prices, computed once by a caller
-    auditing many profiles; the report then shares its cells.
+    Without ``audits`` the cells are valued at the posted prices
+    ``two_period.prices``. ``audits`` may carry :func:`cell_audits` of this
+    state's :func:`action_table`, computed once by a caller auditing many
+    profiles, or at other prices; the report then shares its cells.
     """
 
     if audits is None:
-        if p_n is None or p_u is None:
-            pr = prices(params, D)
-            p_n, p_u = pr.p2n, pr.p2u
-        audits = cell_audits(action_table(params, D, p_n, p_u, state))
+        pr = prices(params, D)
+        audits = cell_audits(action_table(params, D, pr.p2n, pr.p2u, state))
 
     h1 = audits["h1"][profile.h1]
     h2 = audits["h2"][profile.h2]

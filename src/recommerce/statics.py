@@ -590,7 +590,6 @@ def sample_filtered(
     n: int,
     seed_key: Sequence[int],
     predicate: Predicate,
-    max_attempts: int | None = None,
     screen: Screen | None = None,
 ) -> list[ModelParams]:
     """Rejection-sample ``n`` draws satisfying ``predicate``, deterministically.
@@ -599,11 +598,12 @@ def sample_filtered(
     given, maps a block to a boolean mask and must be a necessary condition:
     true wherever ``predicate`` is. ``predicate`` then runs, in draw order,
     only on the draws the screen passes, so the pool is the same with or
-    without the screen. ``max_attempts`` caps the raw draws.
+    without the screen. At most ``max(200_000, 2000 * n)`` raw draws are
+    made.
     """
 
     rng = np.random.default_rng(list(seed_key))
-    cap = max_attempts if max_attempts is not None else max(200_000, 2000 * n)
+    cap = max(200_000, 2000 * n)
     out: list[ModelParams] = []
     drawn = 0
     while drawn < cap:
@@ -625,7 +625,7 @@ def sample_filtered(
 def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
         return (
-            validate_params(cand, ModelKind.TWO_PERIOD).ok
+            validate_params(cand, ModelKind.TWO_PERIOD, d_max).ok
             and ladder_active(cand)
             and all(
                 equilibrium_feasible(cand, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES
@@ -637,7 +637,7 @@ def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
 
 def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
-        return validate_params(cand, ModelKind.OLG).ok and all(
+        return validate_params(cand, ModelKind.OLG, d_max).ok and all(
             equilibrium_feasible(cand, ModelKind.OLG, r, d_max) for r in _REGIMES
         )
 
@@ -664,9 +664,9 @@ def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
     return ok, screen
 
 
-def _foc_filters(model: ModelKind, regime: Regime) -> tuple[Predicate, Screen]:
+def _foc_filters(model: ModelKind, regime: Regime, d_max: float) -> tuple[Predicate, Screen]:
     def ok(cand: ModelParams) -> bool:
-        return validate_params(cand, model).ok and margin_active(cand, model, regime)
+        return validate_params(cand, model, d_max).ok and margin_active(cand, model, regime)
 
     return ok, lambda block: margin_active(block, model, regime)
 
@@ -693,20 +693,20 @@ def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParam
 
 
 def foc_pool(
-    n: int, seed: int, model: ModelKind, regime: Regime
+    n: int, seed: int, model: ModelKind, regime: Regime, d_max: float = DEFAULT_D_MAX
 ) -> list[ModelParams]:
     """Admissible margin-active draws for one (model, regime) cell."""
 
     tag = 10 * (1 + list(ModelKind).index(model)) + list(Regime).index(regime)
-    ok, screen = _foc_filters(model, regime)
+    ok, screen = _foc_filters(model, regime, d_max)
     return sample_filtered(n, (seed, 3, tag), ok, screen=screen)
 
 
-def admissible_olg_pool(n: int, seed: int) -> list[ModelParams]:
+def admissible_olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
     """Admissible draws with no activity filtering at all."""
 
     def ok(cand: ModelParams) -> bool:
-        return validate_params(cand, ModelKind.OLG).ok
+        return validate_params(cand, ModelKind.OLG, d_max).ok
 
     return sample_filtered(n, (seed, 4), ok)
 
@@ -1018,28 +1018,16 @@ def _prop_alpha_envelope(
         env, fd = np.zeros(shape), np.zeros(shape)
         for r, regime in enumerate(_REGIMES):
             for w, wrt in enumerate(wrts):
+                env[:, r, w] = envelope_profit_derivative(pool, regime, wrt, model, d_max=d_max)
+                fd[:, r, w] = fd_profit_derivative(pool, regime, wrt, model, d_max=d_max)
                 # the centered difference is a one-branch derivative
                 # estimate only when both perturbed points stay on the
                 # active side of the shutdown boundary
                 base = getattr(pool, wrt)
-                interior = np.flatnonzero(
-                    np.logical_and.reduce([
-                        margin_active(
-                            dataclasses.replace(pool, **{wrt: base + d}), model, regime
-                        )
-                        for d in (-_FD_STEP, _FD_STEP)
-                    ])
-                )
-                e = envelope_profit_derivative(
-                    _take(pool, interior), regime, wrt, model, d_max=d_max
-                )
-                big = np.abs(e) > 1e-8
-                lanes = interior[big]
-                checked[lanes, r, w] = True
-                env[lanes, r, w] = e[big]
-                fd[lanes, r, w] = fd_profit_derivative(
-                    _take(pool, lanes), regime, wrt, model, d_max=d_max
-                )
+                checked[:, r, w] = np.logical_and.reduce([
+                    margin_active(dataclasses.replace(pool, **{wrt: base + d}), model, regime)
+                    for d in (-_FD_STEP, _FD_STEP)
+                ]) & (np.abs(env[:, r, w]) > 1e-8)
         with np.errstate(divide="ignore", invalid="ignore"):
             bad = np.abs(env - fd) / np.abs(env) > 1e-4
         where = np.argwhere(checked)
@@ -1216,7 +1204,7 @@ def _build_tasks(
     Every pool is drawn and stacked once."""
 
     foc_pools = {
-        (model, regime): _stack(foc_pool(foc_draws, seed, model, regime))
+        (model, regime): _stack(foc_pool(foc_draws, seed, model, regime, d_max))
         for model in ModelKind
         for regime in Regime
     }
@@ -1225,7 +1213,7 @@ def _build_tasks(
         (
             two_period_pool(pool_draws, seed, d_max),
             olg_pool(pool_draws, seed, d_max),
-            admissible_olg_pool(audit_draws, seed),
+            admissible_olg_pool(audit_draws, seed, d_max),
         ),
     )
     pool_audit = _take(pool_olg, slice(audit_draws))

@@ -351,56 +351,41 @@ def solve(
     slacks; ``constraints_ok`` is False when any slack falls below
     ``-_SLACK_TOL``, which happens for parameter corners where the low type
     would rather buy new than used (the construction is then internally
-    inconsistent and downstream draws filter such points out).
+    inconsistent and downstream draws filter such points out). A shut-down
+    market is the same record at D = 0, with no used price or slacks and
+    :func:`shutdown_profit` as its total.
     """
 
     margin, slope = durability_condition(params, ModelKind.TWO_PERIOD, regime)
     d_social = _shared_social_durability(params, d_max)
-    shutdown = shutdown_profit(params)
-
-    if margin > 0.0:
+    active = margin > 0.0
+    if active:
         d_star = solve_foc(params, slope, d_max)
         s, c = params.quality.value(d_star), params.cost.value(d_star)
-        pr = _prices(params, s)
-        br = _profit(params, regime, s, c)
-        slacks = _constraint_slacks(params, s)
-        return TwoPeriodEquilibrium(
-            regime=regime,
-            market_mode=MarketMode.ACTIVE,
-            D_star=d_star,
-            D_social=d_social,
-            p1n=pr.p1n,
-            p2n=pr.p2n,
-            p2u=pr.p2u,
-            profit_total=br.total,
-            profit_period1=br.period1,
-            profit_period2=br.period2,
-            commission_revenue=br.commission,
-            welfare=_welfare(params, s, c),
-            margin=margin,
-            shutdown_profit=shutdown,
-            boundary_tie=False,
-            slacks=slacks,
-            constraints_ok=all(v >= -_SLACK_TOL for v in slacks.values()),
-        )
-
-    p = params
+    else:
+        # every admissible family is exactly 0 at D = 0, so no family call
+        d_star = s = c = 0.0
+    pr = _prices(params, s)
+    br = _profit(params, regime, s, c)
+    slacks = _constraint_slacks(params, s) if active else None
+    shutdown = shutdown_profit(params)
     return TwoPeriodEquilibrium(
         regime=regime,
-        market_mode=MarketMode.SHUTDOWN,
-        D_star=0.0,
+        market_mode=MarketMode.ACTIVE if active else MarketMode.SHUTDOWN,
+        D_star=d_star,
         D_social=d_social,
-        p1n=p.v_H,
-        p2n=p.v_H,
-        p2u=None,
-        profit_total=shutdown,
-        profit_period1=p.n_H * p.v_H,
-        profit_period2=p.delta * p.n_H * p.v_H,
-        commission_revenue=0.0,
-        welfare=shutdown,
+        p1n=pr.p1n,
+        p2n=pr.p2n,
+        p2u=pr.p2u if active else None,
+        # period1 + period2 at D = 0 can differ from it in the last bit
+        profit_total=br.total if active else shutdown,
+        profit_period1=br.period1,
+        profit_period2=br.period2,
+        commission_revenue=br.commission,
+        welfare=_welfare(params, s, c),
         margin=margin,
         shutdown_profit=shutdown,
         boundary_tie=margin == 0.0,
-        slacks=None,
-        constraints_ok=True,
+        slacks=slacks,
+        constraints_ok=not active or all(v >= -_SLACK_TOL for v in slacks.values()),
     )

@@ -944,12 +944,16 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         ({"sweep": {"parameter": "beta", "start": 0, "stop": 0.3, "steps": 2.5}}, ["sweep"]),
         (None, ["sweep", "--parameter", "beta", "--start", "0", "--stop", "0.3", "--steps", "2",
                 "--beta", "0.15"]),
+        # the draw family fails at these d_max: s(40) rounds to 1, and 1e300
+        # overflows the check grid
+        ({"solver": {"d_max": 40.0}}, ["verify"]),
+        ({"solver": {"d_max": 1e300}}, ["verify"]),
     ],
     ids=[
         "verify-alpha", "oracle-check-steady-state", "compare-steady-state",
         "olg-verify-negative-durability", "olg-verify-shutdown", "oracle-check-coarse-grid",
         "verify-no-draws", "sweep-no-steps", "verification-config-type", "sweep-config-type",
-        "sweep-swept-base-value",
+        "sweep-swept-base-value", "verify-draw-family-d-max-40", "verify-draw-family-d-max-1e300",
     ],
 )
 def test_input_errors_come_before_output(tmp_path, capsys, config, argv):

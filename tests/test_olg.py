@@ -245,12 +245,6 @@ def test_objective_at_zero(canonical):
     assert objective_value(canonical, T, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
-def test_stream_only_objective_degenerates(olg_feasible):
-    sol = solve_olg(olg_feasible, B, include_entry_premium=False)
-    assert sol.D_star == 0.0
-    assert not sol.include_entry_premium
-
-
 def test_zero_durability_alternatives(canonical):
     alts = zero_durability_alternatives(canonical)
     scale = 1 / (1 - canonical.delta)

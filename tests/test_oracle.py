@@ -26,15 +26,16 @@ from recommerce import (
 )
 from recommerce import oracle
 from recommerce.olg import check_steady_state, enumerate_profiles
-from recommerce.oracle import GridResult, ScanRow, action_value
+from recommerce.oracle import GridResult, ScanRow, action_table, action_value, cell_audits
 from recommerce.primitives import (
     DEFAULT_D_MAX,
     ModelParams,
     PowerCost,
     RationalQuality,
     SaturatingExpQuality,
+    validate_params,
 )
-from recommerce.statics import DEFAULT_BOX, foc_pool, olg_pool
+from recommerce.statics import DEFAULT_BOX, foc_pool, margin_active, olg_pool, sample_filtered
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -96,7 +97,7 @@ def test_grid_matches_first_order_solution_olg(olg_feasible, regime):
     assert res.value == pytest.approx(sol.objective_value, abs=1e-6)
 
 
-def written_objective(p, regime, model, include_entry_premium, s, c):
+def written_objective(p, regime, model, s, c):
     """The grid objective, written out apart from the oracle's."""
 
     used_price = p.alpha * p.v_L * s
@@ -111,12 +112,10 @@ def written_objective(p, regime, model, include_entry_premium, s, c):
     if model is ModelKind.TWO_PERIOD:
         return p.n_H * (entry - c) + p.delta * p.n_H * (seller_take_late - c)
     stream = p.delta / (1.0 - p.delta) * p.n_H * (seller_take_late - c)
-    return stream if not include_entry_premium else p.n_H * entry + stream
+    return p.n_H * entry + stream
 
 
-def one_shot_grid_argmax(
-    params, regime, model, grid=None, include_entry_premium=True, arrays=None
-):
+def one_shot_grid_argmax(params, regime, model, grid=None, arrays=None):
     """The grid oracle as one full-length ``np.argmax``: fresh D, s(D) and
     c(D) (or the given ``arrays``), ``B*s + C*c`` over the whole grid at
     once with ``B`` and ``C`` of the written-out objective, and that
@@ -130,7 +129,7 @@ def one_shot_grid_argmax(
         c = params.cost.value(D)
     else:
         D, s, c = arrays
-    f = functools.partial(written_objective, params, regime, model, include_entry_premium)
+    f = functools.partial(written_objective, params, regime, model)
     B, C = oracle._coefficients(f)
     idx = int(np.argmax(B * s + C * c))
     return GridResult(
@@ -143,26 +142,37 @@ def assert_same_hit(got, want):
     assert got.step == want.step
 
 
-FOC_CELLS = [(m, r) for m in ModelKind for r in Regime]
-# (model, regime, include_entry_premium): every objective the grid writes out
-OBJECTIVES = [(m, r, True) for m, r in FOC_CELLS] + [
-    (ModelKind.OLG, r, False) for r in Regime
-]
+# every (model, regime) objective the grid writes out
+OBJECTIVES = [(m, r) for m in ModelKind for r in Regime]
+# (model, regime, active): the seed-42 draws of each objective whose margin
+# is positive (the foc pool), or not: there the coefficient of s is the
+# margin times a positive factor, so it is negative
+POOLS = [(m, r, active) for m, r in OBJECTIVES for active in (True, False)]
 
 
 @pytest.fixture(scope="module")
-def seed42_foc_pools():
-    return {(m, r): foc_pool(40, 42, m, r) for m, r in FOC_CELLS}
+def seed42_pools():
+    pools = {}
+    for k, (model, regime) in enumerate(OBJECTIVES):
+
+        def shut(p, model=model, regime=regime):
+            return validate_params(p, model).ok and not margin_active(p, model, regime)
+
+        pools[model, regime, True] = foc_pool(40, 42, model, regime)
+        pools[model, regime, False] = sample_filtered(40, (42, 5, k), shut)
+    return pools
 
 
 @pytest.mark.parametrize(
-    "model,regime,entry", OBJECTIVES, ids=lambda v: getattr(v, "value", str(v))
+    "model,regime,active", POOLS, ids=lambda v: getattr(v, "value", str(v))
 )
-def test_chunked_grid_equals_one_shot_on_foc_pools(seed42_foc_pools, model, regime, entry):
+def test_chunked_grid_equals_one_shot_on_foc_pools(seed42_pools, model, regime, active):
     grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
-    for params in seed42_foc_pools[model, regime]:
-        got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
-        want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+    for params in seed42_pools[model, regime, active]:
+        B, _ = oracle._coefficients(functools.partial(written_objective, params, regime, model))
+        assert (B > 0.0) == active
+        got = grid_argmax_profit(params, regime, model, grid)
+        want = one_shot_grid_argmax(params, regime, model, grid)
         assert_same_hit(got, want)
 
 
@@ -175,12 +185,12 @@ BLOCK = oracle._BLOCK
     "count",
     [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 100_000],
 )
-def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_foc_pools, count):
+def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_pools, count):
     grid = GridSpec(0.0, DEFAULT_D_MAX, count)
-    for model, regime, entry in OBJECTIVES:
-        for params in seed42_foc_pools[model, regime][:5]:
-            got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
-            want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+    for model, regime, active in POOLS:
+        for params in seed42_pools[model, regime, active][:5]:
+            got = grid_argmax_profit(params, regime, model, grid)
+            want = one_shot_grid_argmax(params, regime, model, grid)
             assert_same_hit(got, want)
 
 
@@ -214,8 +224,8 @@ def test_chunk_fold_takes_first_index(monkeypatch, canonical, ties, nans, expect
     monkeypatch.setattr(
         oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
     )
-    for model, regime, entry in OBJECTIVES:
-        got = grid_argmax_profit(canonical, regime, model, grid, include_entry_premium=entry)
+    for model, regime in OBJECTIVES:
+        got = grid_argmax_profit(canonical, regime, model, grid)
         assert got.index == expected
         assert got.D_at_max == D[expected]
         assert (got.value == got.value) == (not nans)
@@ -253,14 +263,14 @@ FAMILIES = [
 @pytest.mark.parametrize(
     "family", FAMILIES, ids=lambda f: f"{f[0].p}-{type(f[1]).__name__}"
 )
-def test_pruned_grid_equals_one_shot_on_every_family(seed42_foc_pools, family):
+def test_pruned_grid_equals_one_shot_on_every_family(seed42_pools, family):
     cost, quality = family
     grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
-    for model, regime, entry in OBJECTIVES:
-        for params in seed42_foc_pools[model, regime][:10]:
+    for model, regime, active in POOLS:
+        for params in seed42_pools[model, regime, active][:10]:
             params = dataclasses.replace(params, cost=cost, quality=quality)
-            got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
-            want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+            got = grid_argmax_profit(params, regime, model, grid)
+            want = one_shot_grid_argmax(params, regime, model, grid)
             assert_same_hit(got, want)
 
 
@@ -271,9 +281,9 @@ def test_pruned_grid_equals_one_shot_on_flat_objectives(canonical, delta):
     # rounding near its peak and the first of the tied points must win
     params = dataclasses.replace(canonical, delta=delta)
     grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
-    for model, regime, entry in OBJECTIVES:
-        got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
-        want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+    for model, regime in OBJECTIVES:
+        got = grid_argmax_profit(params, regime, model, grid)
+        want = one_shot_grid_argmax(params, regime, model, grid)
         assert_same_hit(got, want)
 
 
@@ -307,12 +317,10 @@ def test_pruned_grid_equals_one_shot_on_non_finite_families(
     monkeypatch.setattr(
         oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
     )
-    for model, regime, entry in OBJECTIVES:
+    for model, regime in OBJECTIVES:
         with np.errstate(invalid="ignore" if s_edits else "raise"):
-            got = grid_argmax_profit(olg_feasible, regime, model, grid, include_entry_premium=entry)
-            want = one_shot_grid_argmax(
-                olg_feasible, regime, model, grid, include_entry_premium=entry, arrays=(D, s, c)
-            )
+            got = grid_argmax_profit(olg_feasible, regime, model, grid)
+            want = one_shot_grid_argmax(olg_feasible, regime, model, grid, arrays=(D, s, c))
         assert (got.index, got.D_at_max, got.step) == (want.index, want.D_at_max, want.step)
         assert got.value == want.value or (got.value != got.value and want.value != want.value)
 
@@ -334,16 +342,14 @@ def test_zero_coefficient_keeps_the_nan_of_an_infinity(monkeypatch, olg_feasible
         oracle, "_coefficients",
         lambda f: tuple(0.0 if i == zero else k for i, k in enumerate(coefficients(f))),
     )
-    for model, regime, entry in OBJECTIVES:
+    for model, regime in OBJECTIVES:
         with np.errstate(invalid="ignore"):
-            got = grid_argmax_profit(olg_feasible, regime, model, grid, include_entry_premium=entry)
-            want = one_shot_grid_argmax(
-                olg_feasible, regime, model, grid, include_entry_premium=entry, arrays=(D, s, c)
-            )
+            got = grid_argmax_profit(olg_feasible, regime, model, grid)
+            want = one_shot_grid_argmax(olg_feasible, regime, model, grid, arrays=(D, s, c))
         assert got.index == want.index == 5000
 
 
-def test_margin_covers_rounding_on_constant_grids(monkeypatch, seed42_foc_pools):
+def test_margin_covers_rounding_on_constant_grids(monkeypatch, seed42_pools):
     # s and c constant over the grid: every point takes the same value, which
     # each block's bound must not fall below, so the first point wins
     grid = GridSpec(0.0, 1.0, 2 * BLOCK + 1)
@@ -354,13 +360,13 @@ def test_margin_covers_rounding_on_constant_grids(monkeypatch, seed42_foc_pools)
         monkeypatch.setattr(
         oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
     )
-        for model, regime, entry in OBJECTIVES:
-            for params in seed42_foc_pools[model, regime][:10]:
-                got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
+        for model, regime, active in POOLS:
+            for params in seed42_pools[model, regime, active][:10]:
+                got = grid_argmax_profit(params, regime, model, grid)
                 assert got.index == 0
 
 
-def test_pruned_grid_evaluates_under_5_percent_of_the_grid(monkeypatch, seed42_foc_pools):
+def test_pruned_grid_evaluates_under_5_percent_of_the_grid(monkeypatch, seed42_pools):
     evaluated = []
     g = oracle._g
 
@@ -370,11 +376,11 @@ def test_pruned_grid_evaluates_under_5_percent_of_the_grid(monkeypatch, seed42_f
 
     monkeypatch.setattr(oracle, "_g", counted)
     grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
-    for model, regime, entry in OBJECTIVES:
-        for params in seed42_foc_pools[model, regime]:
+    for model, regime in OBJECTIVES:
+        for params in seed42_pools[model, regime, True]:
             evaluated.append(0)
-            grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
-    assert len(evaluated) == 6 * 40
+            grid_argmax_profit(params, regime, model, grid)
+    assert len(evaluated) == 4 * 40
     assert 0 < max(evaluated) < 0.05 * grid.count
 
 
@@ -414,10 +420,10 @@ if given is not None:
             cost=PowerCost(c0=c0, p=p),
             quality=RationalQuality(k=k) if rational else SaturatingExpQuality(s_bar=s_bar, k=k),
         )
-        model, regime, entry = objective
+        model, regime = objective
         grid = GridSpec(0.0, DEFAULT_D_MAX, count)
-        got = grid_argmax_profit(params, regime, model, grid, include_entry_premium=entry)
-        want = one_shot_grid_argmax(params, regime, model, grid, include_entry_premium=entry)
+        got = grid_argmax_profit(params, regime, model, grid)
+        want = one_shot_grid_argmax(params, regime, model, grid)
         assert_same_hit(got, want)
 
 
@@ -428,17 +434,6 @@ def test_grid_shutdown_pins_zero(canonical):
         res = grid_argmax_profit(weak, T, model, GridSpec(count=5_000))
         assert res.index == 0
         assert res.D_at_max == 0.0
-
-
-def test_grid_stream_only_olg_pins_zero(olg_feasible):
-    res = grid_argmax_profit(
-        olg_feasible,
-        B,
-        ModelKind.OLG,
-        GridSpec(count=5_000),
-        include_entry_premium=False,
-    )
-    assert res.index == 0
 
 
 @pytest.mark.parametrize(
@@ -582,9 +577,9 @@ def test_audit_honors_price_overrides(canonical):
     # a discounted used price hands the old low cohort strict surplus
     d = 0.12
     p_n, p_u = posted_prices(canonical, d)
+    table = action_table(canonical, d, p_n, p_u - 0.01, OlgState.HIGH_ONLY)
     rep = best_response_audit(
-        canonical, d, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE,
-        p_n=p_n, p_u=p_u - 0.01,
+        canonical, d, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE, audits=cell_audits(table)
     )
     l2 = next(c for c in rep.cells if c.cell == "l2")
     assert l2.prescribed_value == pytest.approx(0.01)
@@ -621,13 +616,12 @@ def test_scan_has_no_survivor_when_cap_fails(cap_failure):
 def assert_scan_equals_naive_per_row_audit(params, d):
     # each naive row audits from scratch; the scan passes every row its
     # state's precomputed cell audits
-    p_n, p_u = posted_prices(params, d)
     naive = tuple(
         ScanRow(
             state=state,
             profile=profile,
             feasibility=check_steady_state(params, d, state, profile),
-            audit=best_response_audit(params, d, state, profile, p_n=p_n, p_u=p_u),
+            audit=best_response_audit(params, d, state, profile),
         )
         for state in OlgState
         for profile in enumerate_profiles(state)

@@ -436,8 +436,9 @@ def test_ladder_filter(canonical):
 
 
 def test_sample_filtered_exhaustion():
-    with pytest.raises(RuntimeError):
-        sample_filtered(1, [9, 9], lambda p: False, max_attempts=300)
+    # a screen that rejects every block: the raw draws run out unchecked
+    with pytest.raises(RuntimeError, match="exhausted 200000 attempts with 0/1"):
+        sample_filtered(1, [9, 9], lambda p: True, screen=lambda b: np.zeros(b.beta.shape, bool))
 
 
 def test_block_draws_reproduce_one_at_a_time_uniforms():
@@ -460,7 +461,7 @@ _POOL_FILTERS = {
     "two-period": _two_period_filters(DEFAULT_D_MAX),
     "olg": _olg_filters(DEFAULT_D_MAX),
     **{
-        f"foc-{model.value}-{regime.value}": _foc_filters(model, regime)
+        f"foc-{model.value}-{regime.value}": _foc_filters(model, regime, DEFAULT_D_MAX)
         for model in ModelKind
         for regime in Regime
     },

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import enum
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from recommerce import (
 )
 from recommerce import olg, statics
 from recommerce import two_period as tp
-from recommerce.primitives import BracketError, ModelKind
+from recommerce.primitives import BracketError, ModelKind, canonical_params
 from recommerce.two_period import solve_foc
 
 T = Regime.THIRD_PARTY
@@ -403,13 +404,98 @@ def test_both_regimes_share_one_social_root(canonical, monkeypatch):
         assert [eq.D_social for eq in rc.two_period.values()] == [expected[i]] * 2
 
 
+# shut-down points of DEFAULT_BOX, in both models and both regimes: a
+# beta = 0 corner, the same with a two-period margin of exactly zero (a
+# tie), and a high-commission, high-discount point. At each, the two
+# periods' profits sum to a total one bit off the shutdown profit.
+SHUT_POINTS = {
+    "beta0": dict(v_L=0.5, alpha=0.6, beta=0.0, delta=0.6, n_H=0.1),
+    "tie": dict(v_L=0.5, alpha=1.0, beta=0.0, delta=0.6, n_H=0.1),
+    "high-beta": dict(v_L=0.7, alpha=0.7, beta=0.6, delta=0.95, n_H=0.35),
+}
+
+
+def shut_point(name):
+    kw = SHUT_POINTS[name]
+    return dataclasses.replace(canonical_params(), n_L=1.0 - kw["n_H"], **kw)
+
+
+# every field of the shut-down records, as the solvers wrote them when they
+# typed the record out by hand; margins per (third-party, branded)
+SHUT_RECORDS = {
+    (ModelKind.TWO_PERIOD, "beta0"): dict(
+        D_social=0.1598076901073745, profit_total=0.16000000000000003,
+        profit_period1=0.1, profit_period2=0.06, welfare=0.16000000000000003,
+        shutdown_profit=0.16000000000000003, boundary_tie=False, margin=(-0.4, -0.4),
+    ),
+    (ModelKind.TWO_PERIOD, "tie"): dict(
+        D_social=0.1598076901073745, profit_total=0.16000000000000003,
+        profit_period1=0.1, profit_period2=0.06, welfare=0.16000000000000003,
+        shutdown_profit=0.16000000000000003, boundary_tie=True, margin=(0.0, 0.0),
+    ),
+    (ModelKind.TWO_PERIOD, "high-beta"): dict(
+        D_social=0.2623350738222786, profit_total=0.6825, profit_period1=0.35,
+        profit_period2=0.33249999999999996, welfare=0.6825, shutdown_profit=0.6825,
+        boundary_tie=False, margin=(-0.6080000000000001, -0.31400000000000017),
+    ),
+    (ModelKind.OLG, "beta0"): dict(
+        per_period_profit=0.1, discounted_stream=0.15, objective_value=0.25,
+        d0_alternatives={"price_low_everyone": 2.5, "price_high_replacers": 0.5},
+        margin=(-0.5800000000000001, -0.5800000000000001),
+    ),
+    (ModelKind.OLG, "tie"): dict(
+        per_period_profit=0.1, discounted_stream=0.15, objective_value=0.25,
+        d0_alternatives={"price_low_everyone": 2.5, "price_high_replacers": 0.5},
+        margin=(-0.30000000000000004, -0.30000000000000004),
+    ),
+    (ModelKind.OLG, "high-beta"): dict(
+        per_period_profit=0.35, discounted_stream=6.649999999999993,
+        objective_value=6.999999999999993,
+        d0_alternatives={
+            "price_low_everyone": 27.999999999999975,
+            "price_high_replacers": 13.999999999999988,
+        },
+        margin=(-0.7942, -0.5002),
+    ),
+}
+SHUT_COMMON = {
+    ModelKind.TWO_PERIOD: dict(
+        market_mode="shutdown", D_star=0.0, p1n=1.0, p2n=1.0, p2u=None,
+        commission_revenue=0.0, slacks=None, constraints_ok=True,
+    ),
+    ModelKind.OLG: dict(
+        market_mode="shutdown", state="high-only", profile=None, D_star=0.0, p_n=1.0,
+        p_u=None, entry_price=1.0, per_period_commission=0.0, used_supply=0.0,
+        used_demand=0.0, rationed_fraction=0.0, include_entry_premium=True, slacks=None,
+        constraints_ok=True, no_active_steady_state=False, best_feasible_D=0.0,
+        boundary_tie=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+@pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(SHUT_POINTS))
+def test_shutdown_records_are_pinned_bit_for_bit(name, model, regime):
+    # repr tells every bit of a float apart, the sign of a zero included
+    solver = solve if model is ModelKind.TWO_PERIOD else olg.solve_olg
+    sol = solver(shut_point(name), regime)
+    want = {**SHUT_COMMON[model], **SHUT_RECORDS[model, name], "regime": regime.value}
+    want["margin"] = want["margin"][list(Regime).index(regime)]
+    got = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
+    assert got.keys() == want.keys()
+    for field, value in got.items():
+        value = value.value if isinstance(value, enum.Enum) else value
+        assert repr(value) == repr(want[field]), field
+
+
 @pytest.mark.parametrize("quality", [SaturatingExpQuality(1.0, 1.0), RationalQuality(0.5)])
 def test_solves_evaluate_each_family_once_after_the_root(
     canonical, olg_feasible, quality, monkeypatch
 ):
     # the roots use c'(D) and s'(D) only; everything after them is built
     # from one c(D) and one s(D), but for the s(D) of the active steady
-    # state's constraint_slacks_olg call
+    # state's constraint_slacks_olg call; a shut-down market calls neither
     calls = collections.Counter()
     for cls in (PowerCost, type(quality)):
 
@@ -419,10 +505,11 @@ def test_solves_evaluate_each_family_once_after_the_root(
 
         monkeypatch.setattr(cls, "value", counted)
     name = type(quality).__name__
-    for solver, point, mode, s_evals in [
-        (solve, canonical, MarketMode.ACTIVE, 1),
-        (olg.solve_olg, canonical, MarketMode.SHUTDOWN, 1),
-        (olg.solve_olg, olg_feasible, MarketMode.ACTIVE, 2),
+    for solver, point, mode, c_evals, s_evals in [
+        (solve, canonical, MarketMode.ACTIVE, 1, 1),
+        (solve, shut_point("beta0"), MarketMode.SHUTDOWN, 0, 0),
+        (olg.solve_olg, canonical, MarketMode.SHUTDOWN, 0, 0),
+        (olg.solve_olg, olg_feasible, MarketMode.ACTIVE, 1, 2),
     ]:
         point = dataclasses.replace(point, quality=quality)
         for regime in Regime:
@@ -430,7 +517,7 @@ def test_solves_evaluate_each_family_once_after_the_root(
             sol = solver(point, regime)
             assert sol.market_mode is mode
             assert getattr(sol, "no_active_steady_state", False) is False
-            assert calls == {"PowerCost": 1, name: s_evals}
+            assert calls == collections.Counter({"PowerCost": c_evals, name: s_evals})
 
 
 def test_social_bracket_error_propagates_from_solve(canonical):
