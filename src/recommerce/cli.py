@@ -406,10 +406,15 @@ def _cmd_olg_verify(args) -> int:
             f"--durability must be positive and at most d_max = {d_max!r}, "
             f"found {args.durability!r}"
         )
+    if args.durability is not None and args.regime is not None:
+        raise UsageError(
+            "--regime picks the solved durability to audit, which --durability "
+            "replaces; give one or the other"
+        )
     _validate_for(params, [ModelKind.OLG], d_max)
     d_audit = args.durability
     if d_audit is None:
-        sol = olg_mod.solve_olg(params, Regime(args.regime), d_max=d_max)
+        sol = olg_mod.solve_olg(params, Regime(args.regime or "third-party"), d_max=d_max)
         if sol.market_mode is tp.MarketMode.SHUTDOWN:
             raise UsageError(
                 "no active pre-owned steady state at these parameters "
@@ -635,7 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = _subcommand(
         subs, "olg-verify", _cmd_olg_verify, "exhaustively audit steady-state candidates"
     )
-    sub.add_argument("--regime", choices=_VALUES[Regime], default="third-party")
+    sub.add_argument(
+        "--regime", choices=_VALUES[Regime],
+        help="regime whose optimum is audited (default: third-party)",
+    )
     sub.add_argument(
         "--durability",
         type=float,

@@ -39,6 +39,12 @@ Two flat zero-durability mass policies (price ``v_L`` to everyone, or price
 solution. Under this module's per-cohort profit bookkeeping they dominate
 every active stream; they are reported, not used to unseat the active
 optimum, so that the regime comparison stays informative.
+
+:func:`check_steady_state` screens one candidate (state, action profile)
+pair: the stock it reproduces, used-market clearing, the constraint slacks,
+and four seller-side dominance arguments, which are decided from the state,
+the old high types' action and whether ``D > 0``, with no cost or quality
+evaluation.
 """
 
 from __future__ import annotations
@@ -306,18 +312,11 @@ def constraint_slacks_olg(params: ModelParams, D) -> dict[str, float]:
 class FeasibilityReport:
     """Outcome of checking one (state, profile) pair as a steady state."""
 
-    state: OlgState
-    profile: ActionProfile
     state_consistent: bool
-    used_supply: float
-    used_demand: float
     market_clearing: bool
-    slacks: dict[str, float] | None
+    slacks: dict[str, float]
     constraints_ok: bool
     dominated: bool
-    dominance_note: str
-    candidate_profit: float | None
-    alternative_profit: float | None
 
     @property
     def passes(self) -> bool:
@@ -371,6 +370,9 @@ def check_steady_state(
     dominance arguments that knock out whole profile classes. Dominance is
     only applied where a named argument exists: replacement-cycle states,
     keep-used patterns, discard-replace patterns, and empty-stock states.
+    Each argument's profit comparison holds for any ``s(D)`` in [0, 1] and
+    ``c(D) >= 0`` (the discard-replace one strictly where ``c(D) > 0``), so
+    the check evaluates neither family.
 
     ``slacks`` may carry ``constraint_slacks_olg(params, D)`` computed once
     by a caller auditing many profiles at one durability; the report then
@@ -398,53 +400,24 @@ def check_steady_state(
         slacks = constraint_slacks_olg(params, D)
     constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
 
-    dominated = False
-    note = ""
-    cand: float | None = None
-    alt: float | None = None
-    # cost and quality are evaluated inside the branches: most rows of a
-    # scan take none of them
-    if state is OlgState.ALL and state_consistent:
-        # whole population on a buy-new/resell cycle: per-period revenue is
-        # capped by the low valuation, beaten by flat v_L pricing at D=0
-        dominated = True
-        note = "all-hold replacement cycle vs zero-durability mass pricing"
-        cand = p.v_L * (1.0 + p.delta * p.quality.value(D)) - p.cost.value(D)
-        alt = 2.0 * p.v_L
-    elif state is OlgState.HIGH_ONLY and profile.h2 is Action.KEEP_USED:
-        dominated = True
-        note = "high keep-used pattern vs selling new to both high cohorts"
-        cand = p.n_H * (p.v_H * (1.0 + p.delta * p.quality.value(D)) - p.cost.value(D))
-        alt = 2.0 * p.n_H * p.v_H
-    elif (
-        state is OlgState.HIGH_ONLY
-        and profile.h2 is Action.BUY_NEW
-        and D > 0.0
-    ):
-        # discard-and-replace wastes the production cost of durability
-        dominated = True
-        note = "discard-replace pattern vs the same sales at zero durability"
-        cand = 2.0 * p.n_H * (p.v_H - p.cost.value(D))
-        alt = 2.0 * p.n_H * p.v_H
-    elif state is OlgState.NONE and state_consistent:
-        dominated = True
-        note = "empty-stock state earns nothing on repeat trade"
-        cand = 0.0
-        alt = 2.0 * max(p.v_L, p.n_H * p.v_H)
-
+    dominated = (
+        # the whole population on a buy-new/resell cycle earns at most
+        # v_L*(1 + delta*s) - c per period: flat v_L pricing at D = 0 earns 2*v_L
+        (state is OlgState.ALL and state_consistent)
+        # high keep-used earns n_H*(v_H*(1 + delta*s) - c): selling new to
+        # both high cohorts earns 2*n_H*v_H
+        or (state is OlgState.HIGH_ONLY and profile.h2 is Action.KEEP_USED)
+        # discard-and-replace makes the same sales as at D = 0 and pays c(D)
+        or (state is OlgState.HIGH_ONLY and profile.h2 is Action.BUY_NEW and D > 0.0)
+        # an empty stock earns nothing on repeat trade
+        or (state is OlgState.NONE and state_consistent)
+    )
     return FeasibilityReport(
-        state=state,
-        profile=profile,
         state_consistent=state_consistent,
-        used_supply=supply,
-        used_demand=demand,
         market_clearing=market_clearing,
         slacks=slacks,
         constraints_ok=constraints_ok,
         dominated=dominated,
-        dominance_note=note,
-        candidate_profit=cand,
-        alternative_profit=alt,
     )
 
 

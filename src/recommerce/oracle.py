@@ -14,8 +14,10 @@ Three instruments:
   steady-state objective;
 * horizon-truncated summation of the stationary profit stream, to check the
   closed-form geometric value;
-* an exhaustive best-response audit of every candidate steady-state action
-  profile at posted prices, including the seller-side feasibility screens.
+* an exhaustive scan of every candidate steady-state (state, action
+  profile) pair at posted prices: the seller-side feasibility screens, and a
+  best-response audit that every cell plays its selected action, the
+  tie-broken best of its menu, chosen once per cell and state.
 """
 
 from __future__ import annotations
@@ -59,9 +61,7 @@ __all__ = [
     "truncated_stream_error_bound",
     "action_value",
     "action_table",
-    "CellAudit",
-    "cell_audits",
-    "AuditReport",
+    "selected_actions",
     "best_response_audit",
     "ScanRow",
     "ScanResult",
@@ -387,57 +387,23 @@ def action_table(
     }
 
 
-@dataclass(frozen=True)
-class CellAudit:
-    cell: str
-    prescribed: Action
-    prescribed_value: float
-    best_value: float
-    attains_max: bool
-    selected: Action
-    is_selected: bool
-    values: dict[Action, float]
+def selected_actions(table: dict[str, dict[Action, float]]) -> dict[str, Action]:
+    """Each cell's tie-broken best action in one state's :func:`action_table`.
 
-
-@dataclass(frozen=True)
-class AuditReport:
-    state: OlgState
-    profile: ActionProfile
-    cells: tuple[CellAudit, ...]
-    all_attain: bool
-    all_selected: bool
-
-
-def cell_audits(
-    table: dict[str, dict[Action, float]],
-) -> dict[str, dict[Action, CellAudit]]:
-    """Every cell's audit for every action it could be prescribed.
-
-    A cell's best value, attaining set and tie-broken selection depend on
-    the state's :func:`action_table`, not on the profile, so an audit of
-    many profiles in one state builds these once and picks one per cell.
+    The actions that fall short of the cell's best value by at most
+    ``_TIE_TOL`` attain it; the selection is the first of them in
+    ``_SELECTION_PRIORITY`` (trade-creating actions first: sell-and-replace
+    over keeping, buying used over doing nothing), which is how binding
+    indifference conditions are resolved.
     """
 
-    audits = {}
+    selected = {}
     for cell in _CELLS:
         values = table[cell]
         best = max(values.values())
         attaining = {a for a, val in values.items() if val >= best - _TIE_TOL}
-        selected = next(a for a in _SELECTION_PRIORITY if a in attaining)
-        audits[cell] = {
-            a: CellAudit(
-                cell=cell,
-                prescribed=a,
-                prescribed_value=pv,
-                best_value=best,
-                attains_max=pv >= best - _TIE_TOL,
-                selected=selected,
-                is_selected=selected is a,
-                values=values,
-            )
-            for a, pv in values.items()
-        }
-    return audits
+        selected[cell] = next(a for a in _SELECTION_PRIORITY if a in attaining)
+    return selected
 
 
 def best_response_audit(
@@ -445,36 +411,20 @@ def best_response_audit(
     D: float,
     state: OlgState,
     profile: ActionProfile,
-    audits: dict[str, dict[Action, CellAudit]] | None = None,
-) -> AuditReport:
-    """Check each cell's prescribed action against its full menu.
+    selected: dict[str, Action] | None = None,
+) -> bool:
+    """Whether every cell's prescribed action is its selected best response.
 
-    ``attains_max`` is weak attainment within ``_TIE_TOL``; ``is_selected``
-    additionally applies the deterministic tie-break (trade-creating actions
-    first: sell-and-replace over keeping, buying used over doing nothing),
-    which is how binding indifference conditions are resolved.
-
-    Without ``audits`` the cells are valued at the posted prices
-    ``two_period.prices``. ``audits`` may carry :func:`cell_audits` of this
-    state's :func:`action_table`, computed once by a caller auditing many
-    profiles, or at other prices; the report then shares its cells.
+    Without ``selected`` the cells are valued at the posted prices
+    ``two_period.prices``. ``selected`` may carry :func:`selected_actions`
+    of this state's :func:`action_table`, computed once by a caller auditing
+    many profiles, or at other prices.
     """
 
-    if audits is None:
+    if selected is None:
         pr = prices(params, D)
-        audits = cell_audits(action_table(params, D, pr.p2n, pr.p2u, state))
-
-    h1 = audits["h1"][profile.h1]
-    h2 = audits["h2"][profile.h2]
-    l1 = audits["l1"][profile.l1]
-    l2 = audits["l2"][profile.l2]
-    return AuditReport(
-        state=state,
-        profile=profile,
-        cells=(h1, h2, l1, l2),
-        all_attain=all((h1.attains_max, h2.attains_max, l1.attains_max, l2.attains_max)),
-        all_selected=all((h1.is_selected, h2.is_selected, l1.is_selected, l2.is_selected)),
-    )
+        selected = selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
+    return all(profile.get(cell) is selected[cell] for cell in _CELLS)
 
 
 @dataclass(frozen=True)
@@ -482,11 +432,11 @@ class ScanRow:
     state: OlgState
     profile: ActionProfile
     feasibility: FeasibilityReport
-    audit: AuditReport
+    best_response_ok: bool
 
     @property
     def passes(self) -> bool:
-        return self.feasibility.passes and self.audit.all_selected
+        return self.feasibility.passes and self.best_response_ok
 
 
 @dataclass(frozen=True)
@@ -522,18 +472,18 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     (81 per state), applying the structural feasibility checks and the
     best-response audit. In the active region exactly one pair should
     survive: the high-only stock with the buy/sell-and-replace/used-used
-    trade pattern. Prices, constraint slacks and each state's cell audits
-    depend only on (params, D, state), so they are computed once per scan
-    and shared by the rows.
+    trade pattern. Prices, constraint slacks and each state's selected
+    actions depend only on (params, D, state), so they are computed once per
+    scan and shared by the rows.
     """
 
     pr = prices(params, D)
     slacks = constraint_slacks_olg(params, D)
     rows = []
     for state in OlgState:
-        audits = cell_audits(action_table(params, D, pr.p2n, pr.p2u, state))
+        selected = selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
         for profile in _profiles(state):
             feas = check_steady_state(params, D, state, profile, slacks=slacks)
-            audit = best_response_audit(params, D, state, profile, audits=audits)
-            rows.append(ScanRow(state=state, profile=profile, feasibility=feas, audit=audit))
+            ok = best_response_audit(params, D, state, profile, selected)
+            rows.append(ScanRow(state, profile, feas, ok))
     return ScanResult(D=D, p_n=pr.p2n, p_u=pr.p2u, rows=tuple(rows))

@@ -186,7 +186,7 @@ def audit_row(row: oracle_mod.ScanRow) -> list:
         feas.market_clearing,
         *slack_flags,
         feas.dominated,
-        row.audit.all_selected,
+        row.best_response_ok,
         row.passes,
     ]
 

@@ -458,7 +458,14 @@ def test_olg_verify_reports_uniqueness_failure(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
     payload = json.loads((out / "olg_audit_counterexample.json").read_text())
     assert payload["survivors"] == []
-    assert (out / "olg_audit.csv").exists()
+    # the failing audit's bytes, as written before the scan records were
+    # slimmed to the fields that the outputs read
+    for name, digest in {
+        "olg_audit.csv": "846df82e91f37584141016810cc7503502235cb377d6205e48a42058c99757c2",
+        "olg_audit_counterexample.json":
+            "dfa01bd5a6622f8b465456b3109f2ea9a692673ef4db4eb5294e96cfc394f101",
+    }.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 # ----------------------------------------------------------------------
@@ -937,6 +944,7 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         ({"params": STEADY_STATE_ONLY}, ["compare"]),
         (None, ["olg-verify", "--durability", "-1"]),
         (None, ["olg-verify"]),
+        (None, ["olg-verify", "--durability", "0.3", "--regime", "branded"]),
         (None, ["oracle-check", "--grid-points", "10"]),
         (None, ["verify", "--draws", "0"]),
         (None, ["sweep", "--parameter", "beta", "--start", "0", "--stop", "0.3", "--steps", "0"]),
@@ -951,7 +959,8 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
     ],
     ids=[
         "verify-alpha", "oracle-check-steady-state", "compare-steady-state",
-        "olg-verify-negative-durability", "olg-verify-shutdown", "oracle-check-coarse-grid",
+        "olg-verify-negative-durability", "olg-verify-shutdown",
+        "olg-verify-regime-with-durability", "oracle-check-coarse-grid",
         "verify-no-draws", "sweep-no-steps", "verification-config-type", "sweep-config-type",
         "sweep-swept-base-value", "verify-draw-family-d-max-40", "verify-draw-family-d-max-1e300",
     ],

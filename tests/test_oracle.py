@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 
@@ -26,7 +27,13 @@ from recommerce import (
 )
 from recommerce import oracle
 from recommerce.olg import check_steady_state, enumerate_profiles
-from recommerce.oracle import GridResult, ScanRow, action_table, action_value, cell_audits
+from recommerce.oracle import (
+    GridResult,
+    ScanRow,
+    action_table,
+    action_value,
+    selected_actions,
+)
 from recommerce.primitives import (
     DEFAULT_D_MAX,
     ModelParams,
@@ -545,45 +552,51 @@ def test_owner_actions_degrade_for_young_cells(canonical):
 # ----------------------------------------------------------------------
 
 
+def attains(values, action):
+    """Whether ``action`` falls short of the cell's best value by at most
+    the audit's tie tolerance."""
+
+    return values[action] >= max(values.values()) - oracle._TIE_TOL
+
+
 def test_trade_profile_audit_passes(canonical):
-    rep = best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE)
-    assert rep.all_attain
-    assert rep.all_selected
-    assert {c.cell for c in rep.cells} == {"h1", "h2", "l1", "l2"}
+    table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
+    assert list(table) == ["h1", "h2", "l1", "l2"]
+    assert all(attains(table[cell], STEADY_TRADE_PROFILE.get(cell)) for cell in table)
+    assert selected_actions(table) == {cell: STEADY_TRADE_PROFILE.get(cell) for cell in table}
+    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE) is True
 
 
 def test_indifferent_keeper_attains_but_not_selected(canonical):
     # at candidate prices old highs are exactly indifferent; the tie-break
     # sends the unit to the used market
     keepers = dataclasses.replace(STEADY_TRADE_PROFILE, h2=Action.KEEP_USED)
-    rep = best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, keepers)
-    h2 = next(c for c in rep.cells if c.cell == "h2")
-    assert h2.attains_max
-    assert not h2.is_selected
-    assert h2.selected is Action.SELL_AND_BUY_NEW
-    assert not rep.all_selected
+    table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
+    assert attains(table["h2"], Action.KEEP_USED)
+    assert selected_actions(table)["h2"] is Action.SELL_AND_BUY_NEW
+    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, keepers) is False
 
 
 def test_bad_action_fails_attainment(canonical):
     clunker = dataclasses.replace(STEADY_TRADE_PROFILE, l2=Action.BUY_NEW)
-    rep = best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, clunker)
-    l2 = next(c for c in rep.cells if c.cell == "l2")
-    assert not l2.attains_max
-    assert l2.prescribed_value < l2.best_value
-    assert not rep.all_attain
+    table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
+    assert not attains(table["l2"], Action.BUY_NEW)
+    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, clunker) is False
 
 
 def test_audit_honors_price_overrides(canonical):
-    # a discounted used price hands the old low cohort strict surplus
+    # a discounted used price hands the old low cohort strict surplus, and
+    # old highs, who resell for less, now keep their units
     d = 0.12
     p_n, p_u = posted_prices(canonical, d)
-    table = action_table(canonical, d, p_n, p_u - 0.01, OlgState.HIGH_ONLY)
-    rep = best_response_audit(
-        canonical, d, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE, audits=cell_audits(table)
-    )
-    l2 = next(c for c in rep.cells if c.cell == "l2")
-    assert l2.prescribed_value == pytest.approx(0.01)
-    assert l2.is_selected
+    state = OlgState.HIGH_ONLY
+    table = action_table(canonical, d, p_n, p_u - 0.01, state)
+    assert table["l2"][Action.BUY_USED] == pytest.approx(0.01)
+    selected = selected_actions(table)
+    assert selected["l2"] is Action.BUY_USED
+    assert selected["h2"] is Action.KEEP_USED
+    assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE) is True
+    assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE, selected) is False
 
 
 # ----------------------------------------------------------------------
@@ -615,13 +628,13 @@ def test_scan_has_no_survivor_when_cap_fails(cap_failure):
 
 def assert_scan_equals_naive_per_row_audit(params, d):
     # each naive row audits from scratch; the scan passes every row its
-    # state's precomputed cell audits
+    # state's precomputed selected actions
     naive = tuple(
         ScanRow(
             state=state,
             profile=profile,
             feasibility=check_steady_state(params, d, state, profile),
-            audit=best_response_audit(params, d, state, profile),
+            best_response_ok=best_response_audit(params, d, state, profile),
         )
         for state in OlgState
         for profile in enumerate_profiles(state)
@@ -631,13 +644,42 @@ def assert_scan_equals_naive_per_row_audit(params, d):
     assert scan.rows == naive
 
 
-@pytest.mark.parametrize("case", ["active", "shutdown", "cap-binding"])
+@pytest.mark.parametrize("case", ["active", "shutdown", "cap-binding", "rational"])
 def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failure, case):
-    params = {"active": olg_feasible, "shutdown": canonical, "cap-binding": cap_failure}[case]
+    params = {
+        "active": olg_feasible,
+        "shutdown": canonical,
+        "cap-binding": cap_failure,
+        "rational": dataclasses.replace(olg_feasible, quality=RationalQuality(k=0.5)),
+    }[case]
     sol = solve_olg(params, T)
     assert sol.market_mode.value == ("shutdown" if case == "shutdown" else "active-pre-owned")
     assert sol.no_active_steady_state == (case == "cap-binding")
     assert_scan_equals_naive_per_row_audit(params, sol.D_star)
+
+
+@pytest.mark.parametrize(
+    "quality",
+    [SaturatingExpQuality(1.0, 1.0), RationalQuality(0.5)],
+    ids=["saturating-exp", "rational"],
+)
+def test_scan_evaluates_quality_once_per_action_value(olg_feasible, quality, monkeypatch):
+    # one s(D) for the posted prices, one for the shared slacks and one per
+    # valued action: 4 cells x 3 actions x 3 states; the dominance arguments
+    # need neither family
+    calls = collections.Counter()
+    for cls in (PowerCost, type(quality)):
+
+        def counted(self, D, real=cls.value):
+            calls[type(self).__name__] += 1
+            return real(self, D)
+
+        monkeypatch.setattr(cls, "value", counted)
+    params = dataclasses.replace(olg_feasible, quality=quality)
+    for d in (0.12, 0.0):
+        calls.clear()
+        exhaustive_steady_state_scan(params, d)
+        assert calls == collections.Counter({type(quality).__name__: 38})
 
 
 @pytest.mark.parametrize("regime", [T, B])
