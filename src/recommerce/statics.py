@@ -99,25 +99,19 @@ def envelope_profit_derivative(
 
     Because D* satisfies the first-order condition, the derivative of the
     maximized objective equals the partial derivative of the objective at
-    D*. In the shutdown region the maximized value is the high-type-only
-    profit, which does not involve the deflator or the commission.
-    Elementwise when the parameter fields are arrays (one family); D* then
-    comes from one batched root per call. Scalar parameters give a float.
+    D*. The shutdown derivative is the same formula at D* = 0: there s(0) =
+    c(0) = 0, so the deflator and commission slopes are +0.0 and the
+    discount slope is that of the high-type-only profit. Without ``D_star``,
+    D* comes from :func:`_durabilities`. Elementwise when the parameter
+    fields are arrays (one family); D* then comes from one batched root per
+    call. Scalar parameters give a float.
     """
 
     if wrt not in _SWEEPABLE:
         raise ValueError(f"unsupported parameter {wrt!r}; expected one of {_SWEEPABLE}")
     p = params
-
     if D_star is None:
-        active = envelope_profit_derivative(
-            p, regime, wrt, model, _durabilities(p, model, regime, d_max), d_max
-        )
-        return _plain(
-            np.where(
-                margin_active(p, model, regime), active, _shutdown_derivative(p, wrt, model)
-            )
-        )
+        D_star = _durabilities(p, model, regime, d_max)
 
     s = p.quality.value(D_star)
     if model is ModelKind.TWO_PERIOD:
@@ -126,8 +120,9 @@ def envelope_profit_derivative(
             factor = 2.0 - 2.0 * p.beta if regime is Regime.THIRD_PARTY else 2.0 - p.beta
             return p.n_H * p.delta * factor * p.v_L * s
         if wrt == "beta":
+            # 0.0 - x, not -x: a zero slope at s = 0 stays +0.0
             factor = 2.0 if regime is Regime.THIRD_PARTY else 1.0
-            return -factor * p.n_H * p.delta * p.alpha * p.v_L * s
+            return 0.0 - factor * p.n_H * p.delta * p.alpha * p.v_L * s
         take = tp.replacement_margin(p, regime, s, c)
         return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + p.n_H * take
 
@@ -139,23 +134,12 @@ def envelope_profit_derivative(
         return p.n_H * p.delta * p.v_L * s * ((1.0 - p.beta) + 1.0 / (1.0 - p.delta))
     if wrt == "beta":
         if regime is Regime.THIRD_PARTY:
-            return (
-                -p.n_H * p.delta * p.alpha * p.v_L * s * (2.0 - p.delta) / (1.0 - p.delta)
+            return 0.0 - (
+                p.n_H * p.delta * p.alpha * p.v_L * s * (2.0 - p.delta) / (1.0 - p.delta)
             )
-        return -p.n_H * p.delta * p.alpha * p.v_L * s
+        return 0.0 - p.n_H * p.delta * p.alpha * p.v_L * s
     r = olg_mod.per_period_profit(p, regime, D_star)
     return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + r / (1.0 - p.delta) ** 2
-
-
-def _shutdown_derivative(params: ModelParams, wrt: str, model: ModelKind):
-    """Derivative of the shutdown profit (high types only, at ``v_H``)."""
-
-    if wrt != "delta":
-        return 0.0
-    p = params
-    if model is ModelKind.TWO_PERIOD:
-        return p.n_H * p.v_H
-    return p.n_H * p.v_H / (1.0 - p.delta) ** 2
 
 
 def value_function(
@@ -302,31 +286,27 @@ def monotonicity_sweep(
         raise ValueError(
             f"unsupported parameter {parameter!r}; expected one of {_SWEEPABLE}"
         )
-    points: list[SweepPoint] = []
-    for value in values:
-        pt = dataclasses.replace(params, **{parameter: float(value)})
-        if model is ModelKind.TWO_PERIOD:
-            eq = tp.solve(pt, regime, d_max=d_max)
-            mode, d_star, profit = eq.market_mode, eq.D_star, eq.profit_total
-            wel = eq.welfare
-        else:
-            sol = olg_mod.solve_olg(pt, regime, d_max=d_max)
-            mode, d_star, profit = sol.market_mode, sol.D_star, sol.objective_value
-            wel = math.nan
-        env = envelope_profit_derivative(pt, regime, parameter, model, d_max=d_max)
-        fd = fd_profit_derivative(pt, regime, parameter, model, d_max=d_max)
-        points.append(
-            SweepPoint(
-                param_value=float(value),
-                regime=regime,
-                market_mode=mode,
-                D_star=d_star,
-                profit=profit,
-                welfare=wel,
-                envelope_deriv=env,
-                fd_deriv=fd,
-            )
+    # each point is a lane, equal to the tp.solve or solve_olg of that point
+    values = np.asarray(values, dtype=float)
+    lanes = dataclasses.replace(params, **{parameter: values})
+    d_star, profit = _solved_values(lanes, model, regime, d_max)
+    welfare = tp.welfare(lanes, d_star) if model is ModelKind.TWO_PERIOD else math.nan
+    # broadcast: the two-period margin does not involve delta
+    live, *columns = np.broadcast_arrays(
+        margin_active(lanes, model, regime),
+        values,
+        d_star,
+        profit,
+        welfare,
+        envelope_profit_derivative(lanes, regime, parameter, model, d_star, d_max),
+        fd_profit_derivative(lanes, regime, parameter, model, d_max),
+    )
+    points = [
+        SweepPoint(
+            value, regime, tp.MarketMode.ACTIVE if is_live else tp.MarketMode.SHUTDOWN, *rest
         )
+        for is_live, value, *rest in zip(live.tolist(), *(col.tolist() for col in columns))
+    ]
 
     active = [pt for pt in points if pt.market_mode is tp.MarketMode.ACTIVE]
     verdicts = {
@@ -991,12 +971,12 @@ def _prop_alpha_envelope(
     tally = _Tally()
 
     base_b0 = dataclasses.replace(pool_tp, beta=np.zeros_like(pool_tp.beta))
-    lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha")[:, None]
+    lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha", d_max=d_max)[:, None]
     beta_t = pool_tp.beta[:, None] * fracs  # [draw, frac]
     rhs = np.stack(
         [
             envelope_profit_derivative(
-                dataclasses.replace(pool_tp, beta=b), Regime.THIRD_PARTY, "alpha"
+                dataclasses.replace(pool_tp, beta=b), Regime.THIRD_PARTY, "alpha", d_max=d_max
             )
             for b in beta_t.T
         ],

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -20,7 +21,7 @@ from recommerce import (
     value_function,
 )
 from recommerce import olg as olg_mod
-from recommerce import oracle
+from recommerce import oracle, statics
 from recommerce import two_period as tp
 from recommerce.primitives import (
     BracketError,
@@ -30,12 +31,15 @@ from recommerce.primitives import (
     SaturatingExpQuality,
     bisect_increasing,
 )
+from recommerce.cli import main
+from recommerce.reporting import fmt12
 from recommerce.statics import (
     DEFAULT_BOX,
     DEFAULT_D_MAX,
     LADDER_POINTS,
     LADDER_STEP,
     PropertyResult,
+    SweepPoint,
     _draw_block,
     _draw_row,
     _durabilities,
@@ -199,13 +203,21 @@ def test_branded_gains_weakly_more_from_deflator(canonical):
 
 
 def test_shutdown_envelope_values(canonical):
+    # the formulas at D* = 0 give the shutdown slopes, compared by repr so
+    # that a -0.0 slope fails; alone and among active lanes
     dead = dataclasses.replace(canonical, v_L=0.4)
-    assert envelope_profit_derivative(dead, T, "alpha", TP) == 0.0
-    assert envelope_profit_derivative(dead, T, "beta", TP) == 0.0
-    assert envelope_profit_derivative(dead, T, "delta", TP) == dead.n_H * dead.v_H
-    assert envelope_profit_derivative(dead, T, "delta", OLG) == dead.n_H * dead.v_H / (
-        1 - dead.delta
-    ) ** 2
+    mixed = _stack([canonical, dead, *admissible_olg_pool(40, 7)])
+    for model in (TP, OLG):
+        for regime in (T, B):
+            shut = ~margin_active(mixed, model, regime)
+            assert shut.any() and not shut.all()
+            for wrt in ("alpha", "beta", "delta"):
+                ref = _shutdown_slope(dead, wrt, model)
+                assert repr(envelope_profit_derivative(dead, regime, wrt, model)) == repr(ref)
+                env = envelope_profit_derivative(mixed, regime, wrt, model)
+                for i in np.flatnonzero(shut):
+                    ref = _shutdown_slope(_draw_row(mixed, i), wrt, model)
+                    assert repr(env[i].item()) == repr(ref)
 
 
 def test_value_function_shutdown_branch(canonical):
@@ -260,6 +272,87 @@ def test_olg_sweep_has_no_welfare_verdict(olg_feasible):
 def test_sweep_rejects_unknown_parameter(canonical):
     with pytest.raises(ValueError):
         monotonicity_sweep(canonical, T, "v_L", [0.7, 0.8])
+
+
+def _reference_sweep(params, regime, parameter, values, model):
+    """The sweep as one single-point solve per point; a shut-down point's
+    envelope slope is that of the high-type-only profit."""
+
+    points = []
+    for value in values:
+        pt = dataclasses.replace(params, **{parameter: float(value)})
+        if model is TP:
+            eq = tp.solve(pt, regime)
+            mode, d_star, profit, welfare = eq.market_mode, eq.D_star, eq.profit_total, eq.welfare
+        else:
+            sol = solve_olg(pt, regime)
+            mode, d_star, profit = sol.market_mode, sol.D_star, sol.objective_value
+            welfare = math.nan
+        env = (
+            envelope_profit_derivative(pt, regime, parameter, model, D_star=d_star)
+            if mode is tp.MarketMode.ACTIVE
+            else _shutdown_slope(pt, parameter, model)
+        )
+        fd = fd_profit_derivative(pt, regime, parameter, model)
+        points.append(SweepPoint(float(value), regime, mode, d_star, profit, welfare, env, fd))
+    return points
+
+
+_SWEEP_GRIDS = {
+    "alpha": np.linspace(0.5, 1.0, 11),
+    "beta": np.linspace(0.0, 0.9, 10),
+    "delta": np.linspace(0.1, 0.95, 18),
+}
+
+
+@pytest.mark.parametrize("model", [TP, OLG])
+@pytest.mark.parametrize("parameter", list(_SWEEP_GRIDS))
+def test_sweep_lanes_equal_single_point_solves(canonical, cap_failure, model, parameter):
+    # the grids cross the shutdown boundary; the two-period margin does not
+    # involve delta, so a shut-down base point gives a shut-down delta sweep,
+    # and cap_failure's own value on each grid is a cap-binding steady state
+    bases = [canonical, dataclasses.replace(canonical, v_L=0.5), cap_failure]
+    values = _SWEEP_GRIDS[parameter]
+    modes, cap_binding = set(), False
+    for base in bases:
+        for regime in (T, B):
+            rep = monotonicity_sweep(base, regime, parameter, values, model)
+            ref = _reference_sweep(base, regime, parameter, values, model)
+            assert len(rep.points) == len(ref)
+            for got, want in zip(rep.points, ref):
+                for field in dataclasses.fields(SweepPoint):
+                    name = field.name
+                    assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+                modes.add(got.market_mode)
+                pt = dataclasses.replace(base, **{parameter: got.param_value})
+                cap_binding |= model is OLG and solve_olg(pt, regime).no_active_steady_state
+    assert modes == set(tp.MarketMode)
+    assert cap_binding or model is TP
+
+
+def test_sweep_solves_only_the_roots_it_reports(tmp_path, canonical):
+    # at d_max = 0.2 the social root is out of reach, but no sweep point's D* is
+    d_max = 0.2
+    with pytest.raises(BracketError):
+        tp.social_optimal_durability(canonical, d_max)
+    config = tmp_path / "d-max-0.2.json"
+    config.write_text(json.dumps({"schema": "recommerce-config/1", "solver": {"d_max": d_max}}))
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config), "--parameter", "alpha",
+            "--start", "0.9", "--stop", "1.0", "--steps", "3", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    for row in rows:
+        regime = Regime(row["regime"])
+        pt = dataclasses.replace(canonical, alpha=float(row["param_value"]))
+        assert row["D_star"] == fmt12(tp.optimal_durability(pt, regime, d_max))
+    for regime in (T, B):
+        rep = monotonicity_sweep(canonical, regime, "alpha", np.linspace(0.9, 1.0, 3), d_max=d_max)
+        for got in rep.points:
+            pt = dataclasses.replace(canonical, alpha=got.param_value)
+            assert got.D_star == tp.optimal_durability(pt, regime, d_max)
 
 
 # ----------------------------------------------------------------------
@@ -1131,6 +1224,20 @@ def test_batched_properties_accept_empty_pools(canonical):
         _prop_constraints(empty, empty, empty, DEFAULT_D_MAX),
     ):
         assert (result.checks, result.violations, result.counterexample) == (0, 0, None)
+
+
+def test_alpha_envelope_solves_every_root_at_the_run_d_max(monkeypatch):
+    pool_tp, pool_olg = _stack(two_period_pool(4, 1)), _stack(olg_pool(4, 1))
+    seen = []
+    durabilities = statics._durabilities
+
+    def recording(params, model, regime, d_max):
+        seen.append(d_max)
+        return durabilities(params, model, regime, d_max)
+
+    monkeypatch.setattr(statics, "_durabilities", recording)
+    _prop_alpha_envelope(pool_tp, pool_olg, d_max=20.0)
+    assert seen and set(seen) == {20.0}
 
 
 # ----------------------------------------------------------------------
