@@ -240,6 +240,16 @@ def _validate_for(
                 f"{what} {model.value} admissibility: "
                 + ", ".join(c.name for c in report.failures())
             )
+        if model is ModelKind.TWO_PERIOD:
+            # k*M with k = delta/(1+delta) underflows to 0 at a subnormal
+            # delta, and then no d_max brackets the durability root
+            slopes = [tp.durability_condition(params, model, r) for r in Regime]
+            slopes.append((params.v_L, tp._social_slope(params)))
+            if any(margin > 0.0 and not slope > 0.0 for margin, slope in slopes):
+                raise UsageError(
+                    f"{what} {model.value} admissibility: at delta = {params.delta!r} "
+                    "the durability slope delta/(1+delta)*M underflows to 0"
+                )
 
 
 def _chosen(kind, arg: str) -> list:

@@ -328,6 +328,12 @@ class FeasibilityReport:
         )
 
 
+def _slacks_hold(slacks: dict[str, float]) -> bool:
+    """Whether every constraint slack is at least ``-_SLACK_TOL``."""
+
+    return all(v >= -_SLACK_TOL for v in slacks.values())
+
+
 def _buys_new(action: Action) -> bool:
     return action in (Action.BUY_NEW, Action.SELL_AND_BUY_NEW)
 
@@ -360,6 +366,7 @@ def check_steady_state(
     state: OlgState,
     profile: ActionProfile,
     slacks: dict[str, float] | None = None,
+    constraints_ok: bool | None = None,
 ) -> FeasibilityReport:
     """Structural feasibility of a candidate steady state.
 
@@ -376,7 +383,8 @@ def check_steady_state(
 
     ``slacks`` may carry ``constraint_slacks_olg(params, D)`` computed once
     by a caller auditing many profiles at one durability; the report then
-    shares that dict.
+    shares that dict. ``constraints_ok`` may carry ``_slacks_hold`` of that
+    dict, computed once likewise.
     """
 
     p = params
@@ -398,7 +406,8 @@ def check_steady_state(
 
     if slacks is None:
         slacks = constraint_slacks_olg(params, D)
-    constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
+    if constraints_ok is None:
+        constraints_ok = _slacks_hold(slacks)
 
     dominated = (
         # the whole population on a buy-new/resell cycle earns at most
@@ -516,7 +525,7 @@ def solve_olg(
         rationed_fraction=supply / demand if active else 0.0,
         include_entry_premium=True,
         slacks=slacks,
-        constraints_ok=not active or all(v >= -_SLACK_TOL for v in slacks.values()),
+        constraints_ok=not active or _slacks_hold(slacks),
         no_active_steady_state=not cap_ok,
         best_feasible_D=best_feasible,
         d0_alternatives=zero_durability_alternatives(params),

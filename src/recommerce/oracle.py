@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .primitives import (
 )
 from .olg import (
     _CELLS,
+    _slacks_hold,
     Action,
     ActionProfile,
     FeasibilityReport,
@@ -439,16 +440,65 @@ class ScanRow:
         return self.feasibility.passes and self.best_response_ok
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs() -> tuple[tuple[OlgState, ActionProfile], ...]:
+    """All 243 candidate (state, profile) pairs, in state then profile order."""
+
+    return tuple(
+        (state, profile) for state in OlgState for profile in enumerate_profiles(state)
+    )
+
+
 @dataclass(frozen=True)
 class ScanResult:
+    """Every candidate (state, profile) pair audited at durability ``D`` and
+    the posted prices ``p_n``, ``p_u``.
+
+    Each pair's best-response verdict is taken by the scan; its feasibility
+    report is built when read. ``rows`` holds one :class:`ScanRow` per pair,
+    in state then profile order, built on first read. ``survivors`` are the
+    rows that pass. Only a pair whose every cell plays its selected action
+    (one profile per state) can pass, so until ``rows`` is built,
+    ``survivors`` checks the feasibility of those pairs alone.
+    """
+
     D: float
     p_n: float
     p_u: float
-    rows: tuple[ScanRow, ...]
+    _params: ModelParams = field(repr=False)
+    _slacks: dict[str, float] = field(repr=False)
+    _constraints_ok: bool = field(repr=False)
+    # best_response_audit of each pair of _pairs(), in that order
+    _best_response_ok: tuple[bool, ...] = field(repr=False)
 
-    @property
+    def _feasibility(self, state: OlgState, profile: ActionProfile) -> FeasibilityReport:
+        return check_steady_state(
+            self._params,
+            self.D,
+            state,
+            profile,
+            slacks=self._slacks,
+            constraints_ok=self._constraints_ok,
+        )
+
+    @functools.cached_property
+    def rows(self) -> tuple[ScanRow, ...]:
+        return tuple(
+            ScanRow(state, profile, self._feasibility(state, profile), ok)
+            for (state, profile), ok in zip(_pairs(), self._best_response_ok)
+        )
+
+    @functools.cached_property
     def survivors(self) -> tuple[ScanRow, ...]:
-        return tuple(r for r in self.rows if r.passes)
+        if "rows" in self.__dict__:
+            return tuple(r for r in self.rows if r.passes)
+        survivors = []
+        for (state, profile), ok in zip(_pairs(), self._best_response_ok):
+            if ok:
+                feas = self._feasibility(state, profile)
+                if feas.passes:
+                    survivors.append(ScanRow(state, profile, feas, ok))
+        return tuple(survivors)
 
     @property
     def unique_survivor_is_trade_pattern(self) -> bool:
@@ -460,30 +510,33 @@ class ScanResult:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _profiles(state: OlgState) -> tuple[ActionProfile, ...]:
-    return tuple(enumerate_profiles(state))
-
-
 def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     """Audit all candidate (state, profile) pairs at the posted prices.
 
     Enumerates every action profile in every start-of-period stock state
-    (81 per state), applying the structural feasibility checks and the
-    best-response audit. In the active region exactly one pair should
-    survive: the high-only stock with the buy/sell-and-replace/used-used
-    trade pattern. Prices, constraint slacks and each state's selected
-    actions depend only on (params, D, state), so they are computed once per
-    scan and shared by the rows.
+    (81 per state) and runs the best-response audit on each; the structural
+    feasibility checks run when :class:`ScanResult` reads them. In the active
+    region exactly one pair should survive: the high-only stock with the
+    buy/sell-and-replace/used-used trade pattern. Prices, constraint slacks,
+    their verdict and each state's selected actions depend only on (params,
+    D, state), so they are computed once per scan and shared by the pairs.
     """
 
     pr = prices(params, D)
     slacks = constraint_slacks_olg(params, D)
-    rows = []
-    for state in OlgState:
-        selected = selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
-        for profile in _profiles(state):
-            feas = check_steady_state(params, D, state, profile, slacks=slacks)
-            ok = best_response_audit(params, D, state, profile, selected)
-            rows.append(ScanRow(state, profile, feas, ok))
-    return ScanResult(D=D, p_n=pr.p2n, p_u=pr.p2u, rows=tuple(rows))
+    selected = {
+        state: selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
+        for state in OlgState
+    }
+    return ScanResult(
+        D=D,
+        p_n=pr.p2n,
+        p_u=pr.p2u,
+        _params=params,
+        _slacks=slacks,
+        _constraints_ok=_slacks_hold(slacks),
+        _best_response_ok=tuple(
+            best_response_audit(params, D, state, profile, selected[state])
+            for state, profile in _pairs()
+        ),
+    )

@@ -1202,11 +1202,11 @@ def _build_tasks(
     # longest first at default scale, so no long task starts after the
     # short ones
     return [
-        (6, _prop_olg_unique, (pool_audit, d_max)),
         (4, _prop_commission_argmax, (pool_tp, pool_olg, commission_points, d_max)),
         (0, _prop_foc_grid, (foc_pools, grid_points, d_max)),
-        (7, _prop_constraints, (pool_tp_small, pool_audit, pool_any, d_max)),
+        (6, _prop_olg_unique, (pool_audit, d_max)),
         (5, _prop_alpha_envelope, (pool_tp, pool_olg, d_max)),
+        (7, _prop_constraints, (pool_tp_small, pool_audit, pool_any, d_max)),
         (2, _prop_ladders, (pool_tp, d_max)),
         (3, _prop_durability_premium, (pool_tp, pool_olg, d_max)),
         (8, _prop_efficiency, (pool_tp, d_max)),

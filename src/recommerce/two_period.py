@@ -148,10 +148,23 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
 def social_optimal_durability(params: ModelParams, d_max: float = DEFAULT_D_MAX):
     """Durability maximizing total surplus: c'(D) = delta/(1+delta)*v_L*s'(D).
 
-    Elementwise when the parameter fields are arrays (one family).
+    Elementwise when the parameter fields are arrays (one family). A root
+    beyond ``d_max`` raises a :class:`BracketError` whose message names the
+    social-planner durability: :func:`solve` solves it for every caller,
+    including those that do not report it.
     """
 
-    return solve_foc(params, params.delta / (1.0 + params.delta) * params.v_L, d_max)
+    try:
+        return solve_foc(params, _social_slope(params), d_max)
+    except BracketError as exc:
+        raise BracketError(f"social-planner durability D_social: {exc}") from exc
+
+
+def _social_slope(params: ModelParams):
+    """The slope ``delta/(1+delta)*v_L`` of the social planner's durability
+    condition (elementwise)."""
+
+    return params.delta / (1.0 + params.delta) * params.v_L
 
 
 @functools.lru_cache(maxsize=1)

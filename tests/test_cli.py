@@ -242,6 +242,21 @@ def test_unbracketed_root_exits_2_with_one_line(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "oracle-check"])
+def test_social_root_beyond_d_max_is_named(tmp_path, capsys, command):
+    # at the canonical point every profit-maximizing D* lies below 0.2 but
+    # the social planner's does not; oracle-check reads tp.solve, which
+    # solves it, though oracle_check.json does not hold it
+    cfg = write_config(tmp_path, solver={"d_max": 0.2})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: durability first-order condition has no root in (0, d_max]: "
+        "social-planner durability D_social: f(0.2) = -0.11025586432428791 is not positive\n",
+    )
+    assert not (tmp_path / "x").exists()
+
+
 def test_overflowing_d_max_exits_2_with_one_line(tmp_path, capsys):
     # d_max = 1e300 overflows the family-shape grid: the checks it breaks
     # fail, and no NumPy warning reaches stderr before the error line
@@ -956,6 +971,8 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         # overflows the check grid
         ({"solver": {"d_max": 40.0}}, ["verify"]),
         ({"solver": {"d_max": 1e300}}, ["verify"]),
+        # delta/(1+delta)*M underflows to 0: no d_max brackets the root
+        (None, ["oracle-check", "--delta", "5e-324"]),
     ],
     ids=[
         "verify-alpha", "oracle-check-steady-state", "compare-steady-state",
@@ -963,6 +980,7 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         "olg-verify-regime-with-durability", "oracle-check-coarse-grid",
         "verify-no-draws", "sweep-no-steps", "verification-config-type", "sweep-config-type",
         "sweep-swept-base-value", "verify-draw-family-d-max-40", "verify-draw-family-d-max-1e300",
+        "oracle-check-subnormal-delta",
     ],
 )
 def test_input_errors_come_before_output(tmp_path, capsys, config, argv):

@@ -642,6 +642,10 @@ def assert_scan_equals_naive_per_row_audit(params, d):
     scan = exhaustive_steady_state_scan(params, d)
     assert len(scan.rows) == 243
     assert scan.rows == naive
+    # survivors read before or after the rows are the passing rows
+    passing = tuple(r for r in naive if r.passes)
+    assert scan.survivors == passing
+    assert exhaustive_steady_state_scan(params, d).survivors == passing
 
 
 @pytest.mark.parametrize("case", ["active", "shutdown", "cap-binding", "rational"])
@@ -680,6 +684,26 @@ def test_scan_evaluates_quality_once_per_action_value(olg_feasible, quality, mon
         calls.clear()
         exhaustive_steady_state_scan(params, d)
         assert calls == collections.Counter({type(quality).__name__: 38})
+
+
+@pytest.mark.parametrize("case", ["active", "cap-binding"])
+def test_scan_survivors_check_only_the_best_responses(olg_feasible, cap_failure, case, monkeypatch):
+    # every pair is audited, but only the one best-response profile per
+    # state is checked for feasibility, and only a survivor becomes a row
+    params = olg_feasible if case == "active" else cap_failure
+    calls = collections.Counter()
+    for name in ("check_steady_state", "best_response_audit", "ScanRow"):
+
+        def counted(*args, real=getattr(oracle, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    scan = exhaustive_steady_state_scan(params, solve_olg(params, T).D_star)
+    assert scan.unique_survivor_is_trade_pattern == (case == "active")
+    assert calls == collections.Counter(
+        {"best_response_audit": 243, "check_steady_state": 3, "ScanRow": len(scan.survivors)}
+    )
 
 
 @pytest.mark.parametrize("regime", [T, B])
