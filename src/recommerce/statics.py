@@ -158,13 +158,16 @@ def value_function(
     return _plain(_solved_values(params, model, regime, d_max)[1])
 
 
-def _solved_values(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
-    """D* (see :func:`_durabilities`) and the maximized objective there,
-    each lane equal to the single-point ``tp.solve`` or ``solve_olg``: a
-    shut-down lane carries the two-period shutdown profit, or the
-    steady-state objective at its zero durability."""
+def _solved_values(
+    params: ModelParams, model: ModelKind, regime: Regime, d_max: float, d_star=None
+):
+    """D* (see :func:`_durabilities`, unless ``d_star`` gives it) and the
+    maximized objective there, each lane equal to the single-point
+    ``tp.solve`` or ``solve_olg``: a shut-down lane carries the two-period
+    shutdown profit, or the steady-state objective at its zero durability."""
 
-    d_star = _durabilities(params, model, regime, d_max)
+    if d_star is None:
+        d_star = _durabilities(params, model, regime, d_max)
     if model is ModelKind.OLG:
         return d_star, olg_mod.objective_value(params, regime, d_star)
     value = np.where(
@@ -181,21 +184,26 @@ def fd_profit_derivative(
     wrt: str,
     model: ModelKind = ModelKind.TWO_PERIOD,
     d_max: float = DEFAULT_D_MAX,
+    D_star: tuple | None = None,
 ) -> float:
     """Centered finite difference of the value function with half-width
     ``_FD_STEP``, re-solving D* at each perturbed parameter value (the total
-    derivative the envelope theorem predicts). Evaluation may step just
+    derivative the envelope theorem predicts), or taking the pair ``D_star``
+    solved there, at (value - step, value + step). Evaluation may step just
     outside the admissible box; all formulas extend continuously there.
     Elementwise when the parameter fields are arrays."""
 
     if wrt not in _SWEEPABLE:
         raise ValueError(f"unsupported parameter {wrt!r}; expected one of {_SWEEPABLE}")
     base = getattr(params, wrt)
-    hi = dataclasses.replace(params, **{wrt: base + _FD_STEP})
-    lo = dataclasses.replace(params, **{wrt: base - _FD_STEP})
-    return (
-        value_function(hi, regime, model, d_max) - value_function(lo, regime, model, d_max)
-    ) / (2.0 * _FD_STEP)
+    d_lo, d_hi = D_star or (None, None)
+    _, hi = _solved_values(
+        dataclasses.replace(params, **{wrt: base + _FD_STEP}), model, regime, d_max, d_hi
+    )
+    _, lo = _solved_values(
+        dataclasses.replace(params, **{wrt: base - _FD_STEP}), model, regime, d_max, d_lo
+    )
+    return _plain((hi - lo) / (2.0 * _FD_STEP))
 
 
 def _plain(value):
@@ -209,18 +217,60 @@ def _durabilities(params: ModelParams, model: ModelKind, regime: Regime, d_max: 
     shutdown durability 0.0 where the margin is not positive.
 
     Scalar parameters give a float; array fields (one cost/quality family)
-    give one lane each from one kernel call. Either way the value equals
-    the ``D_star`` of the single-point ``tp.solve`` or ``solve_olg`` bit
-    for bit.
+    give one lane each, the one-cell case of :func:`_cell_durabilities`.
+    Either way the value equals the ``D_star`` of the single-point
+    ``tp.solve`` or ``solve_olg`` bit for bit.
     """
 
     margin, slope = tp.durability_condition(params, model, regime)
     if np.ndim(slope) == 0:
         return tp.solve_foc(params, slope, d_max) if margin > 0.0 else 0.0
-    live = np.broadcast_to(margin > 0.0, np.shape(slope))
-    d_star = np.zeros(np.shape(slope))
-    d_star[live] = tp.solve_foc(params, slope[live], d_max)
-    return d_star
+    return _cell_durabilities([(params, model, regime)], d_max)[0]
+
+
+def _cell_durabilities(cells, d_max: float, refuse: bool = False) -> list[np.ndarray]:
+    """D* of every cell (params with array fields, model, regime) from one
+    :func:`two_period.solve_foc` call per cost/quality family.
+
+    A regime of None is the social planner's root. A lane whose margin is
+    not positive is 0.0; with ``refuse``, a two-period cell refuses it as
+    :func:`two_period.optimal_durability` does. Lanes are independent, so
+    each equals its single-point root bit for bit, and a failure raises the
+    error that solving the cells one at a time, in order, raises.
+    """
+
+    conditions = [
+        (1.0, tp._social_slope(p)) if r is None else tp.durability_condition(p, m, r)
+        for p, m, r in cells
+    ]
+    lives = [np.broadcast_to(margin > 0.0, np.shape(slope)) for margin, slope in conditions]
+    slopes = [np.asarray(slope)[live] for (_, slope), live in zip(conditions, lives)]
+
+    def one_at_a_time() -> None:
+        for (p, m, r), slope in zip(cells, slopes):
+            if r is None:
+                tp.social_optimal_durability(p, d_max)
+            elif refuse and m is ModelKind.TWO_PERIOD:
+                tp.optimal_durability(p, r, d_max=d_max)
+            else:
+                tp.solve_foc(p, slope, d_max)
+
+    if refuse and any(
+        m is ModelKind.TWO_PERIOD and r is not None and not live.all()
+        for (_, m, r), live in zip(cells, lives)
+    ):
+        one_at_a_time()  # raises the refusal, or an earlier cell's error
+    d_stars = [np.zeros(live.shape) for live in lives]
+    for family in dict.fromkeys((p.cost, p.quality) for p, _, _ in cells):
+        ks = [k for k, (p, _, _) in enumerate(cells) if (p.cost, p.quality) == family]
+        try:
+            roots = tp.solve_foc(cells[ks[0]][0], np.concatenate([slopes[k] for k in ks]), d_max)
+        except BracketError:
+            one_at_a_time()
+            raise
+        for k, part in zip(ks, np.split(roots, np.cumsum([slopes[k].size for k in ks])[:-1])):
+            d_stars[k][lives[k]] = part
+    return d_stars
 
 
 # ======================================================================
@@ -630,7 +680,7 @@ def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
         )
         lanes = _take(block, active)
         try:
-            d_stars = [_durabilities(lanes, ModelKind.OLG, r, d_max) for r in _REGIMES]
+            d_stars = _cell_durabilities([(lanes, ModelKind.OLG, r) for r in _REGIMES], d_max)
         except BracketError:
             # a root beyond d_max: the predicate raises it in draw order
             return active
@@ -767,18 +817,6 @@ def _take(params: ModelParams, idx) -> ModelParams:
     )
 
 
-def _optimal_durabilities(
-    params: ModelParams, model: ModelKind, regime: Regime, d_max: float
-) -> np.ndarray:
-    """The single-point optimum (``tp.optimal_durability``, which refuses a
-    shut-down market, or the ``D_star`` of ``solve_olg``) on every lane of a
-    ModelParams with array fields and one family."""
-
-    if model is ModelKind.TWO_PERIOD:
-        return tp.optimal_durability(params, regime, d_max=d_max)
-    return _durabilities(params, model, regime, d_max)
-
-
 def _prop_foc_grid(
     pools: dict[tuple[ModelKind, Regime], ModelParams],
     grid_points: int,
@@ -789,10 +827,9 @@ def _prop_foc_grid(
     tally = _Tally()
     notes = []
     grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
-    for (model, regime), pool in sorted(
-        pools.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        d_stars = _optimal_durabilities(pool, model, regime, d_max)
+    cells = [(pool, model, regime) for (model, regime), pool in sorted(pools.items())]
+    solved = _cell_durabilities(cells, d_max, refuse=True)
+    for (pool, model, regime), d_stars in zip(cells, solved):
         grid_d = [
             oracle_mod.grid_argmax_profit(_draw_row(pool, i), regime, model, grid).D_at_max
             for i in range(len(d_stars))
@@ -857,7 +894,7 @@ def _ladder_values(pool: ModelParams, d_max: float) -> tuple[np.ndarray, np.ndar
     """D* and maximized two-period profit on every ladder rung of every draw,
     as arrays indexed [regime, draw, wrt (alpha, beta), rung].
 
-    Each regime solves every rung of every ladder in one batched call, so
+    Both regimes solve every rung of every ladder in one batched call, so
     each D* equals the scalar ``tp.optimal_durability`` exactly, and profits
     come from ``tp.profit``.
     """
@@ -868,7 +905,9 @@ def _ladder_values(pool: ModelParams, d_max: float) -> tuple[np.ndarray, np.ndar
         climb = np.array([[name == wrt] for wrt in _LADDER_PARAMS]) * rungs
         fields[name] = getattr(pool, name)[:, None, None] + climb  # [draw, wrt, rung]
     lad = dataclasses.replace(pool, **fields)
-    d_stars = [_optimal_durabilities(lad, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES]
+    d_stars = _cell_durabilities(
+        [(lad, ModelKind.TWO_PERIOD, r) for r in _REGIMES], d_max, refuse=True
+    )
     profits = [tp.profit(lad, regime, d).total for regime, d in zip(_REGIMES, d_stars)]
     return np.stack(d_stars), np.stack(profits)
 
@@ -911,8 +950,11 @@ def _prop_durability_premium(
     """Branded durability strictly exceeds third-party durability."""
 
     tally = _Tally()
-    for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
-        d_t, d_b = (_optimal_durabilities(pool, model, r, d_max) for r in _REGIMES)
+    models = ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg))
+    cells = [(pool, model, r) for model, pool in models for r in _REGIMES]
+    d_stars = iter(_cell_durabilities(cells, d_max, refuse=True))
+    for model, pool in models:
+        d_t, d_b = next(d_stars), next(d_stars)
         tally.add(
             ~(d_b > d_t),
             lambda i: _params_payload(
@@ -968,20 +1010,37 @@ def _prop_alpha_envelope(
 
     fracs = (0.0, 0.5, 1.0)
     wrts = ("alpha", "beta")
+    models = ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg))
     tally = _Tally()
 
     base_b0 = dataclasses.replace(pool_tp, beta=np.zeros_like(pool_tp.beta))
-    lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha", d_max=d_max)[:, None]
     beta_t = pool_tp.beta[:, None] * fracs  # [draw, frac]
-    rhs = np.stack(
-        [
-            envelope_profit_derivative(
-                dataclasses.replace(pool_tp, beta=b), Regime.THIRD_PARTY, "alpha", d_max=d_max
-            )
-            for b in beta_t.T
-        ],
-        axis=1,
-    )
+    fields = {f: getattr(pool_tp, f)[None] for f in _SCALAR_FIELDS}
+    scaled = dataclasses.replace(pool_tp, **{**fields, "beta": beta_t.T})  # [frac, draw]
+    stepped = {  # the finite-difference points, +step then -step
+        (model, wrt): [
+            dataclasses.replace(pool, **{wrt: getattr(pool, wrt) + d})
+            for d in (_FD_STEP, -_FD_STEP)
+        ]
+        for model, pool in models
+        for wrt in wrts
+    }
+    # every root of the property, in the order they are read below
+    cells = [
+        (base_b0, ModelKind.TWO_PERIOD, Regime.BRANDED),
+        (scaled, ModelKind.TWO_PERIOD, Regime.THIRD_PARTY),
+        *(
+            (p, model, regime)
+            for model, pool in models
+            for regime in _REGIMES
+            for p in (pool, *stepped[model, "alpha"], *stepped[model, "beta"])
+        ),
+    ]
+    d_stars = iter(_cell_durabilities(cells, d_max))
+
+    lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha", D_star=next(d_stars))
+    rhs = envelope_profit_derivative(scaled, Regime.THIRD_PARTY, "alpha", D_star=next(d_stars))
+    lhs, rhs = lhs[:, None], rhs.T
     tally.add(
         ~np.where(beta_t > 0.0, lhs > rhs, lhs >= rhs - 1e-12),
         lambda i, j: _params_payload(
@@ -992,21 +1051,21 @@ def _prop_alpha_envelope(
         ),
     )
 
-    for model, pool in ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg)):
+    for model, pool in models:
         shape = (len(pool.beta), len(_REGIMES), len(wrts))
         checked = np.zeros(shape, dtype=bool)
         env, fd = np.zeros(shape), np.zeros(shape)
         for r, regime in enumerate(_REGIMES):
+            d_star = next(d_stars)
             for w, wrt in enumerate(wrts):
-                env[:, r, w] = envelope_profit_derivative(pool, regime, wrt, model, d_max=d_max)
-                fd[:, r, w] = fd_profit_derivative(pool, regime, wrt, model, d_max=d_max)
+                env[:, r, w] = envelope_profit_derivative(pool, regime, wrt, model, d_star, d_max)
+                d_hi, d_lo = next(d_stars), next(d_stars)
+                fd[:, r, w] = fd_profit_derivative(pool, regime, wrt, model, d_max, (d_lo, d_hi))
                 # the centered difference is a one-branch derivative
                 # estimate only when both perturbed points stay on the
                 # active side of the shutdown boundary
-                base = getattr(pool, wrt)
                 checked[:, r, w] = np.logical_and.reduce([
-                    margin_active(dataclasses.replace(pool, **{wrt: base + d}), model, regime)
-                    for d in (-_FD_STEP, _FD_STEP)
+                    margin_active(p, model, regime) for p in stepped[model, wrt]
                 ]) & (np.abs(env[:, r, w]) > 1e-8)
         with np.errstate(divide="ignore", invalid="ignore"):
             bad = np.abs(env - fd) / np.abs(env) > 1e-4
@@ -1034,7 +1093,7 @@ def _prop_olg_unique(pool: ModelParams, d_max: float) -> PropertyResult:
     each regime's optimal durability. The scan posts the two-period
     second-period prices there."""
 
-    d_stars = [_durabilities(pool, ModelKind.OLG, r, d_max) for r in _REGIMES]
+    d_stars = _cell_durabilities([(pool, ModelKind.OLG, r) for r in _REGIMES], d_max)
     tally = _Tally()
     for i in range(len(pool.beta)):
         params = _draw_row(pool, i)
@@ -1080,14 +1139,15 @@ def _prop_constraints(
     def lane(slacks: dict, i: int) -> dict[str, float]:
         return {name: float(v[i]) for name, v in slacks.items()}
 
-    for model, pool, slacks_at in (
+    models = (
         (ModelKind.TWO_PERIOD, pool_tp, tp.constraint_slacks),
         (ModelKind.OLG, pool_olg, olg_mod.constraint_slacks_olg),
-    ):
+    )
+    cells = [(pool, model, r) for model, pool, _ in models for r in _REGIMES]
+    d_stars = iter(_cell_durabilities(cells, d_max, refuse=True))
+    for model, pool, slacks_at in models:
         binding, holding = _BINDING_PATTERN[model]
-        slacks = [
-            slacks_at(pool, _optimal_durabilities(pool, model, r, d_max)) for r in _REGIMES
-        ]
+        slacks = [slacks_at(pool, next(d_stars)) for _ in _REGIMES]
         ok = np.stack(
             [
                 np.logical_and.reduce(
@@ -1140,8 +1200,9 @@ def _prop_efficiency(pool: ModelParams, d_max: float) -> PropertyResult:
     """Durability and welfare orderings: third-party below branded below the
     social benchmark, pointwise in every both-active draw."""
 
-    d_stars = [_optimal_durabilities(pool, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES]
-    d_stars.append(tp.social_optimal_durability(pool, d_max))
+    d_stars = _cell_durabilities(
+        [(pool, ModelKind.TWO_PERIOD, r) for r in (*_REGIMES, None)], d_max, refuse=True
+    )
     d = np.stack(d_stars, axis=1)  # [draw, (third-party, branded, social)]
     w = np.stack([tp.welfare(pool, x) for x in d_stars], axis=1)
     ordered = (d[:, 0] < d[:, 1]) & (d[:, 1] < d[:, 2])

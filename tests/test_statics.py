@@ -1229,15 +1229,138 @@ def test_batched_properties_accept_empty_pools(canonical):
 def test_alpha_envelope_solves_every_root_at_the_run_d_max(monkeypatch):
     pool_tp, pool_olg = _stack(two_period_pool(4, 1)), _stack(olg_pool(4, 1))
     seen = []
-    durabilities = statics._durabilities
+    solve_foc = tp.solve_foc
 
-    def recording(params, model, regime, d_max):
+    def recording(params, slope, d_max=DEFAULT_D_MAX):
         seen.append(d_max)
-        return durabilities(params, model, regime, d_max)
+        return solve_foc(params, slope, d_max)
 
-    monkeypatch.setattr(statics, "_durabilities", recording)
+    monkeypatch.setattr(statics.tp, "solve_foc", recording)
     _prop_alpha_envelope(pool_tp, pool_olg, d_max=20.0)
-    assert seen and set(seen) == {20.0}
+    # one batched root for the pools' one family, and no lane needed the
+    # scalar solver
+    assert seen == [20.0]
+
+
+# ----------------------------------------------------------------------
+# many-cell durability roots
+# ----------------------------------------------------------------------
+
+
+def _ladder_shape(pool):
+    """A [draw, 2, 3] climb of the deflator, the shape of the ladders."""
+
+    climb = np.arange(6).reshape(1, 2, 3) * LADDER_STEP
+    fields = {f: getattr(pool, f)[:, None, None] for f in statics._SCALAR_FIELDS}
+    return dataclasses.replace(pool, **{**fields, "alpha": fields["alpha"] + climb})
+
+
+def _counting_vec_calls(monkeypatch):
+    calls = []
+    bisect = tp.bisect_increasing_vec
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])  # the lane count
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(tp, "bisect_increasing_vec", counting)
+    return calls
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+def test_cell_durabilities_equal_cell_by_cell_roots(monkeypatch, refuse):
+    other = (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5))
+    active = two_period_pool(8, 3)
+    # the admissible pool is unfiltered, so it has shut-down lanes too
+    mixed = active + admissible_olg_pool(8, 3)
+    tp_pool = _stack(active if refuse else mixed)
+    tp_other = _stack([dataclasses.replace(p, cost=other[0], quality=other[1]) for p in active])
+    olg_other = _stack([dataclasses.replace(p, cost=other[0], quality=other[1]) for p in mixed])
+    cells = [
+        (tp_pool, TP, T),
+        (olg_other, OLG, B),
+        (_take(tp_pool, slice(0)), TP, B),
+        (_stack(mixed), OLG, T),
+        (tp_other, TP, None),
+        (_ladder_shape(tp_pool), TP, B),
+        (tp_other, TP, T),
+        (_take(olg_other, slice(0)), OLG, T),
+    ]
+    calls = _counting_vec_calls(monkeypatch)
+    solved = statics._cell_durabilities(cells, DEFAULT_D_MAX, refuse=refuse)
+    assert len(calls) == 2  # one batched root per family
+    monkeypatch.undo()
+    shutdowns = 0
+    for (params, model, regime), d_stars in zip(cells, solved):
+        if regime is None:
+            alone = tp.social_optimal_durability(params)
+        elif refuse and model is TP:
+            alone = tp.optimal_durability(params, regime)
+        else:
+            alone = _durabilities(params, model, regime, DEFAULT_D_MAX)
+        assert d_stars.shape == np.shape(alone)
+        assert d_stars.tobytes() == np.asarray(alone).tobytes()
+        if regime is not None and model is OLG:
+            for i, d in enumerate(d_stars):
+                assert d == solve_olg(_draw_row(params, i), regime).D_star
+        shutdowns += int(np.count_nonzero(d_stars == 0.0))
+    for i, d in enumerate(solved[0]):
+        assert d == tp.solve(_draw_row(tp_pool, i), T).D_star
+    # the steady-state cells shut down in either case, never refused
+    assert shutdowns > 0
+    assert refuse or np.any(solved[0] == 0.0)
+
+
+def test_cell_durabilities_refuse_a_shut_down_cell_like_the_scalar_solver(canonical):
+    shut = _stack([canonical, dataclasses.replace(canonical, v_L=0.5)])
+    with pytest.raises(ValueError) as single:
+        tp.optimal_durability(shut, B)
+    cells = [(_stack([canonical]), TP, T), (shut, TP, B)]
+    with pytest.raises(ValueError) as batched:
+        statics._cell_durabilities(cells, DEFAULT_D_MAX, refuse=True)
+    assert str(batched.value) == str(single.value)
+    # without refusal the shut-down lane is the shutdown durability
+    assert statics._cell_durabilities(cells, DEFAULT_D_MAX)[1][1] == 0.0
+
+
+def test_cell_durabilities_raise_the_first_failing_cells_error(canonical):
+    d_max = 0.1  # the canonical branded root, 0.1238, lies beyond it
+    flat = dataclasses.replace(
+        canonical, cost=PowerCost(c0=1e-6, p=2.0), quality=RationalQuality(k=1.0)
+    )
+    shut = dataclasses.replace(canonical, v_L=0.5)
+    ok, beyond, other, refused = (
+        (_stack([canonical]), TP, T),
+        (_stack([canonical]), TP, B),
+        (_stack([flat]), TP, T),
+        (_stack([shut]), TP, B),
+    )
+    errors = {}
+    for name, (params, model, regime) in (
+        ("beyond", beyond), ("other", other), ("refused", refused)
+    ):
+        with pytest.raises((BracketError, ValueError)) as single:
+            tp.optimal_durability(params, regime, d_max=d_max)
+        errors[name] = single.value
+    assert len({str(e) for e in errors.values()}) == 3
+    # the canonical family's cells are solved first, but a cell of the other
+    # family comes first in order
+    for cells, first in (
+        ([ok, other, beyond], "other"),
+        ([ok, beyond, other], "beyond"),
+        ([ok, refused, beyond], "refused"),
+        ([other, refused], "other"),
+    ):
+        with pytest.raises(type(errors[first])) as batched:
+            statics._cell_durabilities(cells, d_max, refuse=True)
+        assert str(batched.value) == str(errors[first])
+    # the social root keeps the error that names it
+    with pytest.raises(BracketError) as social:
+        tp.social_optimal_durability(canonical, d_max=0.2)
+    with pytest.raises(BracketError) as batched:
+        statics._cell_durabilities([ok, (_stack([canonical]), TP, None), ok], 0.2)
+    assert str(batched.value) == str(social.value)
+    assert "social-planner durability" in str(social.value)
 
 
 # ----------------------------------------------------------------------
@@ -1277,6 +1400,22 @@ def test_run_verification_small_scale():
         assert r.checks > 0
         assert r.violations == 0
         assert r.counterexample is None
+
+
+def test_each_property_solves_one_batched_root_per_family(monkeypatch):
+    args = dict(_SMALL, d_max=DEFAULT_D_MAX)
+    args.pop("seed")
+    tasks = statics._build_tasks(_SMALL["seed"], **args)
+    calls = _counting_vec_calls(monkeypatch)
+    counts = {}
+    for task in tasks:
+        calls.clear()
+        statics._run_task(task)
+        counts[task[1].__name__] = len(calls)
+    # the draws hold one family; the commission curves are one call per model
+    assert counts.pop("_prop_commission_argmax") == 2
+    assert counts.pop("_prop_canonical") == 0
+    assert counts == {name: 1 for name in counts} and len(counts) == len(VERIFY_ROWS) - 2
 
 
 def test_run_verification_parallel_matches_serial():
