@@ -243,8 +243,7 @@ def _validate_for(
         if model is ModelKind.TWO_PERIOD:
             # k*M with k = delta/(1+delta) underflows to 0 at a subnormal
             # delta, and then no d_max brackets the durability root
-            slopes = [tp.durability_condition(params, model, r) for r in Regime]
-            slopes.append((params.v_L, tp._social_slope(params)))
+            slopes = [tp.durability_condition(params, model, r) for r in (*Regime, None)]
             if any(margin > 0.0 and not slope > 0.0 for margin, slope in slopes):
                 raise UsageError(
                     f"{what} {model.value} admissibility: at delta = {params.delta!r} "
@@ -470,6 +469,11 @@ def _cmd_olg_verify(args) -> int:
 
 def _cmd_verify(args) -> int:
     _inputs(args, "verification")
+    if args.audit_draws > args.draws:
+        raise UsageError(
+            f"audit_draws ({args.audit_draws}) must not exceed draws ({args.draws}): "
+            "the audits take the head of the draw pools"
+        )
     # every draw shares one cost/quality family; a d_max it fails would
     # reject every draw, so it is checked here, on the canonical scalars
     draws = dataclasses.replace(

@@ -16,8 +16,8 @@ Three instruments:
   closed-form geometric value;
 * an exhaustive scan of every candidate steady-state (state, action
   profile) pair at posted prices: the seller-side feasibility screens, and a
-  best-response audit that every cell plays its selected action, the
-  tie-broken best of its menu, chosen once per cell and state.
+  best-response audit that the profile is its state's selected one, each
+  cell playing the tie-broken best of its menu.
 """
 
 from __future__ import annotations
@@ -388,8 +388,9 @@ def action_table(
     }
 
 
-def selected_actions(table: dict[str, dict[Action, float]]) -> dict[str, Action]:
-    """Each cell's tie-broken best action in one state's :func:`action_table`.
+def selected_actions(table: dict[str, dict[Action, float]]) -> ActionProfile:
+    """The state's best-response profile: each cell's tie-broken best action
+    in one state's :func:`action_table`.
 
     The actions that fall short of the cell's best value by at most
     ``_TIE_TOL`` attain it; the selection is the first of them in
@@ -398,13 +399,12 @@ def selected_actions(table: dict[str, dict[Action, float]]) -> dict[str, Action]
     indifference conditions are resolved.
     """
 
-    selected = {}
-    for cell in _CELLS:
-        values = table[cell]
-        best = max(values.values())
-        attaining = {a for a, val in values.items() if val >= best - _TIE_TOL}
-        selected[cell] = next(a for a in _SELECTION_PRIORITY if a in attaining)
-    return selected
+    def best(values: dict[Action, float]) -> Action:
+        top = max(values.values())
+        attaining = {a for a, val in values.items() if val >= top - _TIE_TOL}
+        return next(a for a in _SELECTION_PRIORITY if a in attaining)
+
+    return ActionProfile(**{cell: best(table[cell]) for cell in _CELLS})
 
 
 def best_response_audit(
@@ -412,9 +412,10 @@ def best_response_audit(
     D: float,
     state: OlgState,
     profile: ActionProfile,
-    selected: dict[str, Action] | None = None,
+    selected: ActionProfile | None = None,
 ) -> bool:
-    """Whether every cell's prescribed action is its selected best response.
+    """Whether ``profile`` is the state's best-response profile: every cell
+    plays its selected action.
 
     Without ``selected`` the cells are valued at the posted prices
     ``two_period.prices``. ``selected`` may carry :func:`selected_actions`
@@ -425,7 +426,7 @@ def best_response_audit(
     if selected is None:
         pr = prices(params, D)
         selected = selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
-    return all(profile.get(cell) is selected[cell] for cell in _CELLS)
+    return profile == selected
 
 
 @dataclass(frozen=True)
@@ -454,12 +455,11 @@ class ScanResult:
     """Every candidate (state, profile) pair audited at durability ``D`` and
     the posted prices ``p_n``, ``p_u``.
 
-    Each pair's best-response verdict is taken by the scan; its feasibility
-    report is built when read. ``rows`` holds one :class:`ScanRow` per pair,
-    in state then profile order, built on first read. ``survivors`` are the
-    rows that pass. Only a pair whose every cell plays its selected action
-    (one profile per state) can pass, so until ``rows`` is built,
-    ``survivors`` checks the feasibility of those pairs alone.
+    A pair passes the best-response audit exactly when its profile is its
+    state's selected profile, so at most one pair per state passes.
+    ``rows`` holds one :class:`ScanRow` per pair, in state then profile
+    order, built on first read. ``survivors`` are the passing rows, built
+    from the selected pairs alone.
     """
 
     D: float
@@ -468,37 +468,25 @@ class ScanResult:
     _params: ModelParams = field(repr=False)
     _slacks: dict[str, float] = field(repr=False)
     _constraints_ok: bool = field(repr=False)
-    # best_response_audit of each pair of _pairs(), in that order
-    _best_response_ok: tuple[bool, ...] = field(repr=False)
+    # each state's selected_actions, in OlgState order
+    _selected: dict[OlgState, ActionProfile] = field(repr=False)
 
-    def _feasibility(self, state: OlgState, profile: ActionProfile) -> FeasibilityReport:
-        return check_steady_state(
-            self._params,
-            self.D,
-            state,
-            profile,
-            slacks=self._slacks,
-            constraints_ok=self._constraints_ok,
+    def _row(self, state: OlgState, profile: ActionProfile) -> ScanRow:
+        p, D = self._params, self.D
+        feasibility = check_steady_state(
+            p, D, state, profile, slacks=self._slacks, constraints_ok=self._constraints_ok
         )
+        ok = best_response_audit(p, D, state, profile, self._selected[state])
+        return ScanRow(state, profile, feasibility, ok)
 
     @functools.cached_property
     def rows(self) -> tuple[ScanRow, ...]:
-        return tuple(
-            ScanRow(state, profile, self._feasibility(state, profile), ok)
-            for (state, profile), ok in zip(_pairs(), self._best_response_ok)
-        )
+        return tuple(self._row(state, profile) for state, profile in _pairs())
 
     @functools.cached_property
     def survivors(self) -> tuple[ScanRow, ...]:
-        if "rows" in self.__dict__:
-            return tuple(r for r in self.rows if r.passes)
-        survivors = []
-        for (state, profile), ok in zip(_pairs(), self._best_response_ok):
-            if ok:
-                feas = self._feasibility(state, profile)
-                if feas.passes:
-                    survivors.append(ScanRow(state, profile, feas, ok))
-        return tuple(survivors)
+        rows = (self._row(state, profile) for state, profile in self._selected.items())
+        return tuple(row for row in rows if row.passes)
 
     @property
     def unique_survivor_is_trade_pattern(self) -> bool:
@@ -513,21 +501,18 @@ class ScanResult:
 def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     """Audit all candidate (state, profile) pairs at the posted prices.
 
-    Enumerates every action profile in every start-of-period stock state
-    (81 per state) and runs the best-response audit on each; the structural
-    feasibility checks run when :class:`ScanResult` reads them. In the active
-    region exactly one pair should survive: the high-only stock with the
-    buy/sell-and-replace/used-used trade pattern. Prices, constraint slacks,
-    their verdict and each state's selected actions depend only on (params,
-    D, state), so they are computed once per scan and shared by the pairs.
+    Every start-of-period stock state has 81 action profiles and one
+    best-response profile, its :func:`selected_actions`; the scan values
+    each state's menus once to select it, and :class:`ScanResult` runs the
+    structural feasibility checks and the best-response audit on the pairs
+    it reads. In the active region exactly one pair should survive: the
+    high-only stock with the buy/sell-and-replace/used-used trade pattern.
+    Prices, constraint slacks and their verdict depend only on (params, D),
+    so they are computed once per scan and shared by the pairs.
     """
 
     pr = prices(params, D)
     slacks = constraint_slacks_olg(params, D)
-    selected = {
-        state: selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
-        for state in OlgState
-    }
     return ScanResult(
         D=D,
         p_n=pr.p2n,
@@ -535,8 +520,8 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
         _params=params,
         _slacks=slacks,
         _constraints_ok=_slacks_hold(slacks),
-        _best_response_ok=tuple(
-            best_response_audit(params, D, state, profile, selected[state])
-            for state, profile in _pairs()
-        ),
+        _selected={
+            state: selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
+            for state in OlgState
+        },
     )

@@ -239,10 +239,7 @@ def _cell_durabilities(cells, d_max: float, refuse: bool = False) -> list[np.nda
     error that solving the cells one at a time, in order, raises.
     """
 
-    conditions = [
-        (1.0, tp._social_slope(p)) if r is None else tp.durability_condition(p, m, r)
-        for p, m, r in cells
-    ]
+    conditions = [tp.durability_condition(p, m, r) for p, m, r in cells]
     lives = [np.broadcast_to(margin > 0.0, np.shape(slope)) for margin, slope in conditions]
     slopes = [np.asarray(slope)[live] for (_, slope), live in zip(conditions, lives)]
 
@@ -1296,9 +1293,13 @@ def run_verification(
     Deterministic for a fixed seed and scales: draw pools derive from the
     seed alone, and results come back in ``verify.csv`` row order however
     many workers run the tasks. ``inject_failure`` appends a deliberately
-    failing probe so callers can confirm failures are surfaced.
+    failing probe so callers can confirm failures are surfaced. The audits
+    take the head of the draw pools, so ``audit_draws`` above ``pool_draws``
+    raises ValueError.
     """
 
+    if audit_draws > pool_draws:
+        raise ValueError(f"audit_draws ({audit_draws}) exceeds pool_draws ({pool_draws})")
     tasks = _build_tasks(
         seed, foc_draws, grid_points, pool_draws, audit_draws,
         commission_points, d_max,

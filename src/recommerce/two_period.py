@@ -64,23 +64,28 @@ class MarketMode(str, Enum):
     SHUTDOWN = "shutdown"
 
 
-def durability_condition(params: ModelParams, model: ModelKind, regime: Regime):
+def durability_condition(params: ModelParams, model: ModelKind, regime: Regime | None):
     """Margin ``M`` and slope ``k*M`` of the durability condition
     ``c'(D) = k*M*s'(D)`` of a (model, regime).
 
     ``k = delta/(1+delta)`` in the two-period model and 1 in the steady
     state. The market operates iff ``M > 0``; the branded margin exceeds
-    the third-party one by ``alpha*beta*v_L`` in both models. Elementwise
-    when the parameter fields are arrays.
+    the third-party one by ``alpha*beta*v_L`` in both models. A regime of
+    None is the social planner, whose margin is ``v_L``; it is a two-period
+    row only. Elementwise when the parameter fields are arrays.
     """
 
     p = params
     if model is ModelKind.TWO_PERIOD:
-        if regime is Regime.THIRD_PARTY:
+        if regime is None:
+            margin = p.v_L
+        elif regime is Regime.THIRD_PARTY:
             margin = 2.0 * p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
         else:
             margin = p.alpha * (2.0 - p.beta) * p.v_L - p.v_H
         return margin, p.delta / (1.0 + p.delta) * margin
+    if regime is None:
+        raise ValueError("the social planner's durability condition is a two-period one")
     if regime is Regime.THIRD_PARTY:
         margin = (2.0 - p.delta) * p.alpha * (1.0 - p.beta) * p.v_L - p.v_H
     else:
@@ -154,17 +159,11 @@ def social_optimal_durability(params: ModelParams, d_max: float = DEFAULT_D_MAX)
     including those that do not report it.
     """
 
+    _, slope = durability_condition(params, ModelKind.TWO_PERIOD, None)
     try:
-        return solve_foc(params, _social_slope(params), d_max)
+        return solve_foc(params, slope, d_max)
     except BracketError as exc:
         raise BracketError(f"social-planner durability D_social: {exc}") from exc
-
-
-def _social_slope(params: ModelParams):
-    """The slope ``delta/(1+delta)*v_L`` of the social planner's durability
-    condition (elementwise)."""
-
-    return params.delta / (1.0 + params.delta) * params.v_L
 
 
 @functools.lru_cache(maxsize=1)

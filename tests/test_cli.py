@@ -973,6 +973,10 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         ({"solver": {"d_max": 1e300}}, ["verify"]),
         # delta/(1+delta)*M underflows to 0: no d_max brackets the root
         (None, ["oracle-check", "--delta", "5e-324"]),
+        # the audits take the head of the draw pools
+        (None, ["verify", "--draws", "5", "--foc-draws", "5", "--grid-points", "2000",
+                "--audit-draws", "40", "--commission-points", "11"]),
+        ({"verification": {"draws": 5, "audit_draws": 40}}, ["verify"]),
     ],
     ids=[
         "verify-alpha", "oracle-check-steady-state", "compare-steady-state",
@@ -980,7 +984,8 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         "olg-verify-regime-with-durability", "oracle-check-coarse-grid",
         "verify-no-draws", "sweep-no-steps", "verification-config-type", "sweep-config-type",
         "sweep-swept-base-value", "verify-draw-family-d-max-40", "verify-draw-family-d-max-1e300",
-        "oracle-check-subnormal-delta",
+        "oracle-check-subnormal-delta", "verify-audit-draws-above-draws",
+        "verify-config-audit-draws-above-draws",
     ],
 )
 def test_input_errors_come_before_output(tmp_path, capsys, config, argv):

@@ -563,7 +563,7 @@ def test_trade_profile_audit_passes(canonical):
     table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
     assert list(table) == ["h1", "h2", "l1", "l2"]
     assert all(attains(table[cell], STEADY_TRADE_PROFILE.get(cell)) for cell in table)
-    assert selected_actions(table) == {cell: STEADY_TRADE_PROFILE.get(cell) for cell in table}
+    assert selected_actions(table) == STEADY_TRADE_PROFILE
     assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE) is True
 
 
@@ -573,7 +573,7 @@ def test_indifferent_keeper_attains_but_not_selected(canonical):
     keepers = dataclasses.replace(STEADY_TRADE_PROFILE, h2=Action.KEEP_USED)
     table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
     assert attains(table["h2"], Action.KEEP_USED)
-    assert selected_actions(table)["h2"] is Action.SELL_AND_BUY_NEW
+    assert selected_actions(table).h2 is Action.SELL_AND_BUY_NEW
     assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, keepers) is False
 
 
@@ -593,8 +593,8 @@ def test_audit_honors_price_overrides(canonical):
     table = action_table(canonical, d, p_n, p_u - 0.01, state)
     assert table["l2"][Action.BUY_USED] == pytest.approx(0.01)
     selected = selected_actions(table)
-    assert selected["l2"] is Action.BUY_USED
-    assert selected["h2"] is Action.KEEP_USED
+    assert selected.l2 is Action.BUY_USED
+    assert selected.h2 is Action.KEEP_USED
     assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE) is True
     assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE, selected) is False
 
@@ -648,14 +648,21 @@ def assert_scan_equals_naive_per_row_audit(params, d):
     assert exhaustive_steady_state_scan(params, d).survivors == passing
 
 
-@pytest.mark.parametrize("case", ["active", "shutdown", "cap-binding", "rational"])
-def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failure, case):
-    params = {
+SCAN_CASES = ["active", "shutdown", "cap-binding", "rational"]
+
+
+def scan_case_params(case, canonical, olg_feasible, cap_failure):
+    return {
         "active": olg_feasible,
         "shutdown": canonical,
         "cap-binding": cap_failure,
         "rational": dataclasses.replace(olg_feasible, quality=RationalQuality(k=0.5)),
     }[case]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failure, case):
+    params = scan_case_params(case, canonical, olg_feasible, cap_failure)
     sol = solve_olg(params, T)
     assert sol.market_mode.value == ("shutdown" if case == "shutdown" else "active-pre-owned")
     assert sol.no_active_steady_state == (case == "cap-binding")
@@ -688,8 +695,8 @@ def test_scan_evaluates_quality_once_per_action_value(olg_feasible, quality, mon
 
 @pytest.mark.parametrize("case", ["active", "cap-binding"])
 def test_scan_survivors_check_only_the_best_responses(olg_feasible, cap_failure, case, monkeypatch):
-    # every pair is audited, but only the one best-response profile per
-    # state is checked for feasibility, and only a survivor becomes a row
+    # the scan audits no pair itself; survivors audit and check the one
+    # best-response profile per state, and rows every pair
     params = olg_feasible if case == "active" else cap_failure
     calls = collections.Counter()
     for name in ("check_steady_state", "best_response_audit", "ScanRow"):
@@ -700,10 +707,34 @@ def test_scan_survivors_check_only_the_best_responses(olg_feasible, cap_failure,
 
         monkeypatch.setattr(oracle, name, counted)
     scan = exhaustive_steady_state_scan(params, solve_olg(params, T).D_star)
+    assert calls == collections.Counter()
     assert scan.unique_survivor_is_trade_pattern == (case == "active")
-    assert calls == collections.Counter(
-        {"best_response_audit": 243, "check_steady_state": 3, "ScanRow": len(scan.survivors)}
-    )
+    per_pair = ("best_response_audit", "check_steady_state", "ScanRow")
+    assert calls == collections.Counter(dict.fromkeys(per_pair, 3))
+    calls.clear()
+    assert len(scan.rows) == 243
+    assert calls == collections.Counter(dict.fromkeys(per_pair, 243))
+
+
+def assert_selected_profiles_are_candidates(params, d):
+    p_n, p_u = posted_prices(params, d)
+    for state in OlgState:
+        selected = selected_actions(action_table(params, d, p_n, p_u, state))
+        assert selected in enumerate_profiles(state)
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_selected_profile_is_a_candidate_profile(canonical, olg_feasible, cap_failure, case):
+    # each cell selects from its menu, so a state's best response is one of
+    # its 81 profiles
+    params = scan_case_params(case, canonical, olg_feasible, cap_failure)
+    assert_selected_profiles_are_candidates(params, solve_olg(params, T).D_star)
+
+
+@pytest.mark.parametrize("regime", [T, B])
+def test_selected_profile_is_a_candidate_profile_on_verify_audit_draws(regime):
+    for params in olg_pool(12, 42):
+        assert_selected_profiles_are_candidates(params, solve_olg(params, regime).D_star)
 
 
 @pytest.mark.parametrize("regime", [T, B])

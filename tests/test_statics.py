@@ -713,6 +713,14 @@ def test_kernel_lanes_equal_scalar_solves(family):
     pool = [dataclasses.replace(p, cost=cost, quality=quality) for p in base]
     stacked = _stack(pool)
     social = tp.social_optimal_durability(stacked)
+    # the social planner's row: margin v_L, slope delta/(1+delta)*v_L
+    social_margin, social_slope = tp.durability_condition(stacked, TP, None)
+    for i, params in enumerate(pool):
+        expected = (params.v_L, params.delta / (1.0 + params.delta) * params.v_L)
+        assert tp.durability_condition(params, TP, None) == expected
+        assert (social_margin[i], social_slope[i]) == expected
+    with pytest.raises(ValueError, match="two-period"):
+        tp.durability_condition(stacked, OLG, None)
     shutdowns = 0
     for regime in (T, B):
         margin, slopes = tp.durability_condition(stacked, TP, regime)
@@ -1400,6 +1408,13 @@ def test_run_verification_small_scale():
         assert r.checks > 0
         assert r.violations == 0
         assert r.counterexample is None
+
+
+def test_run_verification_rejects_more_audit_draws_than_draws():
+    # the audits take the head of the draw pools, which would cap a larger
+    # count without a word
+    with pytest.raises(ValueError, match=r"audit_draws \(7\) exceeds pool_draws \(6\)"):
+        run_verification(**dict(_SMALL, audit_draws=7))
 
 
 def test_each_property_solves_one_batched_root_per_family(monkeypatch):
