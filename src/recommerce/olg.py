@@ -53,6 +53,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -327,6 +328,14 @@ class FeasibilityReport:
             and not self.dominated
         )
 
+    @functools.cached_property
+    def slack_flags(self) -> tuple[bool, ...]:
+        """Whether each slack is at least ``-_SLACK_TOL``, in
+        ``OLG_CONSTRAINT_NAMES`` order. Not a field, so it is not
+        serialized."""
+
+        return tuple(self.slacks[name] >= -_SLACK_TOL for name in OLG_CONSTRAINT_NAMES)
+
 
 def _slacks_hold(slacks: dict[str, float]) -> bool:
     """Whether every constraint slack is at least ``-_SLACK_TOL``."""
@@ -338,16 +347,25 @@ def _buys_new(action: Action) -> bool:
     return action in (Action.BUY_NEW, Action.SELL_AND_BUY_NEW)
 
 
-@functools.lru_cache(maxsize=None)
-def _profile_facts(
-    state: OlgState, profile: ActionProfile
-) -> tuple[float, float, tuple[bool, ...], tuple[bool, ...]]:
-    """What :func:`check_steady_state` needs of a (state, profile) pair
-    alone: whether each young cell buys new (as 1.0 or 0.0), and, in cell
-    order, whether each cell that supplies or demands a used unit is high.
+# When a pair's seller-side dominance argument knocks it out.
+_NEVER, _ALWAYS, _IF_CONSISTENT, _IF_DURABLE = range(4)
 
-    A scan checks the same 243 pairs at every draw, so they are built once.
-    """
+
+class _PairFacts(NamedTuple):
+    """What :func:`check_steady_state` needs of a (state, profile) pair
+    alone."""
+
+    h1_new: float  # whether the young high cell buys new, as 1.0 or 0.0
+    l1_new: float  # likewise the young low cell
+    supply: tuple[bool, ...]  # in cell order, whether each used-unit seller is high
+    demand: tuple[bool, ...]  # likewise each used-unit buyer
+    dominance: int  # _NEVER, _ALWAYS, _IF_CONSISTENT or _IF_DURABLE
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_facts(state: OlgState, profile: ActionProfile) -> _PairFacts:
+    """The :class:`_PairFacts` of a pair. A scan decides the same 243 pairs
+    at every draw, so they are built once."""
 
     supply = tuple(
         cell.startswith("h")
@@ -357,7 +375,76 @@ def _profile_facts(
     demand = tuple(
         cell.startswith("h") for cell in _CELLS if profile.get(cell) is Action.BUY_USED
     )
-    return float(_buys_new(profile.h1)), float(_buys_new(profile.l1)), supply, demand
+    if state is OlgState.HIGH_ONLY and profile.h2 is Action.KEEP_USED:
+        # high keep-used earns n_H*(v_H*(1 + delta*s) - c): selling new to
+        # both high cohorts earns 2*n_H*v_H
+        dominance = _ALWAYS
+    elif state is OlgState.HIGH_ONLY and profile.h2 is Action.BUY_NEW:
+        # discard-and-replace makes the same sales as at D = 0 and pays c(D)
+        dominance = _IF_DURABLE
+    elif state is not OlgState.HIGH_ONLY:
+        # the whole population on a buy-new/resell cycle earns at most
+        # v_L*(1 + delta*s) - c per period: flat v_L pricing at D = 0 earns
+        # 2*v_L; an empty stock earns nothing on repeat trade
+        dominance = _IF_CONSISTENT
+    else:
+        dominance = _NEVER
+    return _PairFacts(
+        float(_buys_new(profile.h1)), float(_buys_new(profile.l1)), supply, demand, dominance
+    )
+
+
+def _mass(params: ModelParams, highs: tuple[bool, ...]) -> float:
+    """The cohort mass of the listed cells, high or low, summed in cell
+    order."""
+
+    total = 0.0
+    for high in highs:
+        total += params.n_H if high else params.n_L
+    return total
+
+
+def _pair_verdict(
+    params: ModelParams,
+    D: float,
+    facts: _PairFacts,
+    fraction: float,
+    supply: float,
+    demand: float,
+) -> tuple[bool, bool, bool]:
+    """``(state_consistent, market_clearing, dominated)`` of a pair with
+    ``facts``, whose state holds stock ``fraction``, and whose used supply
+    and demand are ``_mass`` of ``facts.supply`` and ``facts.demand``."""
+
+    p = params
+    next_stock = p.n_H * facts.h1_new + p.n_L * facts.l1_new
+    state_consistent = abs(next_stock - fraction) <= 1e-12
+    if supply == 0.0:
+        market_clearing = demand == 0.0
+    else:
+        market_clearing = demand >= supply - 1e-12
+    dominance = facts.dominance
+    dominated = (
+        dominance == _ALWAYS
+        or (dominance == _IF_CONSISTENT and state_consistent)
+        or (dominance == _IF_DURABLE and D > 0.0)
+    )
+    return state_consistent, market_clearing, dominated
+
+
+def _report(
+    verdict: tuple[bool, bool, bool], slacks: dict[str, float], constraints_ok: bool
+) -> FeasibilityReport:
+    """The report of a :func:`_pair_verdict` at shared slacks."""
+
+    state_consistent, market_clearing, dominated = verdict
+    return FeasibilityReport(
+        state_consistent=state_consistent,
+        market_clearing=market_clearing,
+        slacks=slacks,
+        constraints_ok=constraints_ok,
+        dominated=dominated,
+    )
 
 
 def check_steady_state(
@@ -388,46 +475,15 @@ def check_steady_state(
     """
 
     p = params
-    h1_new, l1_new, supply_high, demand_high = _profile_facts(state, profile)
-    next_stock = p.n_H * h1_new + p.n_L * l1_new
-    state_consistent = abs(next_stock - state.fraction(params)) <= 1e-12
-
-    # summed in cell order, as the cells are listed
-    supply = 0.0
-    for high in supply_high:
-        supply += p.n_H if high else p.n_L
-    demand = 0.0
-    for high in demand_high:
-        demand += p.n_H if high else p.n_L
-    if supply == 0.0:
-        market_clearing = demand == 0.0
-    else:
-        market_clearing = demand >= supply - 1e-12
-
+    facts = _profile_facts(state, profile)
+    verdict = _pair_verdict(
+        p, D, facts, state.fraction(p), _mass(p, facts.supply), _mass(p, facts.demand)
+    )
     if slacks is None:
         slacks = constraint_slacks_olg(params, D)
     if constraints_ok is None:
         constraints_ok = _slacks_hold(slacks)
-
-    dominated = (
-        # the whole population on a buy-new/resell cycle earns at most
-        # v_L*(1 + delta*s) - c per period: flat v_L pricing at D = 0 earns 2*v_L
-        (state is OlgState.ALL and state_consistent)
-        # high keep-used earns n_H*(v_H*(1 + delta*s) - c): selling new to
-        # both high cohorts earns 2*n_H*v_H
-        or (state is OlgState.HIGH_ONLY and profile.h2 is Action.KEEP_USED)
-        # discard-and-replace makes the same sales as at D = 0 and pays c(D)
-        or (state is OlgState.HIGH_ONLY and profile.h2 is Action.BUY_NEW and D > 0.0)
-        # an empty stock earns nothing on repeat trade
-        or (state is OlgState.NONE and state_consistent)
-    )
-    return FeasibilityReport(
-        state_consistent=state_consistent,
-        market_clearing=market_clearing,
-        slacks=slacks,
-        constraints_ok=constraints_ok,
-        dominated=dominated,
-    )
+    return _report(verdict, slacks, constraints_ok)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,11 @@ from .primitives import (
 )
 from .olg import (
     _CELLS,
+    _mass,
+    _pair_verdict,
+    _PairFacts,
+    _profile_facts,
+    _report,
     _slacks_hold,
     Action,
     ActionProfile,
@@ -338,9 +344,22 @@ def action_value(
     all-hold state) degrade: there is nothing to sell or keep.
     """
 
+    return _action_value(params, params.quality.value(D), p_n, p_u, state, cell, action)
+
+
+def _action_value(
+    params: ModelParams,
+    s: float,
+    p_n: float,
+    p_u: float,
+    state: OlgState,
+    cell: str,
+    action: Action,
+) -> float:
+    """:func:`action_value` at ``s = s(D)``."""
+
     p = params
     v = p.v_H if cell.startswith("h") else p.v_L
-    s = p.quality.value(D)
     old = cell.endswith("2")
     holds = owns_used(state, cell)
 
@@ -376,12 +395,13 @@ def action_table(
     """Every cell's menu valued in one state: cell -> action -> value.
 
     The table depends on the state but not on the profile, so an audit of
-    many profiles in one state needs it once.
+    many profiles in one state needs it once; it evaluates ``s(D)`` once.
     """
 
+    s = params.quality.value(D)
     return {
         cell: {
-            a: action_value(params, D, p_n, p_u, state, cell, a)
+            a: _action_value(params, s, p_n, p_u, state, cell, a)
             for a in menu(state, cell)
         }
         for cell in _CELLS
@@ -441,12 +461,36 @@ class ScanRow:
         return self.feasibility.passes and self.best_response_ok
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs() -> tuple[tuple[OlgState, ActionProfile], ...]:
-    """All 243 candidate (state, profile) pairs, in state then profile order."""
+class _PairKeys(NamedTuple):
+    """The static part of every pair's verdict, from ``olg._profile_facts``."""
 
-    return tuple(
+    pairs: tuple[tuple[OlgState, ActionProfile], ...]  # all 243, state then profile order
+    index: dict[tuple[OlgState, ActionProfile], int]  # a pair's position in ``pairs``
+    key: tuple[int, ...]  # per pair, its position in ``distinct``
+    # the distinct (state index, facts, pattern index) of the pairs
+    distinct: tuple[tuple[int, _PairFacts, int], ...]
+    patterns: tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]  # distinct (supply, demand)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_keys() -> _PairKeys:
+    pairs = tuple(
         (state, profile) for state in OlgState for profile in enumerate_profiles(state)
+    )
+    states = list(OlgState)
+    facts = [_profile_facts(state, profile) for state, profile in pairs]
+    patterns = list(dict.fromkeys((f.supply, f.demand) for f in facts))
+    keys = [
+        (states.index(state), f, patterns.index((f.supply, f.demand)))
+        for (state, _), f in zip(pairs, facts)
+    ]
+    distinct = list(dict.fromkeys(keys))
+    return _PairKeys(
+        pairs=pairs,
+        index={pair: i for i, pair in enumerate(pairs)},
+        key=tuple(distinct.index(k) for k in keys),
+        distinct=tuple(distinct),
+        patterns=tuple(patterns),
     )
 
 
@@ -481,7 +525,29 @@ class ScanResult:
 
     @functools.cached_property
     def rows(self) -> tuple[ScanRow, ...]:
-        return tuple(self._row(state, profile) for state, profile in _pairs())
+        """Every pair's row, decided as :func:`check_steady_state` and
+        :func:`best_response_audit` decide it, from three parts: the static
+        ``_pair_keys``; the state fractions and each pattern's supply and
+        demand masses at this draw; and the selected pairs. Each distinct
+        key is decided once, and each distinct verdict is one report that
+        its rows share."""
+
+        p, D = self._params, self.D
+        keys = _pair_keys()
+        fractions = [state.fraction(p) for state in OlgState]
+        masses = [(_mass(p, supply), _mass(p, demand)) for supply, demand in keys.patterns]
+        reports: dict[tuple[bool, bool, bool], FeasibilityReport] = {}
+        by_key = []
+        for state_i, facts, pattern_i in keys.distinct:
+            verdict = _pair_verdict(p, D, facts, fractions[state_i], *masses[pattern_i])
+            if verdict not in reports:
+                reports[verdict] = _report(verdict, self._slacks, self._constraints_ok)
+            by_key.append(reports[verdict])
+        selected = {keys.index[pair] for pair in self._selected.items()}
+        return tuple(
+            ScanRow(state, profile, by_key[k], i in selected)
+            for i, ((state, profile), k) in enumerate(zip(keys.pairs, keys.key))
+        )
 
     @functools.cached_property
     def survivors(self) -> tuple[ScanRow, ...]:

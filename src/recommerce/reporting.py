@@ -21,7 +21,8 @@ import numpy as np
 from . import olg as olg_mod
 from . import oracle as oracle_mod
 from . import statics as statics_mod
-from .primitives import _SLACK_TOL
+from .primitives import Regime
+from .two_period import MarketMode
 
 __all__ = [
     "fmt12",
@@ -104,14 +105,36 @@ def write_json(path: Path, obj) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+# The fmt12 text of each bool and enum-member cell, keyed by identity: a key
+# by value would take 1 and 1.0 for True, and -0.0 for 0.0. Every key is the
+# id of an object that lives as long as the process.
+_CELL_TEXT = {
+    id(value): fmt12(value)
+    for value in (
+        True,
+        False,
+        np.True_,
+        np.False_,
+        *olg_mod.OlgState,
+        *olg_mod.Action,
+        *Regime,
+        *MarketMode,
+    )
+}
+
+
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write ``rows`` under ``header``, each cell as :func:`fmt12` renders
+    it."""
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    text = _CELL_TEXT.get
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([fmt12(cell) for cell in row])
+            writer.writerow([text(id(cell)) or fmt12(cell) for cell in row])
 
 
 TWO_PERIOD_COLUMNS = (
@@ -173,9 +196,6 @@ def _row(obj, columns: Iterable[str]) -> list:
 
 def audit_row(row: oracle_mod.ScanRow) -> list:
     feas = row.feasibility
-    slack_flags = [
-        feas.slacks[name] >= -_SLACK_TOL for name in olg_mod.OLG_CONSTRAINT_NAMES
-    ]
     return [
         row.state,
         row.profile.h1,
@@ -184,7 +204,7 @@ def audit_row(row: oracle_mod.ScanRow) -> list:
         row.profile.l2,
         feas.state_consistent,
         feas.market_clearing,
-        *slack_flags,
+        *feas.slack_flags,
         feas.dominated,
         row.best_response_ok,
         row.passes,

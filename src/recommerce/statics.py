@@ -333,10 +333,14 @@ def monotonicity_sweep(
         raise ValueError(
             f"unsupported parameter {parameter!r}; expected one of {_SWEEPABLE}"
         )
-    # each point is a lane, equal to the tp.solve or solve_olg of that point
+    # each point is a lane, equal to the tp.solve or solve_olg of that point;
+    # its D* and those at its finite-difference steps are one batched root
     values = np.asarray(values, dtype=float)
     lanes = dataclasses.replace(params, **{parameter: values})
-    d_star, profit = _solved_values(lanes, model, regime, d_max)
+    hi = dataclasses.replace(params, **{parameter: values + _FD_STEP})
+    lo = dataclasses.replace(params, **{parameter: values - _FD_STEP})
+    d_star, d_hi, d_lo = _cell_durabilities([(p, model, regime) for p in (lanes, hi, lo)], d_max)
+    d_star, profit = _solved_values(lanes, model, regime, d_max, d_star)
     welfare = tp.welfare(lanes, d_star) if model is ModelKind.TWO_PERIOD else math.nan
     # broadcast: the two-period margin does not involve delta
     live, *columns = np.broadcast_arrays(
@@ -346,7 +350,7 @@ def monotonicity_sweep(
         profit,
         welfare,
         envelope_profit_derivative(lanes, regime, parameter, model, d_star, d_max),
-        fd_profit_derivative(lanes, regime, parameter, model, d_max),
+        fd_profit_derivative(lanes, regime, parameter, model, d_max, (d_lo, d_hi)),
     )
     points = [
         SweepPoint(

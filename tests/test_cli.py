@@ -654,6 +654,25 @@ def test_outputs_match_frozen_digests(tmp_path, run):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_sweep_solves_one_batched_root_per_regime(tmp_path, monkeypatch):
+    # each regime's swept lanes and their +step and -step lanes are one
+    # root: 2 calls for the canonical two-regime sweep, where solving them
+    # apart made 6; the canonical config sweeps alpha as the frozen run does
+    calls = []
+    bisect = tp.bisect_increasing_vec
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(tp, "bisect_increasing_vec", counting)
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", CANONICAL, "--out", str(out)]) == 0
+    assert len(calls) == 2
+    digest = FROZEN_RUNS["sweep-two-period-alpha"][1]["sweep.csv"]
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
+
+
 def test_verify_inject_failure(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["verify", *SMALL_VERIFY, "--inject-failure", "--out", str(out)])

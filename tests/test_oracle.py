@@ -26,7 +26,13 @@ from recommerce import (
     truncated_stream_error_bound,
 )
 from recommerce import oracle
-from recommerce.olg import check_steady_state, enumerate_profiles
+from recommerce.olg import (
+    OLG_CONSTRAINT_NAMES,
+    ActionProfile,
+    check_steady_state,
+    constraint_slacks_olg,
+    enumerate_profiles,
+)
 from recommerce.oracle import (
     GridResult,
     ScanRow,
@@ -35,6 +41,7 @@ from recommerce.oracle import (
     selected_actions,
 )
 from recommerce.primitives import (
+    _SLACK_TOL,
     DEFAULT_D_MAX,
     ModelParams,
     PowerCost,
@@ -648,6 +655,88 @@ def assert_scan_equals_naive_per_row_audit(params, d):
     assert exhaustive_steady_state_scan(params, d).survivors == passing
 
 
+def reference_rows(params, d):
+    """The scan row by row: each pair through ``check_steady_state`` with
+    the shared slacks and their verdict, and ``best_response_audit``
+    against its state's selected profile."""
+
+    slacks = constraint_slacks_olg(params, d)
+    constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
+    p_n, p_u = posted_prices(params, d)
+    rows = []
+    for state in OlgState:
+        selected = selected_actions(action_table(params, d, p_n, p_u, state))
+        for profile in enumerate_profiles(state):
+            feasibility = check_steady_state(
+                params, d, state, profile, slacks=slacks, constraints_ok=constraints_ok
+            )
+            ok = best_response_audit(params, d, state, profile, selected)
+            rows.append(ScanRow(state, profile, feasibility, ok))
+    return rows
+
+
+def assert_scan_rows_equal_reference(params, d):
+    scan = exhaustive_steady_state_scan(params, d)
+    want = reference_rows(params, d)
+    assert len(scan.rows) == len(want) == 243
+    for got_row, want_row in zip(scan.rows, want):
+        for f in dataclasses.fields(ScanRow):
+            got, expected = getattr(got_row, f.name), getattr(want_row, f.name)
+            assert got == expected, (f.name, want_row.state, want_row.profile, got, expected)
+        # the six slack columns of the audit CSV
+        assert got_row.feasibility.slack_flags == tuple(
+            want_row.feasibility.slacks[name] >= -_SLACK_TOL for name in OLG_CONSTRAINT_NAMES
+        )
+    assert scan.survivors == tuple(row for row in want if row.passes)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("regime", [T, B])
+def test_scan_rows_equal_reference_on_verify_audit_pools(seed, regime):
+    # the default-scale audit pool verify scans: the head of the olg pool
+    for params in olg_pool(50, seed):
+        assert_scan_rows_equal_reference(params, solve_olg(params, regime).D_star)
+
+
+def test_scan_rows_equal_reference_at_test_points(canonical, cap_failure):
+    d = solve_olg(cap_failure, T).D_star
+    assert_scan_rows_equal_reference(cap_failure, d)
+    # the canonical steady state is shut down, audited at a chosen durability
+    assert solve_olg(canonical, T).market_mode.value == "shutdown"
+    assert_scan_rows_equal_reference(canonical, 0.12)
+    # the discard-replace argument needs D > 0
+    assert_scan_rows_equal_reference(canonical, 0.0)
+    discard = ActionProfile(Action.BUY_NEW, Action.BUY_NEW, Action.BUY_USED, Action.BUY_USED)
+    dominated = {
+        d: next(
+            r.feasibility.dominated
+            for r in exhaustive_steady_state_scan(canonical, d).rows
+            if r.state is OlgState.HIGH_ONLY and r.profile == discard
+        )
+        for d in (0.0, 0.12)
+    }
+    assert dominated == {0.0: False, 0.12: True}
+
+
+@pytest.mark.parametrize(
+    "tag,quality",
+    [(0, SaturatingExpQuality(1.0, 1.0)), (1, RationalQuality(0.5))],
+    ids=["saturating-exp", "rational"],
+)
+def test_scan_rows_equal_reference_on_admissible_draws(tag, quality):
+    # 100 admissible draws per quality family, active or shut down, each at
+    # one regime's D* and at a uniform durability
+    def ok(p):
+        return validate_params(dataclasses.replace(p, quality=quality), ModelKind.OLG).ok
+
+    rng = np.random.default_rng([11, tag])
+    for k, params in enumerate(sample_filtered(100, (11, 6, tag), ok)):
+        params = dataclasses.replace(params, quality=quality)
+        regime = (T, B)[k % 2]
+        for d in (solve_olg(params, regime).D_star, rng.uniform(0.0, DEFAULT_D_MAX)):
+            assert_scan_rows_equal_reference(params, d)
+
+
 SCAN_CASES = ["active", "shutdown", "cap-binding", "rational"]
 
 
@@ -674,10 +763,9 @@ def test_scan_rows_equal_naive_per_row_audit(canonical, olg_feasible, cap_failur
     [SaturatingExpQuality(1.0, 1.0), RationalQuality(0.5)],
     ids=["saturating-exp", "rational"],
 )
-def test_scan_evaluates_quality_once_per_action_value(olg_feasible, quality, monkeypatch):
+def test_scan_evaluates_quality_once_per_action_table(olg_feasible, quality, monkeypatch):
     # one s(D) for the posted prices, one for the shared slacks and one per
-    # valued action: 4 cells x 3 actions x 3 states; the dominance arguments
-    # need neither family
+    # state's action table; the dominance arguments need neither family
     calls = collections.Counter()
     for cls in (PowerCost, type(quality)):
 
@@ -690,13 +778,14 @@ def test_scan_evaluates_quality_once_per_action_value(olg_feasible, quality, mon
     for d in (0.12, 0.0):
         calls.clear()
         exhaustive_steady_state_scan(params, d)
-        assert calls == collections.Counter({type(quality).__name__: 38})
+        assert calls == collections.Counter({type(quality).__name__: 5})
 
 
 @pytest.mark.parametrize("case", ["active", "cap-binding"])
 def test_scan_survivors_check_only_the_best_responses(olg_feasible, cap_failure, case, monkeypatch):
     # the scan audits no pair itself; survivors audit and check the one
-    # best-response profile per state, and rows every pair
+    # best-response profile per state, and rows decide every pair from the
+    # static keys without either single-pair call
     params = olg_feasible if case == "active" else cap_failure
     calls = collections.Counter()
     for name in ("check_steady_state", "best_response_audit", "ScanRow"):
@@ -713,7 +802,7 @@ def test_scan_survivors_check_only_the_best_responses(olg_feasible, cap_failure,
     assert calls == collections.Counter(dict.fromkeys(per_pair, 3))
     calls.clear()
     assert len(scan.rows) == 243
-    assert calls == collections.Counter(dict.fromkeys(per_pair, 243))
+    assert calls == collections.Counter({"ScanRow": 243})
 
 
 def assert_selected_profiles_are_candidates(params, d):

@@ -47,3 +47,26 @@ def test_audit_csv_equals_fmt12_rendering(tmp_path, olg_feasible):
         writer.writerow(AUDIT_COLUMNS)
         writer.writerows([fmt12(cell) for cell in row] for row in rows)
     assert (tmp_path / "audit.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+# every cell whose text write_csv takes from its identity-keyed table
+TABLE_CELLS = [*OlgState, *Action, *Regime, *MarketMode, True, False, np.True_, np.False_]
+
+
+@pytest.mark.parametrize("value", TABLE_CELLS, ids=repr)
+def test_written_table_cell_equals_fmt12(tmp_path, value):
+    write_csv(tmp_path / "cell.csv", ["cell"], [[value]])
+    assert (tmp_path / "cell.csv").read_text(encoding="utf-8") == f"cell\n{fmt12(value)}\n"
+
+
+def test_mixed_row_writes_its_fmt12_bytes(tmp_path):
+    # values equal to a table key (1 == 1.0 == True, -0.0 == 0.0 == False)
+    # keep their own text: the table is keyed by identity
+    row = [
+        1, 1.0, True, -0.0, 0.0, math.nan, math.inf, 1e-300,
+        np.True_, np.float64(-0.0), np.int64(1), False, 0, -math.inf, None, "x",
+    ]
+    write_csv(tmp_path / "mixed.csv", ["a"], [row])
+    assert (tmp_path / "mixed.csv").read_bytes() == (
+        b"a\n1,1,true,-0,0,nan,inf,1e-300,true,-0,1,false,0,-inf,,x\n"
+    )
