@@ -569,9 +569,9 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
 
     Every start-of-period stock state has 81 action profiles and one
     best-response profile, its :func:`selected_actions`; the scan values
-    each state's menus once to select it, and :class:`ScanResult` runs the
-    structural feasibility checks and the best-response audit on the pairs
-    it reads. In the active region exactly one pair should survive: the
+    each state's menus once to select it, and :class:`ScanResult` decides
+    the structural feasibility checks and the best-response audit for the
+    pairs it reads. In the active region exactly one pair should survive: the
     high-only stock with the buy/sell-and-replace/used-used trade pattern.
     Prices, constraint slacks and their verdict depend only on (params, D),
     so they are computed once per scan and shared by the pairs.
