@@ -44,7 +44,8 @@ optimum, so that the regime comparison stays informative.
 pair: the stock it reproduces, used-market clearing, the constraint slacks,
 and four seller-side dominance arguments, which are decided from the state,
 the old high types' action and whether ``D > 0``, with no cost or quality
-evaluation.
+evaluation. :func:`feasibility_reports` screens all 243 pairs of
+:func:`pair_table` at once.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import numpy as np
 from .primitives import (
     DEFAULT_D_MAX,
     _SLACK_TOL,
+    _slacks_hold,
     ModelKind,
     ModelParams,
     Regime,
@@ -80,6 +82,7 @@ __all__ = [
     "STEADY_TRADE_PROFILE",
     "OWNER_MENU",
     "NONOWNER_MENU",
+    "CELLS",
     "menu",
     "owns_used",
     "enumerate_profiles",
@@ -91,6 +94,9 @@ __all__ = [
     "constraint_slacks_olg",
     "OLG_CONSTRAINT_NAMES",
     "FeasibilityReport",
+    "PairTable",
+    "pair_table",
+    "feasibility_reports",
     "check_steady_state",
     "SteadyStateSolution",
     "solve_olg",
@@ -124,7 +130,7 @@ class Action(str, Enum):
 OWNER_MENU = (Action.SELL_AND_BUY_NEW, Action.BUY_NEW, Action.KEEP_USED)
 NONOWNER_MENU = (Action.BUY_NEW, Action.BUY_USED, Action.DO_NOTHING)
 
-_CELLS = ("h1", "h2", "l1", "l2")
+CELLS = ("h1", "h2", "l1", "l2")
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,7 @@ def menu(state: OlgState, cell: str) -> tuple[Action, ...]:
 def enumerate_profiles(state: OlgState) -> list[ActionProfile]:
     """All 81 candidate action profiles for a state."""
 
-    menus = [menu(state, cell) for cell in _CELLS]
+    menus = [menu(state, cell) for cell in CELLS]
     return [
         ActionProfile(h1=a, h2=b, l1=c, l2=d)
         for a, b, c, d in itertools.product(*menus)
@@ -337,12 +343,6 @@ class FeasibilityReport:
         return tuple(self.slacks[name] >= -_SLACK_TOL for name in OLG_CONSTRAINT_NAMES)
 
 
-def _slacks_hold(slacks: dict[str, float]) -> bool:
-    """Whether every constraint slack is at least ``-_SLACK_TOL``."""
-
-    return all(v >= -_SLACK_TOL for v in slacks.values())
-
-
 def _buys_new(action: Action) -> bool:
     return action in (Action.BUY_NEW, Action.SELL_AND_BUY_NEW)
 
@@ -352,8 +352,7 @@ _NEVER, _ALWAYS, _IF_CONSISTENT, _IF_DURABLE = range(4)
 
 
 class _PairFacts(NamedTuple):
-    """What :func:`check_steady_state` needs of a (state, profile) pair
-    alone."""
+    """What a pair's verdict needs of the (state, profile) pair alone."""
 
     h1_new: float  # whether the young high cell buys new, as 1.0 or 0.0
     l1_new: float  # likewise the young low cell
@@ -362,18 +361,16 @@ class _PairFacts(NamedTuple):
     dominance: int  # _NEVER, _ALWAYS, _IF_CONSISTENT or _IF_DURABLE
 
 
-@functools.lru_cache(maxsize=None)
 def _profile_facts(state: OlgState, profile: ActionProfile) -> _PairFacts:
-    """The :class:`_PairFacts` of a pair. A scan decides the same 243 pairs
-    at every draw, so they are built once."""
+    """The :class:`_PairFacts` of a pair."""
 
     supply = tuple(
         cell.startswith("h")
-        for cell in _CELLS
+        for cell in CELLS
         if profile.get(cell) is Action.SELL_AND_BUY_NEW and owns_used(state, cell)
     )
     demand = tuple(
-        cell.startswith("h") for cell in _CELLS if profile.get(cell) is Action.BUY_USED
+        cell.startswith("h") for cell in CELLS if profile.get(cell) is Action.BUY_USED
     )
     if state is OlgState.HIGH_ONLY and profile.h2 is Action.KEEP_USED:
         # high keep-used earns n_H*(v_H*(1 + delta*s) - c): selling new to
@@ -391,6 +388,43 @@ def _profile_facts(state: OlgState, profile: ActionProfile) -> _PairFacts:
         dominance = _NEVER
     return _PairFacts(
         float(_buys_new(profile.h1)), float(_buys_new(profile.l1)), supply, demand, dominance
+    )
+
+
+class PairTable(NamedTuple):
+    """Every candidate (state, profile) pair and the static part of its
+    verdict."""
+
+    pairs: tuple[tuple[OlgState, ActionProfile], ...]  # all 243, state then profile order
+    index: dict[tuple[OlgState, ActionProfile], int]  # a pair's position in ``pairs``
+    key: tuple[int, ...]  # per pair, its position in ``distinct``
+    # the distinct (state index, facts, pattern index) of the pairs
+    distinct: tuple[tuple[int, _PairFacts, int], ...]
+    patterns: tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]  # distinct (supply, demand)
+
+
+@functools.lru_cache(maxsize=None)
+def pair_table() -> PairTable:
+    """The :class:`PairTable`. Every check decides pairs of the same 243,
+    so it is built once."""
+
+    pairs = tuple(
+        (state, profile) for state in OlgState for profile in enumerate_profiles(state)
+    )
+    states = list(OlgState)
+    facts = [_profile_facts(state, profile) for state, profile in pairs]
+    patterns = list(dict.fromkeys((f.supply, f.demand) for f in facts))
+    keys = [
+        (states.index(state), f, patterns.index((f.supply, f.demand)))
+        for (state, _), f in zip(pairs, facts)
+    ]
+    distinct = list(dict.fromkeys(keys))
+    return PairTable(
+        pairs=pairs,
+        index={pair: i for i, pair in enumerate(pairs)},
+        key=tuple(distinct.index(k) for k in keys),
+        distinct=tuple(distinct),
+        patterns=tuple(patterns),
     )
 
 
@@ -432,19 +466,33 @@ def _pair_verdict(
     return state_consistent, market_clearing, dominated
 
 
-def _report(
-    verdict: tuple[bool, bool, bool], slacks: dict[str, float], constraints_ok: bool
-) -> FeasibilityReport:
-    """The report of a :func:`_pair_verdict` at shared slacks."""
+def feasibility_reports(
+    params: ModelParams, D: float, slacks: dict[str, float]
+) -> tuple[FeasibilityReport, ...]:
+    """:func:`check_steady_state` of every pair, in :func:`pair_table`
+    order, at the slacks ``constraint_slacks_olg(params, D)``. Decided from
+    three parts: the static table; the state fractions and each pattern's
+    supply and demand masses at this draw; and the slacks and their
+    verdict. Each distinct key is decided once, and each distinct verdict
+    is one report that its pairs share.
+    """
 
-    state_consistent, market_clearing, dominated = verdict
-    return FeasibilityReport(
-        state_consistent=state_consistent,
-        market_clearing=market_clearing,
-        slacks=slacks,
-        constraints_ok=constraints_ok,
-        dominated=dominated,
-    )
+    p = params
+    table = pair_table()
+    constraints_ok = _slacks_hold(slacks)
+    fractions = [state.fraction(p) for state in OlgState]
+    masses = [(_mass(p, supply), _mass(p, demand)) for supply, demand in table.patterns]
+    reports: dict[tuple[bool, bool, bool], FeasibilityReport] = {}
+    by_key = []
+    for state_i, facts, pattern_i in table.distinct:
+        verdict = _pair_verdict(p, D, facts, fractions[state_i], *masses[pattern_i])
+        if verdict not in reports:
+            consistent, clearing, dominated = verdict
+            reports[verdict] = FeasibilityReport(
+                consistent, clearing, slacks, constraints_ok, dominated
+            )
+        by_key.append(reports[verdict])
+    return tuple(by_key[k] for k in table.key)
 
 
 def check_steady_state(
@@ -453,9 +501,9 @@ def check_steady_state(
     state: OlgState,
     profile: ActionProfile,
     slacks: dict[str, float] | None = None,
-    constraints_ok: bool | None = None,
 ) -> FeasibilityReport:
-    """Structural feasibility of a candidate steady state.
+    """Structural feasibility of a candidate steady state, one of the pairs
+    of :func:`pair_table`.
 
     Checks, in order: the young actions reproduce the assumed used stock;
     the used market clears (all offered units find buyers, with pro-rata
@@ -470,20 +518,18 @@ def check_steady_state(
 
     ``slacks`` may carry ``constraint_slacks_olg(params, D)`` computed once
     by a caller auditing many profiles at one durability; the report then
-    shares that dict. ``constraints_ok`` may carry ``_slacks_hold`` of that
-    dict, computed once likewise.
+    shares that dict.
     """
 
     p = params
-    facts = _profile_facts(state, profile)
-    verdict = _pair_verdict(
+    table = pair_table()
+    _, facts, _ = table.distinct[table.key[table.index[state, profile]]]
+    consistent, clearing, dominated = _pair_verdict(
         p, D, facts, state.fraction(p), _mass(p, facts.supply), _mass(p, facts.demand)
     )
     if slacks is None:
         slacks = constraint_slacks_olg(params, D)
-    if constraints_ok is None:
-        constraints_ok = _slacks_hold(slacks)
-    return _report(verdict, slacks, constraints_ok)
+    return FeasibilityReport(consistent, clearing, slacks, _slacks_hold(slacks), dominated)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,13 +38,7 @@ from .primitives import (
     Regime,
 )
 from .olg import (
-    _CELLS,
-    _mass,
-    _pair_verdict,
-    _PairFacts,
-    _profile_facts,
-    _report,
-    _slacks_hold,
+    CELLS,
     Action,
     ActionProfile,
     FeasibilityReport,
@@ -53,9 +46,10 @@ from .olg import (
     STEADY_TRADE_PROFILE,
     check_steady_state,
     constraint_slacks_olg,
-    enumerate_profiles,
+    feasibility_reports,
     menu,
     owns_used,
+    pair_table,
 )
 from .two_period import prices
 
@@ -404,7 +398,7 @@ def action_table(
             a: _action_value(params, s, p_n, p_u, state, cell, a)
             for a in menu(state, cell)
         }
-        for cell in _CELLS
+        for cell in CELLS
     }
 
 
@@ -424,7 +418,7 @@ def selected_actions(table: dict[str, dict[Action, float]]) -> ActionProfile:
         attaining = {a for a, val in values.items() if val >= top - _TIE_TOL}
         return next(a for a in _SELECTION_PRIORITY if a in attaining)
 
-    return ActionProfile(**{cell: best(table[cell]) for cell in _CELLS})
+    return ActionProfile(**{cell: best(table[cell]) for cell in CELLS})
 
 
 def best_response_audit(
@@ -461,39 +455,6 @@ class ScanRow:
         return self.feasibility.passes and self.best_response_ok
 
 
-class _PairKeys(NamedTuple):
-    """The static part of every pair's verdict, from ``olg._profile_facts``."""
-
-    pairs: tuple[tuple[OlgState, ActionProfile], ...]  # all 243, state then profile order
-    index: dict[tuple[OlgState, ActionProfile], int]  # a pair's position in ``pairs``
-    key: tuple[int, ...]  # per pair, its position in ``distinct``
-    # the distinct (state index, facts, pattern index) of the pairs
-    distinct: tuple[tuple[int, _PairFacts, int], ...]
-    patterns: tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]  # distinct (supply, demand)
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_keys() -> _PairKeys:
-    pairs = tuple(
-        (state, profile) for state in OlgState for profile in enumerate_profiles(state)
-    )
-    states = list(OlgState)
-    facts = [_profile_facts(state, profile) for state, profile in pairs]
-    patterns = list(dict.fromkeys((f.supply, f.demand) for f in facts))
-    keys = [
-        (states.index(state), f, patterns.index((f.supply, f.demand)))
-        for (state, _), f in zip(pairs, facts)
-    ]
-    distinct = list(dict.fromkeys(keys))
-    return _PairKeys(
-        pairs=pairs,
-        index={pair: i for i, pair in enumerate(pairs)},
-        key=tuple(distinct.index(k) for k in keys),
-        distinct=tuple(distinct),
-        patterns=tuple(patterns),
-    )
-
-
 @dataclass(frozen=True)
 class ScanResult:
     """Every candidate (state, profile) pair audited at durability ``D`` and
@@ -511,42 +472,27 @@ class ScanResult:
     p_u: float
     _params: ModelParams = field(repr=False)
     _slacks: dict[str, float] = field(repr=False)
-    _constraints_ok: bool = field(repr=False)
     # each state's selected_actions, in OlgState order
     _selected: dict[OlgState, ActionProfile] = field(repr=False)
 
     def _row(self, state: OlgState, profile: ActionProfile) -> ScanRow:
         p, D = self._params, self.D
-        feasibility = check_steady_state(
-            p, D, state, profile, slacks=self._slacks, constraints_ok=self._constraints_ok
-        )
+        feasibility = check_steady_state(p, D, state, profile, slacks=self._slacks)
         ok = best_response_audit(p, D, state, profile, self._selected[state])
         return ScanRow(state, profile, feasibility, ok)
 
     @functools.cached_property
     def rows(self) -> tuple[ScanRow, ...]:
-        """Every pair's row, decided as :func:`check_steady_state` and
-        :func:`best_response_audit` decide it, from three parts: the static
-        ``_pair_keys``; the state fractions and each pattern's supply and
-        demand masses at this draw; and the selected pairs. Each distinct
-        key is decided once, and each distinct verdict is one report that
-        its rows share."""
+        """Every pair's row: its :func:`olg.feasibility_reports` report and
+        whether it is its state's selected pair, as
+        :func:`best_response_audit` decides it."""
 
-        p, D = self._params, self.D
-        keys = _pair_keys()
-        fractions = [state.fraction(p) for state in OlgState]
-        masses = [(_mass(p, supply), _mass(p, demand)) for supply, demand in keys.patterns]
-        reports: dict[tuple[bool, bool, bool], FeasibilityReport] = {}
-        by_key = []
-        for state_i, facts, pattern_i in keys.distinct:
-            verdict = _pair_verdict(p, D, facts, fractions[state_i], *masses[pattern_i])
-            if verdict not in reports:
-                reports[verdict] = _report(verdict, self._slacks, self._constraints_ok)
-            by_key.append(reports[verdict])
-        selected = {keys.index[pair] for pair in self._selected.items()}
+        table = pair_table()
+        reports = feasibility_reports(self._params, self.D, self._slacks)
+        selected = {table.index[pair] for pair in self._selected.items()}
         return tuple(
-            ScanRow(state, profile, by_key[k], i in selected)
-            for i, ((state, profile), k) in enumerate(zip(keys.pairs, keys.key))
+            ScanRow(state, profile, report, i in selected)
+            for i, ((state, profile), report) in enumerate(zip(table.pairs, reports))
         )
 
     @functools.cached_property
@@ -573,19 +519,17 @@ def exhaustive_steady_state_scan(params: ModelParams, D: float) -> ScanResult:
     the structural feasibility checks and the best-response audit for the
     pairs it reads. In the active region exactly one pair should survive: the
     high-only stock with the buy/sell-and-replace/used-used trade pattern.
-    Prices, constraint slacks and their verdict depend only on (params, D),
-    so they are computed once per scan and shared by the pairs.
+    Prices and constraint slacks depend only on (params, D), so they are
+    computed once per scan and shared by the pairs.
     """
 
     pr = prices(params, D)
-    slacks = constraint_slacks_olg(params, D)
     return ScanResult(
         D=D,
         p_n=pr.p2n,
         p_u=pr.p2u,
         _params=params,
-        _slacks=slacks,
-        _constraints_ok=_slacks_hold(slacks),
+        _slacks=constraint_slacks_olg(params, D),
         _selected={
             state: selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
             for state in OlgState

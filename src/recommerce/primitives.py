@@ -58,6 +58,12 @@ DEFAULT_D_MAX = 10.0
 _SLACK_TOL = 1e-9
 
 
+def _slacks_hold(slacks: dict[str, float]) -> bool:
+    """Whether every constraint slack is at least ``-_SLACK_TOL``."""
+
+    return all(v >= -_SLACK_TOL for v in slacks.values())
+
+
 class Regime(str, Enum):
     """Who operates the pre-owned marketplace."""
 

@@ -61,14 +61,12 @@ def to_jsonable(obj):
     """Recursively convert results into plain JSON types.
 
     Floats are passed through the 12-significant-digit formatter so the JSON
-    text is stable across platforms; enums become their string values and
-    dataclasses become dicts.
+    text is stable across platforms; enums, which all subclass ``str``, pass
+    as the strings of their values, and dataclasses become dicts.
     """
 
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, enum.Enum):
-        return obj.value
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         if math.isnan(f):
@@ -176,7 +174,7 @@ SWEEP_COLUMNS = (
 
 AUDIT_COLUMNS = (
     "state",
-    *olg_mod._CELLS,
+    *olg_mod.CELLS,
     "state_consistent",
     "market_clearing",
     *olg_mod.OLG_CONSTRAINT_NAMES,

@@ -35,6 +35,7 @@ import numpy as np
 from .primitives import (
     DEFAULT_D_MAX,
     _SLACK_TOL,
+    _slacks_hold,
     BracketError,
     ModelKind,
     ModelParams,
@@ -228,42 +229,31 @@ def _durabilities(params: ModelParams, model: ModelKind, regime: Regime, d_max: 
     return _cell_durabilities([(params, model, regime)], d_max)[0]
 
 
-def _cell_durabilities(cells, d_max: float, refuse: bool = False) -> list[np.ndarray]:
+def _cell_durabilities(cells, d_max: float) -> list[np.ndarray]:
     """D* of every cell (params with array fields, model, regime) from one
     :func:`two_period.solve_foc` call per cost/quality family.
 
     A regime of None is the social planner's root. A lane whose margin is
-    not positive is 0.0; with ``refuse``, a two-period cell refuses it as
-    :func:`two_period.optimal_durability` does. Lanes are independent, so
-    each equals its single-point root bit for bit, and a failure raises the
-    error that solving the cells one at a time, in order, raises.
+    not positive is 0.0. Lanes are independent, so each equals its
+    single-point root bit for bit, and a failure raises the error that
+    solving the cells one at a time, in order, raises.
     """
 
     conditions = [tp.durability_condition(p, m, r) for p, m, r in cells]
     lives = [np.broadcast_to(margin > 0.0, np.shape(slope)) for margin, slope in conditions]
     slopes = [np.asarray(slope)[live] for (_, slope), live in zip(conditions, lives)]
-
-    def one_at_a_time() -> None:
-        for (p, m, r), slope in zip(cells, slopes):
-            if r is None:
-                tp.social_optimal_durability(p, d_max)
-            elif refuse and m is ModelKind.TWO_PERIOD:
-                tp.optimal_durability(p, r, d_max=d_max)
-            else:
-                tp.solve_foc(p, slope, d_max)
-
-    if refuse and any(
-        m is ModelKind.TWO_PERIOD and r is not None and not live.all()
-        for (_, m, r), live in zip(cells, lives)
-    ):
-        one_at_a_time()  # raises the refusal, or an earlier cell's error
     d_stars = [np.zeros(live.shape) for live in lives]
     for family in dict.fromkeys((p.cost, p.quality) for p, _, _ in cells):
         ks = [k for k, (p, _, _) in enumerate(cells) if (p.cost, p.quality) == family]
         try:
             roots = tp.solve_foc(cells[ks[0]][0], np.concatenate([slopes[k] for k in ks]), d_max)
         except BracketError:
-            one_at_a_time()
+            # one cell at a time, in order, raises the first failing cell's error
+            for (p, _, r), slope in zip(cells, slopes):
+                if r is None:
+                    tp.social_optimal_durability(p, d_max)
+                else:
+                    tp.solve_foc(p, slope, d_max)
             raise
         for k, part in zip(ks, np.split(roots, np.cumsum([slopes[k].size for k in ks])[:-1])):
             d_stars[k][lives[k]] = part
@@ -592,7 +582,7 @@ def equilibrium_feasible(
     if model is ModelKind.OLG:
         return olg_mod.solve_olg(params, regime, d_max=d_max).constraints_ok
     slacks = tp.constraint_slacks(params, tp.optimal_durability(params, regime, d_max=d_max))
-    return all(v >= -_SLACK_TOL for v in slacks.values())
+    return _slacks_hold(slacks)
 
 
 def ladder_active(params: ModelParams) -> bool:
@@ -829,7 +819,7 @@ def _prop_foc_grid(
     notes = []
     grid = oracle_mod.GridSpec(0.0, d_max, grid_points)
     cells = [(pool, model, regime) for (model, regime), pool in sorted(pools.items())]
-    solved = _cell_durabilities(cells, d_max, refuse=True)
+    solved = _cell_durabilities(cells, d_max)
     for (pool, model, regime), d_stars in zip(cells, solved):
         grid_d = [
             oracle_mod.grid_argmax_profit(_draw_row(pool, i), regime, model, grid).D_at_max
@@ -906,9 +896,7 @@ def _ladder_values(pool: ModelParams, d_max: float) -> tuple[np.ndarray, np.ndar
         climb = np.array([[name == wrt] for wrt in _LADDER_PARAMS]) * rungs
         fields[name] = getattr(pool, name)[:, None, None] + climb  # [draw, wrt, rung]
     lad = dataclasses.replace(pool, **fields)
-    d_stars = _cell_durabilities(
-        [(lad, ModelKind.TWO_PERIOD, r) for r in _REGIMES], d_max, refuse=True
-    )
+    d_stars = _cell_durabilities([(lad, ModelKind.TWO_PERIOD, r) for r in _REGIMES], d_max)
     profits = [tp.profit(lad, regime, d).total for regime, d in zip(_REGIMES, d_stars)]
     return np.stack(d_stars), np.stack(profits)
 
@@ -953,7 +941,7 @@ def _prop_durability_premium(
     tally = _Tally()
     models = ((ModelKind.TWO_PERIOD, pool_tp), (ModelKind.OLG, pool_olg))
     cells = [(pool, model, r) for model, pool in models for r in _REGIMES]
-    d_stars = iter(_cell_durabilities(cells, d_max, refuse=True))
+    d_stars = iter(_cell_durabilities(cells, d_max))
     for model, pool in models:
         d_t, d_b = next(d_stars), next(d_stars)
         tally.add(
@@ -1145,7 +1133,7 @@ def _prop_constraints(
         (ModelKind.OLG, pool_olg, olg_mod.constraint_slacks_olg),
     )
     cells = [(pool, model, r) for model, pool, _ in models for r in _REGIMES]
-    d_stars = iter(_cell_durabilities(cells, d_max, refuse=True))
+    d_stars = iter(_cell_durabilities(cells, d_max))
     for model, pool, slacks_at in models:
         binding, holding = _BINDING_PATTERN[model]
         slacks = [slacks_at(pool, next(d_stars)) for _ in _REGIMES]
@@ -1202,7 +1190,7 @@ def _prop_efficiency(pool: ModelParams, d_max: float) -> PropertyResult:
     social benchmark, pointwise in every both-active draw."""
 
     d_stars = _cell_durabilities(
-        [(pool, ModelKind.TWO_PERIOD, r) for r in (*_REGIMES, None)], d_max, refuse=True
+        [(pool, ModelKind.TWO_PERIOD, r) for r in (*_REGIMES, None)], d_max
     )
     d = np.stack(d_stars, axis=1)  # [draw, (third-party, branded, social)]
     w = np.stack([tp.welfare(pool, x) for x in d_stars], axis=1)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .primitives import (
     DEFAULT_D_MAX,
-    _SLACK_TOL,
+    _slacks_hold,
     BracketError,
     ModelKind,
     ModelParams,
@@ -399,5 +399,5 @@ def solve(
         shutdown_profit=shutdown,
         boundary_tie=margin == 0.0,
         slacks=slacks,
-        constraints_ok=not active or all(v >= -_SLACK_TOL for v in slacks.values()),
+        constraints_ok=not active or _slacks_hold(slacks),
     )

@@ -369,6 +369,19 @@ def test_sweep_via_config_block(tmp_path):
     )
 
 
+def test_sweep_of_one_repeated_value_is_constant(tmp_path):
+    out = tmp_path / "run"
+    rc = main([
+        "sweep", "--parameter", "alpha", "--start", "0.9", "--stop", "0.9",
+        "--steps", "3", "--out", str(out),
+    ])
+    assert rc == 0
+    verdicts = json.loads((out / "sweep_verdicts.json").read_text())
+    assert [r["regime"] for r in verdicts["reports"]] == ["third-party", "branded"]
+    for report in verdicts["reports"]:
+        assert report["verdicts"] == dict.fromkeys(("durability", "profit", "welfare"), "constant")
+
+
 def test_sweep_requires_grid_arguments(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path / "x")]) == 2
     assert "--parameter" in capsys.readouterr().err
@@ -996,6 +1009,9 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         (None, ["verify", "--draws", "5", "--foc-draws", "5", "--grid-points", "2000",
                 "--audit-draws", "40", "--commission-points", "11"]),
         ({"verification": {"draws": 5, "audit_draws": 40}}, ["verify"]),
+        ({"solver": 5}, ["solve"]),
+        # an int beyond the float range is not a finite number
+        ({"params": {**STEADY_STATE_ONLY, "beta": 10**400}}, ["solve"]),
     ],
     ids=[
         "verify-alpha", "oracle-check-steady-state", "compare-steady-state",
@@ -1004,7 +1020,8 @@ STEADY_STATE_ONLY = params_to_dict(dataclasses.replace(canonical_params(), n_L=0
         "verify-no-draws", "sweep-no-steps", "verification-config-type", "sweep-config-type",
         "sweep-swept-base-value", "verify-draw-family-d-max-40", "verify-draw-family-d-max-1e300",
         "oracle-check-subnormal-delta", "verify-audit-draws-above-draws",
-        "verify-config-audit-draws-above-draws",
+        "verify-config-audit-draws-above-draws", "solve-section-not-an-object",
+        "solve-beta-beyond-float-range",
     ],
 )
 def test_input_errors_come_before_output(tmp_path, capsys, config, argv):
@@ -1017,6 +1034,23 @@ def test_input_errors_come_before_output(tmp_path, capsys, config, argv):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"solver": 5}, "error: config 'solver' must be an object\n"),
+        (
+            {"params": {**STEADY_STATE_ONLY, "beta": 10**400}},
+            f"error: bad config params: params.beta must be a finite number, found {10**400}\n",
+        ),
+    ],
+    ids=["section-not-an-object", "int-beyond-float-range"],
+)
+def test_config_errors_name_the_cause(tmp_path, capsys, config, message):
+    cfg = write_config(tmp_path, **config)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])

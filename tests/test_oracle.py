@@ -657,19 +657,16 @@ def assert_scan_equals_naive_per_row_audit(params, d):
 
 def reference_rows(params, d):
     """The scan row by row: each pair through ``check_steady_state`` with
-    the shared slacks and their verdict, and ``best_response_audit``
-    against its state's selected profile."""
+    the shared slacks, and ``best_response_audit`` against its state's
+    selected profile."""
 
     slacks = constraint_slacks_olg(params, d)
-    constraints_ok = all(v >= -_SLACK_TOL for v in slacks.values())
     p_n, p_u = posted_prices(params, d)
     rows = []
     for state in OlgState:
         selected = selected_actions(action_table(params, d, p_n, p_u, state))
         for profile in enumerate_profiles(state):
-            feasibility = check_steady_state(
-                params, d, state, profile, slacks=slacks, constraints_ok=constraints_ok
-            )
+            feasibility = check_steady_state(params, d, state, profile, slacks=slacks)
             ok = best_response_audit(params, d, state, profile, selected)
             rows.append(ScanRow(state, profile, feasibility, ok))
     return rows

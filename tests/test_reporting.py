@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from recommerce import Action, MarketMode, OlgState, Regime, solve_olg
+from recommerce import Action, MarketMode, ModelKind, OlgState, Regime, solve_olg
 from recommerce.oracle import exhaustive_steady_state_scan
-from recommerce.reporting import AUDIT_COLUMNS, audit_row, fmt12, write_csv
+from recommerce.reporting import (
+    AUDIT_COLUMNS,
+    audit_row,
+    fmt12,
+    to_jsonable,
+    write_csv,
+    write_json,
+)
 
 CELLS = [
     (Action.BUY_NEW, Action.BUY_NEW.value),
@@ -69,4 +76,32 @@ def test_mixed_row_writes_its_fmt12_bytes(tmp_path):
     write_csv(tmp_path / "mixed.csv", ["a"], [row])
     assert (tmp_path / "mixed.csv").read_bytes() == (
         b"a\n1,1,true,-0,0,nan,inf,1e-300,true,-0,1,false,0,-inf,,x\n"
+    )
+
+
+NON_FINITE = [
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (np.float64(math.nan), "nan"),
+    (np.float64(math.inf), "inf"),
+    (np.float64(-math.inf), "-inf"),
+    (np.float32(-math.inf), "-inf"),
+]
+
+
+@pytest.mark.parametrize(("value", "text"), NON_FINITE, ids=repr)
+def test_json_renders_non_finite_floats_as_strings(tmp_path, value, text):
+    assert to_jsonable(value) == text
+    write_json(tmp_path / "x.json", {"x": value})
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == f'{{\n  "x": "{text}"\n}}\n'
+
+
+def test_json_writes_enum_values_and_keys(tmp_path):
+    # every enum subclasses str, so a value passes through as the string of
+    # its value; a dict key is converted to it
+    assert all(isinstance(e, str) for e in (*OlgState, *Action, *Regime, *MarketMode, *ModelKind))
+    write_json(tmp_path / "x.json", {Regime.BRANDED: [MarketMode.SHUTDOWN, OlgState.ALL]})
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == (
+        '{\n  "branded": [\n    "shutdown",\n    "all"\n  ]\n}\n'
     )

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from recommerce.primitives import (
     RationalQuality,
     SaturatingExpQuality,
     bisect_increasing,
+    params_to_dict,
 )
 from recommerce.cli import main
 from recommerce.reporting import fmt12
@@ -133,6 +136,23 @@ def test_durability_table_and_envelope_branches_symbolically(model, regime):
         assert vanishes(objective.diff(sym[wrt]) - branch), wrt
 
 
+def _written_out_objective(x, regime, model, s, c):
+    """The seller objective built from the posted prices, no solver code, at
+    parameters ``x`` (any number type), ``s = s(D)`` and ``c = c(D)``."""
+
+    used = x.alpha * x.v_L * s  # the low type's deflated value of a used unit
+    # the high type replaces rather than keeps, and sells at the used price
+    # less the commission
+    late_new = x.v_H * (1 - s) + (1 - x.beta) * used
+    # the branded seller also keeps the commission on the used trade
+    take = late_new + x.beta * used if regime is B else late_new
+    # the first purchase prices in the discounted resale proceeds
+    first_new = x.v_H + x.delta * (1 - x.beta) * used
+    if model is TP:
+        return x.n_H * (first_new - c) + x.delta * x.n_H * (take - c)
+    return x.n_H * first_new + x.delta / (1 - x.delta) * x.n_H * (take - c)
+
+
 @pytest.mark.parametrize("regime", [T, B])
 @pytest.mark.parametrize("model", [TP, OLG])
 def test_durability_table_from_written_out_prices(model, regime):
@@ -142,28 +162,125 @@ def test_durability_table_from_written_out_prices(model, regime):
     sp = pytest.importorskip("sympy")
     names = ("v_H", "v_L", "n_H", "n_L", "delta", "alpha", "beta")
     sym = dict(zip(names, sp.symbols(names, positive=True)))
-    v_H, v_L, n_H, delta, alpha, beta = (
-        sym[name] for name in ("v_H", "v_L", "n_H", "delta", "alpha", "beta")
-    )
     s, c = sp.symbols("s c")
-    used = alpha * v_L * s  # the low type's deflated value of a used unit
-    # the high type replaces rather than keeps, and sells at the used price
-    # less the commission
-    late_new = v_H * (1 - s) + (1 - beta) * used
-    # the branded seller also keeps the commission on the used trade
-    take = late_new + beta * used if regime is B else late_new
-    # the first purchase prices in the discounted resale proceeds
-    first_new = v_H + delta * (1 - beta) * used
-    if model is TP:
-        objective = n_H * (first_new - c) + delta * n_H * (take - c)
-    else:
-        objective = n_H * first_new + delta / (1 - delta) * n_H * (take - c)
+    objective = _written_out_objective(types.SimpleNamespace(**sym), regime, model, s, c)
     derived = -objective.diff(s) / objective.diff(c)
 
     _, slope = tp.durability_condition(
         ModelParams(**sym, cost=None, quality=None), model, regime
     )
     assert sp.simplify(sp.nsimplify(derived - slope)) == 0
+
+
+_PRIMITIVES = ("v_H", "v_L", "n_H", "n_L", "delta", "alpha", "beta")
+
+
+def _mp_envelope_reference(mp, params, regime, model, wrt):
+    """D* and d(maximized objective)/d(wrt) at 50 digits, from the exact
+    values of the float parameters: ``mp.diff`` of the value function, whose
+    D* is the Illinois root of the written-out objective's D-derivative."""
+
+    cost, quality = params.cost, params.quality
+    with mp.workdps(50):
+        c0, p, k = (mp.mpf(x) for x in (cost.c0, cost.p, quality.k))
+        if isinstance(quality, SaturatingExpQuality):
+            s_bar = mp.mpf(quality.s_bar)
+
+            def s(D):
+                return s_bar * (1 - mp.exp(-k * D))
+
+            def ds(D):
+                return s_bar * k * mp.exp(-k * D)
+
+        else:
+
+            def s(D):
+                return D / (D + k)
+
+            def ds(D):
+                return k / (D + k) ** 2
+
+        def solved(theta):
+            x = {f: mp.mpf(getattr(params, f)) for f in _PRIMITIVES}
+            x[wrt] = theta
+            objective = functools.partial(
+                _written_out_objective, types.SimpleNamespace(**x), regime, model
+            )
+            # affine in (s, c): F = a + b*s + e*c, stationary where b*s' + e*c' = 0
+            a = objective(0, 0)
+            b, e = objective(1, 0) - a, objective(0, 1) - a
+            d = mp.findroot(
+                lambda D: b * ds(D) + e * c0 * p * D ** (p - 1), (0, 10), solver="illinois"
+            )
+            return d, a + b * s(d) + e * c0 * d**p
+
+        d_star = solved(mp.mpf(getattr(params, wrt)))[0]
+        return float(d_star), float(mp.diff(lambda t: solved(t)[1], getattr(params, wrt)))
+
+
+def _envelope_error_ok(env, ref):
+    # D* is solved to an absolute 1e-10, so near D* = 0 only the absolute
+    # term holds
+    return abs(env - ref) <= 1e-6 * abs(ref) + 1e-9
+
+
+def _near_shutdown(params, model, regime, margin):
+    """``params`` with ``v_L`` set so that the (model, regime) margin, which
+    is affine in ``v_L``, is about ``margin``."""
+
+    lo, hi = (
+        tp.durability_condition(dataclasses.replace(params, v_L=v), model, regime)[0]
+        for v in (0.0, 1.0)
+    )
+    return dataclasses.replace(params, v_L=(margin - lo) / (hi - lo))
+
+
+@pytest.mark.parametrize(
+    "cost,quality",
+    [
+        (PowerCost(c0=0.5, p=2.0), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+        (PowerCost(c0=0.5, p=1.5), SaturatingExpQuality(s_bar=1.0, k=1.0)),
+        (PowerCost(c0=0.5, p=3.0), RationalQuality(k=1.0)),
+        (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5)),
+    ],
+    ids=["power2-satexp", "power1.5-satexp", "power3-rational1", "power2.5-rational0.5"],
+)
+def test_envelope_matches_mpmath_reference_near_shutdown(cost, quality):
+    # every cell of a verify draw in each shipped family, its margin moved
+    # to 1e-2 and 1e-4 by v_L: D* runs from 2e-9 to 0.076
+    mp = pytest.importorskip("mpmath").mp
+    draw = dataclasses.replace(olg_pool(1, 42)[0], cost=cost, quality=quality)
+    for model in (TP, OLG):
+        for regime in (T, B):
+            for margin in (1e-2, 1e-4):
+                params = _near_shutdown(draw, model, regime, margin)
+                for wrt in ("alpha", "beta", "delta"):
+                    d_star, ref = _mp_envelope_reference(mp, params, regime, model, wrt)
+                    assert 0.0 < d_star < 0.1
+                    env = envelope_profit_derivative(params, regime, wrt, model)
+                    assert _envelope_error_ok(env, ref), (model, regime, margin, wrt, env, ref)
+
+
+def test_envelope_is_right_where_the_finite_difference_is_not():
+    # a verify counterexample on a rational-quality family: the steady-state
+    # third-party cell 4.8e-4 from shutdown, with respect to beta, where
+    # the value function curves too sharply for the step _FD_STEP
+    mp = pytest.importorskip("mpmath").mp
+    n_H = 0.448218898118398
+    params = ModelParams(
+        v_H=1.0, v_L=0.9035478753188486, n_H=n_H, n_L=1.0 - n_H,
+        delta=0.6356063825093354, alpha=0.8224628658510142, beta=0.013726302935188594,
+        cost=PowerCost(c0=0.8, p=2.5), quality=RationalQuality(k=0.5),
+    )
+    d_star, ref = _mp_envelope_reference(mp, params, T, OLG, "beta")
+    assert d_star == pytest.approx(4.815e-4, rel=1e-3)
+    assert ref == pytest.approx(-7.6270363e-4, rel=1e-8)
+    env = envelope_profit_derivative(params, T, "beta", OLG)
+    assert env == pytest.approx(-7.6270367e-4, rel=1e-8)
+    assert _envelope_error_ok(env, ref)
+    assert abs(env - ref) <= 1e-7 * abs(ref)
+    fd = fd_profit_derivative(params, T, "beta", OLG)
+    assert abs(fd - ref) > 4e-2 * abs(ref)
 
 
 def test_envelope_rejects_unknown_parameter(canonical):
@@ -258,6 +375,12 @@ def test_sweep_excludes_shutdown_from_verdicts(canonical):
 def test_sweep_single_point_not_applicable(canonical):
     rep = monotonicity_sweep(canonical, T, "alpha", [0.9])
     assert rep.verdicts["durability"] == "not-applicable"
+
+
+def test_sweep_directions_of_flat_and_mixed_sequences():
+    assert statics._direction([0.5, 0.5, 0.5]) == "constant"
+    assert statics._direction([0.1, 0.3, 0.2]) == "non-monotone"
+    assert statics._direction([0.1, 0.1, 0.2]) == "non-monotone"
 
 
 def test_olg_sweep_has_no_welfare_verdict(olg_feasible):
@@ -767,20 +890,20 @@ def test_kernel_rejects_like_the_scalar_solver(canonical):
     assert str(batched.value) == str(zero_d.value) == str(single.value)
 
 
-def test_properties_refuse_shut_down_draws_like_the_scalar_solver(canonical):
+def test_properties_count_a_shut_down_draw_as_a_violation(canonical):
+    # a shut-down two-period draw solves to D* = 0 in every regime, so the
+    # strict orderings fail there and name it, where the scalar solver
+    # refuses it
     shut = dataclasses.replace(canonical, v_L=0.5)
-    with pytest.raises(ValueError) as single:
+    with pytest.raises(ValueError):
         tp.optimal_durability(shut, T)
     pool = _stack([canonical, shut])
-    for run in (
-        lambda: _prop_efficiency(pool, DEFAULT_D_MAX),
-        lambda: _prop_durability_premium(pool, _take(pool, slice(0)), DEFAULT_D_MAX),
-        lambda: _prop_constraints(pool, *[_take(pool, slice(0))] * 2, DEFAULT_D_MAX),
-        lambda: _ladder_values(pool, DEFAULT_D_MAX),
+    for res in (
+        _prop_durability_premium(pool, _take(pool, slice(0)), DEFAULT_D_MAX),
+        _prop_efficiency(pool, DEFAULT_D_MAX),
     ):
-        with pytest.raises(ValueError) as batched:
-            run()
-        assert str(batched.value) == str(single.value)
+        assert (res.checks, res.violations) == (2, 1)
+        assert res.counterexample["params"] == params_to_dict(shut)
 
 
 def _solved(params, regime, model):
@@ -1275,13 +1398,13 @@ def _counting_vec_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("refuse", [False, True])
-def test_cell_durabilities_equal_cell_by_cell_roots(monkeypatch, refuse):
+@pytest.mark.parametrize("active_only", [False, True])
+def test_cell_durabilities_equal_cell_by_cell_roots(monkeypatch, active_only):
     other = (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5))
     active = two_period_pool(8, 3)
     # the admissible pool is unfiltered, so it has shut-down lanes too
     mixed = active + admissible_olg_pool(8, 3)
-    tp_pool = _stack(active if refuse else mixed)
+    tp_pool = _stack(active if active_only else mixed)
     tp_other = _stack([dataclasses.replace(p, cost=other[0], quality=other[1]) for p in active])
     olg_other = _stack([dataclasses.replace(p, cost=other[0], quality=other[1]) for p in mixed])
     cells = [
@@ -1295,15 +1418,13 @@ def test_cell_durabilities_equal_cell_by_cell_roots(monkeypatch, refuse):
         (_take(olg_other, slice(0)), OLG, T),
     ]
     calls = _counting_vec_calls(monkeypatch)
-    solved = statics._cell_durabilities(cells, DEFAULT_D_MAX, refuse=refuse)
+    solved = statics._cell_durabilities(cells, DEFAULT_D_MAX)
     assert len(calls) == 2  # one batched root per family
     monkeypatch.undo()
     shutdowns = 0
     for (params, model, regime), d_stars in zip(cells, solved):
         if regime is None:
             alone = tp.social_optimal_durability(params)
-        elif refuse and model is TP:
-            alone = tp.optimal_durability(params, regime)
         else:
             alone = _durabilities(params, model, regime, DEFAULT_D_MAX)
         assert d_stars.shape == np.shape(alone)
@@ -1314,21 +1435,9 @@ def test_cell_durabilities_equal_cell_by_cell_roots(monkeypatch, refuse):
         shutdowns += int(np.count_nonzero(d_stars == 0.0))
     for i, d in enumerate(solved[0]):
         assert d == tp.solve(_draw_row(tp_pool, i), T).D_star
-    # the steady-state cells shut down in either case, never refused
+    # shut-down lanes of both models are the shutdown durability
     assert shutdowns > 0
-    assert refuse or np.any(solved[0] == 0.0)
-
-
-def test_cell_durabilities_refuse_a_shut_down_cell_like_the_scalar_solver(canonical):
-    shut = _stack([canonical, dataclasses.replace(canonical, v_L=0.5)])
-    with pytest.raises(ValueError) as single:
-        tp.optimal_durability(shut, B)
-    cells = [(_stack([canonical]), TP, T), (shut, TP, B)]
-    with pytest.raises(ValueError) as batched:
-        statics._cell_durabilities(cells, DEFAULT_D_MAX, refuse=True)
-    assert str(batched.value) == str(single.value)
-    # without refusal the shut-down lane is the shutdown durability
-    assert statics._cell_durabilities(cells, DEFAULT_D_MAX)[1][1] == 0.0
+    assert active_only or np.any(solved[0] == 0.0)
 
 
 def test_cell_durabilities_raise_the_first_failing_cells_error(canonical):
@@ -1336,31 +1445,25 @@ def test_cell_durabilities_raise_the_first_failing_cells_error(canonical):
     flat = dataclasses.replace(
         canonical, cost=PowerCost(c0=1e-6, p=2.0), quality=RationalQuality(k=1.0)
     )
-    shut = dataclasses.replace(canonical, v_L=0.5)
-    ok, beyond, other, refused = (
+    ok, beyond, other = (
         (_stack([canonical]), TP, T),
         (_stack([canonical]), TP, B),
         (_stack([flat]), TP, T),
-        (_stack([shut]), TP, B),
     )
     errors = {}
-    for name, (params, model, regime) in (
-        ("beyond", beyond), ("other", other), ("refused", refused)
-    ):
-        with pytest.raises((BracketError, ValueError)) as single:
+    for name, (params, model, regime) in (("beyond", beyond), ("other", other)):
+        with pytest.raises(BracketError) as single:
             tp.optimal_durability(params, regime, d_max=d_max)
         errors[name] = single.value
-    assert len({str(e) for e in errors.values()}) == 3
+    assert len({str(e) for e in errors.values()}) == 2
     # the canonical family's cells are solved first, but a cell of the other
     # family comes first in order
     for cells, first in (
         ([ok, other, beyond], "other"),
         ([ok, beyond, other], "beyond"),
-        ([ok, refused, beyond], "refused"),
-        ([other, refused], "other"),
     ):
-        with pytest.raises(type(errors[first])) as batched:
-            statics._cell_durabilities(cells, d_max, refuse=True)
+        with pytest.raises(BracketError) as batched:
+            statics._cell_durabilities(cells, d_max)
         assert str(batched.value) == str(errors[first])
     # the social root keeps the error that names it
     with pytest.raises(BracketError) as social:
