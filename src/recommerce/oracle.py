@@ -1,19 +1,17 @@
 """Brute-force cross-checks for the closed-form solvers.
 
-The grid objective and the truncated stream are recomputed from the revenue
-story directly, using only the parameter fields and the cost/quality family
-evaluations; no solver-side formula (first-order condition, margin, profit)
-is called there, so their agreement with the analytic modules is evidence,
-not tautology. The best-response audit takes the posted prices from
+The grid objective is recomputed from the revenue story directly, using
+only the parameter fields and the cost/quality family evaluations; no
+solver-side formula (first-order condition, margin, profit) is called
+there, so its agreement with the analytic modules is evidence, not
+tautology. The best-response audit takes the posted prices from
 ``two_period.prices`` and the feasibility checks from ``olg``: it tests the
 action profiles at those prices, not the prices themselves.
 
-Three instruments:
+Two instruments:
 
 * dense grid search over durability for the two-period profit and the
   steady-state objective;
-* horizon-truncated summation of the stationary profit stream, to check the
-  closed-form geometric value;
 * an exhaustive scan of every candidate steady-state (state, action
   profile) pair at posted prices: the seller-side feasibility screens, and a
   best-response audit that the profile is its state's selected one, each
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +55,6 @@ __all__ = [
     "GridResult",
     "grid_argmax_profit",
     "grid_resolves",
-    "truncated_stream",
-    "truncated_stream_error_bound",
     "action_value",
     "action_table",
     "selected_actions",
@@ -284,29 +279,6 @@ def grid_resolves(
     g_hit, g_near = (x + y for x, y in parts)
     ulp = max(math.ulp(v) for x, y in parts for v in (x, y, x + y))
     return not g_hit - g_near <= 3.0 * ulp
-
-
-def truncated_stream(
-    params: ModelParams, regime: Regime, D: float, horizon: int
-) -> float:
-    """Sum of the stationary per-period profit over periods 1..horizon,
-    discounted one period back, accumulated with compensated summation."""
-
-    p = params
-    s = p.quality.value(D)
-    c = p.cost.value(D)
-    if regime is Regime.THIRD_PARTY:
-        r = p.n_H * (p.alpha * (1.0 - p.beta) * p.v_L * s + p.v_H * (1.0 - s) - c)
-    else:
-        r = p.n_H * (p.alpha * p.v_L * s + p.v_H * (1.0 - s) - c)
-    return math.fsum(p.delta**t * r for t in range(1, horizon + 1))
-
-
-def truncated_stream_error_bound(params: ModelParams, horizon: int) -> float:
-    """Relative error bound for the truncated stream vs its closed form:
-    the geometric tail plus slack for floating-point accumulation."""
-
-    return params.delta**horizon + 64.0 * sys.float_info.epsilon
 
 
 _SELECTION_PRIORITY = (

@@ -97,8 +97,30 @@ def _maybe_scalar(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+class _Family:
+    """The public methods of a function family: :func:`_as_array`'s
+    negativity guard, the family's kernel, then a float for a 0-d input.
+
+    The kernels ``_value``, ``_deriv`` and ``_deriv2`` take a float array
+    and check nothing. Code that has already checked its whole domain, such
+    as a root on [0, d_max], calls them directly.
+    """
+
+    def value(self, D):
+        arr, scalar = _as_array(D)
+        return _maybe_scalar(self._value(arr), scalar)
+
+    def deriv(self, D):
+        arr, scalar = _as_array(D)
+        return _maybe_scalar(self._deriv(arr), scalar)
+
+    def deriv2(self, D):
+        arr, scalar = _as_array(D)
+        return _maybe_scalar(self._deriv2(arr), scalar)
+
+
 @dataclass(frozen=True)
-class PowerCost:
+class PowerCost(_Family):
     """Production cost ``c(D) = c0 * D**p`` with ``p > 1``.
 
     Args:
@@ -115,28 +137,23 @@ class PowerCost:
         if not self.p > 1.0:
             raise ValueError("PowerCost: exponent must exceed 1")
 
-    def value(self, D):
-        arr, scalar = _as_array(D)
-        return _maybe_scalar(self.c0 * arr**self.p, scalar)
+    def _value(self, arr):
+        return self.c0 * arr**self.p
 
-    def deriv(self, D):
-        arr, scalar = _as_array(D)
-        return _maybe_scalar(self.c0 * self.p * arr ** (self.p - 1.0), scalar)
+    def _deriv(self, arr):
+        return self.c0 * self.p * arr ** (self.p - 1.0)
 
-    def deriv2(self, D):
-        arr, scalar = _as_array(D)
+    def _deriv2(self, arr):
         coef = self.c0 * self.p * (self.p - 1.0)
         if self.p >= 2.0:
-            out = coef * arr ** (self.p - 2.0)
-        else:
-            # D**(p-2) diverges at the origin for 1 < p < 2
-            with np.errstate(divide="ignore"):
-                out = np.where(arr > 0.0, coef * arr ** (self.p - 2.0), np.inf)
-        return _maybe_scalar(out, scalar)
+            return coef * arr ** (self.p - 2.0)
+        # D**(p-2) diverges at the origin for 1 < p < 2
+        with np.errstate(divide="ignore"):
+            return np.where(arr > 0.0, coef * arr ** (self.p - 2.0), np.inf)
 
 
 @dataclass(frozen=True)
-class SaturatingExpQuality:
+class SaturatingExpQuality(_Family):
     """Resale quality ``s(D) = s_bar * (1 - exp(-k D))``.
 
     Args:
@@ -153,24 +170,21 @@ class SaturatingExpQuality:
         if not self.k > 0.0:
             raise ValueError("SaturatingExpQuality: k must be positive")
 
-    def value(self, D):
-        arr, scalar = _as_array(D)
-        return _maybe_scalar(self.s_bar * (1.0 - np.exp(-self.k * arr)), scalar)
+    def _value(self, arr):
+        return self.s_bar * (1.0 - np.exp(-self.k * arr))
 
-    def deriv(self, D):
-        arr, scalar = _as_array(D)
-        return _maybe_scalar(self.s_bar * self.k * np.exp(-self.k * arr), scalar)
+    def _deriv(self, arr):
+        return self.s_bar * self.k * np.exp(-self.k * arr)
 
-    def deriv2(self, D):
-        arr, scalar = _as_array(D)
+    def _deriv2(self, arr):
         # k * k, not k**2: the float power raises OverflowError above about
         # 1.3e154, where the product is inf
         k2 = self.k * self.k
-        return _maybe_scalar(-self.s_bar * k2 * np.exp(-self.k * arr), scalar)
+        return -self.s_bar * k2 * np.exp(-self.k * arr)
 
 
 @dataclass(frozen=True)
-class RationalQuality:
+class RationalQuality(_Family):
     """Resale quality ``s(D) = D / (D + k)`` with ``k > 0``."""
 
     k: float
@@ -179,17 +193,14 @@ class RationalQuality:
         if not self.k > 0.0:
             raise ValueError("RationalQuality: k must be positive")
 
-    def value(self, D):
-        arr, scalar = _as_array(D)
-        return _maybe_scalar(arr / (arr + self.k), scalar)
+    def _value(self, arr):
+        return arr / (arr + self.k)
 
-    def deriv(self, D):
-        arr, scalar = _as_array(D)
-        return _maybe_scalar(self.k / (arr + self.k) ** 2, scalar)
+    def _deriv(self, arr):
+        return self.k / (arr + self.k) ** 2
 
-    def deriv2(self, D):
-        arr, scalar = _as_array(D)
-        return _maybe_scalar(-2.0 * self.k / (arr + self.k) ** 3, scalar)
+    def _deriv2(self, arr):
+        return -2.0 * self.k / (arr + self.k) ** 3
 
 
 CostFn = PowerCost
@@ -312,13 +323,15 @@ def _family_checks(cost: CostFn, quality: QualityFn, d_max: float) -> tuple[Chec
     They depend on nothing else, and the families are frozen, so they run
     once per (cost, quality, d_max), evaluating each family once on the
     grid. A huge ``d_max`` overflows the grid; the checks it breaks fail,
-    without NumPy warnings on stderr.
+    without NumPy warnings on stderr. The grid lies in [0, d_max], so one
+    check of ``d_max`` guards it and the family kernels evaluate it.
     """
 
+    _as_array(d_max)
     grid = _check_grid(d_max)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cv, cd, cdd = cost.value(grid), cost.deriv(grid), cost.deriv2(grid)
-        sv, sd, sdd = quality.value(grid), quality.deriv(grid), quality.deriv2(grid)
+        cv, cd, cdd = cost._value(grid), cost._deriv(grid), cost._deriv2(grid)
+        sv, sd, sdd = quality._value(grid), quality._deriv(grid), quality._deriv2(grid)
         crossing = (np.diff(cd / sd) > 0.0).all()
     return (
         Check("cost_zero_at_origin", bool(cv[0] == 0.0 and cd[0] == 0.0)),
@@ -474,8 +487,8 @@ def bisect_increasing(
     NaN-valued too), with about 4 calls of ``f`` instead of about 40.
     """
 
-    points, kids = _probe_tree(lo, hi, xtol)
-    flo, fhi, *values = f(np.array((lo, hi, *points), dtype=float)).tolist()
+    probe, points, kids = _probe_tree(lo, hi, xtol)
+    flo, fhi, *values = f(probe).tolist()
     if flo >= 0.0:
         if flo == 0.0:
             return lo
@@ -508,7 +521,7 @@ def bisect_increasing(
         # the estimate was wrong: a new path, starting at mid
         guess = _root_estimate(lo, flo, hi, fhi, last, flast)
         if guess is None:
-            points, kids = _probe_tree(lo, hi, xtol)
+            _, points, kids = _probe_tree(lo, hi, xtol)
         else:
             points, kids = _path_midpoints(lo, hi, xtol, guess), None
         values = f(np.array(points, dtype=float)).tolist()
@@ -517,10 +530,11 @@ def bisect_increasing(
 @functools.lru_cache(maxsize=16)
 def _probe_tree(
     lo: float, hi: float, xtol: float
-) -> tuple[tuple[float, ...], tuple[tuple[int, int], ...]]:
-    """Every midpoint the bisection of [lo, hi] can visit in its first
-    ``_PROBE_LEVELS`` steps, level by level, and the (left, right) child
-    index of each. Cached: the package's roots share a few brackets."""
+) -> tuple[np.ndarray, tuple[float, ...], tuple[tuple[int, int], ...]]:
+    """The first call's read-only float array ``(lo, hi, *points)``; the
+    ``points``, every midpoint the bisection of [lo, hi] can visit in its
+    first ``_PROBE_LEVELS`` steps, level by level; and the (left, right)
+    child index of each. Cached: the package's roots share a few brackets."""
 
     points: list[float] = []
     kids: list[list[int]] = []
@@ -535,7 +549,9 @@ def _probe_tree(
                 kids.append([_NO_CHILD, _NO_CHILD])
                 children += [(a, mid, kids[-1], 0), (mid, b, kids[-1], 1)]
         brackets = children
-    return tuple(points), tuple(map(tuple, kids))
+    probe = np.array((lo, hi, *points), dtype=float)
+    probe.flags.writeable = False
+    return probe, tuple(points), tuple(map(tuple, kids))
 
 
 def _root_estimate(

@@ -64,7 +64,6 @@ __all__ = [
     "regime_comparison",
     "ParamBox",
     "DEFAULT_BOX",
-    "sample_params",
     "margin_active",
     "equilibrium_feasible",
     "ladder_active",
@@ -553,13 +552,6 @@ def _draw_row(block: ModelParams, i) -> ModelParams:
     return dataclasses.replace(
         block, **{f: float(getattr(block, f)[i]) for f in _SCALAR_FIELDS}
     )
-
-
-def sample_params(rng: np.random.Generator) -> ModelParams:
-    """One raw draw from ``DEFAULT_BOX`` (no admissibility or activity
-    filtering)."""
-
-    return _draw_row(_draw_block(rng, 1), 0)
 
 
 def margin_active(params: ModelParams, model: ModelKind, regime: Regime) -> bool:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .primitives import (
     DEFAULT_D_MAX,
+    _as_array,
     _slacks_hold,
     BracketError,
     ModelKind,
@@ -99,13 +100,16 @@ def foc_residual(params: ModelParams, slope):
 
     Shared by both models: ``slope`` is the ``k*M`` of
     :func:`durability_condition`. With an array ``slope`` the residual maps
-    an array of lanes elementwise.
+    an array of lanes elementwise. It takes durabilities in [0, d_max] and
+    does not check them: it calls the family kernels, not the guarded
+    methods, because :func:`solve_foc` checks ``d_max`` once per root.
     """
 
     cost, quality = params.cost, params.quality
 
     def residual(D):
-        return cost.deriv(D) - slope * quality.deriv(D)
+        D = np.asarray(D, dtype=float)
+        return cost._deriv(D) - slope * quality._deriv(D)
 
     return residual
 
@@ -124,9 +128,11 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
     midpoint sequence, so each lane equals the single-point root bit for
     bit; a lane without a strict sign change on the bracket is handed to
     the scalar bisection, so it returns the same endpoint or raises the
-    same :class:`BracketError`. Callers decide which lanes are active.
+    same :class:`BracketError`. Callers decide which lanes are active. A
+    negative ``d_max`` raises the families' ``ValueError``, once per call.
     """
 
+    _as_array(d_max)
     if np.ndim(slope) == 0:
         residual = foc_residual(params, slope)
         try:

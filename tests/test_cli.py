@@ -17,12 +17,7 @@ import pytest
 from recommerce import canonical_params, oracle, params_to_dict, statics
 from recommerce import olg as olg_mod
 from recommerce import two_period as tp
-from recommerce.primitives import (
-    DEFAULT_D_MAX,
-    PowerCost,
-    RationalQuality,
-    SaturatingExpQuality,
-)
+from recommerce.primitives import DEFAULT_D_MAX
 from recommerce.cli import CONFIG_SCHEMA, OUT_ENV_VAR, build_parser, main
 from recommerce.reporting import (
     AUDIT_COLUMNS,
@@ -31,6 +26,7 @@ from recommerce.reporting import (
     TWO_PERIOD_COLUMNS,
     VERIFY_COLUMNS,
 )
+from references import ORACLE_FAMILIES
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -854,13 +850,6 @@ def test_oracle_check_steady_state_mismatch_exits_1_at_small_delta(
         tmp_path, capsys, monkeypatch, olg_mod, "solve_olg", delta, 100_000
     )
 
-
-ORACLE_FAMILIES = [
-    (PowerCost(c0=0.5, p=2.0), SaturatingExpQuality(s_bar=1.0, k=1.0)),
-    (PowerCost(c0=0.5, p=1.5), SaturatingExpQuality(s_bar=1.0, k=1.0)),
-    (PowerCost(c0=0.5, p=3.0), RationalQuality(k=1.0)),
-    (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5)),
-]
 
 if given is not None:
 

@@ -22,8 +22,6 @@ from recommerce import (
     profit,
     solve,
     solve_olg,
-    truncated_stream,
-    truncated_stream_error_bound,
 )
 from recommerce import oracle
 from recommerce.olg import (
@@ -50,6 +48,7 @@ from recommerce.primitives import (
     validate_params,
 )
 from recommerce.statics import DEFAULT_BOX, foc_pool, margin_active, olg_pool, sample_filtered
+from references import truncated_stream, truncated_stream_error_bound
 
 try:
     from hypothesis import given, settings, strategies as st

@@ -20,9 +20,10 @@ from recommerce import (
     params_to_dict,
     validate_params,
 )
-from recommerce import olg, statics
+from recommerce import olg, primitives, statics
 from recommerce import two_period as tp
 from recommerce.primitives import Regime, _family_checks, bisect_increasing_vec
+from references import ORACLE_FAMILIES
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -120,6 +121,54 @@ def test_negative_entries_rejected_in_scalars_and_arrays():
                 assert type(method(zero_d)) is float
         # NaN is not negative: it passes the guard, as before
         assert math.isnan(fn.deriv(math.nan))
+
+
+# durabilities a kernel may meet on a checked domain, and the edge cases
+# the guard lets through: zeros of both signs, subnormals, inf and NaN
+_KERNEL_EDGES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, math.inf, math.nan]
+_FAMILY_FNS = list(dict.fromkeys(fn for family in ORACLE_FAMILIES for fn in family))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_kernels_equal_methods(fn, D):
+    """Each kernel on the guarded float array equals its public method bit
+    for bit; a 0-d input gives a float from the method."""
+
+    arr = np.asarray(D, dtype=float)
+    for name in ("value", "deriv", "deriv2"):
+        with np.errstate(all="ignore"):
+            public, kernel = getattr(fn, name)(D), getattr(fn, "_" + name)(arr)
+        if arr.ndim == 0:
+            assert type(public) is float
+        assert _same_bits(kernel, public), (fn, name, D)
+
+
+@pytest.mark.parametrize("fn", _FAMILY_FNS, ids=repr)
+def test_kernels_equal_public_methods_on_edge_cases(fn):
+    for D in _KERNEL_EDGES:
+        for zero_d in (D, np.float64(D), np.asarray(D)):
+            _assert_kernels_equal_methods(fn, zero_d)
+    _assert_kernels_equal_methods(fn, np.array(_KERNEL_EDGES + [0.3, 2.0, 1e300]))
+    _assert_kernels_equal_methods(fn, np.array([]))
+    _assert_kernels_equal_methods(fn, np.linspace(0.0, 10.0, 12).reshape(3, 4))
+
+
+if given is not None:
+    _durabilities = st.floats(min_value=0.0) | st.sampled_from(_KERNEL_EDGES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fn=st.sampled_from(_FAMILY_FNS),
+        D=_durabilities,
+        lanes=st.lists(_durabilities, max_size=40),
+    )
+    def test_kernels_equal_public_methods(fn, D, lanes):
+        _assert_kernels_equal_methods(fn, D)
+        _assert_kernels_equal_methods(fn, np.array(lanes, dtype=float))
 
 
 def test_family_constructor_guards():
@@ -589,6 +638,50 @@ def test_roots_take_few_batched_residual_calls(canonical, monkeypatch):
         assert 0.0 < tp.solve_foc(params, slope) < 10.0
     assert all(type(D) is np.ndarray for D in arguments)
     assert len(arguments) < 3.5 * len(slopes)
+
+
+def test_roots_and_family_checks_check_the_domain_once(canonical, monkeypatch):
+    # the points of a root and of the check grid lie in [0, d_max], so one
+    # check of d_max guards them; the family kernels take them unchecked
+    checked = []
+    real = primitives._as_array
+
+    def counting(D):
+        checked.append(D)
+        return real(D)
+
+    monkeypatch.setattr(primitives, "_as_array", counting)
+    monkeypatch.setattr(tp, "_as_array", counting)
+    _, slope = tp.durability_condition(canonical, ModelKind.TWO_PERIOD, Regime.BRANDED)
+    for call in [
+        lambda: tp.solve_foc(canonical, slope, 10.0),
+        lambda: tp.solve_foc(canonical, np.array([slope, 0.5 * slope]), 10.0),
+        lambda: _family_checks(canonical.cost, canonical.quality, 10.0),
+    ]:
+        _family_checks.cache_clear()
+        checked.clear()
+        call()
+        assert checked == [10.0]
+
+
+@pytest.mark.parametrize("d_max", [-1.0, -5e-324])
+def test_negative_d_max_raises_the_guard_error(canonical, olg_feasible, d_max):
+    _, slope = tp.durability_condition(canonical, ModelKind.TWO_PERIOD, Regime.BRANDED)
+    calls = [
+        lambda: validate_params(canonical, d_max=d_max),
+        lambda: validate_params(canonical, ModelKind.OLG, d_max=d_max),
+        lambda: tp.solve_foc(canonical, slope, d_max),
+        lambda: tp.solve_foc(canonical, np.array([slope, 0.5 * slope]), d_max),
+        lambda: tp.optimal_durability(canonical, Regime.THIRD_PARTY, d_max),
+        lambda: tp.social_optimal_durability(canonical, d_max),
+        lambda: tp.solve(canonical, Regime.BRANDED, d_max),
+        lambda: olg.solve_olg(olg_feasible, Regime.THIRD_PARTY, d_max),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError
+        assert str(err.value) == "durability must be nonnegative"
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from recommerce import (
     optimal_commission,
     regime_comparison,
     run_verification,
-    sample_params,
     shutdown_profit,
     solve_olg,
     value_function,
@@ -69,6 +68,7 @@ from recommerce.statics import (
     sample_filtered,
     two_period_pool,
 )
+from references import sample_params
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED

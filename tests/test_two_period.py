@@ -26,6 +26,7 @@ from recommerce import olg, statics
 from recommerce import two_period as tp
 from recommerce.primitives import BracketError, ModelKind, canonical_params
 from recommerce.two_period import solve_foc
+from references import sample_params
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
@@ -387,7 +388,7 @@ def test_solve_shutdown_branch(canonical):
 def test_both_regimes_share_one_social_root(canonical, monkeypatch):
     direct = social_optimal_durability
     rng = np.random.default_rng(42)
-    points = [canonical, *(statics.sample_params(rng) for _ in range(12))]
+    points = [canonical, *(sample_params(rng) for _ in range(12))]
     expected = [direct(p) for p in points]
 
     calls = []
