@@ -89,9 +89,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridResult:
-    D_at_max: float
-    value: float
-    index: int
+    D_at_max: float | np.ndarray
+    value: float | np.ndarray
+    index: int | np.ndarray
     step: float
 
 
@@ -206,6 +206,31 @@ def _g(B: float, C: float, s, c):
     return B * s + C * c
 
 
+def _first_argmax(B, C, s, c, blocks: _Blocks):
+    """The grid index of the first maximum of :func:`_g`, or of its first NaN:
+    an int for float ``B`` and ``C``; for ``(lanes, 1)`` columns one per lane,
+    with ``(lanes, blocks)`` bounds and ranking and ``(lanes, 1)`` floors."""
+
+    with np.errstate(all="ignore"):
+        bound = np.maximum(B * blocks.s_lo, B * blocks.s_hi)
+        bound += np.maximum(C * blocks.c_lo, C * blocks.c_hi)
+        top = np.where(bound < math.inf, bound, -math.inf).argmax(-1, keepdims=bound.ndim > 1)
+        floor = _g(B, C, s[top * _BLOCK], c[top * _BLOCK])
+    kept = ~(bound < floor)
+    if kept.ndim == 1:
+        return _first_argmax_in(B, C, s, c, kept)
+    lanes = zip(B.ravel().tolist(), C.ravel().tolist(), kept)
+    return [_first_argmax_in(b, k, s, c, row) for b, k, row in lanes]
+
+
+def _first_argmax_in(B: float, C: float, s, c, kept: np.ndarray) -> int:
+    """:func:`_first_argmax` over the points of the ``kept`` blocks."""
+
+    points = (kept.nonzero()[0][:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+    points = points[points < s.size]
+    return int(points[_g(B, C, s[points], c[points]).argmax()])
+
+
 def grid_argmax_profit(
     params: ModelParams,
     regime: Regime,
@@ -227,9 +252,15 @@ def grid_argmax_profit(
     the rounded sum of the two: each block's bound is exact. Where ``g`` can
     be NaN the bound is NaN or +inf: an extreme is NaN, a product at an
     extreme is NaN (zero times infinity), or one overflows to +inf. ``g`` at
-    the middle of the block with the highest finite bound is a floor under
-    the maximum. Every block whose bound is not below it is evaluated, in
-    index order; the others hold neither the maximum nor a tie with it.
+    a point, the first of the block with the highest finite bound, is a floor
+    under the maximum. Every block whose bound is not below it is evaluated,
+    in index order; the others hold neither the maximum nor a tie with it.
+
+    Array parameter fields of one cost/quality family give arrays ``B`` and
+    ``C``, a result of arrays and, per draw (a lane), its scalar search bit
+    for bit. Lanes are bounded in groups of at most ``_BLOCK`` lanes and
+    ``_BLOCK**2`` bounds (128 KiB): larger temporaries take fresh pages on
+    every call, 1.5 times the time for 200 draws on 1e5 points (2-vCPU x86-64).
     """
 
     if grid is None:
@@ -238,24 +269,20 @@ def grid_argmax_profit(
     D, s, c, blocks = _grid_arrays(p.cost, p.quality, grid)
     f = functools.partial(_objective, p, regime, model)
     B, C = _coefficients(f)
-    with np.errstate(all="ignore"):
-        bound = np.maximum(B * blocks.s_lo, B * blocks.s_hi) + np.maximum(
-            C * blocks.c_lo, C * blocks.c_hi
+    if not isinstance(B, np.ndarray) and not isinstance(C, np.ndarray):
+        idx = _first_argmax(B, C, s, c, blocks)
+        return GridResult(
+            D_at_max=float(D[idx]), value=f(float(s[idx]), float(c[idx])), index=idx, step=grid.step
         )
-
-    ranked = np.where(bound < math.inf, bound, -math.inf)
-    top = int(np.argmax(ranked))
-    floor = -math.inf
-    if ranked[top] > -math.inf:
-        i = min(top * _BLOCK + _BLOCK // 2, grid.count - 1)
-        floor = _g(B, C, float(s[i]), float(c[i]))
-    kept = np.flatnonzero(~(bound < floor))
-    points = (kept[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
-    points = points[points < grid.count]
-    idx = int(points[np.argmax(_g(B, C, s[points], c[points]))])
-    return GridResult(
-        D_at_max=float(D[idx]), value=f(float(s[idx]), float(c[idx])), index=idx, step=grid.step
-    )
+    shape = np.broadcast(B, C).shape
+    B, C = (np.broadcast_to(x, shape).reshape(-1, 1) for x in (B, C))
+    step = min(_BLOCK, max(_BLOCK**2 // blocks.s_lo.size, 1))
+    groups = [slice(i, i + step) for i in range(0, len(B), step)]
+    idx = [i for g in groups for i in _first_argmax(B[g], C[g], s, c, blocks)]
+    idx = np.array(idx, dtype=np.intp).reshape(shape)
+    with np.errstate(all="ignore"):  # as Python floats, the scalar search's value never warns
+        value = f(s[idx], c[idx])
+    return GridResult(D_at_max=D[idx], value=value, index=idx, step=grid.step)
 
 
 def grid_resolves(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import io
 import json
 import math
 from pathlib import Path
@@ -123,16 +124,21 @@ _CELL_TEXT = {
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write ``rows`` under ``header``, each cell as :func:`fmt12` renders
-    it."""
+    it; a row of ``_CELL_TEXT`` cells alone, which need no quoting, joined."""
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = _CELL_TEXT.get
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([text(id(cell)) or fmt12(cell) for cell in row])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in map(tuple, rows):
+        texts = [text(id(cell)) for cell in row]
+        if all(texts):
+            out.write(",".join(texts) + "\n")
+        else:
+            writer.writerow([t or fmt12(cell) for t, cell in zip(texts, row)])
+    path.write_text(out.getvalue(), encoding="utf-8", newline="")
 
 
 TWO_PERIOD_COLUMNS = (

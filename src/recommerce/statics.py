@@ -813,10 +813,7 @@ def _prop_foc_grid(
     cells = [(pool, model, regime) for (model, regime), pool in sorted(pools.items())]
     solved = _cell_durabilities(cells, d_max)
     for (pool, model, regime), d_stars in zip(cells, solved):
-        grid_d = [
-            oracle_mod.grid_argmax_profit(_draw_row(pool, i), regime, model, grid).D_at_max
-            for i in range(len(d_stars))
-        ]
+        grid_d = oracle_mod.grid_argmax_profit(pool, regime, model, grid).D_at_max
         gaps = np.abs(np.subtract(d_stars, grid_d))
         tally.add(
             gaps > grid.step,
@@ -825,7 +822,7 @@ def _prop_foc_grid(
                 model=model.value,
                 regime=regime.value,
                 solver_D=float(d_stars[i]),
-                grid_D=grid_d[i],
+                grid_D=float(grid_d[i]),
             ),
         )
         notes.append(f"{model.value}/{regime.value} worst gap {max([0.0, *gaps]):.3e}")

@@ -552,6 +552,28 @@ def test_verify_matches_frozen_digests(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of verify at its default scales (200 draws, 1e5 grid points),
+# written before the grid oracle searched a draw pool's lanes in one call
+DEFAULT_VERIFY_SHA256 = {
+    "42": {
+        "verify.csv": "d685240c78457a36a0f1636c1b5f377b9f1c3c6252e128778282d3aae90cefae",
+        "verify.json": "c6f416558183fa07ec900ef87c0c6a7a81db8c8d332762eefe8dfb0451398572",
+    },
+    "7": {
+        "verify.csv": "a05d9060b4ab6c77ced8578f1f22ccfb0265fca850d5a4edbf64813abe5b5bf9",
+        "verify.json": "ec2e00d94527061261fb64df1e20c67b91ac5c0706bc6b4e1ec6f81bf1ee96ef",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", DEFAULT_VERIFY_SHA256)
+def test_default_scale_verify_matches_frozen_digests(tmp_path, seed):
+    out = tmp_path / "run"
+    assert main(["verify", "--seed", seed, "--out", str(out)]) == 0
+    for name, digest in DEFAULT_VERIFY_SHA256[seed].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 OLG_ACTIVE = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "olg_active.json")
 CANONICAL = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "canonical.json")
 

@@ -47,7 +47,16 @@ from recommerce.primitives import (
     SaturatingExpQuality,
     validate_params,
 )
-from recommerce.statics import DEFAULT_BOX, foc_pool, margin_active, olg_pool, sample_filtered
+from recommerce.statics import (
+    DEFAULT_BOX,
+    _draw_row,
+    _stack,
+    _take,
+    foc_pool,
+    margin_active,
+    olg_pool,
+    sample_filtered,
+)
 from references import truncated_stream, truncated_stream_error_bound
 
 try:
@@ -153,6 +162,8 @@ def one_shot_grid_argmax(params, regime, model, grid=None, arrays=None):
 def assert_same_hit(got, want):
     assert (got.index, got.D_at_max, got.value) == (want.index, want.D_at_max, want.value)
     assert got.step == want.step
+    # scalar params give plain Python numbers, as oracle_check.json reads them
+    assert (type(got.index), type(got.D_at_max), type(got.value)) == (int, float, float)
 
 
 # every (model, regime) objective the grid writes out
@@ -194,10 +205,10 @@ CHUNK = 8_192
 BLOCK = oracle._BLOCK
 
 
-@pytest.mark.parametrize(
-    "count",
-    [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 100_000],
-)
+GRID_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 100_000]
+
+
+@pytest.mark.parametrize("count", GRID_SIZES)
 def test_chunked_grid_equals_one_shot_across_grid_sizes(seed42_pools, count):
     grid = GridSpec(0.0, DEFAULT_D_MAX, count)
     for model, regime, active in POOLS:
@@ -407,6 +418,136 @@ def test_block_extremes_are_cached_read_only(canonical):
         assert list(x_hi) == [max(x[i : i + BLOCK]) for i in starts]
     for arr in (blocks.s_lo, blocks.s_hi, blocks.c_lo, blocks.c_hi):
         assert not arr.flags.writeable
+
+
+# ----------------------------------------------------------------------
+# lanes: array parameter fields search every draw at once
+# ----------------------------------------------------------------------
+
+
+def assert_lanes_equal_one_shot(params, regime, model, grid, arrays=None):
+    """Every lane of the search over stacked ``params`` equals the one-shot
+    search of its own row, bit for bit; a NaN value equals a NaN."""
+
+    got = grid_argmax_profit(params, regime, model, grid)
+    assert got.index.shape == got.D_at_max.shape == got.value.shape == params.alpha.shape
+    assert got.step == grid.step
+    if arrays is None:
+        D = grid.points()
+        arrays = (D, params.quality.value(D), params.cost.value(D))
+    for i in range(len(params.alpha)):
+        want = one_shot_grid_argmax(_draw_row(params, i), regime, model, grid, arrays)
+        assert (got.index[i], got.D_at_max[i]) == (want.index, want.D_at_max)
+        value = got.value[i]
+        assert value == want.value or (value != value and want.value != want.value)
+
+
+@pytest.mark.parametrize("count", GRID_SIZES)
+@pytest.mark.parametrize(
+    "family", FAMILIES, ids=lambda f: f"{f[0].p}-{type(f[1]).__name__}"
+)
+def test_lanes_equal_one_shot_on_every_family_and_grid_size(seed42_pools, family, count):
+    cost, quality = family
+    grid = GridSpec(0.0, DEFAULT_D_MAX, count)
+    for model, regime, active in POOLS:
+        lanes = _stack(seed42_pools[model, regime, active])
+        lanes = dataclasses.replace(lanes, cost=cost, quality=quality)
+        assert_lanes_equal_one_shot(lanes, regime, model, grid)
+
+
+def test_lanes_beyond_one_group_and_one_lane_and_none(seed42_pools):
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 100_000)
+    every = _stack([p for pool in seed42_pools.values() for p in pool])
+    assert len(every.alpha) > BLOCK
+    for model, regime in OBJECTIVES:
+        assert_lanes_equal_one_shot(every, regime, model, grid)
+        assert_lanes_equal_one_shot(_take(every, slice(1)), regime, model, grid)
+        assert_lanes_equal_one_shot(_take(every, slice(0)), regime, model, grid)
+
+
+@pytest.mark.parametrize("count", [5_000, 100_000])
+def test_lane_arrays_are_no_larger_than_the_grid(monkeypatch, seed42_pools, canonical, count):
+    # lanes are bounded in groups whose (lanes, blocks) arrays fit in one grid
+    # array and in BLOCK**2 elements; lanes whose objective is flat to
+    # rounding keep every block
+    grid = GridSpec(0.0, DEFAULT_D_MAX, count)
+    flat = [dataclasses.replace(canonical, delta=d) for d in (1e-9, 1e-12, 1e-300, 1e-320)]
+    lanes = _stack([*seed42_pools[ModelKind.OLG, T, True], *flat] * 5)
+    sizes = []
+    first_argmax = oracle._first_argmax
+
+    def recorded(B, C, s, c, blocks):
+        sizes.append(B.size * blocks.s_lo.size)
+        return first_argmax(B, C, s, c, blocks)
+
+    monkeypatch.setattr(oracle, "_first_argmax", recorded)
+    for model, regime in OBJECTIVES:
+        assert_lanes_equal_one_shot(lanes, regime, model, grid)
+    blocks = -(-grid.count // BLOCK)
+    assert len(sizes) > len(OBJECTIVES)
+    assert max(sizes) <= min(blocks, BLOCK) * BLOCK < grid.count + BLOCK
+
+
+def non_finite_lanes(params):
+    """``params`` and variants of it, the margin positive in some and not in
+    others, so that the coefficient of s takes both signs."""
+
+    lanes = _stack(
+        [dataclasses.replace(params, v_L=v, beta=b) for v in (0.4, 0.6, 0.75) for b in (0.05, 0.3)]
+    )
+    for model, regime in OBJECTIVES:
+        B, _ = oracle._coefficients(functools.partial(written_objective, lanes, regime, model))
+        assert (B > 0.0).any() and (B < 0.0).any()
+    return lanes
+
+
+@pytest.mark.parametrize("case", _NON_FINITE)
+def test_lanes_equal_one_shot_on_non_finite_families(monkeypatch, olg_feasible, case):
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 3 * CHUNK + 7)
+    D = grid.points()
+    s = olg_feasible.quality.value(D)
+    c = olg_feasible.cost.value(D)
+    s_edits, c_edits = _NON_FINITE[case]
+    s[list(s_edits)] = list(s_edits.values())
+    c[list(c_edits)] = list(c_edits.values())
+    monkeypatch.setattr(
+        oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
+    )
+    lanes = non_finite_lanes(olg_feasible)
+    for model, regime in OBJECTIVES:
+        with np.errstate(invalid="ignore" if s_edits else "raise"):
+            assert_lanes_equal_one_shot(lanes, regime, model, grid, arrays=(D, s, c))
+
+
+@pytest.mark.parametrize("zero", [0, 1], ids=["B", "C"])
+def test_lanes_keep_the_nan_of_an_infinity_times_zero(monkeypatch, olg_feasible, zero):
+    # the coefficient is zero in the lanes with beta above 0.1 alone, so
+    # lanes reach the infinity by different roads, or not at all
+    grid = GridSpec(0.0, DEFAULT_D_MAX, 3 * CHUNK + 7)
+    D = grid.points()
+    s = olg_feasible.quality.value(D)
+    c = olg_feasible.cost.value(D)
+    (s, c)[zero][5000] = -np.inf
+    coefficients = oracle._coefficients
+
+    def zeroed(f):
+        k = list(coefficients(f))
+        k[zero] = np.where(f.args[0].beta > 0.1, 0.0, k[zero])
+        return tuple(k)
+
+    monkeypatch.setattr(
+        oracle, "_grid_arrays", lambda cost, quality, g: (D, s, c, oracle._Blocks.of(s, c))
+    )
+    monkeypatch.setattr(oracle, "_coefficients", zeroed)
+    lanes = non_finite_lanes(olg_feasible)
+    for model, regime in OBJECTIVES:
+        with np.errstate(invalid="ignore"):
+            assert_lanes_equal_one_shot(lanes, regime, model, grid, arrays=(D, s, c))
+            hits = grid_argmax_profit(lanes, regime, model, grid).index
+        # 0 * -inf is NaN in the zeroed lanes; B * -inf is -inf where B > 0
+        assert (hits[lanes.beta > 0.1] == 5000).all()
+        if zero == 0:
+            assert (hits != 5000).any()
 
 
 if given is not None:

@@ -79,6 +79,29 @@ def test_mixed_row_writes_its_fmt12_bytes(tmp_path):
     )
 
 
+def test_csv_bytes_equal_csv_writer_over_fmt12(tmp_path):
+    # rows of table cells alone are joined directly, the others go through
+    # csv.writer; rows given as iterators must reach either path whole
+    def rows():
+        return [
+            [OlgState.HIGH_ONLY, Action.BUY_NEW, True, np.False_, Regime.BRANDED],
+            [MarketMode.SHUTDOWN],
+            [Action.BUY_USED, 3, 2.5, math.nan, None, "a,b", 'say "hi"', False],
+            iter([True, Action.KEEP_USED, np.True_]),
+            (cell for cell in [Regime.THIRD_PARTY, "x\ny", -0.0, np.int64(-4)]),
+            (False, np.float64(1e-7), "", math.inf, 'q"', " padded "),
+            [],
+            [""],
+        ]
+
+    write_csv(tmp_path / "mixed.csv", ["a", "b,c"], rows())
+    with (tmp_path / "expected.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["a", "b,c"])
+        writer.writerows([fmt12(cell) for cell in row] for row in rows())
+    assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 NON_FINITE = [
     (math.nan, "nan"),
     (math.inf, "inf"),

@@ -1536,6 +1536,28 @@ def test_each_property_solves_one_batched_root_per_family(monkeypatch):
     assert counts == {name: 1 for name in counts} and len(counts) == len(VERIFY_ROWS) - 2
 
 
+def test_foc_grid_searches_each_pool_once(monkeypatch):
+    args = dict(_SMALL, d_max=DEFAULT_D_MAX)
+    args.pop("seed")
+    (task,) = [
+        t for t in statics._build_tasks(_SMALL["seed"], **args) if t[1] is statics._prop_foc_grid
+    ]
+    pools = task[2][0]
+    calls = []
+    search = oracle.grid_argmax_profit
+
+    def counting(params, regime, model, grid):
+        calls.append((params, model, regime))
+        return search(params, regime, model, grid)
+
+    monkeypatch.setattr(oracle, "grid_argmax_profit", counting)
+    result = statics._run_task(task)
+    assert len(calls) == len(pools) == 4
+    assert {(model, regime) for _, model, regime in calls} == set(pools)
+    assert all(params is pools[model, regime] for params, model, regime in calls)
+    assert result.checks == sum(len(pool.alpha) for pool in pools.values())
+
+
 def test_run_verification_parallel_matches_serial():
     serial = run_verification(**_SMALL)
     parallel = run_verification(**_SMALL, jobs=2)
