@@ -296,24 +296,32 @@ def validate_params(
 
     p = params
     if model is ModelKind.TWO_PERIOD:
-        by_model = (Check("low_share_exceeds_high", bool(p.n_L > p.n_H)),)
+        by_model = (_check("low_share_exceeds_high", bool(p.n_L > p.n_H)),)
     else:
         by_model = (
-            Check("cohort_shares_sum_to_one", bool(abs(p.n_H + p.n_L - 1.0) <= 1e-12)),
-            Check("used_demand_covers_supply", bool(2.0 * p.n_L > p.n_H)),
+            _check("cohort_shares_sum_to_one", bool(abs(p.n_H + p.n_L - 1.0) <= 1e-12)),
+            _check("used_demand_covers_supply", bool(2.0 * p.n_L > p.n_H)),
         )
     return ValidationReport(
         model,
         (
-            Check("valuations_ordered", bool(p.v_H > p.v_L > 0.0)),
-            Check("shares_positive", bool(p.n_H > 0.0 and p.n_L > 0.0)),
-            Check("discount_in_unit_interval", bool(0.0 < p.delta < 1.0)),
-            Check("deflator_in_range", bool(0.0 < p.alpha <= 1.0)),
-            Check("commission_in_range", bool(0.0 <= p.beta < 1.0)),
+            _check("valuations_ordered", bool(p.v_H > p.v_L > 0.0)),
+            _check("shares_positive", bool(p.n_H > 0.0 and p.n_L > 0.0)),
+            _check("discount_in_unit_interval", bool(0.0 < p.delta < 1.0)),
+            _check("deflator_in_range", bool(0.0 < p.alpha <= 1.0)),
+            _check("commission_in_range", bool(0.0 <= p.beta < 1.0)),
             *_family_checks(p.cost, p.quality, d_max),
             *by_model,
         ),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _check(name: str, passed: bool) -> Check:
+    """The one :class:`Check` of a (name, verdict): checks are frozen, and a
+    report of a draw pool's rows would otherwise build each one again."""
+
+    return Check(name, passed)
 
 
 @functools.lru_cache(maxsize=64)
@@ -334,14 +342,14 @@ def _family_checks(cost: CostFn, quality: QualityFn, d_max: float) -> tuple[Chec
         sv, sd, sdd = quality._value(grid), quality._deriv(grid), quality._deriv2(grid)
         crossing = (np.diff(cd / sd) > 0.0).all()
     return (
-        Check("cost_zero_at_origin", bool(cv[0] == 0.0 and cd[0] == 0.0)),
-        Check("cost_strictly_increasing", bool((cd[1:] > 0.0).all())),
-        Check("cost_strictly_convex", bool((cdd[1:] > 0.0).all())),
-        Check("quality_zero_at_origin", bool(sv[0] == 0.0)),
-        Check("quality_below_one", bool((sv < 1.0).all())),
-        Check("quality_strictly_increasing", bool((sd > 0.0).all())),
-        Check("quality_strictly_concave", bool((sdd < 0.0).all())),
-        Check("foc_single_crossing", bool(crossing)),
+        _check("cost_zero_at_origin", bool(cv[0] == 0.0 and cd[0] == 0.0)),
+        _check("cost_strictly_increasing", bool((cd[1:] > 0.0).all())),
+        _check("cost_strictly_convex", bool((cdd[1:] > 0.0).all())),
+        _check("quality_zero_at_origin", bool(sv[0] == 0.0)),
+        _check("quality_below_one", bool((sv < 1.0).all())),
+        _check("quality_strictly_increasing", bool((sd > 0.0).all())),
+        _check("quality_strictly_concave", bool((sdd < 0.0).all())),
+        _check("foc_single_crossing", bool(crossing)),
     )
 
 
@@ -608,11 +616,25 @@ def bisect_increasing_vec(
     Runs ``n`` independent bisections that share the bracket [lo, hi]; ``f``
     maps an array of midpoints to an array of residuals. The arithmetic per
     lane matches the scalar routine exactly (same bracket, same midpoint
-    sequence), so mixed scalar/vector use cannot drift.
+    sequence), so mixed scalar/vector use cannot drift. The first levels,
+    where no lane can stop, step every lane in lockstep; the last levels
+    mask the lanes that have stopped.
     """
 
     los = np.full(n, lo, dtype=float)
     his = np.full(n, hi, dtype=float)
+    # While every bracket is wider than 1e-10 and than 4 float spacings of
+    # the bracket's largest magnitude, every lane is active and its midpoint
+    # lies strictly inside it, so all lanes step without the mask.
+    reach = max(abs(lo), abs(hi))
+    floor = max(1e-10, 4.0 * float(np.spacing(reach)))
+    if not 2.0 * reach < math.inf:  # the ends' sum can overflow, or an end is NaN
+        floor = math.nan
+    while n and (his - los).min() > floor:
+        mids = 0.5 * (los + his)
+        neg = f(mids) < 0.0
+        los = np.where(neg, mids, los)
+        his = np.where(neg, his, mids)
     while True:
         mids = 0.5 * (los + his)
         active = (his - los > 1e-10) & (mids > los) & (mids < his)

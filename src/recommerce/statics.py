@@ -549,8 +549,16 @@ def _draw_row(block: ModelParams, i) -> ModelParams:
     """Row ``i`` (an index, or a tuple of them) of a ModelParams with array
     fields, as a single point with plain float fields."""
 
-    return dataclasses.replace(
-        block, **{f: float(getattr(block, f)[i]) for f in _SCALAR_FIELDS}
+    return ModelParams(
+        v_H=float(block.v_H[i]),
+        v_L=float(block.v_L[i]),
+        n_H=float(block.n_H[i]),
+        n_L=float(block.n_L[i]),
+        delta=float(block.delta[i]),
+        alpha=float(block.alpha[i]),
+        beta=float(block.beta[i]),
+        cost=block.cost,
+        quality=block.quality,
     )
 
 
@@ -566,15 +574,21 @@ def equilibrium_feasible(
     model: ModelKind,
     regime: Regime,
     d_max: float = DEFAULT_D_MAX,
+    d_star: float | None = None,
 ) -> bool:
-    """Margin positive and every price-taking constraint satisfied at D*."""
+    """Margin positive and every price-taking constraint satisfied at D*.
+
+    A two-period ``d_star``, if given, is taken as the regime's D* in place
+    of solving it; it must equal :func:`two_period.optimal_durability`.
+    """
 
     if not margin_active(params, model, regime):
         return False
     if model is ModelKind.OLG:
         return olg_mod.solve_olg(params, regime, d_max=d_max).constraints_ok
-    slacks = tp.constraint_slacks(params, tp.optimal_durability(params, regime, d_max=d_max))
-    return _slacks_hold(slacks)
+    if d_star is None:
+        d_star = tp.optimal_durability(params, regime, d_max=d_max)
+    return _slacks_hold(tp.constraint_slacks(params, d_star))
 
 
 def ladder_active(params: ModelParams) -> bool:
@@ -595,8 +609,8 @@ def ladder_active(params: ModelParams) -> bool:
     )
 
 
-Predicate = Callable[[ModelParams], bool]
-Screen = Callable[[ModelParams], np.ndarray]
+Predicate = Callable[..., bool]
+Screen = Callable[[ModelParams], tuple[np.ndarray, list | None]]
 
 
 def sample_filtered(
@@ -605,14 +619,15 @@ def sample_filtered(
     predicate: Predicate,
     screen: Screen | None = None,
 ) -> list[ModelParams]:
-    """Rejection-sample ``n`` draws satisfying ``predicate``, deterministically.
+    """Rejection-sample ``n`` draws, deterministically: a draw is accepted
+    when ``screen`` passes it and ``predicate`` (the row rule) accepts it.
 
     Draws are generated in blocks (see :func:`_draw_block`). ``screen``, if
-    given, maps a block to a boolean mask and must be a necessary condition:
-    true wherever ``predicate`` is. ``predicate`` then runs, in draw order,
-    only on the draws the screen passes, so the pool is the same with or
-    without the screen. At most ``max(200_000, 2000 * n)`` raw draws are
-    made.
+    given, maps a block to a boolean mask and either None or one tuple per
+    passed draw, in draw order. ``predicate`` then runs, in draw order, only
+    on the draws the screen passes, as ``predicate(draw)`` or, with tuples,
+    ``predicate(draw, *tuple)``. At most ``max(200_000, 2000 * n)`` raw
+    draws are made.
     """
 
     rng = np.random.default_rng(list(seed_key))
@@ -623,10 +638,14 @@ def sample_filtered(
         size = min(_DRAW_BLOCK, cap - drawn)
         block = _draw_block(rng, size)
         drawn += size
-        rows = range(size) if screen is None else np.flatnonzero(screen(block))
-        for i in rows:
+        if screen is None:
+            rows, extras = range(size), None
+        else:
+            passed, extras = screen(block)
+            rows = np.flatnonzero(passed)
+        for k, i in enumerate(rows):
             cand = _draw_row(block, i)
-            if predicate(cand):
+            if predicate(cand) if extras is None else predicate(cand, *extras[k]):
                 out.append(cand)
                 if len(out) == n:
                     return out
@@ -636,16 +655,37 @@ def sample_filtered(
 
 
 def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
-    def ok(cand: ModelParams) -> bool:
+    def ok(cand: ModelParams, *d_stars: float) -> bool:
+        # at the screen's D* of both regimes when it hands them, else solved
+        # here, regime by regime
         return (
             validate_params(cand, ModelKind.TWO_PERIOD, d_max).ok
             and ladder_active(cand)
             and all(
-                equilibrium_feasible(cand, ModelKind.TWO_PERIOD, r, d_max) for r in _REGIMES
+                equilibrium_feasible(cand, ModelKind.TWO_PERIOD, r, d_max, d)
+                for r, d in zip(_REGIMES, d_stars or (None, None))
             )
         )
 
-    return ok, ladder_active
+    def screen(block: ModelParams) -> tuple[np.ndarray, list | None]:
+        # the ladder and both margins, then both regimes' D* of the lanes
+        # that pass, one batched root per regime. Each lane equals the
+        # rule's scalar root bit for bit, so no verdict changes.
+        passed = (
+            ladder_active(block)
+            & margin_active(block, ModelKind.TWO_PERIOD, Regime.THIRD_PARTY)
+            & margin_active(block, ModelKind.TWO_PERIOD, Regime.BRANDED)
+        )
+        lanes = _take(block, passed)
+        try:
+            d_stars = [tp.optimal_durability(lanes, r, d_max).tolist() for r in _REGIMES]
+        except BracketError:
+            # a root beyond d_max: the rule solves row by row, in draw
+            # order, so it raises where the unscreened pool raises
+            return passed, None
+        return passed, list(zip(*d_stars))
+
+    return ok, screen
 
 
 def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
@@ -666,22 +706,23 @@ def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
             d_stars = _cell_durabilities([(lanes, ModelKind.OLG, r) for r in _REGIMES], d_max)
         except BracketError:
             # a root beyond d_max: the predicate raises it in draw order
-            return active
+            return active, None
         third_party, branded = (
             olg_mod._ratio_cap_slack(lanes, lanes.quality.value(d)) >= -_SLACK_TOL
             for d in d_stars
         )
         active[active] = third_party & branded
-        return active
+        return active, None
 
     return ok, screen
 
 
 def _foc_filters(model: ModelKind, regime: Regime, d_max: float) -> tuple[Predicate, Screen]:
+    # the screen is the margin test itself, so the rule is admissibility alone
     def ok(cand: ModelParams) -> bool:
-        return validate_params(cand, model, d_max).ok and margin_active(cand, model, regime)
+        return validate_params(cand, model, d_max).ok
 
-    return ok, lambda block: margin_active(block, model, regime)
+    return ok, lambda block: (margin_active(block, model, regime), None)
 
 
 def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:

@@ -9,6 +9,14 @@ steady state's closed-form geometric value by summing its stationary profit
 stream directly; they use only the parameter fields and the cost/quality
 family values, no solver-side formula, so they stay independent of the
 solver.
+
+``two_period_pool``, ``olg_pool``, ``foc_pool`` and ``admissible_olg_pool``
+draw each verify pool row by row, with the seed key of the ``statics``
+pool of that name: a screen that returns a mask, then a rule that decides
+one draw alone and solves the roots it needs itself. The two-period and FOC
+rules are the package's before the pool screens handed roots to the rules
+and took over the FOC margin test; the OLG and admissible pools keep their
+rules. The ``statics`` pools must equal these draw for draw.
 """
 
 import math
@@ -17,12 +25,17 @@ import sys
 import numpy as np
 
 from recommerce import statics
+from recommerce import two_period as tp
 from recommerce.primitives import (
+    DEFAULT_D_MAX,
+    ModelKind,
     ModelParams,
     PowerCost,
     RationalQuality,
     Regime,
     SaturatingExpQuality,
+    _slacks_hold,
+    validate_params,
 )
 
 ORACLE_FAMILIES = [
@@ -61,3 +74,85 @@ def truncated_stream_error_bound(params: ModelParams, horizon: int) -> float:
     the geometric tail plus slack for floating-point accumulation."""
 
     return params.delta**horizon + 64.0 * sys.float_info.epsilon
+
+
+def _scalar_feasible(params: ModelParams, regime: Regime, d_max: float) -> bool:
+    """Two-period margin positive and the five slacks held at a D* solved
+    here, by the scalar root."""
+
+    if not statics.margin_active(params, ModelKind.TWO_PERIOD, regime):
+        return False
+    d_star = tp.optimal_durability(params, regime, d_max=d_max)
+    return _slacks_hold(tp.constraint_slacks(params, d_star))
+
+
+def _two_period_rules(d_max: float):
+    def ok(cand):
+        return (
+            validate_params(cand, ModelKind.TWO_PERIOD, d_max).ok
+            and statics.ladder_active(cand)
+            and all(_scalar_feasible(cand, r, d_max) for r in Regime)
+        )
+
+    return ok, statics.ladder_active
+
+
+def _foc_rules(model: ModelKind, regime: Regime, d_max: float):
+    def ok(cand):
+        return validate_params(cand, model, d_max).ok and statics.margin_active(
+            cand, model, regime
+        )
+
+    return ok, lambda block: statics.margin_active(block, model, regime)
+
+
+def _olg_rules(d_max: float):
+    ok, screen = statics._olg_filters(d_max)
+    return ok, lambda block: screen(block)[0]
+
+
+def _admissible_rules(d_max: float):
+    def ok(cand):
+        return validate_params(cand, ModelKind.OLG, d_max).ok
+
+    return ok, None
+
+
+def _sample_rows(n: int, seed_key, rule, screen) -> list[ModelParams]:
+    """Rejection sampling one row at a time: ``rule`` alone decides each
+    draw that the mask ``screen`` passes."""
+
+    rng = np.random.default_rng(list(seed_key))
+    cap = max(200_000, 2000 * n)
+    out, drawn = [], 0
+    while drawn < cap:
+        size = min(statics._DRAW_BLOCK, cap - drawn)
+        block = statics._draw_block(rng, size)
+        drawn += size
+        rows = range(size) if screen is None else np.flatnonzero(screen(block))
+        for i in rows:
+            cand = statics._draw_row(block, i)
+            if rule(cand):
+                out.append(cand)
+                if len(out) == n:
+                    return out
+    raise RuntimeError(f"rejection sampling exhausted {cap} attempts")
+
+
+def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+    return _sample_rows(n, (seed, 1), *_two_period_rules(d_max))
+
+
+def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+    return _sample_rows(n, (seed, 2), *_olg_rules(d_max))
+
+
+def foc_pool(
+    n: int, seed: int, model: ModelKind, regime: Regime, d_max: float = DEFAULT_D_MAX
+) -> list[ModelParams]:
+    tag = 10 * (1 + list(ModelKind).index(model)) + list(Regime).index(regime)
+    return _sample_rows(n, (seed, 3, tag), *_foc_rules(model, regime, d_max))
+
+
+def admissible_olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+    return _sample_rows(n, (seed, 4), *_admissible_rules(d_max))

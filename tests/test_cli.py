@@ -253,6 +253,20 @@ def test_social_root_beyond_d_max_is_named(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+def test_verify_root_beyond_d_max_exits_2_with_one_line(tmp_path, capsys):
+    # the two-period pool's batched roots meet a root beyond d_max = 0.2, so
+    # its row rule solves the roots one row at a time and raises at the row
+    # where drawing the pool row by row raises
+    cfg = write_config(tmp_path, solver={"d_max": 0.2})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: durability first-order condition has no root in (0, d_max]: "
+        "f(0.2) = -0.002845926687386008 is not positive\n",
+    )
+    assert not (tmp_path / "x").exists()
+
+
 def test_overflowing_d_max_exits_2_with_one_line(tmp_path, capsys):
     # d_max = 1e300 overflows the family-shape grid: the checks it breaks
     # fail, and no NumPy warning reaches stderr before the error line

@@ -22,7 +22,14 @@ from recommerce import (
 )
 from recommerce import olg, primitives, statics
 from recommerce import two_period as tp
-from recommerce.primitives import Regime, _family_checks, bisect_increasing_vec
+from recommerce.primitives import (
+    DEFAULT_D_MAX,
+    Check,
+    Regime,
+    ValidationReport,
+    _family_checks,
+    bisect_increasing_vec,
+)
 from references import ORACLE_FAMILIES
 
 try:
@@ -280,6 +287,108 @@ def test_shape_checks_are_unchanged_and_run_once(canonical, family, d_max):
     assert (info.misses, info.hits) == (1, 1)
 
 
+@dataclasses.dataclass(frozen=True)
+class _FlawedCost(PowerCost):
+    """A power cost whose value, first or second derivative is made wrong."""
+
+    flaw: str = ""
+
+    def _value(self, arr):
+        return super()._value(arr) + (1.0 if self.flaw == "value" else 0.0)
+
+    def _deriv(self, arr):
+        return -super()._deriv(arr) if self.flaw == "deriv" else super()._deriv(arr)
+
+    def _deriv2(self, arr):
+        return -super()._deriv2(arr) if self.flaw == "deriv2" else super()._deriv2(arr)
+
+
+@dataclasses.dataclass(frozen=True)
+class _FlawedQuality(SaturatingExpQuality):
+    """A saturating quality whose value, first or second derivative is made
+    wrong."""
+
+    flaw: str = ""
+
+    def _value(self, arr):
+        return super()._value(arr) + (0.5 if self.flaw == "value" else 0.0)
+
+    def _deriv(self, arr):
+        return -super()._deriv(arr) if self.flaw == "deriv" else super()._deriv(arr)
+
+    def _deriv2(self, arr):
+        return -super()._deriv2(arr) if self.flaw == "deriv2" else super()._deriv2(arr)
+
+
+def _fresh_report(p, model, d_max):
+    """The report of ``validate_params``, with every Check built anew."""
+
+    if model is ModelKind.TWO_PERIOD:
+        by_model = [Check("low_share_exceeds_high", bool(p.n_L > p.n_H))]
+    else:
+        by_model = [
+            Check("cohort_shares_sum_to_one", bool(abs(p.n_H + p.n_L - 1.0) <= 1e-12)),
+            Check("used_demand_covers_supply", bool(2.0 * p.n_L > p.n_H)),
+        ]
+    return ValidationReport(
+        model,
+        (
+            Check("valuations_ordered", bool(p.v_H > p.v_L > 0.0)),
+            Check("shares_positive", bool(p.n_H > 0.0 and p.n_L > 0.0)),
+            Check("discount_in_unit_interval", bool(0.0 < p.delta < 1.0)),
+            Check("deflator_in_range", bool(0.0 < p.alpha <= 1.0)),
+            Check("commission_in_range", bool(0.0 <= p.beta < 1.0)),
+            *(Check(n, v) for n, v in _reference_shape_checks(p.cost, p.quality, d_max)),
+            *by_model,
+        ),
+    )
+
+
+def _every_verdict_cases(canonical):
+    """(params, d_max) cases that fail each check of both models at least
+    once, and pass it at least once."""
+
+    swaps = [
+        {},
+        {"v_L": 1.2},
+        {"n_H": 0.0, "n_L": 1.0},
+        {"delta": 1.0},
+        {"alpha": 0.0},
+        {"beta": 1.0},
+        {"n_H": 0.6, "n_L": 0.4},
+        {"n_H": 0.3, "n_L": 0.5},
+        {"n_H": 0.7, "n_L": 0.3},
+        {"cost": _FlawedCost(0.5, 2.0, "value")},
+        {"cost": _FlawedCost(0.5, 2.0, "deriv")},
+        {"cost": _FlawedCost(0.5, 2.0, "deriv2")},
+        {"quality": _FlawedQuality(1.0, 1.0, "value")},
+        {"quality": _FlawedQuality(1.0, 1.0, "deriv")},
+        {"quality": _FlawedQuality(1.0, 1.0, "deriv2")},
+    ]
+    cases = [(dataclasses.replace(canonical, **swap), DEFAULT_D_MAX) for swap in swaps]
+    # s(40) rounds to 1, and s' and s'' underflow on a long enough grid
+    return cases + [(canonical, 40.0), (canonical, 1e3)]
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_reports_equal_freshly_built_reports(canonical, model):
+    verdicts = set()
+    for params, d_max in _every_verdict_cases(canonical):
+        with np.errstate(all="ignore"):
+            report = validate_params(params, model, d_max)
+            fresh = _fresh_report(params, model, d_max)
+        assert report == fresh
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (c.name, c.passed) for c in fresh.checks
+        ]
+        assert report.ok == fresh.ok
+        assert report.failures() == fresh.failures()
+        verdicts.update((c.name, c.passed) for c in report.checks)
+    names = {name for name, _ in verdicts}
+    assert len(names) == (14 if model is ModelKind.TWO_PERIOD else 15)
+    assert verdicts == {(name, v) for name in names for v in (False, True)}
+
+
 # ----------------------------------------------------------------------
 # serialization round trip
 # ----------------------------------------------------------------------
@@ -367,6 +476,38 @@ def test_vectorized_bisection_matches_scalar():
     for i, t in enumerate(targets):
         scalar = bisect_increasing(lambda x, t=t: x**2 - t, 0.0, 4.0)
         assert roots[i] == scalar
+
+
+def _lane_residuals(kind, target, x):
+    """Lane residuals, elementwise in ``kind``, ``target`` and ``x``: 0 is
+    ``x - target``; 1 adds a sawtooth, so it is not monotone; 2 is NaN on
+    (target/2, 2 target); 3 is NaN everywhere."""
+
+    line = x - target
+    tooth = x * (7.0 / target)
+    saw = line + 0.5 * target * (tooth - np.floor(tooth))
+    band = np.where((x > 0.5 * target) & (x < 2.0 * target), np.nan, line)
+    return np.select([kind == 0, kind == 1, kind == 2], [line, saw, band], np.nan)
+
+
+@pytest.mark.parametrize(
+    "hi, targets",
+    [
+        # the lockstep levels end where the narrowest bracket reaches 1e-10
+        (10.0, [1e-11, 3e-7, 0.3, 2.5, 9.999999]),
+        # 4 float spacings of 1e9 are 4.8e-7: the spacing guard ends the
+        # lockstep levels, and lanes near 1e9 stop at unsplittable midpoints
+        (1e9, [0.3, 7.0, 1234.5, 5e8, 1e9 - 1.0]),
+    ],
+)
+def test_lockstep_lanes_equal_scalar_bisection(hi, targets):
+    lo = 1e-12
+    kinds = np.repeat(np.arange(4), len(targets))
+    lanes = np.tile(np.array(targets), 4)
+    roots = bisect_increasing_vec(lambda x: _lane_residuals(kinds, lanes, x), lo, hi, lanes.size)
+    for i, (kind, target) in enumerate(zip(kinds, lanes)):
+        scalar = bisect_increasing(lambda x: _lane_residuals(kind, target, x), lo, hi)
+        assert float(roots[i]).hex() == scalar.hex(), (kind, target)
 
 
 # ----------------------------------------------------------------------

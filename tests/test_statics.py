@@ -62,12 +62,14 @@ from recommerce.statics import (
     _two_period_filters,
     admissible_olg_pool,
     equilibrium_feasible,
+    foc_pool,
     ladder_active,
     margin_active,
     olg_pool,
     sample_filtered,
     two_period_pool,
 )
+import references
 from references import sample_params
 
 T = Regime.THIRD_PARTY
@@ -654,7 +656,9 @@ def test_ladder_filter(canonical):
 def test_sample_filtered_exhaustion():
     # a screen that rejects every block: the raw draws run out unchecked
     with pytest.raises(RuntimeError, match="exhausted 200000 attempts with 0/1"):
-        sample_filtered(1, [9, 9], lambda p: True, screen=lambda b: np.zeros(b.beta.shape, bool))
+        sample_filtered(
+            1, [9, 9], lambda p: True, screen=lambda b: (np.zeros(b.beta.shape, bool), None)
+        )
 
 
 def test_block_draws_reproduce_one_at_a_time_uniforms():
@@ -673,40 +677,112 @@ def test_block_draws_reproduce_one_at_a_time_uniforms():
         assert all(type(getattr(row, f)) is float for f in ("v_H", "v_L", "beta"))
 
 
+# each pool's (row rule, screen) and the row-by-row reference pair it replaces
 _POOL_FILTERS = {
-    "two-period": _two_period_filters(DEFAULT_D_MAX),
-    "olg": _olg_filters(DEFAULT_D_MAX),
+    "two-period": (_two_period_filters(DEFAULT_D_MAX), references._two_period_rules(DEFAULT_D_MAX)),
+    "olg": (_olg_filters(DEFAULT_D_MAX), references._olg_rules(DEFAULT_D_MAX)),
     **{
-        f"foc-{model.value}-{regime.value}": _foc_filters(model, regime, DEFAULT_D_MAX)
+        f"foc-{model.value}-{regime.value}": (
+            _foc_filters(model, regime, DEFAULT_D_MAX),
+            references._foc_rules(model, regime, DEFAULT_D_MAX),
+        )
         for model in ModelKind
         for regime in Regime
     },
 }
 
 
+def _accepted(rule, screen, block):
+    """Rows of ``block`` the screen passes and the rule accepts, given the
+    screen's tuples when it hands them."""
+
+    passed, extras = screen(block)
+    rows = np.flatnonzero(passed)
+    if extras is None:
+        return [i for i in rows if rule(_draw_row(block, i))]
+    assert len(extras) == len(rows)
+    return [i for i, extra in zip(rows, extras) if rule(_draw_row(block, i), *extra)]
+
+
 @pytest.mark.parametrize("name", sorted(_POOL_FILTERS))
-def test_pool_screen_is_a_necessary_condition(name):
-    predicate, screen = _POOL_FILTERS[name]
+def test_screen_and_rule_accept_the_reference_draws(name):
+    (rule, screen), (ref_rule, ref_screen) = _POOL_FILTERS[name]
     block = _draw_block(np.random.default_rng([17, len(name)]), 3000)
-    passed = screen(block)
-    accepted = [i for i in range(3000) if predicate(_draw_row(block, i))]
-    assert accepted, "no draw satisfies the predicate; the check says nothing"
+    passed = screen(block)[0]
+    accepted = _accepted(rule, screen, block)
+    assert accepted, "no draw is accepted; the check says nothing"
     assert not passed.all(), "the screen rejects nothing; the check says nothing"
-    assert all(passed[i] for i in accepted)
+    ref_passed = ref_screen(block)
+    assert accepted == [i for i in np.flatnonzero(ref_passed) if ref_rule(_draw_row(block, i))]
+    # the screen passes no draw the reference screen rejects
+    assert not (passed & ~ref_passed).any()
     if name == "olg":
         # the cap at D* rejects draws that both margins let through
         margins = margin_active(block, OLG, T) & margin_active(block, OLG, B)
         assert (margins & ~passed).any()
+    if name == "two-period":
+        # the screen hands both regimes' roots, and the rule that solves
+        # them itself gives the same verdicts
+        assert screen(block)[1] is not None
+        assert accepted == [i for i in np.flatnonzero(passed) if rule(_draw_row(block, i))]
 
 
 @pytest.mark.parametrize("name", sorted(_POOL_FILTERS))
-def test_screen_leaves_pool_unchanged(name):
-    predicate, screen = _POOL_FILTERS[name]
+def test_screened_pool_equals_the_reference_pool(name):
+    (rule, screen), (ref_rule, ref_screen) = _POOL_FILTERS[name]
     for seed in (1, 2, 3, 5):
-        plain = sample_filtered(3, (seed, 9), predicate)
-        assert sample_filtered(3, (seed, 9), predicate, screen=screen) == plain, seed
+        want = references._sample_rows(3, (seed, 9), ref_rule, ref_screen)
+        assert sample_filtered(3, (seed, 9), rule, screen=screen) == want, seed
         if name == "olg":
-            assert olg_pool(8, seed) == sample_filtered(8, (seed, 2), predicate), seed
+            # the OLG rule alone is the whole decision
+            assert olg_pool(8, seed) == sample_filtered(8, (seed, 2), rule), seed
+
+
+_POOLS = {
+    "two-period": (two_period_pool, references.two_period_pool),
+    "olg": (olg_pool, references.olg_pool),
+    "admissible-olg": (admissible_olg_pool, references.admissible_olg_pool),
+    **{
+        f"foc-{model.value}-{regime.value}": (
+            functools.partial(foc_pool, model=model, regime=regime),
+            functools.partial(references.foc_pool, model=model, regime=regime),
+        )
+        for model in ModelKind
+        for regime in Regime
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POOLS))
+def test_pools_equal_row_by_row_reference_pools(name):
+    pool, reference = _POOLS[name]
+    for seed in range(40):
+        want = reference(200, seed)
+        assert pool(200, seed) == want, seed
+        # the reference sampler takes the first n accepted draws, so its
+        # pool of 50 is the head of its pool of 200
+        assert pool(50, seed) == want[:50], seed
+
+
+@pytest.mark.parametrize("d_max", [0.1, 0.2])
+def test_two_period_screen_leaves_roots_beyond_d_max_to_the_rule(d_max):
+    # the first block holds screened draws with no root below d_max, so the
+    # screen hands no roots; the pool raises the reference pool's error
+    # (d_max = 0.1) or, when it fills before the rule meets one, equals it
+    block = _draw_block(np.random.default_rng([6, 1]), 4096)
+    rule, screen = _two_period_filters(d_max)
+    passed, roots = screen(block)
+    assert passed.any() and roots is None
+
+    def pool(sample, *filters):
+        try:
+            return sample(4, (6, 1), *filters)
+        except BracketError as exc:
+            return str(exc)
+
+    want = pool(references._sample_rows, *references._two_period_rules(d_max))
+    assert isinstance(want, str) == (d_max == 0.1)
+    assert pool(sample_filtered, rule, screen) == want
 
 
 @pytest.mark.parametrize("d_max", [0.1, 0.25])
