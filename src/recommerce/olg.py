@@ -500,7 +500,7 @@ def check_steady_state(
     D: float,
     state: OlgState,
     profile: ActionProfile,
-    slacks: dict[str, float] | None = None,
+    slacks: dict[str, float],
 ) -> FeasibilityReport:
     """Structural feasibility of a candidate steady state, one of the pairs
     of :func:`pair_table`.
@@ -516,9 +516,9 @@ def check_steady_state(
     ``c(D) >= 0`` (the discard-replace one strictly where ``c(D) > 0``), so
     the check evaluates neither family.
 
-    ``slacks`` may carry ``constraint_slacks_olg(params, D)`` computed once
-    by a caller auditing many profiles at one durability; the report then
-    shares that dict.
+    ``slacks`` is ``constraint_slacks_olg(params, D)``, computed once by a
+    caller auditing many profiles at one durability; the report shares that
+    dict.
     """
 
     p = params
@@ -527,8 +527,6 @@ def check_steady_state(
     consistent, clearing, dominated = _pair_verdict(
         p, D, facts, state.fraction(p), _mass(p, facts.supply), _mass(p, facts.demand)
     )
-    if slacks is None:
-        slacks = constraint_slacks_olg(params, D)
     return FeasibilityReport(consistent, clearing, slacks, _slacks_hold(slacks), dominated)
 
 

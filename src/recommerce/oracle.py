@@ -235,7 +235,7 @@ def grid_argmax_profit(
     params: ModelParams,
     regime: Regime,
     model: ModelKind,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ) -> GridResult:
     """Maximize the seller objective by brute force over a durability grid.
 
@@ -263,8 +263,6 @@ def grid_argmax_profit(
     every call, 1.5 times the time for 200 draws on 1e5 points (2-vCPU x86-64).
     """
 
-    if grid is None:
-        grid = GridSpec()
     p = params
     D, s, c, blocks = _grid_arrays(p.cost, p.quality, grid)
     f = functools.partial(_objective, p, regime, model)
@@ -425,20 +423,14 @@ def best_response_audit(
     D: float,
     state: OlgState,
     profile: ActionProfile,
-    selected: ActionProfile | None = None,
+    selected: ActionProfile,
 ) -> bool:
     """Whether ``profile`` is the state's best-response profile: every cell
-    plays its selected action.
-
-    Without ``selected`` the cells are valued at the posted prices
-    ``two_period.prices``. ``selected`` may carry :func:`selected_actions`
-    of this state's :func:`action_table`, computed once by a caller auditing
-    many profiles, or at other prices.
+    plays its selected action. ``selected`` is :func:`selected_actions` of
+    this state's :func:`action_table`, computed once by a caller auditing
+    many profiles.
     """
 
-    if selected is None:
-        pr = prices(params, D)
-        selected = selected_actions(action_table(params, D, pr.p2n, pr.p2u, state))
     return profile == selected
 
 
@@ -476,7 +468,7 @@ class ScanResult:
 
     def _row(self, state: OlgState, profile: ActionProfile) -> ScanRow:
         p, D = self._params, self.D
-        feasibility = check_steady_state(p, D, state, profile, slacks=self._slacks)
+        feasibility = check_steady_state(p, D, state, profile, self._slacks)
         ok = best_response_audit(p, D, state, profile, self._selected[state])
         return ScanRow(state, profile, feasibility, ok)
 

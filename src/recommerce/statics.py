@@ -53,7 +53,6 @@ from . import two_period as tp
 
 __all__ = [
     "envelope_profit_derivative",
-    "value_function",
     "fd_profit_derivative",
     "SweepPoint",
     "ComparativeReport",
@@ -88,31 +87,21 @@ _REGIMES = tuple(Regime)
 
 
 def envelope_profit_derivative(
-    params: ModelParams,
-    regime: Regime,
-    wrt: str,
-    model: ModelKind = ModelKind.TWO_PERIOD,
-    D_star: float | None = None,
-    d_max: float = DEFAULT_D_MAX,
+    params: ModelParams, regime: Regime, wrt: str, model: ModelKind, D_star: float
 ) -> float:
-    """d(maximized profit)/d(parameter), holding D at its optimum.
+    """d(maximized profit)/d(parameter), holding D at its optimum ``D_star``.
 
     Because D* satisfies the first-order condition, the derivative of the
     maximized objective equals the partial derivative of the objective at
     D*. The shutdown derivative is the same formula at D* = 0: there s(0) =
     c(0) = 0, so the deflator and commission slopes are +0.0 and the
-    discount slope is that of the high-type-only profit. Without ``D_star``,
-    D* comes from :func:`_durabilities`. Elementwise when the parameter
-    fields are arrays (one family); D* then comes from one batched root per
-    call. Scalar parameters give a float.
+    discount slope is that of the high-type-only profit. Elementwise when
+    the parameter fields and ``D_star`` are arrays.
     """
 
     if wrt not in _SWEEPABLE:
         raise ValueError(f"unsupported parameter {wrt!r}; expected one of {_SWEEPABLE}")
     p = params
-    if D_star is None:
-        D_star = _durabilities(p, model, regime, d_max)
-
     s = p.quality.value(D_star)
     if model is ModelKind.TWO_PERIOD:
         c = p.cost.value(D_star)
@@ -142,90 +131,37 @@ def envelope_profit_derivative(
     return p.n_H * p.alpha * (1.0 - p.beta) * p.v_L * s + r / (1.0 - p.delta) ** 2
 
 
-def value_function(
-    params: ModelParams,
-    regime: Regime,
-    model: ModelKind = ModelKind.TWO_PERIOD,
-    d_max: float = DEFAULT_D_MAX,
-) -> float:
-    """Maximized objective as a function of the primitives (re-solves D*).
-
-    Elementwise when the parameter fields are arrays (one family), with one
-    batched root per call; each lane equals the single-point value. Scalar
-    parameters give a float.
-    """
-
-    return _plain(_solved_values(params, model, regime, d_max)[1])
-
-
-def _solved_values(
-    params: ModelParams, model: ModelKind, regime: Regime, d_max: float, d_star=None
-):
-    """D* (see :func:`_durabilities`, unless ``d_star`` gives it) and the
-    maximized objective there, each lane equal to the single-point
+def _solved_values(params: ModelParams, model: ModelKind, regime: Regime, d_star):
+    """The maximized objective at the roots ``d_star`` (from
+    :func:`_cell_durabilities`), each lane equal to the single-point
     ``tp.solve`` or ``solve_olg``: a shut-down lane carries the two-period
     shutdown profit, or the steady-state objective at its zero durability."""
 
-    if d_star is None:
-        d_star = _durabilities(params, model, regime, d_max)
     if model is ModelKind.OLG:
-        return d_star, olg_mod.objective_value(params, regime, d_star)
-    value = np.where(
+        return olg_mod.objective_value(params, regime, d_star)
+    return np.where(
         margin_active(params, model, regime),
         tp.profit(params, regime, d_star).total,
         tp.shutdown_profit(params),
     )
-    return d_star, value
 
 
 def fd_profit_derivative(
-    params: ModelParams,
-    regime: Regime,
-    wrt: str,
-    model: ModelKind = ModelKind.TWO_PERIOD,
-    d_max: float = DEFAULT_D_MAX,
-    D_star: tuple | None = None,
+    params: ModelParams, regime: Regime, wrt: str, model: ModelKind, D_star: tuple
 ) -> float:
     """Centered finite difference of the value function with half-width
-    ``_FD_STEP``, re-solving D* at each perturbed parameter value (the total
-    derivative the envelope theorem predicts), or taking the pair ``D_star``
-    solved there, at (value - step, value + step). Evaluation may step just
-    outside the admissible box; all formulas extend continuously there.
-    Elementwise when the parameter fields are arrays."""
+    ``_FD_STEP``, at the pair ``D_star`` of roots solved at (value - step,
+    value + step): the total derivative the envelope theorem predicts.
+    Evaluation may step just outside the admissible box; all formulas extend
+    continuously there. Elementwise when the parameter fields are arrays."""
 
     if wrt not in _SWEEPABLE:
         raise ValueError(f"unsupported parameter {wrt!r}; expected one of {_SWEEPABLE}")
     base = getattr(params, wrt)
-    d_lo, d_hi = D_star or (None, None)
-    _, hi = _solved_values(
-        dataclasses.replace(params, **{wrt: base + _FD_STEP}), model, regime, d_max, d_hi
-    )
-    _, lo = _solved_values(
-        dataclasses.replace(params, **{wrt: base - _FD_STEP}), model, regime, d_max, d_lo
-    )
-    return _plain((hi - lo) / (2.0 * _FD_STEP))
-
-
-def _plain(value):
-    """A 0-d result (scalar parameters) as a plain float; arrays unchanged."""
-
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def _durabilities(params: ModelParams, model: ModelKind, regime: Regime, d_max: float):
-    """D* of a (model, regime) through :func:`two_period.solve_foc`, or the
-    shutdown durability 0.0 where the margin is not positive.
-
-    Scalar parameters give a float; array fields (one cost/quality family)
-    give one lane each, the one-cell case of :func:`_cell_durabilities`.
-    Either way the value equals the ``D_star`` of the single-point
-    ``tp.solve`` or ``solve_olg`` bit for bit.
-    """
-
-    margin, slope = tp.durability_condition(params, model, regime)
-    if np.ndim(slope) == 0:
-        return tp.solve_foc(params, slope, d_max) if margin > 0.0 else 0.0
-    return _cell_durabilities([(params, model, regime)], d_max)[0]
+    d_lo, d_hi = D_star
+    hi = _solved_values(dataclasses.replace(params, **{wrt: base + _FD_STEP}), model, regime, d_hi)
+    lo = _solved_values(dataclasses.replace(params, **{wrt: base - _FD_STEP}), model, regime, d_lo)
+    return (hi - lo) / (2.0 * _FD_STEP)
 
 
 def _cell_durabilities(cells, d_max: float) -> list[np.ndarray]:
@@ -310,7 +246,8 @@ def monotonicity_sweep(
     d_max: float = DEFAULT_D_MAX,
 ) -> ComparativeReport:
     """Solve along a parameter grid and classify the directions of D*, the
-    maximized profit, and (two-period only) welfare.
+    maximized profit, and (two-period only) welfare as the parameter rises.
+    The points keep the grid's order.
 
     Shutdown points are reported in the table but excluded from the
     monotonicity verdicts. The discount factor is sweepable for diagnostic
@@ -329,7 +266,7 @@ def monotonicity_sweep(
     hi = dataclasses.replace(params, **{parameter: values + _FD_STEP})
     lo = dataclasses.replace(params, **{parameter: values - _FD_STEP})
     d_star, d_hi, d_lo = _cell_durabilities([(p, model, regime) for p in (lanes, hi, lo)], d_max)
-    d_star, profit = _solved_values(lanes, model, regime, d_max, d_star)
+    profit = _solved_values(lanes, model, regime, d_star)
     welfare = tp.welfare(lanes, d_star) if model is ModelKind.TWO_PERIOD else math.nan
     # broadcast: the two-period margin does not involve delta
     live, *columns = np.broadcast_arrays(
@@ -338,8 +275,8 @@ def monotonicity_sweep(
         d_star,
         profit,
         welfare,
-        envelope_profit_derivative(lanes, regime, parameter, model, d_star, d_max),
-        fd_profit_derivative(lanes, regime, parameter, model, d_max, (d_lo, d_hi)),
+        envelope_profit_derivative(lanes, regime, parameter, model, d_star),
+        fd_profit_derivative(lanes, regime, parameter, model, (d_lo, d_hi)),
     )
     points = [
         SweepPoint(
@@ -349,11 +286,14 @@ def monotonicity_sweep(
     ]
 
     active = [pt for pt in points if pt.market_mode is tp.MarketMode.ACTIVE]
+    # directions along the parameter, whichever way the grid runs; the sort
+    # is stable, so equal values keep their grid order
+    rising = sorted(active, key=lambda pt: pt.param_value)
     verdicts = {
-        "durability": _direction([pt.D_star for pt in active]),
-        "profit": _direction([pt.profit for pt in active]),
+        "durability": _direction([pt.D_star for pt in rising]),
+        "profit": _direction([pt.profit for pt in rising]),
         "welfare": (
-            _direction([pt.welfare for pt in active])
+            _direction([pt.welfare for pt in rising])
             if model is ModelKind.TWO_PERIOD
             else "not-applicable"
         ),
@@ -377,9 +317,9 @@ def monotonicity_sweep(
 class CommissionCurve:
     """Maximized profit under the branded regime as the commission varies.
 
-    With array parameter fields the curve arrays gain a leading draw axis
-    and ``beta_star``, ``profit_at_star`` and ``argmax_index`` hold one
-    entry per draw.
+    ``beta_star``, ``profit_at_star`` and ``argmax_index`` are 0-d for
+    scalar parameter fields. With array fields the curve arrays gain a
+    leading draw axis and those three hold one entry per draw.
     """
 
     model: ModelKind
@@ -387,9 +327,9 @@ class CommissionCurve:
     d_stars: np.ndarray
     profits: np.ndarray
     active: np.ndarray
-    beta_star: float
-    profit_at_star: float
-    argmax_index: int
+    beta_star: np.ndarray
+    profit_at_star: np.ndarray
+    argmax_index: np.ndarray
 
 
 def optimal_commission(
@@ -400,9 +340,10 @@ def optimal_commission(
 ) -> CommissionCurve:
     """Brute-force the branded profit over a commission grid on [0, 1).
 
-    Every lane is solved and valued as :func:`value_function` does, with
-    the grid as ``beta``, so it equals the scalar solve at its commission
-    (and raises its ``BracketError`` when the root lies beyond ``d_max``).
+    Every lane is solved by one :func:`_cell_durabilities` call and valued
+    at its root, with the grid as ``beta``, so it equals the scalar solve at
+    its commission (and raises its ``BracketError`` when the root lies
+    beyond ``d_max``).
     Ties in the argmax resolve to the lowest index. Elementwise when the
     parameter fields are arrays (one family): every draw's grid is solved
     in the same kernel call, and each row equals that draw's single curve.
@@ -413,7 +354,8 @@ def optimal_commission(
     fields = {f: np.asarray(getattr(params, f))[..., None] for f in _SCALAR_FIELDS}
     grid = dataclasses.replace(params, **{**fields, "beta": betas})
     active = margin_active(grid, model, Regime.BRANDED)
-    d_stars, profits = _solved_values(grid, model, Regime.BRANDED, d_max)
+    [d_stars] = _cell_durabilities([(grid, model, Regime.BRANDED)], d_max)
+    profits = _solved_values(grid, model, Regime.BRANDED, d_stars)
 
     idx = np.argmax(profits, axis=-1)
     return CommissionCurve(
@@ -422,9 +364,9 @@ def optimal_commission(
         d_stars=d_stars,
         profits=profits,
         active=active,
-        beta_star=_plain(betas[idx]),
-        profit_at_star=_plain(profits.max(axis=-1)),
-        argmax_index=int(idx) if np.ndim(idx) == 0 else idx,
+        beta_star=betas[idx],
+        profit_at_star=profits.max(axis=-1),
+        argmax_index=idx,
     )
 
 
@@ -1057,8 +999,12 @@ def _prop_alpha_envelope(
     ]
     d_stars = iter(_cell_durabilities(cells, d_max))
 
-    lhs = envelope_profit_derivative(base_b0, Regime.BRANDED, "alpha", D_star=next(d_stars))
-    rhs = envelope_profit_derivative(scaled, Regime.THIRD_PARTY, "alpha", D_star=next(d_stars))
+    lhs = envelope_profit_derivative(
+        base_b0, Regime.BRANDED, "alpha", ModelKind.TWO_PERIOD, next(d_stars)
+    )
+    rhs = envelope_profit_derivative(
+        scaled, Regime.THIRD_PARTY, "alpha", ModelKind.TWO_PERIOD, next(d_stars)
+    )
     lhs, rhs = lhs[:, None], rhs.T
     tally.add(
         ~np.where(beta_t > 0.0, lhs > rhs, lhs >= rhs - 1e-12),
@@ -1077,9 +1023,9 @@ def _prop_alpha_envelope(
         for r, regime in enumerate(_REGIMES):
             d_star = next(d_stars)
             for w, wrt in enumerate(wrts):
-                env[:, r, w] = envelope_profit_derivative(pool, regime, wrt, model, d_star, d_max)
+                env[:, r, w] = envelope_profit_derivative(pool, regime, wrt, model, d_star)
                 d_hi, d_lo = next(d_stars), next(d_stars)
-                fd[:, r, w] = fd_profit_derivative(pool, regime, wrt, model, d_max, (d_lo, d_hi))
+                fd[:, r, w] = fd_profit_derivative(pool, regime, wrt, model, (d_lo, d_hi))
                 # the centered difference is a one-branch derivative
                 # estimate only when both perturbed points stay on the
                 # active side of the shutdown boundary
@@ -1300,24 +1246,26 @@ def _run_task(task: tuple[int, Callable[..., PropertyResult], tuple]) -> Propert
 
 
 def run_verification(
-    seed: int = 42,
-    foc_draws: int = 200,
-    grid_points: int = 100_000,
-    pool_draws: int = 200,
-    audit_draws: int = 50,
-    commission_points: int = 1001,
-    d_max: float = DEFAULT_D_MAX,
-    jobs: int = 1,
-    inject_failure: bool = False,
+    *,
+    seed: int,
+    foc_draws: int,
+    grid_points: int,
+    pool_draws: int,
+    audit_draws: int,
+    commission_points: int,
+    d_max: float,
+    jobs: int,
+    inject_failure: bool,
 ) -> list[PropertyResult]:
     """Run the full property suite and return one result per property.
 
     Deterministic for a fixed seed and scales: draw pools derive from the
     seed alone, and results come back in ``verify.csv`` row order however
-    many workers run the tasks. ``inject_failure`` appends a deliberately
-    failing probe so callers can confirm failures are surfaced. The audits
-    take the head of the draw pools, so ``audit_draws`` above ``pool_draws``
-    raises ValueError.
+    many workers run the tasks. The CLI's scale settings hold the default
+    of every argument. ``inject_failure`` appends a deliberately failing
+    probe so callers can confirm failures are surfaced. The audits take the
+    head of the draw pools, so ``audit_draws`` above ``pool_draws`` raises
+    ValueError.
     """
 
     if audit_draws > pool_draws:

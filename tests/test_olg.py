@@ -338,8 +338,14 @@ def test_slack_lanes_equal_scalar_slacks_bit_for_bit(canonical):
 # ----------------------------------------------------------------------
 
 
+def _check_at(params, D, state, profile):
+    """check_steady_state at the slacks it is handed, computed here."""
+
+    return check_steady_state(params, D, state, profile, constraint_slacks_olg(params, D))
+
+
 def test_trade_profile_passes(canonical):
-    rep = check_steady_state(canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE)
+    rep = _check_at(canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE)
     assert rep.state_consistent
     assert rep.market_clearing
     assert rep.constraints_ok
@@ -354,7 +360,7 @@ def test_saturated_state_is_dominated(canonical):
         l1=Action.SELL_AND_BUY_NEW,
         l2=Action.SELL_AND_BUY_NEW,
     )
-    rep = check_steady_state(canonical, 0.12, OlgState.ALL, all_hold)
+    rep = _check_at(canonical, 0.12, OlgState.ALL, all_hold)
     assert rep.state_consistent
     assert rep.dominated
 
@@ -366,7 +372,7 @@ def test_high_keepers_dominated(canonical):
         l1=Action.DO_NOTHING,
         l2=Action.DO_NOTHING,
     )
-    rep = check_steady_state(canonical, 0.12, OlgState.HIGH_ONLY, keepers)
+    rep = _check_at(canonical, 0.12, OlgState.HIGH_ONLY, keepers)
     assert rep.state_consistent
     assert rep.dominated
 
@@ -378,7 +384,7 @@ def test_discard_replace_dominated_at_positive_durability(canonical):
         l1=Action.DO_NOTHING,
         l2=Action.DO_NOTHING,
     )
-    rep = check_steady_state(canonical, 0.12, OlgState.HIGH_ONLY, discarders)
+    rep = _check_at(canonical, 0.12, OlgState.HIGH_ONLY, discarders)
     assert rep.state_consistent
     assert rep.dominated
 
@@ -390,7 +396,7 @@ def test_empty_state_is_dominated(canonical):
         l1=Action.DO_NOTHING,
         l2=Action.DO_NOTHING,
     )
-    rep = check_steady_state(canonical, 0.12, OlgState.NONE, nothing)
+    rep = _check_at(canonical, 0.12, OlgState.NONE, nothing)
     assert rep.state_consistent
     assert rep.dominated
 
@@ -403,7 +409,7 @@ def test_inconsistent_profile_rejected(canonical):
         l1=Action.BUY_USED,
         l2=Action.BUY_USED,
     )
-    rep = check_steady_state(canonical, 0.12, OlgState.HIGH_ONLY, profile)
+    rep = _check_at(canonical, 0.12, OlgState.HIGH_ONLY, profile)
     assert not rep.state_consistent
     assert not rep.passes
 
@@ -416,15 +422,15 @@ def test_market_clearing_requires_buyers(canonical):
         l1=Action.DO_NOTHING,
         l2=Action.DO_NOTHING,
     )
-    rep = check_steady_state(canonical, 0.12, OlgState.HIGH_ONLY, profile)
+    rep = _check_at(canonical, 0.12, OlgState.HIGH_ONLY, profile)
     assert not rep.market_clearing
     assert not rep.passes
 
 
-def _reference_check_steady_state(params, D, state, profile, slack_tol=1e-9, slacks=None):
+def _reference_check_steady_state(params, D, state, profile, slack_tol=1e-9):
     """check_steady_state as one self-contained body: every fact of the
-    (state, profile) pair is rebuilt on each call, and each dominance
-    argument is a branch of its own."""
+    (state, profile) pair, its slacks included, is rebuilt on each call, and
+    each dominance argument is a branch of its own."""
 
     p = params
     buys_new = (Action.BUY_NEW, Action.SELL_AND_BUY_NEW)
@@ -440,8 +446,7 @@ def _reference_check_steady_state(params, D, state, profile, slack_tol=1e-9, sla
         if action is Action.BUY_USED:
             demand += masses[cell]
     market_clearing = demand == 0.0 if supply == 0.0 else demand >= supply - 1e-12
-    if slacks is None:
-        slacks = constraint_slacks_olg(params, D)
+    slacks = constraint_slacks_olg(params, D)
     constraints_ok = all(v >= -slack_tol for v in slacks.values())
     dominated = False
     if state is OlgState.ALL and state_consistent:
@@ -481,10 +486,8 @@ def test_check_steady_state_equals_reference_on_every_pair(
     assert len(pairs) == 243
     discarded = False
     for state, profile in pairs:
-        for shared in (None, slacks):
-            got = check_steady_state(params, D, state, profile, slacks=shared)
-            want = _reference_check_steady_state(params, D, state, profile, slacks=shared)
-            assert got == want
+        got = check_steady_state(params, D, state, profile, slacks)
+        assert got == _reference_check_steady_state(params, D, state, profile)
         # no other argument covers a high-only discard-replace pair
         if state is OlgState.HIGH_ONLY and profile.h2 is Action.BUY_NEW:
             discarded |= got.dominated

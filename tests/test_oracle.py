@@ -710,8 +710,11 @@ def test_trade_profile_audit_passes(canonical):
     table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
     assert list(table) == ["h1", "h2", "l1", "l2"]
     assert all(attains(table[cell], STEADY_TRADE_PROFILE.get(cell)) for cell in table)
-    assert selected_actions(table) == STEADY_TRADE_PROFILE
-    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE) is True
+    selected = selected_actions(table)
+    assert selected == STEADY_TRADE_PROFILE
+    assert best_response_audit(
+        canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE, selected
+    ) is True
 
 
 def test_indifferent_keeper_attains_but_not_selected(canonical):
@@ -720,15 +723,17 @@ def test_indifferent_keeper_attains_but_not_selected(canonical):
     keepers = dataclasses.replace(STEADY_TRADE_PROFILE, h2=Action.KEEP_USED)
     table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
     assert attains(table["h2"], Action.KEEP_USED)
-    assert selected_actions(table).h2 is Action.SELL_AND_BUY_NEW
-    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, keepers) is False
+    selected = selected_actions(table)
+    assert selected.h2 is Action.SELL_AND_BUY_NEW
+    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, keepers, selected) is False
 
 
 def test_bad_action_fails_attainment(canonical):
     clunker = dataclasses.replace(STEADY_TRADE_PROFILE, l2=Action.BUY_NEW)
     table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
     assert not attains(table["l2"], Action.BUY_NEW)
-    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, clunker) is False
+    selected = selected_actions(table)
+    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, clunker, selected) is False
 
 
 def test_audit_honors_price_overrides(canonical):
@@ -742,7 +747,8 @@ def test_audit_honors_price_overrides(canonical):
     selected = selected_actions(table)
     assert selected.l2 is Action.BUY_USED
     assert selected.h2 is Action.KEEP_USED
-    assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE) is True
+    posted = selected_actions(action_table(canonical, d, p_n, p_u, state))
+    assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE, posted) is True
     assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE, selected) is False
 
 
@@ -773,16 +779,26 @@ def test_scan_has_no_survivor_when_cap_fails(cap_failure):
     assert not res.unique_survivor_is_trade_pattern
 
 
+def naive_row(params, d, state, profile):
+    """One pair audited from scratch: its own slacks, and its state's
+    selected profile at the posted prices."""
+
+    selected = selected_actions(action_table(params, d, *posted_prices(params, d), state))
+    return ScanRow(
+        state=state,
+        profile=profile,
+        feasibility=check_steady_state(
+            params, d, state, profile, constraint_slacks_olg(params, d)
+        ),
+        best_response_ok=best_response_audit(params, d, state, profile, selected),
+    )
+
+
 def assert_scan_equals_naive_per_row_audit(params, d):
     # each naive row audits from scratch; the scan passes every row its
     # state's precomputed selected actions
     naive = tuple(
-        ScanRow(
-            state=state,
-            profile=profile,
-            feasibility=check_steady_state(params, d, state, profile),
-            best_response_ok=best_response_audit(params, d, state, profile),
-        )
+        naive_row(params, d, state, profile)
         for state in OlgState
         for profile in enumerate_profiles(state)
     )
@@ -806,7 +822,7 @@ def reference_rows(params, d):
     for state in OlgState:
         selected = selected_actions(action_table(params, d, p_n, p_u, state))
         for profile in enumerate_profiles(state):
-            feasibility = check_steady_state(params, d, state, profile, slacks=slacks)
+            feasibility = check_steady_state(params, d, state, profile, slacks)
             ok = best_response_audit(params, d, state, profile, selected)
             rows.append(ScanRow(state, profile, feasibility, ok))
     return rows

@@ -19,7 +19,6 @@ from recommerce import (
     run_verification,
     shutdown_profit,
     solve_olg,
-    value_function,
 )
 from recommerce import olg as olg_mod
 from recommerce import oracle, statics
@@ -44,7 +43,6 @@ from recommerce.statics import (
     SweepPoint,
     _draw_block,
     _draw_row,
-    _durabilities,
     _foc_filters,
     _ladder_values,
     _olg_filters,
@@ -83,19 +81,46 @@ OLG = ModelKind.OLG
 # ----------------------------------------------------------------------
 
 
+def _root(params, model, regime, d_max=DEFAULT_D_MAX):
+    """D* of one point from its model's single-point solver."""
+
+    solve = tp.solve if model is TP else solve_olg
+    return solve(params, regime, d_max=d_max).D_star
+
+
+def _env(params, regime, wrt, model, d_max=DEFAULT_D_MAX):
+    """The envelope derivative at the single-point solver's D*."""
+
+    return envelope_profit_derivative(
+        params, regime, wrt, model, _root(params, model, regime, d_max)
+    )
+
+
+def _fd(params, regime, wrt, model, d_max=DEFAULT_D_MAX):
+    """The finite difference at the single-point solvers' D* of the two
+    stepped points."""
+
+    base = getattr(params, wrt)
+    roots = tuple(
+        _root(dataclasses.replace(params, **{wrt: base + h}), model, regime, d_max)
+        for h in (-statics._FD_STEP, statics._FD_STEP)
+    )
+    return fd_profit_derivative(params, regime, wrt, model, roots)
+
+
 @pytest.mark.parametrize("regime", [T, B])
 @pytest.mark.parametrize("wrt", ["alpha", "beta", "delta"])
 def test_envelope_matches_fd_two_period(canonical, regime, wrt):
-    env = envelope_profit_derivative(canonical, regime, wrt, TP)
-    fd = fd_profit_derivative(canonical, regime, wrt, TP)
+    env = _env(canonical, regime, wrt, TP)
+    fd = _fd(canonical, regime, wrt, TP)
     assert env == pytest.approx(fd, abs=1e-6)
 
 
 @pytest.mark.parametrize("regime", [T, B])
 @pytest.mark.parametrize("wrt", ["alpha", "beta", "delta"])
 def test_envelope_matches_fd_olg(olg_feasible, regime, wrt):
-    env = envelope_profit_derivative(olg_feasible, regime, wrt, OLG)
-    fd = fd_profit_derivative(olg_feasible, regime, wrt, OLG)
+    env = _env(olg_feasible, regime, wrt, OLG)
+    fd = _fd(olg_feasible, regime, wrt, OLG)
     assert env == pytest.approx(fd, abs=1e-6)
 
 
@@ -259,7 +284,7 @@ def test_envelope_matches_mpmath_reference_near_shutdown(cost, quality):
                 for wrt in ("alpha", "beta", "delta"):
                     d_star, ref = _mp_envelope_reference(mp, params, regime, model, wrt)
                     assert 0.0 < d_star < 0.1
-                    env = envelope_profit_derivative(params, regime, wrt, model)
+                    env = _env(params, regime, wrt, model)
                     assert _envelope_error_ok(env, ref), (model, regime, margin, wrt, env, ref)
 
 
@@ -277,34 +302,32 @@ def test_envelope_is_right_where_the_finite_difference_is_not():
     d_star, ref = _mp_envelope_reference(mp, params, T, OLG, "beta")
     assert d_star == pytest.approx(4.815e-4, rel=1e-3)
     assert ref == pytest.approx(-7.6270363e-4, rel=1e-8)
-    env = envelope_profit_derivative(params, T, "beta", OLG)
+    env = _env(params, T, "beta", OLG)
     assert env == pytest.approx(-7.6270367e-4, rel=1e-8)
     assert _envelope_error_ok(env, ref)
     assert abs(env - ref) <= 1e-7 * abs(ref)
-    fd = fd_profit_derivative(params, T, "beta", OLG)
+    fd = _fd(params, T, "beta", OLG)
     assert abs(fd - ref) > 4e-2 * abs(ref)
 
 
 def test_envelope_rejects_unknown_parameter(canonical):
     with pytest.raises(ValueError):
-        envelope_profit_derivative(canonical, T, "v_L")
+        _env(canonical, T, "v_L", TP)
     with pytest.raises(ValueError):
-        fd_profit_derivative(canonical, T, "n_H")
+        _fd(canonical, T, "n_H", TP)
 
 
 def test_deflator_sensitivities_coincide_without_commission(canonical):
     # with no commission the regimes share margins, durability, and slope
     p = dataclasses.replace(canonical, beta=0.0)
-    assert envelope_profit_derivative(p, T, "alpha", TP) == envelope_profit_derivative(
-        p, B, "alpha", TP
-    )
+    assert _env(p, T, "alpha", TP) == _env(p, B, "alpha", TP)
 
 
 def test_commission_sensitivity_ratio_at_zero(canonical):
     # losing a commission point costs the intermediated seller twice as much
     p = dataclasses.replace(canonical, beta=0.0)
-    d_t = envelope_profit_derivative(p, T, "beta", TP)
-    d_b = envelope_profit_derivative(p, B, "beta", TP)
+    d_t = _env(p, T, "beta", TP)
+    d_b = _env(p, B, "beta", TP)
     assert d_t < 0.0 and d_b < 0.0
     assert d_t / d_b == pytest.approx(2.0, rel=1e-12)
 
@@ -313,8 +336,8 @@ def test_branded_gains_weakly_more_from_deflator(canonical):
     for beta in (0.0, 0.1, canonical.beta):
         p = dataclasses.replace(canonical, beta=beta)
         base = dataclasses.replace(canonical, beta=0.0)
-        lhs = envelope_profit_derivative(base, B, "alpha", TP)
-        rhs = envelope_profit_derivative(p, T, "alpha", TP)
+        lhs = _env(base, B, "alpha", TP)
+        rhs = _env(p, T, "alpha", TP)
         if beta == 0.0:
             assert lhs == rhs
         else:
@@ -332,19 +355,12 @@ def test_shutdown_envelope_values(canonical):
             assert shut.any() and not shut.all()
             for wrt in ("alpha", "beta", "delta"):
                 ref = _shutdown_slope(dead, wrt, model)
-                assert repr(envelope_profit_derivative(dead, regime, wrt, model)) == repr(ref)
-                env = envelope_profit_derivative(mixed, regime, wrt, model)
+                assert repr(_env(dead, regime, wrt, model)) == repr(ref)
+                [d_star] = statics._cell_durabilities([(mixed, model, regime)], DEFAULT_D_MAX)
+                env = envelope_profit_derivative(mixed, regime, wrt, model, d_star)
                 for i in np.flatnonzero(shut):
                     ref = _shutdown_slope(_draw_row(mixed, i), wrt, model)
                     assert repr(env[i].item()) == repr(ref)
-
-
-def test_value_function_shutdown_branch(canonical):
-    dead = dataclasses.replace(canonical, v_L=0.4)
-    assert value_function(dead, T, TP) == shutdown_profit(dead)
-    assert value_function(dead, T, OLG) == pytest.approx(
-        dead.n_H * dead.v_H / (1 - dead.delta)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -414,11 +430,11 @@ def _reference_sweep(params, regime, parameter, values, model):
             mode, d_star, profit = sol.market_mode, sol.D_star, sol.objective_value
             welfare = math.nan
         env = (
-            envelope_profit_derivative(pt, regime, parameter, model, D_star=d_star)
+            envelope_profit_derivative(pt, regime, parameter, model, d_star)
             if mode is tp.MarketMode.ACTIVE
             else _shutdown_slope(pt, parameter, model)
         )
-        fd = fd_profit_derivative(pt, regime, parameter, model)
+        fd = float(_fd(pt, regime, parameter, model))
         points.append(SweepPoint(float(value), regime, mode, d_star, profit, welfare, env, fd))
     return points
 
@@ -453,6 +469,27 @@ def test_sweep_lanes_equal_single_point_solves(canonical, cap_failure, model, pa
                 cap_binding |= model is OLG and solve_olg(pt, regime).no_active_steady_state
     assert modes == set(tp.MarketMode)
     assert cap_binding or model is TP
+
+
+@pytest.mark.parametrize("model", [TP, OLG])
+@pytest.mark.parametrize("parameter", list(_SWEEP_GRIDS))
+def test_sweep_verdicts_follow_the_parameter_not_the_grid(
+    canonical, olg_feasible, model, parameter
+):
+    # a descending grid reads the same directions as its ascending mirror,
+    # and its points keep the order given; repeated values stay constant
+    base = canonical if model is TP else olg_feasible
+    values = _SWEEP_GRIDS[parameter]
+    directed = set()
+    for regime in (T, B):
+        up = monotonicity_sweep(base, regime, parameter, values, model)
+        down = monotonicity_sweep(base, regime, parameter, values[::-1], model)
+        assert down.verdicts == up.verdicts
+        assert [pt.param_value for pt in down.points] == values[::-1].tolist()
+        directed.add(up.verdicts["durability"])
+    assert directed & {"strictly-increasing", "strictly-decreasing"}
+    flat = monotonicity_sweep(base, B, parameter, [getattr(base, parameter)] * 3, model)
+    assert flat.verdicts["durability"] == flat.verdicts["profit"] == "constant"
 
 
 def test_sweep_solves_only_the_roots_it_reports(tmp_path, canonical):
@@ -526,8 +563,8 @@ def test_commission_curve_lanes_equal_scalar_solves():
         assert rows.profits.shape == rows.d_stars.shape == rows.active.shape == (40, 201)
         for k, params in enumerate(pool):
             curve = optimal_commission(params, model, n_points=201)
-            assert type(curve.argmax_index) is int
-            assert type(curve.beta_star) is type(curve.profit_at_star) is float
+            assert np.ndim(curve.argmax_index) == np.ndim(curve.beta_star) == 0
+            assert np.ndim(curve.profit_at_star) == 0
             for field in ("d_stars", "profits", "active"):
                 assert np.array_equal(getattr(rows, field)[k], getattr(curve, field))
             assert rows.argmax_index[k] == curve.argmax_index
@@ -792,7 +829,7 @@ def test_olg_screen_leaves_roots_beyond_d_max_to_the_predicate(d_max):
     # when the pool fills before the predicate meets one, equals it (0.25)
     block = _draw_block(np.random.default_rng([6, 2]), 4096)
     with pytest.raises(BracketError):
-        _durabilities(block, OLG, B, d_max)
+        statics._cell_durabilities([(block, OLG, B)], d_max)
     predicate, screen = _olg_filters(d_max)
 
     def pool(**kw):
@@ -812,7 +849,7 @@ def test_ratio_cap_slack_lanes_equal_scalar_slacks():
     live = margin_active(block, OLG, T) & margin_active(block, OLG, B)
     durabilities = [
         rng.uniform(0.0, 2.0, 2000),
-        np.where(live, _durabilities(block, OLG, B, DEFAULT_D_MAX), 0.0),
+        np.where(live, statics._cell_durabilities([(block, OLG, B)], DEFAULT_D_MAX)[0], 0.0),
     ]
     for d in durabilities:
         lanes = olg_mod._ratio_cap_slack(block, block.quality.value(d))
@@ -925,8 +962,9 @@ def test_kernel_lanes_equal_scalar_solves(family):
         margin, slopes = tp.durability_condition(stacked, TP, regime)
         live = margin > 0.0
         roots = tp.solve_foc(stacked, slopes[live])
-        d_tp = _durabilities(stacked, TP, regime, DEFAULT_D_MAX)
-        d_olg = _durabilities(stacked, OLG, regime, DEFAULT_D_MAX)
+        d_tp, d_olg = statics._cell_durabilities(
+            [(stacked, TP, regime), (stacked, OLG, regime)], DEFAULT_D_MAX
+        )
         for i, params in enumerate(pool):
             assert d_tp[i] == tp.solve(params, regime).D_star
             assert d_olg[i] == solve_olg(params, regime).D_star
@@ -1003,29 +1041,49 @@ def _shutdown_slope(params, wrt, model):
     return params.n_H * params.v_H / (1.0 - params.delta) ** 2
 
 
-def test_batched_value_function_and_derivatives_equal_scalar():
-    # references: the single-point solvers' values and D*, the closed-form
-    # envelope at that D*, and the centered difference of solver values
+def test_solved_values_at_cell_roots_equal_single_point_solvers(canonical):
+    # the maximized objective at the batched roots is the single-point
+    # solvers' value bit for bit, on shut-down lanes too
+    dead = dataclasses.replace(canonical, v_L=0.4)
+    pool = [dead, *admissible_olg_pool(40, 7)]
+    stacked = _stack(pool)
+    shutdowns = 0
+    for model in (TP, OLG):
+        for regime in (T, B):
+            [d_stars] = statics._cell_durabilities([(stacked, model, regime)], DEFAULT_D_MAX)
+            values = statics._solved_values(stacked, model, regime, d_stars)
+            for i, params in enumerate(pool):
+                ref, _, active = _solved(params, regime, model)
+                assert repr(float(values[i])) == repr(ref)
+                shutdowns += not active
+            if model is TP:
+                assert values[0] == shutdown_profit(dead)
+            else:
+                assert values[0] == pytest.approx(dead.n_H * dead.v_H / (1 - dead.delta))
+    assert shutdowns > 4
+
+
+def test_batched_derivatives_equal_scalar():
+    # references: the closed-form envelope at the single-point solver's D*,
+    # and the centered difference of the single-point solvers' values
     pool = admissible_olg_pool(40, 7)
     stacked = _stack(pool)
     h = 1e-5
     shutdowns = 0
     for model in (TP, OLG):
         for regime in (T, B):
-            value = value_function(stacked, regime, model)
-            for i, params in enumerate(pool):
-                ref, _, active = _solved(params, regime, model)
-                single = value_function(params, regime, model)
-                assert type(single) is float
-                assert value[i] == single == ref
-                shutdowns += not active
             for wrt in ("alpha", "beta", "delta"):
-                env = envelope_profit_derivative(stacked, regime, wrt, model)
-                fd = fd_profit_derivative(stacked, regime, wrt, model)
+                base = getattr(stacked, wrt)
+                stepped = [dataclasses.replace(stacked, **{wrt: base + d}) for d in (-h, h)]
+                d_star, d_lo, d_hi = statics._cell_durabilities(
+                    [(p, model, regime) for p in (stacked, *stepped)], DEFAULT_D_MAX
+                )
+                env = envelope_profit_derivative(stacked, regime, wrt, model, d_star)
+                fd = fd_profit_derivative(stacked, regime, wrt, model, (d_lo, d_hi))
                 for i, params in enumerate(pool):
                     _, d_star, active = _solved(params, regime, model)
                     ref_env = (
-                        envelope_profit_derivative(params, regime, wrt, model, D_star=d_star)
+                        envelope_profit_derivative(params, regime, wrt, model, d_star)
                         if active
                         else _shutdown_slope(params, wrt, model)
                     )
@@ -1034,11 +1092,9 @@ def test_batched_value_function_and_derivatives_equal_scalar():
                         _solved(dataclasses.replace(params, **{wrt: base + d}), regime, model)[0]
                         for d in (h, -h)
                     )
-                    single_env = envelope_profit_derivative(params, regime, wrt, model)
-                    single_fd = fd_profit_derivative(params, regime, wrt, model)
-                    assert type(single_env) is float and type(single_fd) is float
-                    assert env[i] == single_env == ref_env
-                    assert fd[i] == single_fd == (hi - lo) / (2.0 * h)
+                    assert env[i] == _env(params, regime, wrt, model) == ref_env
+                    assert fd[i] == _fd(params, regime, wrt, model) == (hi - lo) / (2.0 * h)
+                    shutdowns += not active
     assert shutdowns > 0
 
 
@@ -1080,11 +1136,11 @@ def _scalar_envelope(pool_tp, pool_olg, d_max):
     example = None
     for params in pool_tp:
         base_b0 = dataclasses.replace(params, beta=0.0)
-        lhs = envelope_profit_derivative(base_b0, B, "alpha")
+        lhs = _env(base_b0, B, "alpha", TP, d_max)
         for frac in (0.0, 0.5, 1.0):
             beta_t = params.beta * frac
             pt = dataclasses.replace(params, beta=beta_t)
-            rhs = envelope_profit_derivative(pt, T, "alpha")
+            rhs = _env(pt, T, "alpha", TP, d_max)
             checks += 1
             ok = lhs > rhs if beta_t > 0.0 else lhs >= rhs - 1e-12
             if not ok:
@@ -1106,10 +1162,10 @@ def _scalar_envelope(pool_tp, pool_olg, d_max):
                     )
                     if not interior:
                         continue
-                    env = envelope_profit_derivative(params, regime, wrt, model, d_max=d_max)
+                    env = _env(params, regime, wrt, model, d_max)
                     if abs(env) <= 1e-8:
                         continue
-                    fd = fd_profit_derivative(params, regime, wrt, model, d_max=d_max)
+                    fd = _fd(params, regime, wrt, model, d_max)
                     checks += 1
                     if abs(env - fd) / abs(env) > 1e-4:
                         violations += 1
@@ -1502,15 +1558,17 @@ def test_cell_durabilities_equal_cell_by_cell_roots(monkeypatch, active_only):
         if regime is None:
             alone = tp.social_optimal_durability(params)
         else:
-            alone = _durabilities(params, model, regime, DEFAULT_D_MAX)
+            # one single-point solve per lane, its fields broadcast
+            alone = np.zeros(d_stars.shape)
+            fields = statics._SCALAR_FIELDS
+            lanes = dataclasses.replace(
+                params, **{f: np.broadcast_to(getattr(params, f), alone.shape) for f in fields}
+            )
+            for i in np.ndindex(alone.shape):
+                alone[i] = _root(_draw_row(lanes, i), model, regime)
         assert d_stars.shape == np.shape(alone)
         assert d_stars.tobytes() == np.asarray(alone).tobytes()
-        if regime is not None and model is OLG:
-            for i, d in enumerate(d_stars):
-                assert d == solve_olg(_draw_row(params, i), regime).D_star
         shutdowns += int(np.count_nonzero(d_stars == 0.0))
-    for i, d in enumerate(solved[0]):
-        assert d == tp.solve(_draw_row(tp_pool, i), T).D_star
     # shut-down lanes of both models are the shutdown durability
     assert shutdowns > 0
     assert active_only or np.any(solved[0] == 0.0)
@@ -1563,6 +1621,8 @@ _SMALL = dict(
     audit_draws=2,
     commission_points=101,
 )
+# every argument of run_verification, which has no defaults
+_RUN = dict(_SMALL, d_max=DEFAULT_D_MAX, jobs=1, inject_failure=False)
 
 
 # the rows of verify.csv, in order
@@ -1580,7 +1640,7 @@ VERIFY_ROWS = [
 
 
 def test_run_verification_small_scale():
-    results = run_verification(**_SMALL)
+    results = run_verification(**_RUN)
     assert [r.name for r in results] == VERIFY_ROWS
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
@@ -1593,7 +1653,7 @@ def test_run_verification_rejects_more_audit_draws_than_draws():
     # the audits take the head of the draw pools, which would cap a larger
     # count without a word
     with pytest.raises(ValueError, match=r"audit_draws \(7\) exceeds pool_draws \(6\)"):
-        run_verification(**dict(_SMALL, audit_draws=7))
+        run_verification(**dict(_RUN, audit_draws=7))
 
 
 def test_each_property_solves_one_batched_root_per_family(monkeypatch):
@@ -1635,15 +1695,15 @@ def test_foc_grid_searches_each_pool_once(monkeypatch):
 
 
 def test_run_verification_parallel_matches_serial():
-    serial = run_verification(**_SMALL)
-    parallel = run_verification(**_SMALL, jobs=2)
+    serial = run_verification(**_RUN)
+    parallel = run_verification(**dict(_RUN, jobs=2))
     assert [(r.name, r.checks, r.violations) for r in serial] == [
         (r.name, r.checks, r.violations) for r in parallel
     ]
 
 
 def test_injected_failure_is_surfaced():
-    results = run_verification(**_SMALL, inject_failure=True)
+    results = run_verification(**dict(_RUN, inject_failure=True))
     assert len(results) == len(VERIFY_ROWS) + 1
     probe = results[-1]
     assert probe.name == "injected-failure-probe"
