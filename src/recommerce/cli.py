@@ -102,7 +102,7 @@ _SETTINGS = {
     "foc_draws": _count("verification", 1, 200),
     "grid_points": _count("verification", 1000, 100_000),
     "audit_draws": _count("verification", 1, 50),
-    "commission_points": _count("verification", 1, 1001),
+    "commission_points": _count("verification", 2, 1001),
     "jobs": _count(None, 1, 1, "parallel worker processes"),
 }
 # config section -> its keys

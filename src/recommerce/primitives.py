@@ -294,32 +294,63 @@ def validate_params(
     makes the durability first-order condition single-crossing.
     """
 
-    p = params
-    if model is ModelKind.TWO_PERIOD:
-        by_model = (_check("low_share_exceeds_high", bool(p.n_L > p.n_H)),)
-    else:
-        by_model = (
-            _check("cohort_shares_sum_to_one", bool(abs(p.n_H + p.n_L - 1.0) <= 1e-12)),
-            _check("used_demand_covers_supply", bool(2.0 * p.n_L > p.n_H)),
-        )
+    checks = _field_report(model, _field_verdicts(params, model))
     return ValidationReport(
-        model,
-        (
-            _check("valuations_ordered", bool(p.v_H > p.v_L > 0.0)),
-            _check("shares_positive", bool(p.n_H > 0.0 and p.n_L > 0.0)),
-            _check("discount_in_unit_interval", bool(0.0 < p.delta < 1.0)),
-            _check("deflator_in_range", bool(0.0 < p.alpha <= 1.0)),
-            _check("commission_in_range", bool(0.0 <= p.beta < 1.0)),
-            *_family_checks(p.cost, p.quality, d_max),
-            *by_model,
-        ),
+        model, checks[:5] + _family_checks(params.cost, params.quality, d_max) + checks[5:]
     )
+
+
+def _admissible(params: ModelParams, model: ModelKind, d_max: float):
+    """``validate_params(params, model, d_max).ok`` elementwise over the
+    lanes of a ModelParams with array fields (one family)."""
+
+    family_ok = all(c.passed for c in _family_checks(params.cost, params.quality, d_max))
+    return np.logical_and.reduce(_field_verdicts(params, model)) & family_ok
+
+
+# Names of the checks on the scalar fields, in report order: five shared,
+# then the model's; _field_verdicts gives their verdicts in this order.
+_SHARED_CHECKS = (
+    "valuations_ordered",
+    "shares_positive",
+    "discount_in_unit_interval",
+    "deflator_in_range",
+    "commission_in_range",
+)
+_FIELD_CHECKS = {
+    ModelKind.TWO_PERIOD: (*_SHARED_CHECKS, "low_share_exceeds_high"),
+    ModelKind.OLG: (*_SHARED_CHECKS, "cohort_shares_sum_to_one", "used_demand_covers_supply"),
+}
+
+
+def _field_verdicts(p: ModelParams, model: ModelKind) -> tuple:
+    """The verdicts of ``_FIELD_CHECKS[model]``: bools for a single point,
+    one per lane when the fields are arrays."""
+
+    shared = (
+        (p.v_H > p.v_L) & (p.v_L > 0.0),
+        (p.n_H > 0.0) & (p.n_L > 0.0),
+        (0.0 < p.delta) & (p.delta < 1.0),
+        (0.0 < p.alpha) & (p.alpha <= 1.0),
+        (0.0 <= p.beta) & (p.beta < 1.0),
+    )
+    if model is ModelKind.TWO_PERIOD:
+        return (*shared, p.n_L > p.n_H)
+    return (*shared, abs(p.n_H + p.n_L - 1.0) <= 1e-12, 2.0 * p.n_L > p.n_H)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_report(model: ModelKind, verdicts: tuple) -> tuple[Check, ...]:
+    """The field checks of one (model, verdicts): checks are frozen, and
+    every point with the same verdicts shares them."""
+
+    return tuple(Check(name, bool(v)) for name, v in zip(_FIELD_CHECKS[model], verdicts))
 
 
 @functools.lru_cache(maxsize=None)
 def _check(name: str, passed: bool) -> Check:
-    """The one :class:`Check` of a (name, verdict): checks are frozen, and a
-    report of a draw pool's rows would otherwise build each one again."""
+    """The one :class:`Check` of a (name, verdict): checks are frozen, so
+    the shape checks of every family share them."""
 
     return Check(name, passed)
 

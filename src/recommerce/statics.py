@@ -26,6 +26,7 @@ monotonicity probes.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -45,6 +46,7 @@ from .primitives import (
     _SCALAR_FIELDS,
     canonical_params,
     params_to_dict,
+    _admissible,
     validate_params,
 )
 from . import olg as olg_mod
@@ -452,7 +454,7 @@ LADDER_POINTS = 5
 _LADDER_SPAN = LADDER_STEP * (LADDER_POINTS - 1)
 
 
-# Number of raw draws generated and screened at once by sample_filtered.
+# Number of raw draws generated and masked at once by the pool samplers.
 _DRAW_BLOCK = 4096
 
 
@@ -512,25 +514,15 @@ def margin_active(params: ModelParams, model: ModelKind, regime: Regime) -> bool
 
 
 def equilibrium_feasible(
-    params: ModelParams,
-    model: ModelKind,
-    regime: Regime,
-    d_max: float = DEFAULT_D_MAX,
-    d_star: float | None = None,
+    params: ModelParams, model: ModelKind, regime: Regime, d_max: float = DEFAULT_D_MAX
 ) -> bool:
-    """Margin positive and every price-taking constraint satisfied at D*.
-
-    A two-period ``d_star``, if given, is taken as the regime's D* in place
-    of solving it; it must equal :func:`two_period.optimal_durability`.
-    """
+    """Margin positive and every price-taking constraint satisfied at D*."""
 
     if not margin_active(params, model, regime):
         return False
     if model is ModelKind.OLG:
         return olg_mod.solve_olg(params, regime, d_max=d_max).constraints_ok
-    if d_star is None:
-        d_star = tp.optimal_durability(params, regime, d_max=d_max)
-    return _slacks_hold(tp.constraint_slacks(params, d_star))
+    return _slacks_hold(tp.constraint_slacks(params, tp.optimal_durability(params, regime, d_max)))
 
 
 def ladder_active(params: ModelParams) -> bool:
@@ -551,8 +543,43 @@ def ladder_active(params: ModelParams) -> bool:
     )
 
 
-Predicate = Callable[..., bool]
-Screen = Callable[[ModelParams], tuple[np.ndarray, list | None]]
+Predicate = Callable[[ModelParams], bool]
+Screen = Callable[[ModelParams], np.ndarray]
+
+
+def _sample_lanes(
+    n: int, seed_key: Sequence[int], accept: Callable[[ModelParams, int], np.ndarray]
+) -> ModelParams:
+    """Rejection-sample ``n`` draws, deterministically: the first ``n``
+    draws that ``accept`` passes, as one ModelParams with (n,) array fields.
+
+    Draws are generated in blocks (see :func:`_draw_block`). ``accept(block,
+    need)`` maps a block to its acceptance mask, exact in draw order up to
+    the ``need``-th accepted draw the pool still needs; later draws may read
+    False. At most ``max(200_000, 2000 * n)`` raw draws are made.
+    """
+
+    rng = np.random.default_rng(list(seed_key))
+    cap = max(200_000, 2000 * n)
+    parts, got, drawn = [], 0, 0
+    while drawn < cap:
+        size = min(_DRAW_BLOCK, cap - drawn)
+        block = _draw_block(rng, size)
+        drawn += size
+        parts.append(_take(block, np.flatnonzero(accept(block, n - got))[: n - got]))
+        got += parts[-1].beta.size
+        if got == n:
+            return dataclasses.replace(
+                block,
+                **{f: np.concatenate([getattr(p, f) for p in parts]) for f in _SCALAR_FIELDS}
+            )
+    raise RuntimeError(
+        f"rejection sampling exhausted {cap} attempts with {got}/{n} accepted"
+    )
+
+
+def _rows(lanes: ModelParams) -> list[ModelParams]:
+    return [_draw_row(lanes, i) for i in range(lanes.beta.size)]
 
 
 def sample_filtered(
@@ -564,70 +591,66 @@ def sample_filtered(
     """Rejection-sample ``n`` draws, deterministically: a draw is accepted
     when ``screen`` passes it and ``predicate`` (the row rule) accepts it.
 
-    Draws are generated in blocks (see :func:`_draw_block`). ``screen``, if
-    given, maps a block to a boolean mask and either None or one tuple per
-    passed draw, in draw order. ``predicate`` then runs, in draw order, only
-    on the draws the screen passes, as ``predicate(draw)`` or, with tuples,
-    ``predicate(draw, *tuple)``. At most ``max(200_000, 2000 * n)`` raw
-    draws are made.
+    Draws are generated as in :func:`_sample_lanes`. ``screen``, if given,
+    maps a block to a boolean mask, and ``predicate`` then runs, in draw
+    order, only on the draws the screen passes, until the pool is full.
     """
 
-    rng = np.random.default_rng(list(seed_key))
-    cap = max(200_000, 2000 * n)
-    out: list[ModelParams] = []
-    drawn = 0
-    while drawn < cap:
-        size = min(_DRAW_BLOCK, cap - drawn)
-        block = _draw_block(rng, size)
-        drawn += size
-        if screen is None:
-            rows, extras = range(size), None
-        else:
-            passed, extras = screen(block)
-            rows = np.flatnonzero(passed)
-        for k, i in enumerate(rows):
-            cand = _draw_row(block, i)
-            if predicate(cand) if extras is None else predicate(cand, *extras[k]):
-                out.append(cand)
-                if len(out) == n:
-                    return out
-    raise RuntimeError(
-        f"rejection sampling exhausted {cap} attempts with {len(out)}/{n} accepted"
-    )
+    def accept(block: ModelParams, need: int) -> np.ndarray:
+        rows = range(block.beta.size) if screen is None else np.flatnonzero(screen(block))
+        taken = itertools.islice((i for i in rows if predicate(_draw_row(block, i))), need)
+        return np.isin(np.arange(block.beta.size), list(taken))
+
+    return _rows(_sample_lanes(n, seed_key, accept))
 
 
-def _two_period_filters(d_max: float) -> tuple[Predicate, Screen]:
-    def ok(cand: ModelParams, *d_stars: float) -> bool:
-        # at the screen's D* of both regimes when it hands them, else solved
-        # here, regime by regime
-        return (
-            validate_params(cand, ModelKind.TWO_PERIOD, d_max).ok
-            and ladder_active(cand)
-            and all(
-                equilibrium_feasible(cand, ModelKind.TWO_PERIOD, r, d_max, d)
-                for r, d in zip(_REGIMES, d_stars or (None, None))
-            )
-        )
+# Lanes whose roots the two-period mask solves per batched call: about as
+# many as a 50-draw pool reads.
+_ROOT_CHUNK = 128
 
-    def screen(block: ModelParams) -> tuple[np.ndarray, list | None]:
-        # the ladder and both margins, then both regimes' D* of the lanes
-        # that pass, one batched root per regime. Each lane equals the
-        # rule's scalar root bit for bit, so no verdict changes.
+
+def _two_period_mask(d_max: float, chunk: int = _ROOT_CHUNK):
+    """The two-period pool's acceptance mask: admissibility, the ladder and
+    both margins over the block, then the five slacks at both regimes' D*,
+    solved ``chunk`` lanes at a time for a draw-order prefix of the lanes
+    that pass, until the pool is full.
+
+    Each lane's root equals the scalar root bit for bit, so no verdict
+    changes. A chunk with a root beyond ``d_max`` is redone one lane at a
+    time, so the pool raises the row rule's :class:`BracketError` at the
+    draw where the rule raises it, and not when the pool fills before it.
+    """
+
+    def accept(block: ModelParams, need: int) -> np.ndarray:
         passed = (
-            ladder_active(block)
+            _admissible(block, ModelKind.TWO_PERIOD, d_max)
+            & ladder_active(block)
             & margin_active(block, ModelKind.TWO_PERIOD, Regime.THIRD_PARTY)
             & margin_active(block, ModelKind.TWO_PERIOD, Regime.BRANDED)
         )
-        lanes = _take(block, passed)
-        try:
-            d_stars = [tp.optimal_durability(lanes, r, d_max).tolist() for r in _REGIMES]
-        except BracketError:
-            # a root beyond d_max: the rule solves row by row, in draw
-            # order, so it raises where the unscreened pool raises
-            return passed, None
-        return passed, list(zip(*d_stars))
+        lanes = np.flatnonzero(passed)
+        for start in range(0, lanes.size, chunk):
+            part = lanes[start : start + chunk]
+            if need <= 0:
+                passed[lanes[start:]] = False
+                break
+            held = np.ones(part.size, bool)
+            try:
+                # as in the row rule, the branded root is solved only where
+                # the third-party slacks hold
+                for regime in _REGIMES:
+                    cut = _take(block, part[held])
+                    slacks = tp.constraint_slacks(cut, tp.optimal_durability(cut, regime, d_max))
+                    held[held] = np.logical_and.reduce([v >= -_SLACK_TOL for v in slacks.values()])
+            except BracketError:
+                if chunk == 1:
+                    raise
+                held = _two_period_mask(d_max, 1)(_take(block, part), need)
+            passed[part] = held
+            need -= np.count_nonzero(held)
+        return passed
 
-    return ok, screen
+    return accept
 
 
 def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
@@ -648,23 +671,34 @@ def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
             d_stars = _cell_durabilities([(lanes, ModelKind.OLG, r) for r in _REGIMES], d_max)
         except BracketError:
             # a root beyond d_max: the predicate raises it in draw order
-            return active, None
+            return active
         third_party, branded = (
             olg_mod._ratio_cap_slack(lanes, lanes.quality.value(d)) >= -_SLACK_TOL
             for d in d_stars
         )
         active[active] = third_party & branded
-        return active, None
+        return active
 
     return ok, screen
 
 
-def _foc_filters(model: ModelKind, regime: Regime, d_max: float) -> tuple[Predicate, Screen]:
-    # the screen is the margin test itself, so the rule is admissibility alone
-    def ok(cand: ModelParams) -> bool:
-        return validate_params(cand, model, d_max).ok
+def _foc_mask(model: ModelKind, regime: Regime, d_max: float):
+    return lambda block, need: _admissible(block, model, d_max) & margin_active(
+        block, model, regime
+    )
 
-    return ok, lambda block: (margin_active(block, model, regime), None)
+
+def _two_period_lanes(n: int, seed: int, d_max: float) -> ModelParams:
+    return _sample_lanes(n, (seed, 1), _two_period_mask(d_max))
+
+
+def _foc_lanes(n: int, seed: int, model: ModelKind, regime: Regime, d_max: float) -> ModelParams:
+    tag = 10 * (1 + list(ModelKind).index(model)) + list(Regime).index(regime)
+    return _sample_lanes(n, (seed, 3, tag), _foc_mask(model, regime, d_max))
+
+
+def _admissible_lanes(n: int, seed: int, d_max: float) -> ModelParams:
+    return _sample_lanes(n, (seed, 4), lambda block, need: _admissible(block, ModelKind.OLG, d_max))
 
 
 def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
@@ -675,8 +709,7 @@ def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[Mod
     five price-taking constraints hold at both regimes' optima.
     """
 
-    ok, screen = _two_period_filters(d_max)
-    return sample_filtered(n, (seed, 1), ok, screen=screen)
+    return _rows(_two_period_lanes(n, seed, d_max))
 
 
 def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
@@ -693,18 +726,13 @@ def foc_pool(
 ) -> list[ModelParams]:
     """Admissible margin-active draws for one (model, regime) cell."""
 
-    tag = 10 * (1 + list(ModelKind).index(model)) + list(Regime).index(regime)
-    ok, screen = _foc_filters(model, regime, d_max)
-    return sample_filtered(n, (seed, 3, tag), ok, screen=screen)
+    return _rows(_foc_lanes(n, seed, model, regime, d_max))
 
 
 def admissible_olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
     """Admissible draws with no activity filtering at all."""
 
-    def ok(cand: ModelParams) -> bool:
-        return validate_params(cand, ModelKind.OLG, d_max).ok
-
-    return sample_filtered(n, (seed, 4), ok)
+    return _rows(_admissible_lanes(n, seed, d_max))
 
 
 # ======================================================================
@@ -1207,21 +1235,16 @@ def _build_tasks(
 ) -> list[tuple[int, Callable[..., PropertyResult], tuple]]:
     """The verify suite: each property's ``verify.csv`` row, its function
     and its picklable arguments, in the order ``--jobs`` workers take them.
-    Every pool is drawn and stacked once."""
+    Every pool is drawn once, as lanes."""
 
     foc_pools = {
-        (model, regime): _stack(foc_pool(foc_draws, seed, model, regime, d_max))
+        (model, regime): _foc_lanes(foc_draws, seed, model, regime, d_max)
         for model in ModelKind
         for regime in Regime
     }
-    pool_tp, pool_olg, pool_any = map(
-        _stack,
-        (
-            two_period_pool(pool_draws, seed, d_max),
-            olg_pool(pool_draws, seed, d_max),
-            admissible_olg_pool(audit_draws, seed, d_max),
-        ),
-    )
+    pool_tp = _two_period_lanes(pool_draws, seed, d_max)
+    pool_olg = _stack(olg_pool(pool_draws, seed, d_max))
+    pool_any = _admissible_lanes(audit_draws, seed, d_max)
     pool_audit = _take(pool_olg, slice(audit_draws))
     pool_tp_small = _take(pool_tp, slice(audit_draws))
 

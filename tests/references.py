@@ -13,10 +13,10 @@ solver.
 ``two_period_pool``, ``olg_pool``, ``foc_pool`` and ``admissible_olg_pool``
 draw each verify pool row by row, with the seed key of the ``statics``
 pool of that name: a screen that returns a mask, then a rule that decides
-one draw alone and solves the roots it needs itself. The two-period and FOC
-rules are the package's before the pool screens handed roots to the rules
-and took over the FOC margin test; the OLG and admissible pools keep their
-rules. The ``statics`` pools must equal these draw for draw.
+one draw alone and solves the roots it needs itself. The two-period, FOC
+and admissible rules are the package's before those pools were accepted
+by one mask per block; the OLG pool keeps its rule. The ``statics`` pools
+must equal these draw for draw.
 """
 
 import math
@@ -107,8 +107,7 @@ def _foc_rules(model: ModelKind, regime: Regime, d_max: float):
 
 
 def _olg_rules(d_max: float):
-    ok, screen = statics._olg_filters(d_max)
-    return ok, lambda block: screen(block)[0]
+    return statics._olg_filters(d_max)
 
 
 def _admissible_rules(d_max: float):

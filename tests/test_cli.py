@@ -732,7 +732,12 @@ def test_verify_rejects_bad_scales(tmp_path, capsys):
     assert main(["verify", "--grid-points", "500", "--out", str(tmp_path / "y")]) == 2
     assert main(["verify", "--commission-points", "0",
                  "--out", str(tmp_path / "z")]) == 2
-    assert capsys.readouterr().err.count("error:") == 3
+    # a one-point commission grid compares no two profits
+    assert main(["verify", "--commission-points", "1", "--draws", "4", "--foc-draws", "4",
+                 "--grid-points", "1000", "--audit-draws", "2",
+                 "--out", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr().err.count("error:") == 4
+    assert not (tmp_path / "w").exists()
 
 
 @pytest.mark.parametrize(

@@ -371,6 +371,31 @@ def _every_verdict_cases(canonical):
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
+def test_admissibility_mask_equals_row_reports(canonical, model):
+    block = statics._draw_block(np.random.default_rng([5, 5]), 400)
+    boundary = [
+        {"beta": 1.0},
+        {"alpha": 0.0},
+        {"alpha": 1.0},
+        {"v_L": 1.0},
+        {"n_H": 0.5, "n_L": 0.5},
+        {"n_H": 0.7, "n_L": 0.2},
+        {"delta": 5e-324},
+        *({name: math.nan} for name in primitives._SCALAR_FIELDS),
+    ]
+    rows = [statics._draw_row(block, i) for i in range(400)]
+    rows += [dataclasses.replace(canonical, **swap) for swap in boundary]
+    lanes = statics._stack(rows)
+    masks = {}
+    for d_max in (DEFAULT_D_MAX, 40.0):
+        masks[d_max] = primitives._admissible(lanes, model, d_max).tolist()
+        assert masks[d_max] == [validate_params(row, model, d_max).ok for row in rows]
+    assert set(masks[DEFAULT_D_MAX]) == {False, True}
+    # s(40) rounds to 1: the draw family fails, so every row is rejected
+    assert not any(masks[40.0])
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
 def test_reports_equal_freshly_built_reports(canonical, model):
     verdicts = set()
     for params, d_max in _every_verdict_cases(canonical):

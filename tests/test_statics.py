@@ -43,7 +43,7 @@ from recommerce.statics import (
     SweepPoint,
     _draw_block,
     _draw_row,
-    _foc_filters,
+    _foc_mask,
     _ladder_values,
     _olg_filters,
     _params_payload,
@@ -57,7 +57,7 @@ from recommerce.statics import (
     _prop_olg_unique,
     _stack,
     _take,
-    _two_period_filters,
+    _two_period_mask,
     admissible_olg_pool,
     equilibrium_feasible,
     foc_pool,
@@ -693,9 +693,7 @@ def test_ladder_filter(canonical):
 def test_sample_filtered_exhaustion():
     # a screen that rejects every block: the raw draws run out unchecked
     with pytest.raises(RuntimeError, match="exhausted 200000 attempts with 0/1"):
-        sample_filtered(
-            1, [9, 9], lambda p: True, screen=lambda b: (np.zeros(b.beta.shape, bool), None)
-        )
+        sample_filtered(1, [9, 9], lambda p: True, screen=lambda b: np.zeros(b.beta.shape, bool))
 
 
 def test_block_draws_reproduce_one_at_a_time_uniforms():
@@ -714,13 +712,24 @@ def test_block_draws_reproduce_one_at_a_time_uniforms():
         assert all(type(getattr(row, f)) is float for f in ("v_H", "v_L", "beta"))
 
 
-# each pool's (row rule, screen) and the row-by-row reference pair it replaces
+def _rule_mask(rule, screen):
+    """A screen and a row rule as one acceptance mask."""
+
+    def accept(block, need):
+        rows = [i for i in np.flatnonzero(screen(block)) if rule(_draw_row(block, i))]
+        return np.isin(np.arange(block.beta.size), rows)
+
+    return accept
+
+
+# each pool's acceptance mask (the OLG pool's: its screen and row rule) and
+# the row-by-row reference pair it replaces
 _POOL_FILTERS = {
-    "two-period": (_two_period_filters(DEFAULT_D_MAX), references._two_period_rules(DEFAULT_D_MAX)),
-    "olg": (_olg_filters(DEFAULT_D_MAX), references._olg_rules(DEFAULT_D_MAX)),
+    "two-period": (_two_period_mask(DEFAULT_D_MAX), references._two_period_rules(DEFAULT_D_MAX)),
+    "olg": (_rule_mask(*_olg_filters(DEFAULT_D_MAX)), references._olg_rules(DEFAULT_D_MAX)),
     **{
         f"foc-{model.value}-{regime.value}": (
-            _foc_filters(model, regime, DEFAULT_D_MAX),
+            _foc_mask(model, regime, DEFAULT_D_MAX),
             references._foc_rules(model, regime, DEFAULT_D_MAX),
         )
         for model in ModelKind
@@ -729,48 +738,36 @@ _POOL_FILTERS = {
 }
 
 
-def _accepted(rule, screen, block):
-    """Rows of ``block`` the screen passes and the rule accepts, given the
-    screen's tuples when it hands them."""
-
-    passed, extras = screen(block)
-    rows = np.flatnonzero(passed)
-    if extras is None:
-        return [i for i in rows if rule(_draw_row(block, i))]
-    assert len(extras) == len(rows)
-    return [i for i, extra in zip(rows, extras) if rule(_draw_row(block, i), *extra)]
-
-
 @pytest.mark.parametrize("name", sorted(_POOL_FILTERS))
 def test_screen_and_rule_accept_the_reference_draws(name):
-    (rule, screen), (ref_rule, ref_screen) = _POOL_FILTERS[name]
+    accept, (ref_rule, ref_screen) = _POOL_FILTERS[name]
     block = _draw_block(np.random.default_rng([17, len(name)]), 3000)
-    passed = screen(block)[0]
-    accepted = _accepted(rule, screen, block)
-    assert accepted, "no draw is accepted; the check says nothing"
-    assert not passed.all(), "the screen rejects nothing; the check says nothing"
-    ref_passed = ref_screen(block)
-    assert accepted == [i for i in np.flatnonzero(ref_passed) if ref_rule(_draw_row(block, i))]
-    # the screen passes no draw the reference screen rejects
-    assert not (passed & ~ref_passed).any()
+    accepted = np.flatnonzero(accept(block, 3000))
+    assert accepted.size, "no draw is accepted; the check says nothing"
+    assert accepted.size < 3000, "the mask rejects nothing; the check says nothing"
+    ref_rows = [i for i in np.flatnonzero(ref_screen(block)) if ref_rule(_draw_row(block, i))]
+    assert accepted.tolist() == ref_rows
+    # told it needs fewer draws, a mask is exact up to the last one needed
+    for need in (1, 5, statics._ROOT_CHUNK, accepted.size - 1):
+        assert (np.flatnonzero(accept(block, need))[:need] == accepted[:need]).all()
     if name == "olg":
         # the cap at D* rejects draws that both margins let through
         margins = margin_active(block, OLG, T) & margin_active(block, OLG, B)
-        assert (margins & ~passed).any()
+        assert (margins & ~_olg_filters(DEFAULT_D_MAX)[1](block)).any()
     if name == "two-period":
-        # the screen hands both regimes' roots, and the rule that solves
-        # them itself gives the same verdicts
-        assert screen(block)[1] is not None
-        assert accepted == [i for i in np.flatnonzero(passed) if rule(_draw_row(block, i))]
+        # the lanes that reach the roots span several chunks
+        assert accepted.size > 2 * statics._ROOT_CHUNK
 
 
 @pytest.mark.parametrize("name", sorted(_POOL_FILTERS))
 def test_screened_pool_equals_the_reference_pool(name):
-    (rule, screen), (ref_rule, ref_screen) = _POOL_FILTERS[name]
+    accept, (ref_rule, ref_screen) = _POOL_FILTERS[name]
     for seed in (1, 2, 3, 5):
         want = references._sample_rows(3, (seed, 9), ref_rule, ref_screen)
-        assert sample_filtered(3, (seed, 9), rule, screen=screen) == want, seed
+        assert statics._rows(statics._sample_lanes(3, (seed, 9), accept)) == want, seed
         if name == "olg":
+            rule, screen = _olg_filters(DEFAULT_D_MAX)
+            assert sample_filtered(3, (seed, 9), rule, screen=screen) == want, seed
             # the OLG rule alone is the whole decision
             assert olg_pool(8, seed) == sample_filtered(8, (seed, 2), rule), seed
 
@@ -801,25 +798,50 @@ def test_pools_equal_row_by_row_reference_pools(name):
         assert pool(50, seed) == want[:50], seed
 
 
+def _pool_or_error(sample, *args):
+    try:
+        return sample(*args)
+    except BracketError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("d_max", [0.1, 0.2])
 def test_two_period_screen_leaves_roots_beyond_d_max_to_the_rule(d_max):
-    # the first block holds screened draws with no root below d_max, so the
-    # screen hands no roots; the pool raises the reference pool's error
-    # (d_max = 0.1) or, when it fills before the rule meets one, equals it
+    # the first block holds draws the mask solves that have no root below
+    # d_max; the pool raises the reference pool's error (d_max = 0.1) or,
+    # when it fills before the rule meets one, equals it
     block = _draw_block(np.random.default_rng([6, 1]), 4096)
-    rule, screen = _two_period_filters(d_max)
-    passed, roots = screen(block)
-    assert passed.any() and roots is None
-
-    def pool(sample, *filters):
-        try:
-            return sample(4, (6, 1), *filters)
-        except BracketError as exc:
-            return str(exc)
-
-    want = pool(references._sample_rows, *references._two_period_rules(d_max))
+    with pytest.raises(BracketError):
+        _two_period_mask(d_max)(block, 4096)
+    want = _pool_or_error(
+        references._sample_rows, 4, (6, 1), *references._two_period_rules(d_max)
+    )
     assert isinstance(want, str) == (d_max == 0.1)
-    assert pool(sample_filtered, rule, screen) == want
+    lanes = _pool_or_error(statics._sample_lanes, 4, (6, 1), _two_period_mask(d_max))
+    assert want == (lanes if isinstance(lanes, str) else statics._rows(lanes))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_two_period_pool_raises_at_the_reference_draw(seed):
+    # at d_max = 0.2 a root beyond d_max meets the row-by-row pool after k
+    # accepted draws: the pool of k equals them without raising (at these
+    # seeds the failing draw lies in the first chunk of roots with them),
+    # and the pool of k + 1 raises the same error
+    rule, screen = references._two_period_rules(0.2)
+    accepted = []
+
+    def counting(cand):
+        ok = rule(cand)
+        if ok:
+            accepted.append(cand)
+        return ok
+
+    want = _pool_or_error(references._sample_rows, 200, (seed, 1), counting, screen)
+    assert isinstance(want, str)
+    k = len(accepted)
+    assert 0 < k < statics._ROOT_CHUNK
+    assert two_period_pool(k, seed, 0.2) == accepted
+    assert _pool_or_error(two_period_pool, k + 1, seed, 0.2) == want
 
 
 @pytest.mark.parametrize("d_max", [0.1, 0.25])

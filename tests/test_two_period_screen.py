@@ -1,9 +1,9 @@
-"""The two-period pool screen hands each draw it passes both regimes' D*,
-equal bit for bit to the scalar ``optimal_durability``, and the row rule at
-those roots gives the verdict of the rule that solves them one row at a
-time. On random points of the draw box and on points a few floats of v_L
-either side of where the smaller two-period slack crosses the slack
-tolerance -1e-9."""
+"""The two-period pool mask solves both regimes' D* of each draw that
+passes its screen, equal bit for bit to the scalar ``optimal_durability``,
+and gives the verdict of the rule that solves them one row at a time. On
+random points of the draw box and on points a few floats of v_L either
+side of where the smaller two-period slack crosses the slack tolerance
+-1e-9."""
 
 import numpy as np
 import pytest
@@ -19,14 +19,14 @@ from recommerce.statics import (
     _DRAW_COST,
     _DRAW_QUALITY,
     _stack,
-    _two_period_filters,
+    _two_period_mask,
     ladder_active,
 )
 from references import _two_period_rules
 
 REGIMES = (Regime.THIRD_PARTY, Regime.BRANDED)
 TP = ModelKind.TWO_PERIOD
-RULE, SCREEN = _two_period_filters(DEFAULT_D_MAX)
+MASK = _two_period_mask(DEFAULT_D_MAX)
 SCALAR_RULE = _two_period_rules(DEFAULT_D_MAX)[0]
 
 
@@ -102,19 +102,15 @@ def box_points(draw):
 @settings(max_examples=150, deadline=None)
 @given(box_points())
 def test_screen_roots_and_rule_equal_the_scalar_rule(params):
-    passed, roots = SCREEN(_stack([params]))
-    # the screen is exact on what it checks
-    assert bool(passed[0]) == _screened(params)
-    if not passed[0]:
-        assert roots == []
+    lane = _stack([params])
+    assert bool(MASK(lane, 1)[0]) == SCALAR_RULE(params)
+    if not _screened(params):
         assert not SCALAR_RULE(params)
         return
-    (d_stars,) = roots
-    for d, regime in zip(d_stars, REGIMES):
-        assert type(d) is float
-        assert d.hex() == tp.optimal_durability(params, regime).hex()
-    assert RULE(params, *d_stars) == SCALAR_RULE(params)
-    assert RULE(params) == SCALAR_RULE(params)
+    # the batched roots the mask solves
+    for regime in REGIMES:
+        d = tp.optimal_durability(lane, regime)
+        assert float(d[0]).hex() == tp.optimal_durability(params, regime).hex()
 
 
 def test_boundary_points_reach_both_verdicts():
@@ -127,8 +123,7 @@ def test_boundary_points_reach_both_verdicts():
     above = _point(float(np.nextafter(boundary, 2.0)), *_rest(base))
     verdicts = []
     for point in (below, above):
-        passed, roots = SCREEN(_stack([point]))
-        assert passed[0]
-        verdicts.append(RULE(point, *roots[0]))
+        assert _screened(point)
+        verdicts.append(bool(MASK(_stack([point]), 1)[0]))
         assert verdicts[-1] == SCALAR_RULE(point)
     assert verdicts == [True, False]
