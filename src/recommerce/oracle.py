@@ -418,13 +418,7 @@ def selected_actions(table: dict[str, dict[Action, float]]) -> ActionProfile:
     return ActionProfile(**{cell: best(table[cell]) for cell in CELLS})
 
 
-def best_response_audit(
-    params: ModelParams,
-    D: float,
-    state: OlgState,
-    profile: ActionProfile,
-    selected: ActionProfile,
-) -> bool:
+def best_response_audit(profile: ActionProfile, selected: ActionProfile) -> bool:
     """Whether ``profile`` is the state's best-response profile: every cell
     plays its selected action. ``selected`` is :func:`selected_actions` of
     this state's :func:`action_table`, computed once by a caller auditing
@@ -467,9 +461,8 @@ class ScanResult:
     _selected: dict[OlgState, ActionProfile] = field(repr=False)
 
     def _row(self, state: OlgState, profile: ActionProfile) -> ScanRow:
-        p, D = self._params, self.D
-        feasibility = check_steady_state(p, D, state, profile, self._slacks)
-        ok = best_response_audit(p, D, state, profile, self._selected[state])
+        feasibility = check_steady_state(self._params, self.D, state, profile, self._slacks)
+        ok = best_response_audit(profile, self._selected[state])
         return ScanRow(state, profile, feasibility, ok)
 
     @functools.cached_property

@@ -36,7 +36,6 @@ import numpy as np
 from .primitives import (
     DEFAULT_D_MAX,
     _SLACK_TOL,
-    _slacks_hold,
     BracketError,
     ModelKind,
     ModelParams,
@@ -66,7 +65,6 @@ __all__ = [
     "ParamBox",
     "DEFAULT_BOX",
     "margin_active",
-    "equilibrium_feasible",
     "ladder_active",
     "sample_filtered",
     "two_period_pool",
@@ -513,18 +511,6 @@ def margin_active(params: ModelParams, model: ModelKind, regime: Regime) -> bool
     return tp.durability_condition(params, model, regime)[0] > 0.0
 
 
-def equilibrium_feasible(
-    params: ModelParams, model: ModelKind, regime: Regime, d_max: float = DEFAULT_D_MAX
-) -> bool:
-    """Margin positive and every price-taking constraint satisfied at D*."""
-
-    if not margin_active(params, model, regime):
-        return False
-    if model is ModelKind.OLG:
-        return olg_mod.solve_olg(params, regime, d_max=d_max).constraints_ok
-    return _slacks_hold(tp.constraint_slacks(params, tp.optimal_durability(params, regime, d_max)))
-
-
 def ladder_active(params: ModelParams) -> bool:
     """Two-period margins stay positive across the local ladder ranges of
     both regimes.
@@ -541,10 +527,6 @@ def ladder_active(params: ModelParams) -> bool:
         & margin_active(worst, ModelKind.TWO_PERIOD, Regime.THIRD_PARTY)
         & margin_active(worst, ModelKind.TWO_PERIOD, Regime.BRANDED)
     )
-
-
-Predicate = Callable[[ModelParams], bool]
-Screen = Callable[[ModelParams], np.ndarray]
 
 
 def _sample_lanes(
@@ -578,15 +560,11 @@ def _sample_lanes(
     )
 
 
-def _rows(lanes: ModelParams) -> list[ModelParams]:
-    return [_draw_row(lanes, i) for i in range(lanes.beta.size)]
-
-
 def sample_filtered(
     n: int,
     seed_key: Sequence[int],
-    predicate: Predicate,
-    screen: Screen | None = None,
+    predicate: Callable[[ModelParams], bool],
+    screen: Callable[[ModelParams], np.ndarray] | None = None,
 ) -> list[ModelParams]:
     """Rejection-sample ``n`` draws, deterministically: a draw is accepted
     when ``screen`` passes it and ``predicate`` (the row rule) accepts it.
@@ -601,7 +579,8 @@ def sample_filtered(
         taken = itertools.islice((i for i in rows if predicate(_draw_row(block, i))), need)
         return np.isin(np.arange(block.beta.size), list(taken))
 
-    return _rows(_sample_lanes(n, seed_key, accept))
+    lanes = _sample_lanes(n, seed_key, accept)
+    return [_draw_row(lanes, i) for i in range(n)]
 
 
 # Lanes whose roots the two-period mask solves per batched call: about as
@@ -653,10 +632,12 @@ def _two_period_mask(d_max: float, chunk: int = _ROOT_CHUNK):
     return accept
 
 
-def _olg_filters(d_max: float) -> tuple[Predicate, Screen]:
+def _olg_filters(d_max: float):
     def ok(cand: ModelParams) -> bool:
         return validate_params(cand, ModelKind.OLG, d_max).ok and all(
-            equilibrium_feasible(cand, ModelKind.OLG, r, d_max) for r in _REGIMES
+            margin_active(cand, ModelKind.OLG, r)
+            and olg_mod.solve_olg(cand, r, d_max=d_max).constraints_ok
+            for r in _REGIMES
         )
 
     def screen(block: ModelParams) -> np.ndarray:
@@ -688,20 +669,11 @@ def _foc_mask(model: ModelKind, regime: Regime, d_max: float):
     )
 
 
-def _two_period_lanes(n: int, seed: int, d_max: float) -> ModelParams:
-    return _sample_lanes(n, (seed, 1), _two_period_mask(d_max))
+# Each pool returns its n draws as one ModelParams with (n,) array fields:
+# the form in which every property takes them.
 
 
-def _foc_lanes(n: int, seed: int, model: ModelKind, regime: Regime, d_max: float) -> ModelParams:
-    tag = 10 * (1 + list(ModelKind).index(model)) + list(Regime).index(regime)
-    return _sample_lanes(n, (seed, 3, tag), _foc_mask(model, regime, d_max))
-
-
-def _admissible_lanes(n: int, seed: int, d_max: float) -> ModelParams:
-    return _sample_lanes(n, (seed, 4), lambda block, need: _admissible(block, ModelKind.OLG, d_max))
-
-
-def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> ModelParams:
     """Both-active two-period draws with ladder headroom.
 
     Accepts a draw when the two-period admissibility checks pass, margins of
@@ -709,30 +681,31 @@ def two_period_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[Mod
     five price-taking constraints hold at both regimes' optima.
     """
 
-    return _rows(_two_period_lanes(n, seed, d_max))
+    return _sample_lanes(n, (seed, 1), _two_period_mask(d_max))
 
 
-def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> ModelParams:
     """Both-active steady-state draws: margins positive in both regimes and
     the full constraint set (including the valuation-ratio cap) satisfied at
     both regimes' optimal durabilities."""
 
     ok, screen = _olg_filters(d_max)
-    return sample_filtered(n, (seed, 2), ok, screen=screen)
+    return _stack(sample_filtered(n, (seed, 2), ok, screen=screen))
 
 
 def foc_pool(
     n: int, seed: int, model: ModelKind, regime: Regime, d_max: float = DEFAULT_D_MAX
-) -> list[ModelParams]:
+) -> ModelParams:
     """Admissible margin-active draws for one (model, regime) cell."""
 
-    return _rows(_foc_lanes(n, seed, model, regime, d_max))
+    tag = 10 * (1 + list(ModelKind).index(model)) + list(Regime).index(regime)
+    return _sample_lanes(n, (seed, 3, tag), _foc_mask(model, regime, d_max))
 
 
-def admissible_olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> list[ModelParams]:
+def admissible_olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> ModelParams:
     """Admissible draws with no activity filtering at all."""
 
-    return _rows(_admissible_lanes(n, seed, d_max))
+    return _sample_lanes(n, (seed, 4), lambda block, need: _admissible(block, ModelKind.OLG, d_max))
 
 
 # ======================================================================
@@ -1238,13 +1211,13 @@ def _build_tasks(
     Every pool is drawn once, as lanes."""
 
     foc_pools = {
-        (model, regime): _foc_lanes(foc_draws, seed, model, regime, d_max)
+        (model, regime): foc_pool(foc_draws, seed, model, regime, d_max)
         for model in ModelKind
         for regime in Regime
     }
-    pool_tp = _two_period_lanes(pool_draws, seed, d_max)
-    pool_olg = _stack(olg_pool(pool_draws, seed, d_max))
-    pool_any = _admissible_lanes(audit_draws, seed, d_max)
+    pool_tp = two_period_pool(pool_draws, seed, d_max)
+    pool_olg = olg_pool(pool_draws, seed, d_max)
+    pool_any = admissible_olg_pool(audit_draws, seed, d_max)
     pool_audit = _take(pool_olg, slice(audit_draws))
     pool_tp_small = _take(pool_tp, slice(audit_draws))
 

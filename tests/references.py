@@ -16,7 +16,12 @@ pool of that name: a screen that returns a mask, then a rule that decides
 one draw alone and solves the roots it needs itself. The two-period, FOC
 and admissible rules are the package's before those pools were accepted
 by one mask per block; the OLG pool keeps its rule. The ``statics`` pools
-must equal these draw for draw.
+return lanes, and each must equal the stacked reference pool
+(``statics._stack``) draw for draw, field by field (``same_lanes``).
+``rows`` reads a pool's draws back one at a time.
+
+``_scalar_feasible`` and ``_scalar_olg_feasible`` decide one draw's
+feasibility in one regime by a single-point solve of each model.
 """
 
 import math
@@ -24,7 +29,7 @@ import sys
 
 import numpy as np
 
-from recommerce import statics
+from recommerce import olg, statics
 from recommerce import two_period as tp
 from recommerce.primitives import (
     DEFAULT_D_MAX,
@@ -44,6 +49,24 @@ ORACLE_FAMILIES = [
     (PowerCost(c0=0.5, p=3.0), RationalQuality(k=1.0)),
     (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5)),
 ]
+
+
+def rows(pool: ModelParams) -> list[ModelParams]:
+    """The draws of a pool with (n,) array fields, each a single point
+    (``statics._draw_row``)."""
+
+    return [statics._draw_row(pool, i) for i in range(pool.beta.size)]
+
+
+def same_lanes(a: ModelParams, b: ModelParams) -> bool:
+    """Whether two pools hold the same family and, field by field, the same
+    shape, dtype and bytes."""
+
+    def key(p):
+        fields = [np.asarray(getattr(p, f)) for f in statics._SCALAR_FIELDS]
+        return p.cost, p.quality, [(x.shape, x.dtype, x.tobytes()) for x in fields]
+
+    return key(a) == key(b)
 
 
 def sample_params(rng: np.random.Generator) -> ModelParams:
@@ -84,6 +107,15 @@ def _scalar_feasible(params: ModelParams, regime: Regime, d_max: float) -> bool:
         return False
     d_star = tp.optimal_durability(params, regime, d_max=d_max)
     return _slacks_hold(tp.constraint_slacks(params, d_star))
+
+
+def _scalar_olg_feasible(params: ModelParams, regime: Regime, d_max: float) -> bool:
+    """Steady-state margin positive and every constraint satisfied at the
+    D* of a single-point ``solve_olg``."""
+
+    if not statics.margin_active(params, ModelKind.OLG, regime):
+        return False
+    return olg.solve_olg(params, regime, d_max=d_max).constraints_ok
 
 
 def _two_period_rules(d_max: float):

@@ -22,7 +22,6 @@ from recommerce.statics import (
     _prop_foc_grid,
     _prop_ladders,
     _prop_olg_unique,
-    _stack,
     _take,
     admissible_olg_pool,
     foc_pool,
@@ -39,7 +38,7 @@ COMMISSION_POINTS = 1001
 FOC_BUDGET_SECONDS = 60.0
 
 
-# every pool is stacked once, as ``run_verification`` stacks its pools
+# every pool is drawn once, as lanes, as ``run_verification`` draws its pools
 AUDIT = slice(AUDIT_DRAWS)
 
 
@@ -51,23 +50,23 @@ def _report(capsys, label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def pool_tp():
-    return _stack(two_period_pool(POOL_DRAWS, SEED))
+    return two_period_pool(POOL_DRAWS, SEED)
 
 
 @pytest.fixture(scope="module")
 def pool_olg():
-    return _stack(olg_pool(POOL_DRAWS, SEED))
+    return olg_pool(POOL_DRAWS, SEED)
 
 
 @pytest.fixture(scope="module")
 def pool_any():
-    return _stack(admissible_olg_pool(AUDIT_DRAWS, SEED))
+    return admissible_olg_pool(AUDIT_DRAWS, SEED)
 
 
 @pytest.fixture(scope="module")
 def foc_pools():
     return {
-        (model, regime): _stack(foc_pool(FOC_DRAWS, SEED, model, regime))
+        (model, regime): foc_pool(FOC_DRAWS, SEED, model, regime)
         for model in ModelKind
         for regime in Regime
     }

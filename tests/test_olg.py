@@ -33,6 +33,8 @@ from recommerce.olg import (
 from recommerce.primitives import RationalQuality, SaturatingExpQuality
 from recommerce.statics import admissible_olg_pool, olg_pool
 
+from references import rows
+
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
 
@@ -211,7 +213,7 @@ def _symbolic_stream():
 def test_symbolic_stream_matches_discounted_stream():
     sp, D, _, stream, _, at = _symbolic_stream()
     rng = np.random.default_rng(11)
-    for params in olg_pool(4, 11) + admissible_olg_pool(4, 11):
+    for params in rows(olg_pool(4, 11)) + rows(admissible_olg_pool(4, 11)):
         for d in rng.uniform(0.0, 3.0, 3):
             for regime in (T, B):
                 symbolic = float(stream[regime].subs(at(params, d)))
@@ -319,7 +321,7 @@ def test_slack_lanes_equal_scalar_slacks_bit_for_bit(canonical):
         for combo in itertools.product(*fields.values(), (0.0, -0.0, 0.3, nan))
     ]
     rng = np.random.default_rng(3)
-    points += [(p, float(d)) for p in olg_pool(20, 42) for d in rng.uniform(0.0, 2.0, 3)]
+    points += [(p, float(d)) for p in rows(olg_pool(20, 42)) for d in rng.uniform(0.0, 2.0, 3)]
     lanes = dataclasses.replace(
         canonical,
         **{f: np.array([getattr(p, f) for p, _ in points]) for f in fields},
@@ -520,7 +522,7 @@ def test_dominance_arguments_hold(family):
     # class that check_steady_state marks dominated earns strictly less
     # than its alternative, as c(D) > 0 throughout
     checked = 0
-    for params in olg_pool(12, 42):
+    for params in rows(olg_pool(12, 42)):
         assert isinstance(params.quality, SaturatingExpQuality)
         if family == "rational":
             params = dataclasses.replace(params, quality=RationalQuality(k=0.5))

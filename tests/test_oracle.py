@@ -57,7 +57,7 @@ from recommerce.statics import (
     olg_pool,
     sample_filtered,
 )
-from references import truncated_stream, truncated_stream_error_bound
+from references import rows, truncated_stream, truncated_stream_error_bound
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -182,7 +182,7 @@ def seed42_pools():
         def shut(p, model=model, regime=regime):
             return validate_params(p, model).ok and not margin_active(p, model, regime)
 
-        pools[model, regime, True] = foc_pool(40, 42, model, regime)
+        pools[model, regime, True] = rows(foc_pool(40, 42, model, regime))
         pools[model, regime, False] = sample_filtered(40, (42, 5, k), shut)
     return pools
 
@@ -712,9 +712,7 @@ def test_trade_profile_audit_passes(canonical):
     assert all(attains(table[cell], STEADY_TRADE_PROFILE.get(cell)) for cell in table)
     selected = selected_actions(table)
     assert selected == STEADY_TRADE_PROFILE
-    assert best_response_audit(
-        canonical, 0.12, OlgState.HIGH_ONLY, STEADY_TRADE_PROFILE, selected
-    ) is True
+    assert best_response_audit(STEADY_TRADE_PROFILE, selected) is True
 
 
 def test_indifferent_keeper_attains_but_not_selected(canonical):
@@ -725,7 +723,7 @@ def test_indifferent_keeper_attains_but_not_selected(canonical):
     assert attains(table["h2"], Action.KEEP_USED)
     selected = selected_actions(table)
     assert selected.h2 is Action.SELL_AND_BUY_NEW
-    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, keepers, selected) is False
+    assert best_response_audit(keepers, selected) is False
 
 
 def test_bad_action_fails_attainment(canonical):
@@ -733,7 +731,7 @@ def test_bad_action_fails_attainment(canonical):
     table = action_table(canonical, 0.12, *posted_prices(canonical, 0.12), OlgState.HIGH_ONLY)
     assert not attains(table["l2"], Action.BUY_NEW)
     selected = selected_actions(table)
-    assert best_response_audit(canonical, 0.12, OlgState.HIGH_ONLY, clunker, selected) is False
+    assert best_response_audit(clunker, selected) is False
 
 
 def test_audit_honors_price_overrides(canonical):
@@ -748,8 +746,8 @@ def test_audit_honors_price_overrides(canonical):
     assert selected.l2 is Action.BUY_USED
     assert selected.h2 is Action.KEEP_USED
     posted = selected_actions(action_table(canonical, d, p_n, p_u, state))
-    assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE, posted) is True
-    assert best_response_audit(canonical, d, state, STEADY_TRADE_PROFILE, selected) is False
+    assert best_response_audit(STEADY_TRADE_PROFILE, posted) is True
+    assert best_response_audit(STEADY_TRADE_PROFILE, selected) is False
 
 
 # ----------------------------------------------------------------------
@@ -790,7 +788,7 @@ def naive_row(params, d, state, profile):
         feasibility=check_steady_state(
             params, d, state, profile, constraint_slacks_olg(params, d)
         ),
-        best_response_ok=best_response_audit(params, d, state, profile, selected),
+        best_response_ok=best_response_audit(profile, selected),
     )
 
 
@@ -823,7 +821,7 @@ def reference_rows(params, d):
         selected = selected_actions(action_table(params, d, p_n, p_u, state))
         for profile in enumerate_profiles(state):
             feasibility = check_steady_state(params, d, state, profile, slacks)
-            ok = best_response_audit(params, d, state, profile, selected)
+            ok = best_response_audit(profile, selected)
             rows.append(ScanRow(state, profile, feasibility, ok))
     return rows
 
@@ -847,7 +845,7 @@ def assert_scan_rows_equal_reference(params, d):
 @pytest.mark.parametrize("regime", [T, B])
 def test_scan_rows_equal_reference_on_verify_audit_pools(seed, regime):
     # the default-scale audit pool verify scans: the head of the olg pool
-    for params in olg_pool(50, seed):
+    for params in rows(olg_pool(50, seed)):
         assert_scan_rows_equal_reference(params, solve_olg(params, regime).D_star)
 
 
@@ -975,12 +973,12 @@ def test_selected_profile_is_a_candidate_profile(canonical, olg_feasible, cap_fa
 
 @pytest.mark.parametrize("regime", [T, B])
 def test_selected_profile_is_a_candidate_profile_on_verify_audit_draws(regime):
-    for params in olg_pool(12, 42):
+    for params in rows(olg_pool(12, 42)):
         assert_selected_profiles_are_candidates(params, solve_olg(params, regime).D_star)
 
 
 @pytest.mark.parametrize("regime", [T, B])
 def test_scan_rows_equal_naive_per_row_audit_on_verify_audit_draws(regime):
     # the audit draws verify scans: the head of the seed-42 olg pool, at D*
-    for params in olg_pool(12, 42):
+    for params in rows(olg_pool(12, 42)):
         assert_scan_equals_naive_per_row_audit(params, solve_olg(params, regime).D_star)

@@ -30,7 +30,7 @@ from recommerce.primitives import (
     _family_checks,
     bisect_increasing_vec,
 )
-from references import ORACLE_FAMILIES
+from references import ORACLE_FAMILIES, rows
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -781,7 +781,7 @@ def test_roots_take_few_batched_residual_calls(canonical, monkeypatch):
     slopes = [(canonical, canonical.delta / (1.0 + canonical.delta) * canonical.v_L)]
     for model in ModelKind:
         for regime in Regime:
-            for p in [canonical, *statics.foc_pool(10, 42, model, regime)]:
+            for p in [canonical, *rows(statics.foc_pool(10, 42, model, regime))]:
                 margin, slope = tp.durability_condition(p, model, regime)
                 if margin > 0.0:
                     slopes.append((p, slope))

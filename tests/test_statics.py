@@ -59,7 +59,6 @@ from recommerce.statics import (
     _take,
     _two_period_mask,
     admissible_olg_pool,
-    equilibrium_feasible,
     foc_pool,
     ladder_active,
     margin_active,
@@ -276,7 +275,7 @@ def test_envelope_matches_mpmath_reference_near_shutdown(cost, quality):
     # every cell of a verify draw in each shipped family, its margin moved
     # to 1e-2 and 1e-4 by v_L: D* runs from 2e-9 to 0.076
     mp = pytest.importorskip("mpmath").mp
-    draw = dataclasses.replace(olg_pool(1, 42)[0], cost=cost, quality=quality)
+    draw = dataclasses.replace(_draw_row(olg_pool(1, 42), 0), cost=cost, quality=quality)
     for model in (TP, OLG):
         for regime in (T, B):
             for margin in (1e-2, 1e-4):
@@ -348,7 +347,7 @@ def test_shutdown_envelope_values(canonical):
     # the formulas at D* = 0 give the shutdown slopes, compared by repr so
     # that a -0.0 slope fails; alone and among active lanes
     dead = dataclasses.replace(canonical, v_L=0.4)
-    mixed = _stack([canonical, dead, *admissible_olg_pool(40, 7)])
+    mixed = _stack([canonical, dead, *references.rows(admissible_olg_pool(40, 7))])
     for model in (TP, OLG):
         for regime in (T, B):
             shut = ~margin_active(mixed, model, regime)
@@ -559,9 +558,9 @@ def test_commission_curve_lanes_equal_scalar_solves():
     # each equal to its single curve
     checked = shutdowns = 0
     for model, pool in ((TP, two_period_pool(40, 42)), (OLG, olg_pool(40, 42))):
-        rows = optimal_commission(_stack(pool), model, n_points=201)
+        rows = optimal_commission(pool, model, n_points=201)
         assert rows.profits.shape == rows.d_stars.shape == rows.active.shape == (40, 201)
-        for k, params in enumerate(pool):
+        for k, params in enumerate(references.rows(pool)):
             curve = optimal_commission(params, model, n_points=201)
             assert np.ndim(curve.argmax_index) == np.ndim(curve.beta_star) == 0
             assert np.ndim(curve.profit_at_star) == 0
@@ -670,19 +669,19 @@ def test_sampler_respects_box():
 def test_pools_are_deterministic_and_filtered():
     pool1 = two_period_pool(6, 42)
     pool2 = two_period_pool(6, 42)
-    assert pool1 == pool2
-    for p in pool1:
+    assert references.same_lanes(pool1, pool2)
+    for p in references.rows(pool1):
         assert margin_active(p, TP, T)
         assert margin_active(p, TP, B)
-        assert equilibrium_feasible(p, TP, T)
-        assert equilibrium_feasible(p, TP, B)
-    assert two_period_pool(6, 43) != pool1
+        assert references._scalar_feasible(p, T, DEFAULT_D_MAX)
+        assert references._scalar_feasible(p, B, DEFAULT_D_MAX)
+    assert not references.same_lanes(two_period_pool(6, 43), pool1)
 
 
 def test_olg_pool_filtered():
-    for p in olg_pool(4, 42):
-        assert equilibrium_feasible(p, OLG, T)
-        assert equilibrium_feasible(p, OLG, B)
+    for p in references.rows(olg_pool(4, 42)):
+        assert references._scalar_olg_feasible(p, T, DEFAULT_D_MAX)
+        assert references._scalar_olg_feasible(p, B, DEFAULT_D_MAX)
 
 
 def test_ladder_filter(canonical):
@@ -764,12 +763,14 @@ def test_screened_pool_equals_the_reference_pool(name):
     accept, (ref_rule, ref_screen) = _POOL_FILTERS[name]
     for seed in (1, 2, 3, 5):
         want = references._sample_rows(3, (seed, 9), ref_rule, ref_screen)
-        assert statics._rows(statics._sample_lanes(3, (seed, 9), accept)) == want, seed
+        lanes = statics._sample_lanes(3, (seed, 9), accept)
+        assert references.same_lanes(lanes, _stack(want)), seed
         if name == "olg":
             rule, screen = _olg_filters(DEFAULT_D_MAX)
             assert sample_filtered(3, (seed, 9), rule, screen=screen) == want, seed
             # the OLG rule alone is the whole decision
-            assert olg_pool(8, seed) == sample_filtered(8, (seed, 2), rule), seed
+            unscreened = _stack(sample_filtered(8, (seed, 2), rule))
+            assert references.same_lanes(olg_pool(8, seed), unscreened), seed
 
 
 _POOLS = {
@@ -792,10 +793,10 @@ def test_pools_equal_row_by_row_reference_pools(name):
     pool, reference = _POOLS[name]
     for seed in range(40):
         want = reference(200, seed)
-        assert pool(200, seed) == want, seed
+        assert references.same_lanes(pool(200, seed), _stack(want)), seed
         # the reference sampler takes the first n accepted draws, so its
         # pool of 50 is the head of its pool of 200
-        assert pool(50, seed) == want[:50], seed
+        assert references.same_lanes(pool(50, seed), _stack(want[:50])), seed
 
 
 def _pool_or_error(sample, *args):
@@ -818,7 +819,10 @@ def test_two_period_screen_leaves_roots_beyond_d_max_to_the_rule(d_max):
     )
     assert isinstance(want, str) == (d_max == 0.1)
     lanes = _pool_or_error(statics._sample_lanes, 4, (6, 1), _two_period_mask(d_max))
-    assert want == (lanes if isinstance(lanes, str) else statics._rows(lanes))
+    if isinstance(want, str):
+        assert lanes == want
+    else:
+        assert references.same_lanes(lanes, _stack(want))
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -840,7 +844,7 @@ def test_two_period_pool_raises_at_the_reference_draw(seed):
     assert isinstance(want, str)
     k = len(accepted)
     assert 0 < k < statics._ROOT_CHUNK
-    assert two_period_pool(k, seed, 0.2) == accepted
+    assert references.same_lanes(two_period_pool(k, seed, 0.2), _stack(accepted))
     assert _pool_or_error(two_period_pool, k + 1, seed, 0.2) == want
 
 
@@ -894,16 +898,16 @@ def test_olg_feasibility_reads_the_solved_slacks():
     margins = margin_active(block, OLG, T) & margin_active(block, OLG, B)
     draws = [_draw_row(block, i) for i in np.flatnonzero(margins)]
     outcomes = set()
-    for params in olg_pool(50, 42) + draws:
+    for params in references.rows(olg_pool(50, 42)) + draws:
         for regime in (T, B):
-            feasible = equilibrium_feasible(params, OLG, regime)
+            feasible = references._scalar_olg_feasible(params, regime, DEFAULT_D_MAX)
             assert feasible == _olg_feasible_from_recomputed_slacks(params, regime)
             outcomes.add(feasible)
     assert outcomes == {True, False}
 
 
 def test_batched_ladders_equal_scalar_solves():
-    base = two_period_pool(100, 42)
+    base = references.rows(two_period_pool(100, 42))
     # a second cost/quality family, as a pool of its own
     other = [
         dataclasses.replace(p, cost=PowerCost(c0=0.8, p=2.5), quality=RationalQuality(k=1.0))
@@ -967,7 +971,11 @@ _FAMILIES = [
 def test_kernel_lanes_equal_scalar_solves(family):
     cost, quality = family
     # the admissible pool is unfiltered, so it has shut-down lanes too
-    base = two_period_pool(30, 42) + olg_pool(30, 42) + admissible_olg_pool(30, 42)
+    base = [
+        p
+        for pool in (two_period_pool(30, 42), olg_pool(30, 42), admissible_olg_pool(30, 42))
+        for p in references.rows(pool)
+    ]
     pool = [dataclasses.replace(p, cost=cost, quality=quality) for p in base]
     stacked = _stack(pool)
     social = tp.social_optimal_durability(stacked)
@@ -1067,7 +1075,7 @@ def test_solved_values_at_cell_roots_equal_single_point_solvers(canonical):
     # the maximized objective at the batched roots is the single-point
     # solvers' value bit for bit, on shut-down lanes too
     dead = dataclasses.replace(canonical, v_L=0.4)
-    pool = [dead, *admissible_olg_pool(40, 7)]
+    pool = [dead, *references.rows(admissible_olg_pool(40, 7))]
     stacked = _stack(pool)
     shutdowns = 0
     for model in (TP, OLG):
@@ -1088,8 +1096,8 @@ def test_solved_values_at_cell_roots_equal_single_point_solvers(canonical):
 def test_batched_derivatives_equal_scalar():
     # references: the closed-form envelope at the single-point solver's D*,
     # and the centered difference of the single-point solvers' values
-    pool = admissible_olg_pool(40, 7)
-    stacked = _stack(pool)
+    stacked = admissible_olg_pool(40, 7)
+    pool = references.rows(stacked)
     h = 1e-5
     shutdowns = 0
     for model in (TP, OLG):
@@ -1379,8 +1387,8 @@ def _unique_violating(pool):
 @pytest.mark.parametrize("pools", ["seed-1", "seed-2", "seed-3", "violating"])
 def test_batched_properties_equal_scalar_reference(pools):
     seed = 1 if pools == "violating" else int(pools[-1])
-    pool_tp, pool_olg = two_period_pool(30, seed), olg_pool(30, seed)
-    pool_any = admissible_olg_pool(10, seed)
+    pool_tp, pool_olg = references.rows(two_period_pool(30, seed)), references.rows(olg_pool(30, seed))
+    pool_any = references.rows(admissible_olg_pool(10, seed))
     if pools == "violating":
         pool_tp, pool_olg = _violating(pool_tp), _violating(pool_olg)
     audit = _unique_violating(pool_olg[:6]) if pools == "violating" else pool_olg[:6]
@@ -1457,9 +1465,9 @@ _CONSTRAINT_BREAKERS = [
 def test_batched_constraints_equal_scalar_reference_on_violations(k):
     target, change, broken = _CONSTRAINT_BREAKERS[k]
     pools = {
-        "two-period": two_period_pool(10, 1),
-        "olg": olg_pool(10, 1),
-        "any": admissible_olg_pool(10, 1),
+        "two-period": references.rows(two_period_pool(10, 1)),
+        "olg": references.rows(olg_pool(10, 1)),
+        "any": references.rows(admissible_olg_pool(10, 1)),
     }
     pools[target] = [change(params) for params in pools[target]]
     batched = _prop_constraints(*map(_stack, pools.values()), DEFAULT_D_MAX)
@@ -1478,7 +1486,7 @@ def test_batched_commission_equals_scalar_reference_on_violations(s_bar):
     # argmax away from zero on a few (1e-6)
     quality = SaturatingExpQuality(s_bar=s_bar, k=1.0)
     pool_tp, pool_olg = (
-        [dataclasses.replace(p, quality=quality) for p in pool]
+        [dataclasses.replace(p, quality=quality) for p in references.rows(pool)]
         for pool in (two_period_pool(30, 1), olg_pool(30, 1))
     )
     batched = _prop_commission_argmax(_stack(pool_tp), _stack(pool_olg), 201, DEFAULT_D_MAX)
@@ -1512,7 +1520,7 @@ def test_batched_properties_accept_empty_pools(canonical):
 
 
 def test_alpha_envelope_solves_every_root_at_the_run_d_max(monkeypatch):
-    pool_tp, pool_olg = _stack(two_period_pool(4, 1)), _stack(olg_pool(4, 1))
+    pool_tp, pool_olg = two_period_pool(4, 1), olg_pool(4, 1)
     seen = []
     solve_foc = tp.solve_foc
 
@@ -1555,9 +1563,9 @@ def _counting_vec_calls(monkeypatch):
 @pytest.mark.parametrize("active_only", [False, True])
 def test_cell_durabilities_equal_cell_by_cell_roots(monkeypatch, active_only):
     other = (PowerCost(c0=0.8, p=2.5), RationalQuality(k=0.5))
-    active = two_period_pool(8, 3)
+    active = references.rows(two_period_pool(8, 3))
     # the admissible pool is unfiltered, so it has shut-down lanes too
-    mixed = active + admissible_olg_pool(8, 3)
+    mixed = active + references.rows(admissible_olg_pool(8, 3))
     tp_pool = _stack(active if active_only else mixed)
     tp_other = _stack([dataclasses.replace(p, cost=other[0], quality=other[1]) for p in active])
     olg_other = _stack([dataclasses.replace(p, cost=other[0], quality=other[1]) for p in mixed])
@@ -1714,6 +1722,53 @@ def test_foc_grid_searches_each_pool_once(monkeypatch):
     assert {(model, regime) for _, model, regime in calls} == set(pools)
     assert all(params is pools[model, regime] for params, model, regime in calls)
     assert result.checks == sum(len(pool.alpha) for pool in pools.values())
+
+
+# perfbench's verify workload: a quarter of the CLI's default scale
+_QUARTER = dict(
+    foc_draws=50, grid_points=25_000, pool_draws=50, audit_draws=12, commission_points=250
+)
+
+
+def _same_argument(got, want) -> bool:
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(_same_argument(got[k], want[k]) for k in want)
+    if isinstance(want, ModelParams):
+        return references.same_lanes(got, want)
+    return type(got) is type(want) and got == want
+
+
+def test_build_tasks_takes_the_public_pools():
+    # every pool argument of the task table is a public pool, or the head of
+    # one, bit for bit; each public pool is (n,) float lanes of the draw family
+    foc = {(m, r): foc_pool(50, 42, m, r) for m in ModelKind for r in Regime}
+    pool_tp, pool_olg = two_period_pool(50, 42), olg_pool(50, 42)
+    pool_any = admissible_olg_pool(12, 42)
+    for pool in (*foc.values(), pool_tp, pool_olg, pool_any):
+        assert (pool.cost, pool.quality) == (statics._DRAW_COST, statics._DRAW_QUALITY)
+        n = 12 if pool is pool_any else 50
+        for f in statics._SCALAR_FIELDS:
+            x = getattr(pool, f)
+            assert isinstance(x, np.ndarray) and x.shape == (n,) and x.dtype == np.float64, f
+    audit_tp, audit_olg = _take(pool_tp, slice(12)), _take(pool_olg, slice(12))
+    d_max = DEFAULT_D_MAX
+    want = {
+        _prop_commission_argmax: (pool_tp, pool_olg, 250, d_max),
+        _prop_foc_grid: (foc, 25_000, d_max),
+        _prop_olg_unique: (audit_olg, d_max),
+        _prop_alpha_envelope: (pool_tp, pool_olg, d_max),
+        _prop_constraints: (audit_tp, audit_olg, pool_any, d_max),
+        _prop_ladders: (pool_tp, d_max),
+        _prop_durability_premium: (pool_tp, pool_olg, d_max),
+        _prop_efficiency: (pool_tp, d_max),
+        statics._prop_canonical: (25_000, d_max),
+    }
+    tasks = statics._build_tasks(42, d_max=d_max, **_QUARTER)
+    assert [prop for _, prop, _ in tasks] == list(want)
+    for _, prop, args in tasks:
+        assert len(args) == len(want[prop]), prop.__name__
+        for k, (got, expected) in enumerate(zip(args, want[prop])):
+            assert _same_argument(got, expected), (prop.__name__, k)
 
 
 def test_run_verification_parallel_matches_serial():
