@@ -637,27 +637,29 @@ def _path_midpoints(lo: float, hi: float, xtol: float, guess: float) -> list[flo
 
 def bisect_increasing_vec(
     f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     n: int,
 ) -> np.ndarray:
     """Vectorized counterpart of :func:`bisect_increasing` at its default
     ``xtol = 1e-10``.
 
-    Runs ``n`` independent bisections that share the bracket [lo, hi]; ``f``
-    maps an array of midpoints to an array of residuals. The arithmetic per
-    lane matches the scalar routine exactly (same bracket, same midpoint
-    sequence), so mixed scalar/vector use cannot drift. The first levels,
-    where no lane can stop, step every lane in lockstep; the last levels
-    mask the lanes that have stopped.
+    Runs ``n`` independent bisections, lane ``i`` on its own bracket
+    [lo[i], hi[i]]; a float ``lo`` or ``hi`` is every lane's end. ``f`` maps
+    an array of midpoints to an array of residuals. The arithmetic per lane
+    matches the scalar routine exactly (same bracket, same midpoint
+    sequence), so mixed scalar/vector use cannot drift, and a bracket that
+    the scalar routine reached after some levels continues as it would. The
+    first levels, where no lane can stop, step every lane in lockstep; the
+    last levels mask the lanes that have stopped.
     """
 
     los = np.full(n, lo, dtype=float)
     his = np.full(n, hi, dtype=float)
     # While every bracket is wider than 1e-10 and than 4 float spacings of
-    # the bracket's largest magnitude, every lane is active and its midpoint
+    # the largest end over all lanes, every lane is active and its midpoint
     # lies strictly inside it, so all lanes step without the mask.
-    reach = max(abs(lo), abs(hi))
+    reach = float(np.max(np.abs([los, his]), initial=0.0))
     floor = max(1e-10, 4.0 * float(np.spacing(reach)))
     if not 2.0 * reach < math.inf:  # the ends' sum can overflow, or an end is NaN
         floor = math.nan

@@ -690,7 +690,9 @@ def olg_pool(n: int, seed: int, d_max: float = DEFAULT_D_MAX) -> ModelParams:
     both regimes' optimal durabilities."""
 
     ok, screen = _olg_filters(d_max)
-    return _stack(sample_filtered(n, (seed, 2), ok, screen=screen))
+    pool = sample_filtered(n, (seed, 2), ok, screen=screen)
+    # an empty pool has no draw to take the family from: no raw draw is made
+    return _stack(pool) if pool else _draw_block(np.random.default_rng(0), 0)
 
 
 def foc_pool(

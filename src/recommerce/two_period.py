@@ -114,6 +114,15 @@ def foc_residual(params: ModelParams, slope):
     return residual
 
 
+# Levels of the bisection of [1e-12, d_max] that a batched root reads from
+# its family's threshold table: up to 2**14 - 1 midpoints per table.
+_TABLE_LEVELS = 14
+
+# nextafter steps from c'/s' allowed to each threshold before the table is
+# given up.
+_THRESHOLD_STEPS = 8
+
+
 def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
     """Durability root of ``foc_residual(params, slope)`` on [0, d_max].
 
@@ -123,12 +132,17 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
     1e-12) goes to :func:`bisect_increasing` on [0, 1e-12], a bracket
     narrower than its 1e-10 tolerance, so it comes back as the midpoint
     5e-13: accurate to 1e-10 absolutely, not relatively. Otherwise the
-    bracket's error stands. An array ``slope`` gives one lane per entry,
-    solved with the shared cost/quality family of ``params`` by the scalar
-    midpoint sequence, so each lane equals the single-point root bit for
-    bit; a lane without a strict sign change on the bracket is handed to
-    the scalar bisection, so it returns the same endpoint or raises the
-    same :class:`BracketError`. Callers decide which lanes are active. A
+    bracket's error stands.
+
+    An array ``slope`` gives one lane per entry, solved with the shared
+    cost/quality family of ``params`` by the scalar midpoint sequence, so
+    each lane equals the single-point root bit for bit. A lane takes its
+    first levels from the family's :func:`_threshold_table`: the bracket
+    they end in is the table's leaf that its slope falls in. The rest of
+    the levels are :func:`bisect_increasing_vec` from that bracket. A lane
+    without a strict sign change on [1e-12, d_max] is handed to the scalar
+    bisection, so it returns the same endpoint or raises the same
+    :class:`BracketError`. Callers decide which lanes are active. A
     negative ``d_max`` raises the families' ``ValueError``, once per call.
     """
 
@@ -147,13 +161,77 @@ def solve_foc(params: ModelParams, slope, d_max: float = DEFAULT_D_MAX):
     lanes = slope.ravel()
     n = lanes.size
     residual = foc_residual(params, lanes)
-    roots = bisect_increasing_vec(residual, 1e-12, d_max, n)
+    ends, thresholds = _threshold_table(params.cost, params.quality, float(d_max))
+    # a NaN slope is never negative at a midpoint, so its leaf is the first
+    leaf = np.where(np.isnan(lanes), 0, np.searchsorted(thresholds, lanes))
+    roots = bisect_increasing_vec(residual, ends[leaf], ends[leaf + 1], n)
     unbracketed = (residual(np.full(n, 1e-12)) >= 0.0) | (
         residual(np.full(n, d_max)) <= 0.0
     )
     for lane in np.flatnonzero(unbracketed):
         roots[lane] = solve_foc(params, float(lanes[lane]), d_max)
     return roots.reshape(slope.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def _threshold_table(cost, quality, d_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first levels of every batched root of a family on [1e-12, d_max].
+
+    Returns read-only ``ends``, the midpoints that the bisection of
+    [1e-12, d_max] can visit in its first ``_TABLE_LEVELS`` levels in
+    ascending order between the bracket's two ends, and ``thresholds``, one
+    per midpoint ``m``: the largest float ``T`` with
+    ``fl(T * s'(m)) <= c'(m)``. The residual of :func:`foc_residual` is
+    negative at ``m`` exactly when ``fl(slope * s'(m)) > c'(m)``, and a
+    rounded product is monotone in ``slope``, so the bisection steps right
+    at ``m`` exactly when ``slope > T``. With ``T`` non-decreasing in
+    ``m``, a lane's bracket after those levels is ``(ends[i], ends[i+1])``
+    for ``i`` the number of thresholds below its slope.
+
+    The levels stop before any bracket would be too narrow to split, as
+    the bisection stops. A table whose thresholds are not finite, not
+    non-decreasing or not exact (a derivative that is 0, infinite or NaN at
+    a midpoint, say) is replaced by the 0-level table: the two ends and no
+    threshold. Cached per family and ``d_max``; built on first use.
+    """
+
+    ends = np.array([1e-12, d_max])
+    with np.errstate(all="ignore"):
+        for _ in range(_TABLE_LEVELS):
+            mids = 0.5 * (ends[:-1] + ends[1:])
+            splits = (ends[1:] - ends[:-1] > 1e-10) & (mids > ends[:-1]) & (mids < ends[1:])
+            if not splits.all():
+                break
+            ends = np.insert(ends, np.arange(1, ends.size), mids)
+        c, s = cost._deriv(ends[1:-1]), quality._deriv(ends[1:-1])
+        thresholds = c / s
+        for _ in range(_THRESHOLD_STEPS):
+            high = thresholds * s > c
+            if not high.any():
+                break
+            thresholds[high] = np.nextafter(thresholds[high], -np.inf)
+        for _ in range(_THRESHOLD_STEPS):
+            above = np.nextafter(thresholds, np.inf)
+            low = above * s <= c
+            if not low.any():
+                break
+            thresholds[low] = above[low]
+        if not _thresholds_exact(thresholds, c, s):
+            ends, thresholds = ends[[0, -1]], thresholds[:0]
+    ends.flags.writeable = False
+    thresholds.flags.writeable = False
+    return ends, thresholds
+
+
+def _thresholds_exact(thresholds: np.ndarray, c: np.ndarray, s: np.ndarray) -> bool:
+    """Each threshold is finite, the largest float ``T`` with
+    ``fl(T * s) <= c``, and no threshold falls below the one before it.
+    Called under the table's ``np.errstate``."""
+
+    exact = (thresholds * s <= c) & (c < np.nextafter(thresholds, np.inf) * s)
+    return bool(
+        np.isfinite(thresholds).all() and exact.all() and (np.diff(thresholds) >= 0.0).all()
+    )
 
 
 def social_optimal_durability(params: ModelParams, d_max: float = DEFAULT_D_MAX):

@@ -588,6 +588,32 @@ def test_default_scale_verify_matches_frozen_digests(tmp_path, seed):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of verify at a quarter of the default scales on a second bracket,
+# [1e-12, 5]: written before the batched roots took their first levels from
+# a threshold table per family and d_max
+D_MAX_5_VERIFY = [
+    "--seed", "42",
+    "--draws", "50",
+    "--foc-draws", "50",
+    "--grid-points", "25000",
+    "--audit-draws", "12",
+    "--commission-points", "250",
+]
+D_MAX_5_SHA256 = {
+    "verify.csv": "8ed935db7cd1f524b16ea7ae85624a1967bbb49bfb343e3ce8829a9b50e07b1b",
+    "verify.json": "c083f0a6c15041a3197e4b0151651edcbc47d545702fe26f23ed310459a47ce6",
+}
+
+
+def test_verify_at_d_max_5_matches_frozen_digests(tmp_path):
+    config = tmp_path / "d-max-5.json"
+    config.write_text('{"schema": "recommerce-config/1", "solver": {"d_max": 5}}')
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(config), *D_MAX_5_VERIFY, "--out", str(out)]) == 0
+    for name, digest in D_MAX_5_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 OLG_ACTIVE = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "olg_active.json")
 CANONICAL = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "canonical.json")
 

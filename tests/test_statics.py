@@ -1771,6 +1771,29 @@ def test_build_tasks_takes_the_public_pools():
             assert _same_argument(got, expected), (prop.__name__, k)
 
 
+def test_empty_pools_are_empty_lanes_of_the_draw_family():
+    pools = [
+        two_period_pool(0, 42),
+        olg_pool(0, 42),
+        admissible_olg_pool(0, 42),
+        foc_pool(0, 42, OLG, B),
+    ]
+    for pool in pools:
+        assert (pool.cost, pool.quality) == (statics._DRAW_COST, statics._DRAW_QUALITY)
+        for f in statics._SCALAR_FIELDS:
+            x = getattr(pool, f)
+            assert isinstance(x, np.ndarray) and x.shape == (0,) and x.dtype == np.float64, f
+
+
+def test_run_verification_without_pool_draws():
+    # only the FOC pools and the canonical point remain to check
+    results = run_verification(**dict(_RUN, pool_draws=0, audit_draws=0))
+    assert [r.name for r in results] == VERIFY_ROWS
+    for r in results:
+        assert r.violations == 0 and r.counterexample is None, r.name
+        assert (r.checks > 0) == (r.name in ("foc-grid-agreement", "canonical-regression"))
+
+
 def test_run_verification_parallel_matches_serial():
     serial = run_verification(**_RUN)
     parallel = run_verification(**dict(_RUN, jobs=2))

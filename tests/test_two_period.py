@@ -26,7 +26,7 @@ from recommerce import olg, statics
 from recommerce import two_period as tp
 from recommerce.primitives import BracketError, ModelKind, canonical_params
 from recommerce.two_period import solve_foc
-from references import sample_params
+from references import ORACLE_FAMILIES, sample_params
 
 T = Regime.THIRD_PARTY
 B = Regime.BRANDED
@@ -209,6 +209,129 @@ def test_nonpositive_slope_keeps_the_bracket_error(canonical):
     # the residual is positive at 0 too, so there is no root to bisect below
     with pytest.raises(BracketError, match=r"f\(1e-12\) = .* is not negative"):
         solve_foc(canonical, -0.1)
+
+
+# ----------------------------------------------------------------------
+# the threshold table of the batched roots
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture()
+def fresh_tables():
+    """An empty table cache before and after, so that a test which patches
+    how tables are built leaves none behind."""
+
+    tp._threshold_table.cache_clear()
+    yield
+    tp._threshold_table.cache_clear()
+
+
+def _table_slopes(thresholds):
+    """Slopes at the edges of the table: signs, NaN, the infinities, the
+    smallest subnormal, 1e300, and every 97th threshold with both of its
+    neighbouring floats."""
+
+    every = thresholds[::97]
+    return np.concatenate(
+        [
+            [0.0, -0.3, np.nan, np.inf, -np.inf, 5e-324, 1e300],
+            every,
+            np.nextafter(every, -np.inf),
+            np.nextafter(every, np.inf),
+        ]
+    )
+
+
+def _scalar_roots(params, slopes, d_max):
+    """Each slope's scalar root, or the message of its BracketError."""
+
+    out = []
+    for slope in slopes:
+        try:
+            out.append(solve_foc(params, float(slope), d_max))
+        except BracketError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _lanes_equal_scalar_roots(params, slopes, d_max):
+    """Check that the batched roots of the slopes with a scalar root equal
+    those roots, and that each other slope's lane, next to a solved lane,
+    raises its scalar message; return the roots and the messages."""
+
+    scalar = _scalar_roots(params, slopes, d_max)
+    solved = np.array([isinstance(r, float) for r in scalar])
+    errors = []
+    for slope in slopes[~solved]:
+        with pytest.raises(BracketError) as exc:
+            solve_foc(params, np.array([slopes[solved][0], slope]), d_max)
+        errors.append(str(exc.value))
+    lanes = solve_foc(params, slopes[solved], d_max)
+    assert lanes.tobytes() == np.array([r for r in scalar if isinstance(r, float)]).tobytes()
+    assert errors == [r for r in scalar if isinstance(r, str)]
+    return lanes, errors
+
+
+@pytest.mark.parametrize("d_max", [10.0, 3.0, 0.2, 40.0])
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: f"{f[0]}-{f[1]}")
+def test_table_lanes_equal_scalar_and_zero_level_roots(
+    canonical, monkeypatch, fresh_tables, family, d_max
+):
+    params = dataclasses.replace(canonical, cost=family[0], quality=family[1])
+    thresholds = tp._threshold_table(*family, d_max)[1]
+    assert thresholds.size == 2**14 - 1
+    slopes = _table_slopes(thresholds)
+    lanes, errors = _lanes_equal_scalar_roots(params, slopes, d_max)
+    assert errors  # the slopes hold lanes without a root
+    monkeypatch.setattr(tp, "_TABLE_LEVELS", 0)
+    tp._threshold_table.cache_clear()
+    assert tp._threshold_table(*family, d_max)[0].tolist() == [1e-12, d_max]
+    zero_lanes, zero_errors = _lanes_equal_scalar_roots(params, slopes, d_max)
+    assert zero_lanes.tobytes() == lanes.tobytes()
+    assert zero_errors == errors
+
+
+@pytest.mark.parametrize("d_max", [10.0, 3.0, 0.2, 40.0])
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: f"{f[0]}-{f[1]}")
+def test_table_thresholds_are_exact(fresh_tables, family, d_max):
+    ends, thresholds = tp._threshold_table(*family, d_max)
+    # level by level, each midpoint is 0.5 * (lo + hi) of its bracket
+    for level in range(14):
+        step = 2 ** (14 - level)
+        lo, hi = ends[:-step:step], ends[step::step]
+        assert ends[step // 2 :: step].tolist() == (0.5 * (lo + hi)).tolist()
+    c, s = family[0]._deriv(ends[1:-1]), family[1]._deriv(ends[1:-1])
+    # the largest float T with fl(T * s) <= c, and non-decreasing
+    assert np.all(np.isfinite(thresholds))
+    assert np.all(thresholds * s <= c)
+    assert np.all(c < np.nextafter(thresholds, np.inf) * s)
+    assert np.all(np.diff(thresholds) >= 0.0)
+
+
+def test_table_levels_stop_where_the_bisection_stops(canonical, fresh_tables):
+    # brackets of [1e-12, 1e-7] reach the 1e-10 tolerance after 10 levels
+    thresholds = tp._threshold_table(canonical.cost, canonical.quality, 1e-7)[1]
+    assert thresholds.size == 2**10 - 1
+    _lanes_equal_scalar_roots(canonical, _table_slopes(thresholds), 1e-7)
+
+
+def _zero_level_case(params, d_max):
+    ends, thresholds = tp._threshold_table(params.cost, params.quality, d_max)
+    assert ends.tolist() == [1e-12, d_max] and thresholds.size == 0
+    _lanes_equal_scalar_roots(params, np.geomspace(0.05, 3.0, 40), d_max)
+
+
+def test_a_table_that_fails_validation_takes_the_zero_level_path(
+    canonical, monkeypatch, fresh_tables
+):
+    monkeypatch.setattr(tp, "_thresholds_exact", lambda thresholds, c, s: False)
+    _zero_level_case(canonical, 10.0)
+
+
+def test_a_derivative_that_underflows_takes_the_zero_level_path(canonical, fresh_tables):
+    # s'(D) = 40 exp(-40 D) is 0 beyond D = 18.6, where no threshold exists
+    steep = dataclasses.replace(canonical, quality=SaturatingExpQuality(s_bar=1.0, k=40.0))
+    _zero_level_case(steep, 40.0)
 
 
 # ----------------------------------------------------------------------
